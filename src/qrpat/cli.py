@@ -143,9 +143,9 @@ def _fraction_report(m: int, frac: ReducedFraction, window: int | None) -> dict:
     structure = structure and heights[0] + m - heights[-1] == gap
 
     span = window if window is not None else min(3 * b_prime, (m - 1) // 2)
-    coverage = all(
-        len(covering_members(family, x, r)) == 1 for x, r in residues_near(m, frac, span)
-    )
+    # Only m = 2 admits no window (2 * window < m); its oracle is the whole plot.
+    points = residues_near(m, frac, span) if span else [(x, x * x % m) for x in range(m)]
+    coverage = all(len(covering_members(family, x, r)) == 1 for x, r in points)
     return {
         "fraction": str(frac),
         "identity": verify_identity(params),
@@ -339,7 +339,3 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -28,6 +28,7 @@ __all__ = [
     "parabola_family",
     "residues_near",
     "verify_identity",
+    "vertex_heights",
 ]
 
 
@@ -124,6 +125,15 @@ def verify_identity(params: FractionParams) -> bool:
     """
     b = params.frac.b
     return b * b * params.r0 == params.beta * params.m + params.alpha * params.alpha
+
+
+def vertex_heights(params: FractionParams) -> range:
+    """Vertex height indices h_k = beta' + k*c*b, beta' = beta mod c*b, k < b_prime.
+
+    Vertex k sits at normalized height h_k / b^2 == (beta'/b^2 + k/b_prime) mod 1.
+    """
+    step = params.c * params.frac.b
+    return range(params.beta % step, params.frac.b ** 2, step)
 
 
 def parabola_family(params: FractionParams) -> ParabolaFamily:

@@ -13,15 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
-from .parabola import fraction_params
+from .parabola import fraction_params, vertex_heights
 from .residues import ReducedFraction, farey_fractions
 
 __all__ = [
     "BetaSignature",
-    "BundleLine",
     "DenominatorSet",
     "LayoutComparison",
     "beta_signature",
@@ -62,21 +60,6 @@ class BetaSignature:
     m: int
     max_denominator: int
     entries: dict[ReducedFraction, int]
-
-
-@dataclass(frozen=True)
-class BundleLine:
-    """The wrapped curve Y = (2nX - sX^2) mod 1 on X in [0, 1]."""
-
-    s: int
-    n: int
-
-    def y_at(self, x: Fraction) -> Fraction:
-        return (2 * self.n * x - self.s * x * x) % 1
-
-    def contains(self, x: Fraction, y: Fraction | int) -> bool:
-        """Exact membership: Y + s*X^2 - 2*n*X is an integer."""
-        return (Fraction(y) + self.s * x * x - 2 * self.n * x) % 1 == 0
 
 
 class LayoutComparison(NamedTuple):
@@ -166,11 +149,11 @@ def vertex_on_bundle(
     """Match every vertex of the family at a/b to a bundle line.
 
     For each vertex index k in [0, b_prime) the vertex sits at
-    (X, Y) = (a/b, (beta' / b^2 + k / b_prime) mod 1) with
-    beta' = beta mod c*b, and the returned n is the smallest-|n| line
-    index with Y + s*X^2 - 2*n*X an integer (ties to the positive n).
-    Membership is verified in exact rational arithmetic before the pair
-    is returned.
+    (X, Y) = (a/b, h_k / b^2) with h_k from ``vertex_heights``, and the
+    returned n is the smallest-|n| line index with Y + s*X^2 - 2*n*X an
+    integer (ties to the positive n), i.e. with
+    h_k + s*a^2 - 2*n*a*b divisible by b^2.  That integer membership is
+    verified before the pair is returned.
 
     The fraction's denominator must be covered by the period; s defaults
     to the balanced representative of m but any other representative of
@@ -187,21 +170,16 @@ def vertex_on_bundle(
     elif (m - s) % period:
         raise ValueError(f"s = {s} does not represent {m} modulo {period}")
     a, b = frac.a, frac.b
-    b_prime = params.b_prime
-    beta_prime = params.beta % (params.c * b)
-    x_v = Fraction(a, b)
     pairs = []
-    for k in range(b_prime):
-        y_v = (Fraction(beta_prime, b * b) + Fraction(k, b_prime)) % 1
-        # (Y + s*X^2) has denominator dividing b^2 and its numerator over
-        # b^2 is divisible by b whenever the denominator is covered.
-        scaled = (y_v + s * x_v * x_v) * b * b
-        if scaled.denominator != 1 or scaled.numerator % b:
+    for k, h in enumerate(vertex_heights(params)):
+        # h + s*a^2 = (Y + s*X^2) * b^2, a multiple of b when b is covered.
+        lifted = h + s * a * a
+        if lifted % b:
             raise ArithmeticError(
                 f"vertex k={k} of {frac} mod {m} is off the bundle lattice"
             )
-        n = _smallest_line_index(2 * a, scaled.numerator // b, b)
-        if not BundleLine(s, n).contains(x_v, y_v):
+        n = _smallest_line_index(2 * a, lifted // b, b)
+        if (lifted - 2 * n * a * b) % (b * b):
             raise ArithmeticError(
                 f"line index {n} fails exact membership for vertex k={k} of {frac}"
             )

@@ -3,20 +3,18 @@
 Raster output is 8-bit binary PGM (P5); vector overlays are SVG 1.1.
 Pixel placement uses integer arithmetic only, and SVG coordinates are
 formatted with a fixed number of digits, so identical inputs produce
-byte-identical files on every platform.  Exact rational membership
+byte-identical files on every platform.  Exact integer membership
 checks happen before anything is converted to floating point.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .parabola import fraction_params
+from .parabola import fraction_params, vertex_heights
 from .patterns import bundle_parameter, denominator_set, vertex_on_bundle
-from .residues import ReducedFraction, check_modulus, farey_fractions, qr_mod
+from .residues import ReducedFraction, check_modulus, farey_fractions
 
 __all__ = [
     "BundleCurve",
@@ -141,23 +139,22 @@ def render_sum_squares(m: int, size: int) -> Canvas:
 
 
 def sample_bundle_curve(s: int, n: int, samples: int = CURVE_SAMPLES) -> BundleCurve:
-    """Sample Y = (2nX - sX^2) mod 1 over X in [0, 1].
+    """Sample Y = (2nX - sX^2) mod 1 at X = t/S for t in [0, S], S = samples.
 
-    Sampling is exact (Fraction); a new polyline starts wherever the
-    unwrapped value crosses an integer, so no segment jumps across the
-    mod-1 seam.  Floats appear only in the stored coordinates.
+    The unwrapped value is the integer (2nS - st)t over S^2, so its wrap
+    level is exact; a new polyline starts wherever the level changes, so no
+    segment jumps across the mod-1 seam.  Coordinates are int/int floats.
     """
     segments: list[tuple[tuple[float, float], ...]] = []
     current: list[tuple[float, float]] = []
     prev_level = None
+    denom = samples * samples
     for t in range(samples + 1):
-        x = Fraction(t, samples)
-        g = 2 * n * x - s * x * x
-        level = math.floor(g)
+        level, rem = divmod((2 * n * samples - s * t) * t, denom)
         if prev_level is not None and level != prev_level and current:
             segments.append(tuple(current))
             current = []
-        current.append((float(x), float(g - level)))
+        current.append((t / samples, rem / denom))
         prev_level = level
     if current:
         segments.append(tuple(current))
@@ -181,24 +178,21 @@ def overlay_predictions(
     s = bundle_parameter(m, period)
     covered = denominator_set(period, max_denominator)
     scene = Scene(width, height)
-    scene.points = [(x / m, qr_mod(x, m) / m) for x in range(m)]
+    scene.points = [(x / m, x * x % m / m) for x in range(m)]
     indices: set[int] = set()
     for frac in sorted(farey_fractions(max_denominator), key=ReducedFraction.sort_key):
-        params = fraction_params(m, frac)
-        beta_prime = params.beta % (params.c * frac.b)
         on_line: dict[int, int] = {}
         if frac.b in covered:
             on_line = dict(vertex_on_bundle(m, period, frac))
             indices.update(on_line.values())
-        for k in range(params.b_prime):
-            y_v = (Fraction(beta_prime, frac.b * frac.b) + Fraction(k, params.b_prime)) % 1
+        for k, h in enumerate(vertex_heights(fraction_params(m, frac))):
             scene.markers.append(
                 VertexMarker(
                     b=frac.b,
                     a=frac.a,
                     k=k,
                     x=frac.a / frac.b,
-                    y=float(y_v),
+                    y=h / frac.b**2,
                     line_index=on_line.get(k),
                 )
             )

@@ -1,12 +1,19 @@
 """Tests for the qrpat command-line interface."""
 
+import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from qrpat import read_pgm
 from qrpat.cli import main
+
+# stdout of `qrpat bundle --modulus 20179 --lambda-n 9 --max-denominator 9`.
+GOLDEN_BUNDLE_20179 = "116345aa72c8b824aa0aed30064a2e3e49af0d63df2ebaf9ad489dc473fac066"
 
 
 def run(capsys, *argv):
@@ -153,6 +160,16 @@ def test_verify_small_modulus_default_window(capsys):
     assert payload["ok"] is True
 
 
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_verify_smallest_moduli(capsys, m):
+    # m = 2 admits no oracle window w >= 1 with 2w < m
+    code, payload, _ = run_json(capsys, "verify", "--modulus", str(m),
+                                "--max-denominator", "1")
+    assert code == 0
+    assert payload["ok"] is True
+    assert payload["fractions_checked"] == 2
+
+
 def test_verify_rejects_large_denominator(capsys):
     code, _, err = run(capsys, "verify", "--modulus", "81", "--max-denominator", "9")
     assert code == 2
@@ -227,6 +244,13 @@ def test_bundle_reference_modulus(tmp_path, capsys):
     assert payload["line_indices"] == sorted(set(payload["line_indices"]))
 
 
+def test_bundle_stdout_golden_hash(capsys):
+    code, out, _ = run(capsys, "bundle", "--modulus", "20179", "--lambda-n", "9",
+                       "--max-denominator", "9")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_BUNDLE_20179
+
+
 def test_bundle_degenerate_multiple(capsys):
     code, payload, _ = run_json(capsys, "bundle", "--modulus", "25200")
     assert code == 0
@@ -240,6 +264,21 @@ def test_bundle_skips_uncovered_denominators(capsys):
     assert {f["b"] for f in payload["skipped"]} == {11}
     assert len(payload["skipped"]) == 10
     assert err.count("warning") == 10
+
+
+def test_python_dash_m_from_source_checkout():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+    def launch(*argv):
+        return subprocess.run([sys.executable, "-m", "qrpat", *argv], env=env,
+                              capture_output=True, text=True, timeout=60, check=False)
+
+    ok = launch("predict", "--modulus", "997", "--fraction", "1/3", "--json")
+    assert ok.returncode == 0, ok.stderr
+    assert json.loads(ok.stdout)["r0"] == 554
+    bad = launch("verify", "--modulus", "81", "--max-denominator", "9")
+    assert bad.returncode == 2
+    assert "exceed" in bad.stderr
 
 
 def test_console_script_installed():

@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from qrpat import (
-    BundleLine,
     ReducedFraction,
     beta_signature,
     bundle_parameter,
@@ -216,15 +215,6 @@ def test_vertex_on_bundle_representative_shift():
         for shift in (0, PERIOD_9, -2 * PERIOD_9):
             pairs = vertex_on_bundle(m, PERIOD_9, frac, s=s + shift)
             assert len(pairs) == fraction_params(m, frac).b_prime
-
-
-def test_bundle_line_wrapped_curve():
-    line = BundleLine(s=19, n=-1)
-    x = Fraction(1, 3)
-    y = line.y_at(x)
-    assert 0 <= y < 1
-    assert line.contains(x, y)
-    assert not line.contains(x, y + Fraction(1, 2))
 
 
 def test_normalized_vertex_sets_match_between_congruent_moduli():

@@ -1,6 +1,7 @@
 """Tests for the deterministic PGM/SVG renderers."""
 
 import hashlib
+import math
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,8 @@ from qrpat import (
 # must be deliberate and re-locked.
 GOLDEN_PLOT_20171 = "04c9a8845a373c41a3c23508bb5bc3ed17d136bdfe5d47aa69273a2d254cd1dd"
 GOLDEN_GRID_415 = "63377b669e2929b855a64d58a4a56fa758b12187a55a19d0c8c10c0fcd683413"
+# overlay_predictions(20179, 9, 5040, 800, 800) written by write_svg.
+GOLDEN_SVG_20179 = "ef80894ea61d39ecb0a690e1976f951869eabcbb3fffa78f59b70ce232312803"
 
 
 def black_pixels(canvas):
@@ -125,6 +128,31 @@ def test_pgm_golden_hashes(tmp_path):
     assert hashlib.sha256(grid_path.read_bytes()).hexdigest() == GOLDEN_GRID_415
 
 
+def reference_curve_segments(s, n, samples):
+    """Segments of Y = (2nX - sX^2) mod 1 sampled in Fraction arithmetic."""
+    segments, current, prev_level = [], [], None
+    for t in range(samples + 1):
+        x = Fraction(t, samples)
+        g = 2 * n * x - s * x * x
+        level = math.floor(g)
+        if prev_level is not None and level != prev_level and current:
+            segments.append(tuple(current))
+            current = []
+        current.append((float(x), float(g - level)))
+        prev_level = level
+    if current:
+        segments.append(tuple(current))
+    return tuple(segments)
+
+
+@pytest.mark.parametrize("samples", [1, 2, 7, 512, 1024])
+def test_sample_curve_matches_fraction_reference(samples):
+    for s in (-2519, -1, 0, 1, 7, 2520):
+        for n in range(-12, 13):
+            expected = reference_curve_segments(s, n, samples)
+            assert sample_bundle_curve(s, n, samples).segments == expected, (s, n)
+
+
 def test_sample_curve_segments_stay_inside_unit_band():
     curve = sample_bundle_curve(19, -2, samples=512)
     assert sum(len(seg) for seg in curve.segments) == 513
@@ -160,6 +188,10 @@ def test_overlay_markers_and_curves():
         if marker.b in covered:
             assert marker.line_index is not None
             assert marker.line_index in drawn
+        params = fraction_params(m, ReducedFraction(marker.a, marker.b))
+        beta_prime = params.beta % (params.c * marker.b)
+        y = (Fraction(beta_prime, marker.b**2) + Fraction(marker.k, params.b_prime)) % 1
+        assert marker.y == float(y)
     n_max = max(abs(n) for n in drawn)
     assert drawn == set(range(-n_max, n_max + 1))
 
@@ -216,6 +248,12 @@ def test_svg_element_order_and_precision(tmp_path):
     for value in re.findall(r'c?[xy]1?="([-0-9.]+)"', text):
         if "." in value:
             assert len(value.split(".")[1]) == 6
+
+
+def test_svg_golden_hash(tmp_path):
+    path = tmp_path / "overlay.svg"
+    write_svg(overlay_predictions(20179, 9, 5040, 800, 800), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SVG_20179
 
 
 def test_svg_io_error_reports_path():
