@@ -2,23 +2,19 @@
 
 Exit codes: 0 success, 1 verification failure, 2 argument error,
 3 I/O error.  Machine output is JSON with exact integers only; rational
-values appear as numerator/denominator pairs.  QRPAT_THREADS (>= 1)
-caps the worker threads used by the verify subcommand.
+values appear as numerator/denominator pairs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from fractions import Fraction
-from functools import partial
 
 from .parabola import (
+    check_denominator,
     covering_members,
-    evaluate_parabola,
+    family_structure,
     fraction_params,
     parabola_family,
     residues_near,
@@ -53,14 +49,6 @@ def _emit(payload, compact: bool = False) -> None:
         print(json.dumps(payload, separators=(",", ":")))
     else:
         print(json.dumps(payload, indent=2))
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("QRPAT_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _check_lambda_n(n: int) -> int:
@@ -127,45 +115,22 @@ def _cmd_predict(args) -> int:
 def _fraction_report(m: int, frac: ReducedFraction, window: int | None) -> dict:
     params = fraction_params(m, frac)
     family = parabola_family(params)
-    b, b_prime = frac.b, params.b_prime
-
-    structure = len(family.members) == b_prime
-    abscissa = Fraction(frac.a * m, b)
-    unit = Fraction(m, b * b)
-    for p in family.members:
-        structure = structure and p.vertex_x == abscissa
-        structure = structure and 0 <= p.vertex_y < m and (p.vertex_y / unit).denominator == 1
-    heights = sorted(p.vertex_y for p in family.members)
-    gap = Fraction(m, b_prime)
-    structure = structure and all(
-        heights[i + 1] - heights[i] == gap for i in range(len(heights) - 1)
-    )
-    structure = structure and heights[0] + m - heights[-1] == gap
-
-    span = window if window is not None else min(3 * b_prime, (m - 1) // 2)
+    span = window if window is not None else min(3 * params.b_prime, (m - 1) // 2)
     # Only m = 2 admits no window (2 * window < m); its oracle is the whole plot.
     points = residues_near(m, frac, span) if span else [(x, x * x % m) for x in range(m)]
     coverage = all(len(covering_members(family, x, r)) == 1 for x, r in points)
     return {
         "fraction": str(frac),
         "identity": verify_identity(params),
-        "family_structure": structure,
+        "family_structure": family_structure(family),
         "coverage": coverage,
     }
 
 
 def _cmd_verify(args) -> int:
     m, max_d = args.modulus, args.max_denominator
-    if m <= max_d * max_d:
-        raise ValueError(f"modulus {m} must exceed max_denominator^2 = {max_d * max_d}")
-    fractions = farey_fractions(max_d)
-    check = partial(_fraction_report, m, window=args.window)
-    cap = _thread_cap()
-    if cap > 1:
-        with ThreadPoolExecutor(max_workers=cap) as pool:
-            reports = list(pool.map(check, fractions))
-    else:
-        reports = [check(frac) for frac in fractions]
+    check_denominator(m, max_d)
+    reports = [_fraction_report(m, frac, args.window) for frac in farey_fractions(max_d)]
 
     checks = {}
     failures = []
@@ -210,8 +175,7 @@ def _cmd_equiv(args) -> int:
 def _cmd_bundle(args) -> int:
     period = _check_lambda_n(args.lambda_n)
     m, max_d = args.modulus, args.max_denominator
-    if m <= max_d * max_d:
-        raise ValueError(f"modulus {m} must exceed max_denominator^2 = {max_d * max_d}")
+    check_denominator(m, max_d)
     covered = denominator_set(period, max_d)
     per_fraction = []
     skipped = []

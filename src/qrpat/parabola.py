@@ -22,8 +22,10 @@ __all__ = [
     "Parabola",
     "ParabolaFamily",
     "canonical_offsets",
+    "check_denominator",
     "covering_members",
     "evaluate_parabola",
+    "family_structure",
     "fraction_params",
     "parabola_family",
     "residues_near",
@@ -94,6 +96,13 @@ def canonical_offsets(b_prime: int) -> range:
     return range(-((b_prime + 1) // 2) + 1, b_prime // 2 + 1)
 
 
+def check_denominator(m: int, b: int) -> int:
+    """Validate m > b*b, which every family at denominator b (or below) needs."""
+    if m <= b * b:
+        raise ValueError(f"modulus {m} must exceed {b}^2 = {b * b}")
+    return m
+
+
 def _anchor(m: int, frac: ReducedFraction) -> tuple[int, int]:
     """(alpha, x0): balanced remainder of a*m mod b and the anchor integer."""
     alpha = balanced_residue(frac.a * m, frac.b)
@@ -108,8 +117,7 @@ def fraction_params(m: int, frac: ReducedFraction) -> FractionParams:
     """
     check_modulus(m)
     a, b = frac.a, frac.b
-    if m <= b * b:
-        raise ValueError(f"modulus {m} must exceed the squared denominator {b * b}")
+    check_denominator(m, b)
     alpha, x0 = _anchor(m, frac)
     r0 = qr_mod(x0, m)
     beta = (a * a * m - 2 * a * alpha) % (b * b)
@@ -164,6 +172,22 @@ def parabola_family(params: FractionParams) -> ParabolaFamily:
             )
         )
     return ParabolaFamily(params, tuple(members))
+
+
+def family_structure(family: ParabolaFamily) -> bool:
+    """The vertex law of a family, checked against ``vertex_heights``.
+
+    True when there are b_prime members, every vertex abscissa is a*m/b,
+    and the ordinates scaled by b^2/m, sorted, are exactly the heights h_k.
+    """
+    params = family.params
+    m, a, b = params.m, params.frac.a, params.frac.b
+    scale = Fraction(b * b, m)
+    return (
+        len(family.members) == params.b_prime
+        and all(p.vertex_x * b == a * m for p in family.members)
+        and sorted(p.vertex_y * scale for p in family.members) == list(vertex_heights(params))
+    )
 
 
 def evaluate_parabola(p: Parabola, j: int) -> tuple[int, int]:

@@ -12,15 +12,12 @@ s is any representative of m modulo the period.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .parabola import fraction_params, vertex_heights
+from .parabola import check_denominator, fraction_params, vertex_heights
 from .residues import ReducedFraction, farey_fractions
 
 __all__ = [
-    "BetaSignature",
-    "DenominatorSet",
     "LayoutComparison",
     "beta_signature",
     "bundle_parameter",
@@ -38,30 +35,6 @@ def check_period(period: int) -> int:
     return period
 
 
-@dataclass(frozen=True)
-class DenominatorSet:
-    """Denominators whose family layout is pinned down by a period.
-
-    b belongs when b divides the period (odd b) or 2*b divides it
-    (even b); equivalently c*b divides the period.
-    """
-
-    period: int
-    members: frozenset[int]
-
-    def __contains__(self, b: int) -> bool:
-        return b in self.members
-
-
-@dataclass(frozen=True)
-class BetaSignature:
-    """Layout fingerprint of a modulus: beta mod c*b per anchor fraction."""
-
-    m: int
-    max_denominator: int
-    entries: dict[ReducedFraction, int]
-
-
 class LayoutComparison(NamedTuple):
     equivalent: bool
     witness: ReducedFraction | None
@@ -71,30 +44,30 @@ def _covered(b: int, period: int) -> bool:
     return period % b == 0 if b % 2 else period % (2 * b) == 0
 
 
-def denominator_set(period: int, max_b: int) -> DenominatorSet:
-    """All covered denominators up to max_b for the given period."""
+def denominator_set(period: int, max_b: int) -> frozenset[int]:
+    """The denominators up to max_b whose family layout the period pins down.
+
+    b belongs when b divides the period (odd b) or 2*b divides it
+    (even b); equivalently c*b divides the period.
+    """
     check_period(period)
     if max_b < 1:
         raise ValueError(f"max_b must be >= 1, got {max_b}")
-    return DenominatorSet(
-        period, frozenset(b for b in range(1, max_b + 1) if _covered(b, period))
-    )
+    return frozenset(b for b in range(1, max_b + 1) if _covered(b, period))
 
 
-def beta_signature(m: int, max_denominator: int) -> BetaSignature:
-    """Fingerprint of m over every reduced fraction with denominator <= max_denominator.
+def beta_signature(m: int, max_denominator: int) -> dict[ReducedFraction, int]:
+    """Layout fingerprint of m: beta mod c*b for every reduced fraction with
+    denominator <= max_denominator.
 
-    Each entry is beta reduced to [0, c*b); it depends only on m mod c*b.
+    Each entry lies in [0, c*b) and depends only on m mod c*b.
     """
-    if m <= max_denominator * max_denominator:
-        raise ValueError(
-            f"modulus {m} must exceed max_denominator^2 = {max_denominator ** 2}"
-        )
+    check_denominator(m, max_denominator)
     entries = {}
     for frac in farey_fractions(max_denominator):
         params = fraction_params(m, frac)
         entries[frac] = params.beta % (params.c * frac.b)
-    return BetaSignature(m, max_denominator, entries)
+    return entries
 
 
 def layouts_equivalent(
@@ -109,10 +82,10 @@ def layouts_equivalent(
     dset = denominator_set(period, max_denominator)
     sig1 = beta_signature(m1, max_denominator)
     sig2 = beta_signature(m2, max_denominator)
-    for frac in sorted(sig1.entries, key=ReducedFraction.sort_key):
-        if frac.b not in dset.members:
+    for frac in sorted(sig1, key=ReducedFraction.sort_key):
+        if frac.b not in dset:
             continue
-        if sig1.entries[frac] != sig2.entries[frac]:
+        if sig1[frac] != sig2[frac]:
             return LayoutComparison(False, frac)
     return LayoutComparison(True, None)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .parabola import fraction_params, vertex_heights
+from .parabola import check_denominator, fraction_params, vertex_heights
 from .patterns import bundle_parameter, denominator_set, vertex_on_bundle
 from .residues import ReducedFraction, check_modulus, farey_fractions
 
@@ -171,10 +171,7 @@ def overlay_predictions(
     drawn curves span every matched line index.  Uncovered denominators
     still get markers but no guaranteed curve.
     """
-    if m <= max_denominator * max_denominator:
-        raise ValueError(
-            f"modulus {m} must exceed max_denominator^2 = {max_denominator ** 2}"
-        )
+    check_denominator(m, max_denominator)
     s = bundle_parameter(m, period)
     covered = denominator_set(period, max_denominator)
     scene = Scene(width, height)

@@ -14,18 +14,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
-    "Rational",
     "ReducedFraction",
     "balanced_residue",
     "check_modulus",
     "farey_fractions",
     "layout_period",
-    "q_congruent",
     "qr_mod",
 ]
-
-# Exact rational carrier used throughout the package.
-Rational = Fraction
 
 
 def check_modulus(m: int) -> int:
@@ -80,12 +75,6 @@ def qr_mod(x: int, m: int) -> int:
     """Quadratic residue of x modulo m: the remainder of x*x divided by m."""
     check_modulus(m)
     return x * x % m
-
-
-def q_congruent(s: Fraction | int, t: Fraction | int, m: int) -> bool:
-    """True when the rationals s and t differ by an integer multiple of m."""
-    check_modulus(m)
-    return (Fraction(s) - Fraction(t)) % m == 0
 
 
 def balanced_residue(v: int, n: int) -> int:

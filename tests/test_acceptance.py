@@ -125,7 +125,7 @@ def test_04_layout_equivalence_of_reference_pair():
     result = layouts_equivalent(20179, 25219, period, 18)
     assert result.equivalent and result.witness is None
     # the comparison covers 1..9 plus the covered denominators up to 18
-    assert denominator_set(period, 18).members == frozenset(
+    assert denominator_set(period, 18) == frozenset(
         {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 15, 18}
     )
     perturbed = layouts_equivalent(20179, 20180, period, 18)

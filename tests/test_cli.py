@@ -5,6 +5,8 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
+from fractions import Fraction
 from importlib.metadata import PackageNotFoundError, distribution, distributions
 from pathlib import Path
 
@@ -177,22 +179,6 @@ def test_verify_rejects_large_denominator(capsys):
     assert "exceed" in err
 
 
-def test_verify_thread_cap_env(capsys, monkeypatch):
-    monkeypatch.setenv("QRPAT_THREADS", "4")
-    code, payload, _ = run_json(capsys, "verify", "--modulus", "997",
-                                "--max-denominator", "7")
-    assert code == 0
-    assert payload["ok"] is True
-
-
-def test_verify_ignores_malformed_thread_cap(capsys, monkeypatch):
-    monkeypatch.setenv("QRPAT_THREADS", "not-a-number")
-    code, payload, _ = run_json(capsys, "verify", "--modulus", "997",
-                                "--max-denominator", "5")
-    assert code == 0
-    assert payload["ok"] is True
-
-
 def test_verify_exits_1_on_check_failure(capsys, monkeypatch):
     import qrpat.cli as cli
 
@@ -207,6 +193,29 @@ def test_verify_exits_1_on_check_failure(capsys, monkeypatch):
     assert payload["ok"] is False
     assert payload["checks"]["identity"]["failed"] == payload["fractions_checked"]
     assert payload["failures"]
+
+
+def test_verify_reports_tampered_family_structure(capsys, monkeypatch):
+    import qrpat.cli as cli
+
+    build = cli.parabola_family
+
+    def tampered(params):
+        family = build(params)
+        first, *rest = family.members
+        lifted = first.vertex_y + Fraction(params.m, params.frac.b ** 2)
+        return replace(family, members=(replace(first, vertex_y=lifted), *rest))
+
+    monkeypatch.setattr(cli, "parabola_family", tampered)
+    code, payload, _ = run_json(capsys, "verify", "--modulus", "997",
+                                "--max-denominator", "3")
+    assert code == 1
+    assert payload["ok"] is False
+    checks = payload["checks"]
+    assert checks["family_structure"]["failed"] == payload["fractions_checked"] > 0
+    assert checks["coverage"]["failed"] == 0
+    assert checks["identity"]["failed"] == 0
+    assert "1/3:family_structure" in payload["failures"]
 
 
 def test_equiv_reference_pair(capsys):

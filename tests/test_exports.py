@@ -1,0 +1,17 @@
+"""The package namespace re-exports exactly the public names of its modules."""
+
+import qrpat
+from qrpat import parabola, patterns, render, residues
+
+MODULES = (residues, parabola, patterns, render)
+
+
+def test_package_all_is_union_of_module_all():
+    union = {name for mod in MODULES for name in mod.__all__}
+    assert sorted(qrpat.__all__) == sorted(union)
+
+
+def test_every_exported_name_resolves():
+    for mod in MODULES:
+        for name in mod.__all__:
+            assert getattr(qrpat, name) is getattr(mod, name), (mod.__name__, name)

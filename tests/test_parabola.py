@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,10 @@ import pytest
 from qrpat import (
     ReducedFraction,
     canonical_offsets,
+    check_denominator,
     covering_members,
     evaluate_parabola,
+    family_structure,
     fraction_params,
     parabola_family,
     qr_mod,
@@ -55,6 +58,13 @@ def test_params_reject_small_modulus():
         fraction_params(10, ReducedFraction(1, 7))
     with pytest.raises(ValueError):
         fraction_params(9, ReducedFraction(1, 3))
+
+
+def test_check_denominator_is_strict():
+    assert check_denominator(82, 9) == 82
+    assert check_denominator(2, 1) == 2
+    with pytest.raises(ValueError, match=r"modulus 81 must exceed 9\^2 = 81"):
+        check_denominator(81, 9)
 
 
 def test_params_anchor_is_nearest_integer():
@@ -138,6 +148,47 @@ def test_family_structure_random():
         gap = Fraction(m, b_prime)
         assert all(ys[i + 1] - ys[i] == gap for i in range(len(ys) - 1))
         assert ys[0] + m - ys[-1] == gap
+
+
+def spacing_law(fam):
+    """The earlier law: b_prime multiples of m/b^2 in [0, m), spaced m/b_prime apart."""
+    m, frac, b_prime = fam.params.m, fam.params.frac, fam.params.b_prime
+    ys = sorted(p.vertex_y for p in fam.members)
+    gaps = {y2 - y1 for y1, y2 in zip(ys, ys[1:])} | {ys[0] + m - ys[-1]}
+    return (
+        len(ys) == b_prime
+        and all(p.vertex_x == Fraction(frac.a * m, frac.b) for p in fam.members)
+        and all(0 <= y < m and (y * frac.b**2 / m).denominator == 1 for y in ys)
+        and gaps == {Fraction(m, b_prime)}
+    )
+
+
+def tampered_families(fam):
+    m, b = fam.params.m, fam.params.frac.b
+    unit = Fraction(m, b * b)
+    first, *rest = fam.members
+
+    def with_first(**changes):
+        return replace(fam, members=(replace(first, **changes), *rest))
+
+    yield "y + m/b^2", with_first(vertex_y=first.vertex_y + unit)
+    yield "y + m", with_first(vertex_y=first.vertex_y + m)
+    yield "x + 1", with_first(vertex_x=first.vertex_x + 1)
+    yield "dropped", replace(fam, members=fam.members[:-1])
+    yield "shifted", replace(fam, members=tuple(
+        replace(p, vertex_y=(p.vertex_y + unit) % m) for p in fam.members))
+
+
+def test_family_structure_reference_and_tampered():
+    for m, text in [(20171, "1/3"), (415, "1/4"), (977, "0/1"), (10**9 + 7, "5/12")]:
+        assert family_structure(parabola_family(fraction_params(m, ReducedFraction.parse(text))))
+    for m, text in [(20171, "1/3"), (415, "1/4"), (10**9 + 7, "5/12")]:
+        fam = parabola_family(fraction_params(m, ReducedFraction.parse(text)))
+        assert spacing_law(fam)
+        for name, bad in tampered_families(fam):
+            assert not family_structure(bad), (m, text, name)
+            # a shift by m/b^2 keeps the spacing but moves the phase beta mod c*b
+            assert spacing_law(bad) == (name == "shifted"), (m, text, name)
 
 
 def test_evaluate_anchor_point():

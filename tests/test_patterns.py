@@ -32,18 +32,18 @@ def random_fraction(rng, max_b):
 
 
 def test_denominator_set_full_below_period_index():
-    assert denominator_set(PERIOD_9, 9).members == frozenset(range(1, 10))
+    assert denominator_set(PERIOD_9, 9) == frozenset(range(1, 10))
 
 
 def test_denominator_set_up_to_18():
     # 16 is absent: covering an even b needs 2*b | period, and 32 does not
     # divide 5040 = 2^4 * 3^2 * 5 * 7.
     expected = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 15, 18}
-    assert denominator_set(PERIOD_9, 18).members == frozenset(expected)
+    assert denominator_set(PERIOD_9, 18) == frozenset(expected)
 
 
 def test_denominator_set_tiny_period():
-    assert denominator_set(4, 2).members == frozenset({1, 2})
+    assert denominator_set(4, 2) == frozenset({1, 2})
 
 
 def test_denominator_set_rejects_odd_period():
@@ -56,8 +56,8 @@ def test_denominator_set_rejects_odd_period():
 def test_beta_signature_known_entry():
     sig = beta_signature(20179, 9)
     # -20179 == 2 (mod 3)
-    assert sig.entries[ReducedFraction(1, 3)] == 2
-    assert sig.entries[ReducedFraction(0, 1)] == 0
+    assert sig[ReducedFraction(1, 3)] == 2
+    assert sig[ReducedFraction(0, 1)] == 0
 
 
 def test_beta_signature_rejects_small_modulus():
@@ -67,7 +67,7 @@ def test_beta_signature_rejects_small_modulus():
 
 def test_beta_signature_entry_ranges():
     sig = beta_signature(20171, 12)
-    for frac, value in sig.entries.items():
+    for frac, value in sig.items():
         c = 1 if frac.b % 2 else 2
         assert 0 <= value < c * frac.b
 
@@ -82,7 +82,7 @@ def test_beta_signature_depends_only_on_modulus_class():
         t = rng.randrange(1, 50)
         sig1 = beta_signature(m, frac.b)
         sig2 = beta_signature(m + cb * t, frac.b)
-        assert sig1.entries[frac] == sig2.entries[frac]
+        assert sig1[frac] == sig2[frac]
 
 
 def test_beta_matches_negated_square_times_modulus():
@@ -117,11 +117,11 @@ def test_layouts_equivalent_witness_is_smallest():
     dset = denominator_set(PERIOD_9, 9)
     sig1 = beta_signature(20179, 9)
     sig2 = beta_signature(20180, 9)
-    for frac in sorted(sig1.entries, key=ReducedFraction.sort_key):
+    for frac in sorted(sig1, key=ReducedFraction.sort_key):
         if frac.sort_key() >= result.witness.sort_key():
             break
-        if frac.b in dset.members:
-            assert sig1.entries[frac] == sig2.entries[frac]
+        if frac.b in dset:
+            assert sig1[frac] == sig2[frac]
 
 
 def test_layouts_equivalent_random_congruent_pairs():
@@ -224,7 +224,7 @@ def test_normalized_vertex_sets_match_between_congruent_moduli():
         m1 = rng.randrange(10**4, 10**7)
         m2 = m1 + rng.randrange(1, 100) * PERIOD_9
         for frac in farey_fractions(12):
-            if frac.b not in dset.members:
+            if frac.b not in dset:
                 continue
             fam1 = parabola_family(fraction_params(m1, frac))
             fam2 = parabola_family(fraction_params(m2, frac))
@@ -251,5 +251,5 @@ def test_family_vertices_equal_normalized_form():
 def test_layout_period_consistency_with_denominator_set():
     for n in range(2, 20):
         period = layout_period(n)
-        members = denominator_set(period, n).members
+        members = denominator_set(period, n)
         assert members == frozenset(range(1, n + 1))

@@ -13,6 +13,7 @@ from hypothesis import strategies as st  # noqa: E402
 from qrpat import (  # noqa: E402
     ReducedFraction,
     bundle_parameter,
+    family_structure,
     fraction_params,
     layout_period,
     parabola_family,
@@ -44,6 +45,7 @@ def test_vertex_heights_match_family_and_lie_on_bundle(case):
         heights = [Fraction(h, b * b) for h in vertex_heights(params)]
         assert len(heights) == params.b_prime
         family = parabola_family(params)
+        assert family_structure(family)
         assert set(heights) == {(p.vertex_y / m) % 1 for p in family.members}
 
         beta_prime = params.beta % (params.c * b)

@@ -11,7 +11,6 @@ from qrpat import (
     balanced_residue,
     farey_fractions,
     layout_period,
-    q_congruent,
     qr_mod,
 )
 
@@ -60,43 +59,6 @@ def test_qr_mod_rejects_tiny_modulus():
         qr_mod(3, 1)
     with pytest.raises(ValueError):
         qr_mod(3, 0)
-
-
-def test_q_congruent_reflexive():
-    assert q_congruent(Fraction(7, 3), Fraction(7, 3), 5)
-
-
-def test_q_congruent_shift_by_modulus():
-    s = Fraction(80684, 9)
-    assert q_congruent(s, s + 20171, 20171)
-
-
-def test_q_congruent_non_integer_gap():
-    assert not q_congruent(Fraction(1, 2), Fraction(1, 3), 7)
-
-
-def test_q_congruent_equivalence_relation():
-    rng = random.Random(13)
-    for _ in range(200):
-        m = rng.randrange(2, 10**6)
-        den = rng.randrange(1, 50)
-        s = Fraction(rng.randrange(-(10**6), 10**6), den)
-        t = s + rng.randrange(-5, 6) * m
-        u = t + rng.randrange(-5, 6) * m
-        assert q_congruent(s, s, m)
-        assert q_congruent(s, t, m) == q_congruent(t, s, m)
-        if q_congruent(s, t, m) and q_congruent(t, u, m):
-            assert q_congruent(s, u, m)
-
-
-def test_integer_congruence_implies_q_congruence():
-    rng = random.Random(14)
-    for _ in range(200):
-        m = rng.randrange(2, 10**6)
-        u = rng.randrange(-(10**6), 10**6)
-        v = u + rng.randrange(-7, 8) * m
-        assert (u - v) % m == 0
-        assert q_congruent(u, v, m)
 
 
 def test_balanced_residue_zero():
