@@ -7,7 +7,8 @@ x = x0 + i + j*b_prime, and all members share the rational vertex
 abscissa a*m/b while their vertex ordinates are multiples of m/b^2
 spaced exactly m/b_prime apart.
 
-No floating point is used anywhere; vertices are ``Fraction`` values.
+No floating point is used anywhere.  Vertex heights are integers h with
+vertex_y == h*m/b^2; ``Fraction`` appears only in ``vertex_x``/``vertex_y``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .residues import ReducedFraction, balanced_residue, check_modulus, qr_mod
+from .residues import ReducedFraction, balanced_residue, check_modulus
 
 __all__ = [
     "FractionParams",
@@ -90,10 +91,10 @@ class ParabolaFamily:
 def canonical_offsets(b_prime: int) -> range:
     """The b_prime offsets i, one per residue class mod b_prime.
 
-    The range runs from -ceil(b_prime/2)+1 through floor(b_prime/2) so
+    The range runs from -floor((b_prime-1)/2) through floor(b_prime/2) so
     that every class appears exactly once for either parity.
     """
-    return range(-((b_prime + 1) // 2) + 1, b_prime // 2 + 1)
+    return range(-((b_prime - 1) // 2), b_prime // 2 + 1)
 
 
 def check_denominator(m: int, b: int) -> int:
@@ -119,7 +120,7 @@ def fraction_params(m: int, frac: ReducedFraction) -> FractionParams:
     a, b = frac.a, frac.b
     check_denominator(m, b)
     alpha, x0 = _anchor(m, frac)
-    r0 = qr_mod(x0, m)
+    r0 = x0 * x0 % m
     beta = (a * a * m - 2 * a * alpha) % (b * b)
     b_prime = b if b % 2 else b // 2
     return FractionParams(m, frac, b_prime, b // b_prime, alpha, beta, x0, r0)
@@ -147,15 +148,14 @@ def vertex_heights(params: FractionParams) -> range:
 def parabola_family(params: FractionParams) -> ParabolaFamily:
     """Build the b_prime member parabolas over the canonical offsets.
 
-    Vertex ordinates are the [0, m) representatives of
-    beta * m / b^2 + a_prime * m / b_prime, and the a_prime values cover
+    Vertex ordinates are h * m / b^2 with integer heights
+    h == (beta + a_prime*c*b) mod b^2, and the a_prime values cover
     every class modulo b_prime exactly once.
     """
     m, a, b = params.m, params.frac.a, params.frac.b
     b_prime, c = params.b_prime, params.c
     two_over_c = 2 // c
     vertex_x = Fraction(a * m, b)
-    height_unit = Fraction(m, b * b)
     members = []
     for i in canonical_offsets(b_prime):
         a_prime = (two_over_c * i * a) % b_prime
@@ -166,27 +166,29 @@ def parabola_family(params: FractionParams) -> ParabolaFamily:
                 a_prime=a_prime,
                 A=b_prime * b_prime,
                 B=2 * b_prime * i - two_over_c * params.alpha,
-                C=qr_mod(params.x0 + i, m),
+                C=(params.x0 + i) ** 2 % m,
                 vertex_x=vertex_x,
-                vertex_y=(params.beta * height_unit + Fraction(a_prime * m, b_prime)) % m,
+                vertex_y=Fraction(m * ((params.beta + a_prime * c * b) % (b * b)), b * b),
             )
         )
     return ParabolaFamily(params, tuple(members))
 
 
 def family_structure(family: ParabolaFamily) -> bool:
-    """The vertex law of a family, checked against ``vertex_heights``.
+    """The vertex law of a family, checked in integers against ``vertex_heights``.
 
-    True when there are b_prime members, every vertex abscissa is a*m/b,
-    and the ordinates scaled by b^2/m, sorted, are exactly the heights h_k.
+    True when the offsets i are ``canonical_offsets(b_prime)`` in order (the
+    layout ``covering_members`` relies on), every vertex abscissa is a*m/b,
+    and the ordinates are h*m/b^2 for integers h that, sorted, are the h_k.
     """
     params = family.params
     m, a, b = params.m, params.frac.a, params.frac.b
-    scale = Fraction(b * b, m)
+    members = family.members
+    heights = [divmod(p.vertex_y.numerator * b * b, p.vertex_y.denominator * m) for p in members]
     return (
-        len(family.members) == params.b_prime
-        and all(p.vertex_x * b == a * m for p in family.members)
-        and sorted(p.vertex_y * scale for p in family.members) == list(vertex_heights(params))
+        [p.i for p in members] == list(canonical_offsets(params.b_prime))
+        and all(p.vertex_x.numerator * b == a * m * p.vertex_x.denominator for p in members)
+        and sorted(heights) == [(h, 0) for h in vertex_heights(params)]
     )
 
 
@@ -213,19 +215,25 @@ def residues_near(m: int, frac: ReducedFraction, window: int) -> list[tuple[int,
     _, x0 = _anchor(m, frac)
     lo = max(0, x0 - window)
     hi = min(m - 1, x0 + window)
-    return [(x, qr_mod(x, m)) for x in range(lo, hi + 1)]
+    return [(x, x * x % m) for x in range(lo, hi + 1)]
 
 
 def covering_members(family: ParabolaFamily, x: int, r: int) -> list[tuple[Parabola, int]]:
-    """All (member, j) pairs of the family that hit the point (x, r)."""
-    x0 = family.params.x0
-    b_prime = family.params.b_prime
-    hits = []
-    for p in family.members:
-        d = x - x0 - p.i
-        if d % b_prime:
-            continue
-        j = d // b_prime
-        if (p.A * j * j + p.B * j + p.C) % family.params.m == r:
-            hits.append((p, j))
-    return hits
+    """The (member, j) pairs of the family that hit the point (x, r): at most one.
+
+    The offsets are b_prime consecutive integers from -((b_prime - 1) // 2),
+    so only the member at index (x - x0 + (b_prime - 1) // 2) mod b_prime can
+    hit x; its own i and r are still checked, so a family not laid out as
+    ``family_structure`` requires gets no false hit.
+    """
+    params = family.params
+    b_prime = params.b_prime
+    d = x - params.x0
+    k = (d + (b_prime - 1) // 2) % b_prime
+    if k >= len(family.members):
+        return []
+    p = family.members[k]
+    j, rest = divmod(d - p.i, b_prime)
+    if rest or (p.A * j * j + p.B * j + p.C) % params.m != r:
+        return []
+    return [(p, j)]

@@ -172,11 +172,19 @@ def tampered_families(fam):
         return replace(fam, members=(replace(first, **changes), *rest))
 
     yield "y + m/b^2", with_first(vertex_y=first.vertex_y + unit)
+    yield "y + m/(2b^2)", with_first(vertex_y=first.vertex_y + unit / 2)
     yield "y + m", with_first(vertex_y=first.vertex_y + m)
     yield "x + 1", with_first(vertex_x=first.vertex_x + 1)
     yield "dropped", replace(fam, members=fam.members[:-1])
     yield "shifted", replace(fam, members=tuple(
         replace(p, vertex_y=(p.vertex_y + unit) % m) for p in fam.members))
+    yield "reordered", replace(fam, members=(rest[0], first, *rest[1:]))
+    yield "duplicated i", with_first(i=rest[0].i)
+
+
+# Tampers the vertex-spacing law cannot see: a phase shift by m/b^2, and the
+# member order or offsets, which leave the sorted ordinates as they were.
+SPACING_BLIND = {"shifted", "reordered", "duplicated i"}
 
 
 def test_family_structure_reference_and_tampered():
@@ -185,10 +193,12 @@ def test_family_structure_reference_and_tampered():
     for m, text in [(20171, "1/3"), (415, "1/4"), (10**9 + 7, "5/12")]:
         fam = parabola_family(fraction_params(m, ReducedFraction.parse(text)))
         assert spacing_law(fam)
+        names = []
         for name, bad in tampered_families(fam):
+            names.append(name)
             assert not family_structure(bad), (m, text, name)
-            # a shift by m/b^2 keeps the spacing but moves the phase beta mod c*b
-            assert spacing_law(bad) == (name == "shifted"), (m, text, name)
+            assert spacing_law(bad) == (name in SPACING_BLIND), (m, text, name)
+        assert len(names) == 8
 
 
 def test_evaluate_anchor_point():
@@ -266,6 +276,80 @@ def test_residues_near_rejects_wide_window():
         residues_near(977, ReducedFraction(1, 3), 489)
     with pytest.raises(ValueError):
         residues_near(20171, ReducedFraction(1, 3), 0)
+
+
+def covering_members_scan(family, x, r):
+    """The earlier coverage check: every member tested, all hits kept."""
+    x0 = family.params.x0
+    b_prime = family.params.b_prime
+    hits = []
+    for p in family.members:
+        d = x - x0 - p.i
+        if d % b_prime:
+            continue
+        j = d // b_prime
+        if (p.A * j * j + p.B * j + p.C) % family.params.m == r:
+            hits.append((p, j))
+    return hits
+
+
+def generated_fractions(rng, max_b):
+    """0/1 and 1/1 (the a = 0 and a = b extremes), then random a/b with b <= max_b."""
+    yield ReducedFraction(0, 1)
+    yield ReducedFraction(1, 1)
+    for _ in range(150):
+        yield random_fraction(rng, max_b)
+
+
+def generated_moduli(rng, b):
+    """One modulus just above b^2 and one up to 10^40."""
+    low = b * b + 1
+    return [rng.randrange(low, low + 64), rng.randrange(low, 10**40)]
+
+
+def query_points(rng, family):
+    """True points near the anchor, each also with r + 1 and a random r."""
+    params = family.params
+    m, x0, span = params.m, params.x0, 3 * params.b_prime
+    for _ in range(12):
+        x = rng.randint(max(0, x0 - span), min(m - 1, x0 + span))
+        r = x * x % m
+        yield x, r
+        yield x, (r + 1) % m
+        yield x, rng.randrange(m)
+
+
+def test_covering_members_matches_scan():
+    rng = random.Random(26)
+    hits = misses = 0
+    for frac in generated_fractions(rng, 60):
+        for m in generated_moduli(rng, frac.b):
+            fam = parabola_family(fraction_params(m, frac))
+            for x, r in query_points(rng, fam):
+                found = covering_members(fam, x, r)
+                assert found == covering_members_scan(fam, x, r), (m, frac, x, r)
+                assert len(found) == (r == x * x % m)
+                hits += len(found)
+                misses += not found
+    assert hits > 1000 and misses > 1000
+
+
+def test_covering_members_on_dropped_family_never_false_hit():
+    rng = random.Random(27)
+    for frac in generated_fractions(rng, 60):
+        for m in generated_moduli(rng, frac.b):
+            fam = parabola_family(fraction_params(m, frac))
+            # the "dropped" tamper (last member removed), and the first removed,
+            # which moves every later member off its lookup index
+            for dropped in (fam.members[:-1], fam.members[1:]):
+                bad = replace(fam, members=dropped)
+                for x, r in query_points(rng, fam):
+                    found = covering_members(bad, x, r)
+                    assert all(hit in covering_members_scan(bad, x, r) for hit in found)
+                    for p, j in found:
+                        assert p in dropped
+                        assert x == fam.params.x0 + p.i + j * fam.params.b_prime
+                        assert r == x * x % m
 
 
 def test_every_nearby_residue_on_exactly_one_member():
