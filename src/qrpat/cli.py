@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
+from itertools import starmap
 
 from .parabola import (
     check_denominator,
@@ -118,7 +120,8 @@ def _fraction_report(m: int, frac: ReducedFraction, window: int | None) -> dict:
     span = window if window is not None else min(3 * params.b_prime, (m - 1) // 2)
     # Only m = 2 admits no window (2 * window < m); its oracle is the whole plot.
     points = residues_near(m, frac, span) if span else [(x, x * x % m) for x in range(m)]
-    coverage = all(len(covering_members(family, x, r)) == 1 for x, r in points)
+    # covering_members returns one (member, j) pair or [], so truth is "hit once".
+    coverage = all(starmap(partial(covering_members, family), points))
     return {
         "fraction": str(frac),
         "identity": verify_identity(params),

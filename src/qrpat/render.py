@@ -32,6 +32,7 @@ __all__ = [
 
 # Polyline resolution for the wrapped bundle curves (points per unit X).
 CURVE_SAMPLES = 1024
+MAX_PIXELS = 10**8  # largest raster canvas (one byte per pixel); larger is refused
 
 
 @dataclass
@@ -54,6 +55,8 @@ class Canvas:
 
     @classmethod
     def blank(cls, width: int, height: int, fill: int = 255) -> "Canvas":
+        if width * height > MAX_PIXELS:
+            raise ValueError(f"canvas of {width * height} pixels exceeds the cap of {MAX_PIXELS}")
         return cls(width, height, bytearray([fill]) * (width * height))
 
     def pixel(self, col: int, row: int) -> int:
@@ -97,23 +100,34 @@ def render_scatter(m: int, width: int, height: int, half_range: bool = True) -> 
     With half_range only 0 <= x < m/2 is drawn (the upper half mirrors
     it) and the x axis spans the plotted range; otherwise x covers
     [0, m).  The residue axis always spans [0, m) with 0 at the bottom.
+
+    Column col holds the x in [lo, ceil((col+1)*m / x_scale)); a column of
+    more than height/32 points is drawn into a buffer and stored with one
+    strided slice, sparser ones point by point.
     """
     check_modulus(m)
     if width < 16 or height < 16:
         raise ValueError(f"canvas must be at least 16x16, got {width}x{height}")
     canvas = Canvas.blank(width, height)
     if half_range:
-        xs = range((m + 1) // 2)
-        x_scale = 2 * width
+        count, x_scale = (m + 1) // 2, 2 * width
     else:
-        xs = range(m)
-        x_scale = width
+        count, x_scale = m, width
     pixels = canvas.pixels
-    for x in xs:
-        r = x * x % m
-        col = x * x_scale // m
-        row = height - 1 - r * height // m
-        pixels[row * width + col] = 0
+    bottom = (height - 1) * width
+    white = bytes([255]) * height
+    lo = 0
+    for col in range(width):
+        hi = min(count, -(-(col + 1) * m // x_scale))
+        if hi - lo > height >> 5:
+            column = bytearray(white)
+            for x in range(lo, hi):
+                column[x * x % m * height // m] = 0
+            pixels[bottom + col::-width] = column
+        else:
+            for x in range(lo, hi):
+                pixels[bottom + col - x * x % m * height // m * width] = 0
+        lo = hi
     return canvas
 
 
@@ -121,20 +135,21 @@ def render_sum_squares(m: int, size: int) -> Canvas:
     """Grayscale grid of (x*x + y*y) mod m over a size x size sampling.
 
     Sample u maps to coordinate floor(u * m / size); values scale
-    linearly so that m - 1 becomes white (255).
+    linearly so that m - 1 becomes white (255).  The grid is symmetric, so
+    each row from the diagonal on is stored along the row and down the column.
     """
     check_modulus(m)
     if size < 2:
         raise ValueError(f"grid size must be >= 2, got {size}")
     canvas = Canvas.blank(size, size)
-    samples = [u * m // size for u in range(size)]
-    squares = [v * v for v in samples]
+    squares = [(u * m // size) ** 2 % m for u in range(size)]
     pixels = canvas.pixels
     for row in range(size):
         y2 = squares[row]
-        base = row * size
-        for col in range(size):
-            pixels[base + col] = (squares[col] + y2) % m * 255 // (m - 1)
+        start = row * size + row
+        entries = bytes([(x2 + y2) % m * 255 // (m - 1) for x2 in squares[row:]])
+        pixels[start:(row + 1) * size] = entries
+        pixels[start::size] = entries
     return canvas
 
 
@@ -203,7 +218,7 @@ def write_pgm(canvas: Canvas, path) -> None:
     header = b"P5\n%d %d\n255\n" % (canvas.width, canvas.height)
     with open(path, "wb") as stream:
         stream.write(header)
-        stream.write(bytes(canvas.pixels))
+        stream.write(canvas.pixels)
 
 
 _PGM_HEADER = re.compile(rb"\AP5\n(\d+) (\d+)\n255\n")

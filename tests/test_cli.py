@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from qrpat import read_pgm
+from qrpat import read_pgm, render
 from qrpat.cli import main
 
 # stdout of `qrpat bundle --modulus 20179 --lambda-n 9 --max-denominator 9`.
@@ -75,6 +75,20 @@ def test_grid_rejects_size_one(tmp_path, capsys):
                        "--out", str(tmp_path / "g.pgm"))
     assert code == 2
     assert "size" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["plot", "--modulus", "101", "--width", "40", "--height", "40"],
+    ["grid", "--modulus", "415", "--size", "40"],
+])
+def test_oversized_canvas_exits_2(tmp_path, capsys, monkeypatch, argv):
+    # A small cap stands in for the real one, so no test allocates a giant canvas.
+    monkeypatch.setattr(render, "MAX_PIXELS", 1599)
+    out = tmp_path / "big.pgm"
+    code, stdout, err = run(capsys, *argv, "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err == "error: canvas of 1600 pixels exceeds the cap of 1599\n"
+    assert not out.exists()
 
 
 def test_predict_single_fraction(capsys):

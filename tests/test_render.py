@@ -2,10 +2,12 @@
 
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from qrpat import render
 from qrpat import (
     Canvas,
     ReducedFraction,
@@ -28,6 +30,12 @@ GOLDEN_PLOT_20171 = "04c9a8845a373c41a3c23508bb5bc3ed17d136bdfe5d47aa69273a2d254
 GOLDEN_GRID_415 = "63377b669e2929b855a64d58a4a56fa758b12187a55a19d0c8c10c0fcd683413"
 # overlay_predictions(20179, 9, 5040, 800, 800) written by write_svg.
 GOLDEN_SVG_20179 = "ef80894ea61d39ecb0a690e1976f951869eabcbb3fffa78f59b70ce232312803"
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # the generated-input property below is skipped
+    given = None
 
 
 def black_pixels(canvas):
@@ -100,6 +108,67 @@ def test_grid_symmetric():
             assert canvas.pixel(col, row) == canvas.pixel(row, col)
 
 
+def reference_scatter(m, width, height, half_range):
+    """The per-point scatter loop: one column, row and index per x."""
+    pixels = bytearray([255]) * (width * height)
+    xs, x_scale = (range((m + 1) // 2), 2 * width) if half_range else (range(m), width)
+    for x in xs:
+        r = x * x % m
+        col = x * x_scale // m
+        row = height - 1 - r * height // m
+        pixels[row * width + col] = 0
+    return pixels
+
+
+def reference_sum_squares(m, size):
+    """The per-cell grid loop over unreduced squares."""
+    pixels = bytearray(size * size)
+    squares = [(u * m // size) ** 2 for u in range(size)]
+    for row in range(size):
+        for col in range(size):
+            pixels[row * size + col] = (squares[col] + squares[row]) % m * 255 // (m - 1)
+    return pixels
+
+
+# m < width leaves empty columns; 1600 and 3200 put column boundaries
+# exactly on an x for the 800- and 16-wide canvases (gcd(m, x_scale) > 1).
+@pytest.mark.parametrize("m", [2, 3, 4, 17, 1600, 3200, 20171, 100003])
+@pytest.mark.parametrize("width, height", [(16, 16), (17, 1000), (640, 480), (800, 800)])
+@pytest.mark.parametrize("half_range", [True, False])
+def test_scatter_matches_per_point_reference(m, width, height, half_range):
+    canvas = render_scatter(m, width, height, half_range)
+    assert canvas.pixels == reference_scatter(m, width, height, half_range)
+
+
+@pytest.mark.parametrize("m", [2, 7, 415, 1000, 999331])
+@pytest.mark.parametrize("size", [2, 3, 64, 415, 500])
+def test_grid_matches_per_cell_reference(m, size):
+    assert render_sum_squares(m, size).pixels == reference_sum_squares(m, size)
+
+
+@pytest.mark.skipif(given is None, reason="hypothesis is not installed")
+def test_renderers_match_references_on_generated_inputs():
+    sides = st.integers(16, 300)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 10**5), sides, sides, st.booleans())
+    def check(m, width, height, half_range):
+        canvas = render_scatter(m, width, height, half_range)
+        assert canvas.pixels == reference_scatter(m, width, height, half_range)
+        assert render_sum_squares(m, width).pixels == reference_sum_squares(m, width)
+
+    check()
+
+
+def test_canvas_pixel_cap(monkeypatch):
+    monkeypatch.setattr(render, "MAX_PIXELS", 16 * 20)
+    assert len(render_scatter(101, 16, 20).pixels) == 320
+    with pytest.raises(ValueError, match="canvas of 336 pixels exceeds the cap of 320"):
+        render_scatter(101, 16, 21)
+    with pytest.raises(ValueError, match="canvas of 324 pixels exceeds the cap of 320"):
+        render_sum_squares(101, 18)
+
+
 def test_grid_rejects_tiny_size():
     with pytest.raises(ValueError):
         render_sum_squares(415, 1)
@@ -109,6 +178,18 @@ def test_write_pgm_exact_bytes(tmp_path):
     path = tmp_path / "two.pgm"
     write_pgm(Canvas(2, 1, bytearray([0, 255])), path)
     assert path.read_bytes() == b"P5\n2 1\n255\n\x00\xff"
+
+
+def test_write_pgm_makes_no_copy_of_the_pixels(tmp_path):
+    canvas = Canvas.blank(800, 800)
+    tracemalloc.start()
+    try:
+        write_pgm(canvas, tmp_path / "big.pgm")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < len(canvas.pixels) // 4
+    assert (tmp_path / "big.pgm").read_bytes().endswith(canvas.pixels)
 
 
 def test_pgm_round_trip(tmp_path):
