@@ -53,12 +53,6 @@ def _emit(payload, compact: bool = False) -> None:
         print(json.dumps(payload, indent=2))
 
 
-def _check_lambda_n(n: int) -> int:
-    if n < 2:
-        raise ValueError(f"--lambda-n must be >= 2, got {n}")
-    return layout_period(n)
-
-
 def _cmd_plot(args) -> int:
     canvas = render_scatter(args.modulus, args.width, args.height, args.half)
     write_pgm(canvas, args.out)
@@ -157,7 +151,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
-    period = _check_lambda_n(args.lambda_n)
+    period = layout_period(args.lambda_n)
     result = layouts_equivalent(args.m1, args.m2, period, args.max_denominator)
     _emit(
         {
@@ -176,7 +170,7 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_bundle(args) -> int:
-    period = _check_lambda_n(args.lambda_n)
+    period = layout_period(args.lambda_n)
     m, max_d = args.modulus, args.max_denominator
     check_denominator(m, max_d)
     covered = denominator_set(period, max_d)

@@ -34,6 +34,9 @@ __all__ = [
     "vertex_heights",
 ]
 
+# Most points one residues_near call lists (~150 bytes each); more is refused.
+MAX_ORACLE_POINTS = 10**6
+
 
 @dataclass(frozen=True)
 class FractionParams:
@@ -205,7 +208,8 @@ def residues_near(m: int, frac: ReducedFraction, window: int) -> list[tuple[int,
     """Brute-force residue points with |x - x0| <= window, by direct squaring.
 
     This is the oracle the predicted families are checked against; it
-    never touches the lattice formulas.
+    never touches the lattice formulas.  A window of more than
+    MAX_ORACLE_POINTS points is refused before the list is built.
     """
     check_modulus(m)
     if window < 1:
@@ -215,6 +219,10 @@ def residues_near(m: int, frac: ReducedFraction, window: int) -> list[tuple[int,
     _, x0 = _anchor(m, frac)
     lo = max(0, x0 - window)
     hi = min(m - 1, x0 + window)
+    if hi - lo + 1 > MAX_ORACLE_POINTS:
+        raise ValueError(
+            f"oracle window of {hi - lo + 1} points exceeds the cap of {MAX_ORACLE_POINTS}"
+        )
     return [(x, x * x % m) for x in range(lo, hi + 1)]
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from math import gcd
 
 from .parabola import check_denominator, fraction_params, vertex_heights
 from .patterns import bundle_parameter, denominator_set, vertex_on_bundle
@@ -104,30 +105,49 @@ def render_scatter(m: int, width: int, height: int, half_range: bool = True) -> 
     Column col holds the x in [lo, ceil((col+1)*m / x_scale)); a column of
     more than height/32 points is drawn into a buffer and stored with one
     strided slice, sparser ones point by point.
+
+    The full range is drawn once per mirrored column pair: x and m - x
+    share a row, and col(m - x) = width - 1 - col(x) unless m divides
+    x*width.  Those g = gcd(m, width) edge points x = k*m/g each open
+    their column and mirror one column further right, so the column loop
+    skips them and draws each in its own column afterwards.
     """
     check_modulus(m)
     if width < 16 or height < 16:
         raise ValueError(f"canvas must be at least 16x16, got {width}x{height}")
     canvas = Canvas.blank(width, height)
-    if half_range:
-        count, x_scale = (m + 1) // 2, 2 * width
+    mirror = not half_range
+    if mirror:
+        count, x_scale, columns = m, width, (width + 1) // 2
+        edge = m // gcd(m, width)
     else:
-        count, x_scale = m, width
+        count, x_scale, columns = (m + 1) // 2, 2 * width, width
     pixels = canvas.pixels
     bottom = (height - 1) * width
     white = bytes([255]) * height
     lo = 0
-    for col in range(width):
+    for col in range(columns):
         hi = min(count, -(-(col + 1) * m // x_scale))
+        xs = range(lo + 1 if mirror and lo % edge == 0 else lo, hi)
         if hi - lo > height >> 5:
             column = bytearray(white)
-            for x in range(lo, hi):
+            for x in xs:
                 column[x * x % m * height // m] = 0
             pixels[bottom + col::-width] = column
+            if mirror:
+                pixels[bottom + width - 1 - col::-width] = column
+        elif mirror:
+            twin = width - 1 - col
+            for x in xs:
+                row = bottom - x * x % m * height // m * width
+                pixels[row + col] = pixels[row + twin] = 0
         else:
-            for x in range(lo, hi):
+            for x in xs:
                 pixels[bottom + col - x * x % m * height // m * width] = 0
         lo = hi
+    if mirror:
+        for x in range(0, m, edge):
+            pixels[bottom + x * width // m - x * x % m * height // m * width] = 0
     return canvas
 
 

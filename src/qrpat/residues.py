@@ -113,5 +113,5 @@ def layout_period(n: int) -> int:
     ``qrpat.patterns.denominator_set``).
     """
     if n < 2:
-        raise ValueError(f"layout_period needs n >= 2, got {n}")
+        raise ValueError(f"layout period needs lambda-n >= 2, got {n}")
     return 2 * math.lcm(*range(2, n + 1))

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from qrpat import read_pgm, render
+from qrpat import parabola, read_pgm, render
 from qrpat.cli import main
 
 # stdout of `qrpat bundle --modulus 20179 --lambda-n 9 --max-denominator 9`.
@@ -187,6 +187,17 @@ def test_verify_smallest_moduli(capsys, m):
     assert payload["fractions_checked"] == 2
 
 
+def test_verify_oracle_over_the_cap_exits_2(capsys, monkeypatch):
+    # 0/1 with window 50 lists x = 0..50; a small cap stands in for the real one.
+    argv = ("verify", "--modulus", "997", "--max-denominator", "1", "--window", "50")
+    monkeypatch.setattr(parabola, "MAX_ORACLE_POINTS", 51)
+    assert run_json(capsys, *argv)[:1] == (0,)
+    monkeypatch.setattr(parabola, "MAX_ORACLE_POINTS", 50)
+    assert run(capsys, *argv) == (
+        2, "", "error: oracle window of 51 points exceeds the cap of 50\n"
+    )
+
+
 def test_verify_rejects_large_denominator(capsys):
     code, _, err = run(capsys, "verify", "--modulus", "81", "--max-denominator", "9")
     assert code == 2
@@ -252,6 +263,16 @@ def test_equiv_rejects_lambda_n_one(capsys):
                        "--lambda-n", "1")
     assert code == 2
     assert "lambda-n" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["equiv", "--m1", "20179", "--m2", "25219"],
+    ["bundle", "--modulus", "20179"],
+])
+def test_lambda_n_one_exits_2_with_one_line(capsys, argv):
+    assert run(capsys, *argv, "--lambda-n", "1") == (
+        2, "", "error: layout period needs lambda-n >= 2, got 1\n"
+    )
 
 
 def test_bundle_reference_modulus(tmp_path, capsys):

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from qrpat import parabola
 from qrpat import (
     ReducedFraction,
     canonical_offsets,
@@ -276,6 +277,19 @@ def test_residues_near_rejects_wide_window():
         residues_near(977, ReducedFraction(1, 3), 489)
     with pytest.raises(ValueError):
         residues_near(20171, ReducedFraction(1, 3), 0)
+
+
+def test_residues_near_point_cap(monkeypatch):
+    # A small cap stands in for the real one, so no test lists a giant window.
+    monkeypatch.setattr(parabola, "MAX_ORACLE_POINTS", 7)
+    assert len(residues_near(20171, ReducedFraction(1, 3), 3)) == 7
+    with pytest.raises(ValueError, match="^oracle window of 9 points exceeds the cap of 7$"):
+        residues_near(20171, ReducedFraction(1, 3), 4)
+    # the count is taken after clamping to [0, m)
+    monkeypatch.setattr(parabola, "MAX_ORACLE_POINTS", 2)
+    assert [x for x, _ in residues_near(977, ReducedFraction(1, 1), 2)] == [975, 976]
+    with pytest.raises(ValueError, match="of 3 points exceeds the cap of 2"):
+        residues_near(977, ReducedFraction(1, 1), 3)
 
 
 def covering_members_scan(family, x, r):

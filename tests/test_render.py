@@ -131,9 +131,14 @@ def reference_sum_squares(m, size):
 
 
 # m < width leaves empty columns; 1600 and 3200 put column boundaries
-# exactly on an x for the 800- and 16-wide canvases (gcd(m, x_scale) > 1).
-@pytest.mark.parametrize("m", [2, 3, 4, 17, 1600, 3200, 20171, 100003])
-@pytest.mark.parametrize("width, height", [(16, 16), (17, 1000), (640, 480), (800, 800)])
+# exactly on an x for the 800- and 16-wide canvases (gcd(m, x_scale) > 1);
+# 320000 is dense and opens every column of the 640- and 800-wide canvases
+# with an edge point (m divides x*width).  801x33 has a dense middle column,
+# which is its own mirror twin.
+@pytest.mark.parametrize("m", [2, 3, 4, 17, 1600, 3200, 20171, 100003, 320000])
+@pytest.mark.parametrize(
+    "width, height", [(16, 16), (17, 1000), (640, 480), (800, 800), (801, 33)]
+)
 @pytest.mark.parametrize("half_range", [True, False])
 def test_scatter_matches_per_point_reference(m, width, height, half_range):
     canvas = render_scatter(m, width, height, half_range)
@@ -157,7 +162,18 @@ def test_renderers_match_references_on_generated_inputs():
         assert canvas.pixels == reference_scatter(m, width, height, half_range)
         assert render_sum_squares(m, width).pixels == reference_sum_squares(m, width)
 
+    # m = k*width + delta puts the full-range mirror's edge points x = k*m/g
+    # (g = gcd(m, width)) on or next to column boundaries.
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 300), sides, sides, st.sampled_from((-1, 0, 1)))
+    def check_edges(k, width, height, delta):
+        m = max(2, k * width + delta)
+        for half_range in (True, False):
+            canvas = render_scatter(m, width, height, half_range)
+            assert canvas.pixels == reference_scatter(m, width, height, half_range)
+
     check()
+    check_edges()
 
 
 def test_canvas_pixel_cap(monkeypatch):
