@@ -162,8 +162,8 @@ def test_renderers_match_references_on_generated_inputs():
         assert canvas.pixels == reference_scatter(m, width, height, half_range)
         assert render_sum_squares(m, width).pixels == reference_sum_squares(m, width)
 
-    # m = k*width + delta puts the full-range mirror's edge points x = k*m/g
-    # (g = gcd(m, width)) on or next to column boundaries.
+    # m = k*width + delta makes many x with m | x*width (the full-range
+    # mirror's edge points) or puts column boundaries next to them.
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 300), sides, sides, st.sampled_from((-1, 0, 1)))
     def check_edges(k, width, height, delta):
