@@ -1,12 +1,13 @@
 """Layout equivalence of residue plots and the line bundle under the vertices.
 
 The placement of each parabola family, viewed as a whole, is fixed by
-beta reduced modulo c*b.  Collecting that value for every anchor
-fraction gives a fingerprint of the modulus; two moduli congruent
-modulo a layout period draw their families in the same positions for
-every denominator the period covers.  The family vertices themselves
-are rational points of the wrapped curves Y = (2nX - sX^2) mod 1, where
-s is any representative of m modulo the period.
+beta reduced modulo c*b, and beta == -a^2 * m (mod c*b).  So the layout
+at denominator b depends only on m mod c*b: two moduli draw their
+families in the same positions at b exactly when they are congruent
+modulo c*b, and moduli congruent modulo a layout period agree at every
+denominator the period covers.  The family vertices themselves are
+rational points of the wrapped curves Y = (2nX - sX^2) mod 1, where s
+is any representative of m modulo the period.
 """
 
 from __future__ import annotations
@@ -15,11 +16,10 @@ import math
 from typing import NamedTuple
 
 from .parabola import check_denominator, fraction_params, vertex_heights
-from .residues import ReducedFraction, farey_fractions
+from .residues import ReducedFraction
 
 __all__ = [
     "LayoutComparison",
-    "beta_signature",
     "bundle_parameter",
     "check_period",
     "denominator_set",
@@ -56,37 +56,30 @@ def denominator_set(period: int, max_b: int) -> frozenset[int]:
     return frozenset(b for b in range(1, max_b + 1) if _covered(b, period))
 
 
-def beta_signature(m: int, max_denominator: int) -> dict[ReducedFraction, int]:
-    """Layout fingerprint of m: beta mod c*b for every reduced fraction with
-    denominator <= max_denominator.
-
-    Each entry lies in [0, c*b) and depends only on m mod c*b.
-    """
-    check_denominator(m, max_denominator)
-    entries = {}
-    for frac in farey_fractions(max_denominator):
-        params = fraction_params(m, frac)
-        entries[frac] = params.beta % (params.c * frac.b)
-    return entries
-
-
 def layouts_equivalent(
     m1: int, m2: int, period: int, max_denominator: int
 ) -> LayoutComparison:
     """Whether two moduli place their parabola families identically.
 
-    Signature entries are compared for every denominator covered by the
-    period.  On a mismatch the witness is the offending fraction with the
-    smallest denominator (ties broken by smallest numerator).
+    The layouts are compared at every denominator b <= max_denominator
+    that the period covers; both moduli must exceed max_denominator^2.
+
+    At b, every a/b has beta == -a^2 * m (mod c*b).  Write
+    b*x0 = a*m - alpha and r0 = x0^2 - k*m; expanding b*b*r0 ==
+    beta*m + alpha^2 gives beta = a^2*m - 2*a*alpha - b^2*k.  Since
+    alpha == a*m (mod b), 2*a*alpha == 2*a^2*m (mod 2*b), and c*b divides
+    both 2*b and b^2.  As gcd(a, c*b) == 1 (a is odd when b is even),
+    a^2 is a unit modulo c*b, so the families at b agree exactly when
+    m1 == m2 (mod c*b).  On a mismatch the witness is 1/b for the
+    smallest such b: b = 1 never fails, and 1 is the smallest numerator
+    at every b >= 2.
     """
     dset = denominator_set(period, max_denominator)
-    sig1 = beta_signature(m1, max_denominator)
-    sig2 = beta_signature(m2, max_denominator)
-    for frac in sorted(sig1, key=ReducedFraction.sort_key):
-        if frac.b not in dset:
-            continue
-        if sig1[frac] != sig2[frac]:
-            return LayoutComparison(False, frac)
+    check_denominator(m1, max_denominator)
+    check_denominator(m2, max_denominator)
+    for b in sorted(dset):
+        if (m1 - m2) % (b if b % 2 else 2 * b):
+            return LayoutComparison(False, ReducedFraction(1, b))
     return LayoutComparison(True, None)
 
 

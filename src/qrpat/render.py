@@ -34,6 +34,7 @@ __all__ = [
 # Polyline resolution for the wrapped bundle curves (points per unit X).
 CURVE_SAMPLES = 1024
 MAX_PIXELS = 10**8  # largest raster canvas (one byte per pixel); larger is refused
+MAX_SCENE_POINTS = 10**6  # largest SVG scatter (one point per residue); larger is refused
 
 
 @dataclass
@@ -204,9 +205,12 @@ def overlay_predictions(
     Vertices whose denominator is covered by the period are matched to a
     bundle line in exact arithmetic (raising if the match fails); the
     drawn curves span every matched line index.  Uncovered denominators
-    still get markers but no guaranteed curve.
+    still get markers but no guaranteed curve.  Moduli above
+    MAX_SCENE_POINTS are refused before any point is listed.
     """
     check_denominator(m, max_denominator)
+    if m > MAX_SCENE_POINTS:
+        raise ValueError(f"scene of {m} scatter points exceeds the cap of {MAX_SCENE_POINTS}")
     s = bundle_parameter(m, period)
     covered = denominator_set(period, max_denominator)
     scene = Scene(width, height)

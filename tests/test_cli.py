@@ -18,6 +18,34 @@ from qrpat.cli import main
 # stdout of `qrpat bundle --modulus 20179 --lambda-n 9 --max-denominator 9`.
 GOLDEN_BUNDLE_20179 = "116345aa72c8b824aa0aed30064a2e3e49af0d63df2ebaf9ad489dc473fac066"
 
+# A 39-digit modulus for the `equiv` goldens at --max-denominator 40; layout_period(40) = 10685862914126400.
+M39 = "123456789012345678901234567890123456789"
+
+# SHA-256 of `qrpat equiv <argv>` stdout.
+GOLDEN_EQUIV = {
+    # congruent modulo 5040
+    ("--m1", "20179", "--m2", "25219"):
+        "c7176bcd6d95681a25e15e36a8fb0b8aed80f09b1ffb12b630a3ae5a051da642",
+    # off by one: witness 1/2
+    ("--m1", "20179", "--m2", "20180"):
+        "164d7b9be8d26a2a2dda584dfdb90391eec2fe56cf45fa7dc60f9b499cce5c3f",
+    # the moduli differ at the uncovered 11, 13, 16 and 17, which must be ignored
+    ("--m1", "20179", "--m2", "25219", "--max-denominator", "18"):
+        "648750e322de85267305365a8d9ad226bce89ec18c3399d52fb31eb052491106",
+    # m2 = m1 + 3 * layout_period(40)
+    ("--m1", M39, "--m2", "123456789012345678901266625478865835989",
+     "--lambda-n", "40", "--max-denominator", "40"):
+        "714594fa9d6b85407c39ac241e14a9890c85ba6bafb1658957b95e5bb4743754",
+    # m2 = m1 + layout_period(40) / 37: witness 1/37
+    ("--m1", M39, "--m2", "123456789012345678901234856697229243989",
+     "--lambda-n", "40", "--max-denominator", "40"):
+        "8b47fc90f42261d0cf1be19226f7d8109cb294538bda6c2b2fcc274cc32f845f",
+    # m2 = m1 + 5040 at the default period, most of b <= 40 uncovered
+    ("--m1", M39, "--m2", "123456789012345678901234567890123461829",
+     "--max-denominator", "40"):
+        "619110fe15b13f64940d09f088b7d7392a2e747ea9ff98cf185d20852a9076d3",
+}
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -258,6 +286,21 @@ def test_equiv_perturbed_pair(capsys):
     assert payload["witness"] == {"a": 1, "b": 2}
 
 
+@pytest.mark.parametrize("argv", list(GOLDEN_EQUIV))
+def test_equiv_stdout_golden_hash(capsys, argv):
+    code, out, err = run(capsys, "equiv", *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_EQUIV[argv]
+
+
+@pytest.mark.parametrize("moduli", [("81", "20179"), ("20179", "81")])
+def test_equiv_small_modulus_exits_2(capsys, moduli):
+    m1, m2 = moduli
+    assert run(capsys, "equiv", "--m1", m1, "--m2", m2, "--max-denominator", "9") == (
+        2, "", "error: modulus 81 must exceed 9^2 = 81\n"
+    )
+
+
 def test_equiv_rejects_lambda_n_one(capsys):
     code, _, err = run(capsys, "equiv", "--m1", "20179", "--m2", "25219",
                        "--lambda-n", "1")
@@ -294,6 +337,21 @@ def test_bundle_stdout_golden_hash(capsys):
                        "--max-denominator", "9")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_BUNDLE_20179
+
+
+def test_bundle_scene_over_the_cap_exits_2(tmp_path, capsys, monkeypatch):
+    # A small cap stands in for the real one, so no test lists a giant scene.
+    monkeypatch.setattr(render, "MAX_SCENE_POINTS", 20178)
+    out = tmp_path / "big.svg"
+    argv = ["bundle", "--modulus", "20179", "--out", str(out)]
+    assert run(capsys, *argv) == (
+        2, "", "error: scene of 20179 scatter points exceeds the cap of 20178\n"
+    )
+    assert not out.exists()
+    monkeypatch.setattr(render, "MAX_SCENE_POINTS", 20179)
+    code, _, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.read_bytes().startswith(b"<?xml")
 
 
 def test_bundle_degenerate_multiple(capsys):

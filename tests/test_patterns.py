@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from qrpat import (
+    LayoutComparison,
     ReducedFraction,
-    beta_signature,
     bundle_parameter,
     denominator_set,
     farey_fractions,
@@ -18,9 +18,36 @@ from qrpat import (
     parabola_family,
     vertex_on_bundle,
 )
+from qrpat import parabola, patterns
 from qrpat.patterns import _smallest_line_index
 
 PERIOD_9 = 5040  # layout_period(9)
+
+
+def beta_by_squaring(m, frac):
+    """beta = (b^2 * (x0^2 mod m) - alpha^2) / m, from x0 nearest a*m/b (halves up)."""
+    a, b = frac.a, frac.b
+    x0 = (2 * a * m + b) // (2 * b)
+    alpha = a * m - b * x0
+    beta, rem = divmod(b * b * pow(x0, 2, m) - alpha * alpha, m)
+    assert rem == 0
+    return beta
+
+
+def signature_by_squaring(m, max_denominator):
+    """Layout fingerprint of m: beta mod c*b for every a/b with b <= max_denominator."""
+    return {
+        frac: beta_by_squaring(m, frac) % (frac.b if frac.b % 2 else 2 * frac.b)
+        for frac in farey_fractions(max_denominator)
+    }
+
+
+def first_covered_mismatch(sig1, sig2, covered):
+    """The smallest fraction (by denominator, then numerator) whose entries differ."""
+    for frac in sorted(sig1, key=ReducedFraction.sort_key):
+        if frac.b in covered and sig1[frac] != sig2[frac]:
+            return frac
+    return None
 
 
 def random_fraction(rng, max_b):
@@ -54,22 +81,25 @@ def test_denominator_set_rejects_odd_period():
 
 
 def test_beta_signature_known_entry():
-    sig = beta_signature(20179, 9)
+    sig = signature_by_squaring(20179, 9)
     # -20179 == 2 (mod 3)
     assert sig[ReducedFraction(1, 3)] == 2
     assert sig[ReducedFraction(0, 1)] == 0
 
 
-def test_beta_signature_rejects_small_modulus():
-    with pytest.raises(ValueError):
-        beta_signature(81, 9)
+def test_layouts_equivalent_rejects_small_modulus():
+    for moduli in ((81, 20179), (20179, 81)):
+        with pytest.raises(ValueError, match=r"^modulus 81 must exceed 9\^2 = 81$"):
+            layouts_equivalent(*moduli, PERIOD_9, 9)
 
 
 def test_beta_signature_entry_ranges():
-    sig = beta_signature(20171, 12)
+    sig = signature_by_squaring(20171, 12)
+    assert sig.keys() == set(farey_fractions(12))
     for frac, value in sig.items():
         c = 1 if frac.b % 2 else 2
         assert 0 <= value < c * frac.b
+        assert beta_by_squaring(20171, frac) == fraction_params(20171, frac).beta
 
 
 def test_beta_signature_depends_only_on_modulus_class():
@@ -80,9 +110,35 @@ def test_beta_signature_depends_only_on_modulus_class():
         cb = c * frac.b
         m = rng.randrange(200, 10**6)
         t = rng.randrange(1, 50)
-        sig1 = beta_signature(m, frac.b)
-        sig2 = beta_signature(m + cb * t, frac.b)
+        sig1 = signature_by_squaring(m, frac.b)
+        sig2 = signature_by_squaring(m + cb * t, frac.b)
         assert sig1[frac] == sig2[frac]
+
+
+def test_signature_at_b_is_injective_with_minimal_period_cb():
+    # m -> (beta mod c*b for every a/b) on c*b consecutive moduli: all values
+    # distinct (so no period shorter than c*b), and each repeats c*b later.
+    for b in range(1, 61):
+        cb = b if b % 2 else 2 * b
+        fracs = [ReducedFraction(a, b) for a in range(b + 1) if math.gcd(a, b) == 1]
+
+        def entries(m):
+            return tuple(beta_by_squaring(m, f) % cb for f in fracs)
+
+        window = range(b * b + 1, b * b + 1 + cb)
+        seen = {entries(m) for m in window}
+        assert len(seen) == cb
+        assert all(entries(m) == entries(m + cb) for m in window)
+
+
+def test_layouts_equivalent_does_no_per_fraction_work(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("layouts_equivalent must not build fraction parameters")
+
+    monkeypatch.setattr(patterns, "fraction_params", forbidden)
+    monkeypatch.setattr(parabola, "fraction_params", forbidden)
+    assert layouts_equivalent(20179, 25219, PERIOD_9, 18) == LayoutComparison(True, None)
+    assert layouts_equivalent(20179, 20180, PERIOD_9, 9).witness == ReducedFraction(1, 2)
 
 
 def test_beta_matches_negated_square_times_modulus():
@@ -115,13 +171,9 @@ def test_layouts_equivalent_perturbed_pair():
 def test_layouts_equivalent_witness_is_smallest():
     result = layouts_equivalent(20179, 20180, PERIOD_9, 9)
     dset = denominator_set(PERIOD_9, 9)
-    sig1 = beta_signature(20179, 9)
-    sig2 = beta_signature(20180, 9)
-    for frac in sorted(sig1, key=ReducedFraction.sort_key):
-        if frac.sort_key() >= result.witness.sort_key():
-            break
-        if frac.b in dset:
-            assert sig1[frac] == sig2[frac]
+    sig1 = signature_by_squaring(20179, 9)
+    sig2 = signature_by_squaring(20180, 9)
+    assert result.witness == first_covered_mismatch(sig1, sig2, dset)
 
 
 def test_layouts_equivalent_random_congruent_pairs():

@@ -1,4 +1,5 @@
-"""Generated-input checks of the lattice, coverage, vertex-height and bundle claims."""
+"""Generated-input checks of the anchor identity, lattice, coverage, vertex-height,
+layout and bundle claims."""
 
 import math
 from fractions import Fraction
@@ -11,23 +12,56 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from qrpat import (  # noqa: E402
+    LayoutComparison,
     ReducedFraction,
     bundle_parameter,
     covering_members,
+    denominator_set,
     evaluate_parabola,
     family_structure,
     fraction_params,
     layout_period,
+    layouts_equivalent,
     parabola_family,
+    verify_identity,
     vertex_heights,
     vertex_on_bundle,
 )
+from test_patterns import first_covered_mismatch, signature_by_squaring  # noqa: E402
 
 
 def moduli_above(b):
     """m from just above b^2 up to 10^40, with the values near b^2 drawn often."""
     low = b * b + 1
     return st.one_of(st.integers(low, low + 64), st.integers(low, 10**40))
+
+
+@st.composite
+def anchor_cases(draw):
+    """(m, a/b): b <= 60 with b = 1 drawn often, numerators 0, 1, b - 1 and b drawn
+    often, m from just above b^2 up to 10^40.
+
+    a = 0 and a = b are in lowest terms only at b = 1.
+    """
+    b = draw(st.one_of(st.just(1), st.integers(1, 60)))
+    a = draw(
+        st.one_of(st.sampled_from([0, 1, b - 1, b]), st.integers(0, b))
+        .filter(lambda a: math.gcd(a, b) == 1)
+    )
+    return draw(moduli_above(b)), ReducedFraction(a, b)
+
+
+@settings(deadline=None, database=None)
+@given(anchor_cases())
+def test_anchor_identity_at_the_extremes(case):
+    m, frac = case
+    a, b = frac.a, frac.b
+    x0 = (2 * a * m + b) // (2 * b)
+    r0 = pow(x0, 2, m)
+    params = fraction_params(m, frac)
+    assert (params.x0, params.r0) == (x0, r0)
+    assert b * b * r0 == params.beta * m + params.alpha * params.alpha
+    assert verify_identity(params)
 
 
 @st.composite
@@ -96,3 +130,37 @@ def test_vertex_heights_match_family_and_lie_on_bundle(case):
             for k, n in pairs:
                 y = (Fraction(beta_prime, b**2) + Fraction(k, params.b_prime)) % 1
                 assert (y + rep * x * x - 2 * n * x) % 1 == 0
+
+
+@st.composite
+def equiv_cases(draw):
+    """(m1, m2, period, D): D <= 60, any lambda-n up to 60, m1 from just above D^2
+    up to 10^40, and m2 congruent to m1 modulo the period, shifted by a little,
+    unrelated, or congruent modulo period / q for some q in 2..lambda-n."""
+    max_d = draw(st.integers(1, 60))
+    lambda_n = draw(st.integers(2, 60))
+    period = layout_period(lambda_n)
+    m1 = draw(moduli_above(max_d))
+    kind = draw(st.sampled_from(["congruent", "shifted", "unrelated", "partial"]))
+    if kind == "congruent":
+        m2 = m1 + period * draw(st.integers(0, 10**6))
+    elif kind == "shifted":
+        m2 = m1 + draw(st.integers(1, 10**4))
+    elif kind == "unrelated":
+        m2 = draw(moduli_above(max_d))
+    else:
+        # Every q <= lambda_n divides lcm(2..lambda_n), so period // q is exact.
+        m2 = m1 + period // draw(st.integers(2, lambda_n)) * draw(st.integers(1, 10**6))
+    return m1, m2, period, max_d
+
+
+@settings(deadline=None, database=None)
+@given(equiv_cases())
+def test_layouts_equivalent_is_equal_signatures_over_covered_b(case):
+    m1, m2, period, max_d = case
+    witness = first_covered_mismatch(
+        signature_by_squaring(m1, max_d),
+        signature_by_squaring(m2, max_d),
+        denominator_set(period, max_d),
+    )
+    assert layouts_equivalent(m1, m2, period, max_d) == LayoutComparison(witness is None, witness)
