@@ -10,8 +10,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
+from functools import cache, partial
 from itertools import starmap
+from math import gcd
 
 from .parabola import (
     check_denominator,
@@ -30,6 +31,9 @@ from .patterns import (
 )
 from .render import overlay_predictions, render_scatter, render_sum_squares, write_pgm, write_svg
 from .residues import ReducedFraction, farey_fractions, layout_period
+
+# Most family members one predict request lists (~230 B of JSON, ~1.1 KB of memory each).
+MAX_PREDICT_MEMBERS = 10**6
 
 
 def _fraction_arg(text: str) -> ReducedFraction:
@@ -65,9 +69,17 @@ def _cmd_grid(args) -> int:
     return 0
 
 
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    """num/den in lowest terms; taking num mod den first keeps the gcd small."""
+    g = gcd(num % den, den)
+    return num // g, den // g
+
+
 def _predict_payload(m: int, frac: ReducedFraction) -> dict:
     params = fraction_params(m, frac)
-    family = parabola_family(params)
+    members = parabola_family(params).members
+    x_num, x_den = _reduced(frac.a * m, frac.b)
+    A, bb = params.b_prime ** 2, frac.b ** 2
     return {
         "modulus": m,
         "fraction": {"a": frac.a, "b": frac.b},
@@ -78,32 +90,38 @@ def _predict_payload(m: int, frac: ReducedFraction) -> dict:
         "x0": params.x0,
         "r0": params.r0,
         "vertices": [
-            {
-                "i": p.i,
-                "a_prime": p.a_prime,
-                "x_num": p.vertex_x.numerator,
-                "x_den": p.vertex_x.denominator,
-                "y_num": p.vertex_y.numerator,
-                "y_den": p.vertex_y.denominator,
-            }
-            for p in family.members
+            {"i": p.i, "a_prime": p.a_prime, "x_num": x_num, "x_den": x_den,
+             "y_num": y_num, "y_den": y_den}
+            for p in members for y_num, y_den in [_reduced(p.h * m, bb)]
         ],
-        "coefficients": [
-            {"i": p.i, "A": p.A, "B": p.B, "C": p.C} for p in family.members
-        ],
+        "coefficients": [{"i": p.i, "A": A, "B": p.B, "C": p.C} for p in members],
     }
+
+
+def _check_predict_size(fraction: ReducedFraction | None, max_d: int | None) -> None:
+    """Refuse a predict request of more than MAX_PREDICT_MEMBERS family members.
+
+    Each a/b has b_prime members, and F_D holds the a in [0, b] prime to b
+    at each b <= D; the count goes b by b and stops once it passes the cap,
+    so it is bounded for any D and builds no F_D.
+    """
+    members = 0
+    for b in (fraction.b,) if fraction is not None else range(1, max_d + 1):
+        count = 1 if fraction is not None else sum(gcd(a, b) == 1 for a in range(b + 1))
+        members += count * (b if b % 2 else b // 2)
+        if members > MAX_PREDICT_MEMBERS:
+            raise ValueError(f"predict exceeds the cap of {MAX_PREDICT_MEMBERS} family members")
 
 
 def _cmd_predict(args) -> int:
     if (args.fraction is None) == (args.max_denominator is None):
         raise ValueError("provide exactly one of --fraction or --max-denominator")
+    _check_predict_size(args.fraction, args.max_denominator)
+    m = args.modulus
     if args.fraction is not None:
-        payload = _predict_payload(args.modulus, args.fraction)
+        payload = _predict_payload(m, args.fraction)
     else:
-        payload = [
-            _predict_payload(args.modulus, frac)
-            for frac in farey_fractions(args.max_denominator)
-        ]
+        payload = [_predict_payload(m, frac) for frac in farey_fractions(args.max_denominator)]
     _emit(payload, compact=args.json)
     return 0
 
@@ -213,7 +231,10 @@ def _cmd_bundle(args) -> int:
     return 0
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; the handlers look up what they call
+    when they run, so a patched module name still takes effect."""
     parser = argparse.ArgumentParser(
         prog="qrpat",
         description="Predict, verify, and render the parabola patterns of "

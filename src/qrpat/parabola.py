@@ -7,14 +7,17 @@ x = x0 + i + j*b_prime, and all members share the rational vertex
 abscissa a*m/b while their vertex ordinates are multiples of m/b^2
 spaced exactly m/b_prime apart.
 
-No floating point is used anywhere.  Vertex heights are integers h with
-vertex_y == h*m/b^2; ``Fraction`` appears only in ``vertex_x``/``vertex_y``.
+No floating point is used anywhere.  A member is plain integers: its
+vertex height h in [0, b^2) stands for vertex_y == h*m/b^2.  ``Fraction``
+appears only in the derived ``Parabola.vertex_x``/``vertex_y`` properties;
+building, checking and querying a family construct none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .residues import ReducedFraction, balanced_residue, check_modulus
 
@@ -64,23 +67,32 @@ class FractionParams:
     r0: int
 
 
-@dataclass(frozen=True)
-class Parabola:
+class Parabola(NamedTuple):
     """One family member: r == (A*j*j + B*j + C) mod m at x = x0 + i + j*b_prime.
 
     a_prime indexes the member's vertex height class modulo b_prime; the
-    vertex itself sits at (vertex_x, vertex_y) with vertex_y already
-    reduced into [0, m).
+    vertex sits at (vertex_x, vertex_y) == (a*m/b, h*m/b^2) with h in
+    [0, b^2), so vertex_y is already reduced into [0, m).
     """
 
     params: FractionParams
     i: int
     a_prime: int
-    A: int
     B: int
     C: int
-    vertex_x: Fraction
-    vertex_y: Fraction
+    h: int
+
+    @property
+    def A(self) -> int:
+        return self.params.b_prime ** 2
+
+    @property
+    def vertex_x(self) -> Fraction:
+        return Fraction(self.params.frac.a * self.params.m, self.params.frac.b)
+
+    @property
+    def vertex_y(self) -> Fraction:
+        return Fraction(self.h * self.params.m, self.params.frac.b ** 2)
 
 
 @dataclass(frozen=True)
@@ -151,29 +163,20 @@ def vertex_heights(params: FractionParams) -> range:
 def parabola_family(params: FractionParams) -> ParabolaFamily:
     """Build the b_prime member parabolas over the canonical offsets.
 
-    Vertex ordinates are h * m / b^2 with integer heights
-    h == (beta + a_prime*c*b) mod b^2, and the a_prime values cover
-    every class modulo b_prime exactly once.
+    Vertex heights are the integers h == (beta + a_prime*c*b) mod b^2, and
+    the a_prime values cover every class modulo b_prime exactly once.
     """
-    m, a, b = params.m, params.frac.a, params.frac.b
+    m, x0, alpha, beta = params.m, params.x0, params.alpha, params.beta
+    a, b = params.frac.a, params.frac.b
     b_prime, c = params.b_prime, params.c
-    two_over_c = 2 // c
-    vertex_x = Fraction(a * m, b)
+    two_over_c, cb, bb = 2 // c, c * b, b * b
     members = []
     for i in canonical_offsets(b_prime):
-        a_prime = (two_over_c * i * a) % b_prime
-        members.append(
-            Parabola(
-                params=params,
-                i=i,
-                a_prime=a_prime,
-                A=b_prime * b_prime,
-                B=2 * b_prime * i - two_over_c * params.alpha,
-                C=(params.x0 + i) ** 2 % m,
-                vertex_x=vertex_x,
-                vertex_y=Fraction(m * ((params.beta + a_prime * c * b) % (b * b)), b * b),
-            )
-        )
+        a_prime = two_over_c * i * a % b_prime
+        members.append(Parabola(
+            params, i, a_prime, 2 * b_prime * i - two_over_c * alpha,
+            (x0 + i) ** 2 % m, (beta + a_prime * cb) % bb,
+        ))
     return ParabolaFamily(params, tuple(members))
 
 
@@ -181,17 +184,16 @@ def family_structure(family: ParabolaFamily) -> bool:
     """The vertex law of a family, checked in integers against ``vertex_heights``.
 
     True when the offsets i are ``canonical_offsets(b_prime)`` in order (the
-    layout ``covering_members`` relies on), every vertex abscissa is a*m/b,
-    and the ordinates are h*m/b^2 for integers h that, sorted, are the h_k.
+    layout ``covering_members`` relies on), every member carries the
+    family's own params (so its vertex abscissa is a*m/b), and the heights
+    h, sorted, are the h_k.
     """
     params = family.params
-    m, a, b = params.m, params.frac.a, params.frac.b
     members = family.members
-    heights = [divmod(p.vertex_y.numerator * b * b, p.vertex_y.denominator * m) for p in members]
     return (
         [p.i for p in members] == list(canonical_offsets(params.b_prime))
-        and all(p.vertex_x.numerator * b == a * m * p.vertex_x.denominator for p in members)
-        and sorted(heights) == [(h, 0) for h in vertex_heights(params)]
+        and all(p.params == params for p in members)
+        and sorted(p.h for p in members) == list(vertex_heights(params))
     )
 
 
@@ -242,6 +244,6 @@ def covering_members(family: ParabolaFamily, x: int, r: int) -> list[tuple[Parab
         return []
     p = family.members[k]
     j, rest = divmod(d - p.i, b_prime)
-    if rest or (p.A * j * j + p.B * j + p.C) % params.m != r:
+    if rest or (b_prime * b_prime * j * j + p.B * j + p.C) % params.m != r:
         return []
     return [(p, j)]

@@ -1,18 +1,19 @@
 """Tests for the qrpat command-line interface."""
 
+import argparse
+import fractions
 import hashlib
 import json
 import os
 import subprocess
 import sys
 from dataclasses import replace
-from fractions import Fraction
 from importlib.metadata import PackageNotFoundError, distribution, distributions
 from pathlib import Path
 
 import pytest
 
-from qrpat import parabola, read_pgm, render
+from qrpat import ReducedFraction, cli, parabola, read_pgm, render
 from qrpat.cli import main
 
 # stdout of `qrpat bundle --modulus 20179 --lambda-n 9 --max-denominator 9`.
@@ -44,6 +45,33 @@ GOLDEN_EQUIV = {
     ("--m1", M39, "--m2", "123456789012345678901234567890123461829",
      "--max-denominator", "40"):
         "619110fe15b13f64940d09f088b7d7392a2e747ea9ff98cf185d20852a9076d3",
+}
+
+# SHA-256 of `qrpat predict <argv>` stdout, recorded before members became integers.
+GOLDEN_PREDICT = {
+    ("--modulus", "20171", "--fraction", "1/3"):
+        "b81d0418a1a857062a5529effd5eba3a2ea7637da50cb1f5f05903fc3eccfaad",
+    ("--modulus", M39, "--max-denominator", "28", "--json"):
+        "d815e71371856f7143945b967cfe3f634a2bf5a33998136798cd7b78901ffe79",
+    ("--modulus", "987654321098765432109876543210987654321", "--max-denominator", "28",
+     "--json"):
+        "4be7db164f590e2e67f9d3a7e82e8a7377c550992b45098b61cb0628ce2bf395",
+    # the a = 0 and a = b extremes
+    ("--modulus", "20171", "--fraction", "0/1"):
+        "dc66eefb1585ae894b8ee1f7e80216a8236a36f336b100dce1e80b780d550627",
+    ("--modulus", "20171", "--fraction", "1/1"):
+        "5d067d4714d19b9858625e43ae13c1ae8a804d508e48f727e3f1724464818f4d",
+    ("--modulus", M39, "--fraction", "0/1", "--json"):
+        "98fd353f527d867ee657a30f95ecd585a30c6ab513f1065f35cf7573e6681b52",
+    ("--modulus", M39, "--fraction", "1/1", "--json"):
+        "3ee4188b50e6bc474117b00ee853dfb26ecdc3929d49f7d2b2e4dc4200a8b2e6",
+    # m = b^2 + 1 for even b: 28^2 + 1, 60^2 + 1 and 2^2 + 1
+    ("--modulus", "785", "--max-denominator", "28", "--json"):
+        "7e27c1be1d147d25fd9d6f6a6e7566f265c8f8e2352451b433db00d16306fe17",
+    ("--modulus", "3601", "--fraction", "7/60"):
+        "088d17eaa49c6111f3775dfebf799b4ba08ad2f3fe634da8b10b613b7e1ae216",
+    ("--modulus", "5", "--max-denominator", "2"):
+        "7d504a98ed436c1966fef3557cab22b296c9346c3589dcc8bd9fd99fdbd0aae9",
 }
 
 
@@ -188,6 +216,63 @@ def test_predict_needs_exactly_one_selector(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", list(GOLDEN_PREDICT))
+def test_predict_stdout_golden_hash(capsys, argv):
+    code, out, err = run(capsys, "predict", *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_PREDICT[argv]
+
+
+def test_predict_over_the_cap_exits_2(capsys, monkeypatch):
+    # F_28 has 3,709 members; a small cap stands in for the real one.
+    argv = ("predict", "--modulus", "785", "--max-denominator", "28", "--json")
+    monkeypatch.setattr(cli, "MAX_PREDICT_MEMBERS", 3709)
+    code, payload, _ = run_json(capsys, *argv)
+    assert (code, sum(f["b_prime"] for f in payload)) == (0, 3709)
+    refused = (2, "", "error: predict exceeds the cap of 3708 family members\n")
+    monkeypatch.setattr(cli, "MAX_PREDICT_MEMBERS", 3708)
+    assert run(capsys, *argv) == refused
+    # one fraction has b_prime members: 14 at 27/28 and 27 at 1/27
+    monkeypatch.setattr(cli, "MAX_PREDICT_MEMBERS", 14)
+    assert run(capsys, "predict", "--modulus", "785", "--fraction", "27/28")[0] == 0
+    assert run(capsys, "predict", "--modulus", "785", "--fraction", "1/27") == (
+        2, "", "error: predict exceeds the cap of 14 family members\n"
+    )
+
+
+def test_hot_paths_build_no_fraction(capsys, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Fraction built on a hot path")
+
+    monkeypatch.setattr(parabola, "Fraction", forbidden)
+    monkeypatch.setattr(fractions.Fraction, "__new__", forbidden)
+    family = parabola.parabola_family(parabola.fraction_params(20171, ReducedFraction(1, 3)))
+    assert parabola.family_structure(family)
+    assert parabola.covering_members(family, 6724, 8965) == [(family.members[1], 0)]
+    argv = ("--modulus", M39, "--max-denominator", "28", "--json")
+    code, out, _ = run(capsys, "predict", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_PREDICT[argv]
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    cli._build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    argv = ("predict", "--modulus", "20171", "--fraction", "1/3")
+    first, second = run(capsys, *argv), run(capsys, *argv)
+    cli._build_parser.cache_clear()
+    assert built.count("qrpat") == 1
+    assert first == second
+    assert hashlib.sha256(first[1].encode()).hexdigest() == GOLDEN_PREDICT[argv[1:]]
+
+
 def test_verify_reference_modulus(capsys):
     code, payload, _ = run_json(capsys, "verify", "--modulus", "20171",
                                 "--max-denominator", "9", "--window", "50")
@@ -233,8 +318,6 @@ def test_verify_rejects_large_denominator(capsys):
 
 
 def test_verify_exits_1_on_check_failure(capsys, monkeypatch):
-    import qrpat.cli as cli
-
     def broken(m, frac, window):
         return {"fraction": str(frac), "identity": False,
                 "family_structure": True, "coverage": True}
@@ -249,15 +332,12 @@ def test_verify_exits_1_on_check_failure(capsys, monkeypatch):
 
 
 def test_verify_reports_tampered_family_structure(capsys, monkeypatch):
-    import qrpat.cli as cli
-
     build = cli.parabola_family
 
     def tampered(params):
         family = build(params)
         first, *rest = family.members
-        lifted = first.vertex_y + Fraction(params.m, params.frac.b ** 2)
-        return replace(family, members=(replace(first, vertex_y=lifted), *rest))
+        return replace(family, members=(first._replace(h=first.h + 1), *rest))
 
     monkeypatch.setattr(cli, "parabola_family", tampered)
     code, payload, _ = run_json(capsys, "verify", "--modulus", "997",

@@ -15,6 +15,7 @@ from qrpat import (
     covering_members,
     evaluate_parabola,
     family_structure,
+    farey_fractions,
     fraction_params,
     parabola_family,
     qr_mod,
@@ -164,21 +165,28 @@ def spacing_law(fam):
     )
 
 
+def neighbour_params(params):
+    """Params of the fraction after params.frac in F_b (before it, for 1/1)."""
+    farey = farey_fractions(params.frac.b)
+    k = farey.index(params.frac)
+    return fraction_params(params.m, farey[k + 1] if k + 1 < len(farey) else farey[k - 1])
+
+
 def tampered_families(fam):
-    m, b = fam.params.m, fam.params.frac.b
-    unit = Fraction(m, b * b)
+    b = fam.params.frac.b
     first, *rest = fam.members
 
     def with_first(**changes):
-        return replace(fam, members=(replace(first, **changes), *rest))
+        return replace(fam, members=(first._replace(**changes), *rest))
 
-    yield "y + m/b^2", with_first(vertex_y=first.vertex_y + unit)
-    yield "y + m/(2b^2)", with_first(vertex_y=first.vertex_y + unit / 2)
-    yield "y + m", with_first(vertex_y=first.vertex_y + m)
-    yield "x + 1", with_first(vertex_x=first.vertex_x + 1)
+    # h is an int, so the old half-unit tamper (vertex_y + m/(2b^2)) cannot be built.
+    yield "h + 1", with_first(h=first.h + 1)
+    yield "h - 1", with_first(h=first.h - 1)
+    yield "h + b^2", with_first(h=first.h + b * b)
+    yield "neighbour's params", with_first(params=neighbour_params(fam.params))
     yield "dropped", replace(fam, members=fam.members[:-1])
     yield "shifted", replace(fam, members=tuple(
-        replace(p, vertex_y=(p.vertex_y + unit) % m) for p in fam.members))
+        p._replace(h=(p.h + 1) % (b * b)) for p in fam.members))
     yield "reordered", replace(fam, members=(rest[0], first, *rest[1:]))
     yield "duplicated i", with_first(i=rest[0].i)
 

@@ -1,7 +1,10 @@
 """Generated-input checks of the anchor identity, lattice, coverage, vertex-height,
-layout and bundle claims."""
+predict JSON, layout and bundle claims."""
 
+import io
+import json
 import math
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -27,6 +30,7 @@ from qrpat import (  # noqa: E402
     vertex_heights,
     vertex_on_bundle,
 )
+from qrpat.cli import main  # noqa: E402
 from test_patterns import first_covered_mismatch, signature_by_squaring  # noqa: E402
 
 
@@ -95,6 +99,39 @@ def test_each_point_near_anchor_on_exactly_one_member(family):
         assert len(hits) == 1
         (p, j), = hits
         assert evaluate_parabola(p, j) == (x, pow(x, 2, m))
+
+
+@st.composite
+def edge_anchor_cases(draw):
+    """(m, a/b): b <= 60, a in {0, 1, b - 1, b} and in lowest terms, m from just
+    above b^2 up to 10^40."""
+    b = draw(st.integers(1, 60))
+    a = draw(st.sampled_from([0, 1, b - 1, b]).filter(lambda a: math.gcd(a, b) == 1))
+    return draw(moduli_above(b)), ReducedFraction(a, b)
+
+
+@settings(deadline=None, database=None)
+@given(edge_anchor_cases())
+def test_predict_json_pairs_are_the_reduced_vertices(case):
+    m, frac = case
+    a, b = frac.a, frac.b
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["predict", "--modulus", str(m), "--fraction", str(frac), "--json"]) == 0
+    payload = json.loads(out.getvalue())
+    params = fraction_params(m, frac)
+    members = parabola_family(params).members
+    assert len(payload["vertices"]) == len(members) == params.b_prime
+    x = Fraction(a * m, b)
+    for p, v in zip(members, payload["vertices"]):
+        y = Fraction(p.h * m, b * b)
+        assert (v["i"], v["a_prime"]) == (p.i, p.a_prime)
+        assert (v["x_num"], v["x_den"]) == (x.numerator, x.denominator)
+        assert (v["y_num"], v["y_den"]) == (y.numerator, y.denominator)
+        # the ordinate each member carried before heights became integers
+        old_y = Fraction(m * ((params.beta + p.a_prime * params.c * b) % (b * b)), b * b)
+        assert p.vertex_y == y == old_y
+        assert p.vertex_x == x
 
 
 @st.composite
