@@ -34,6 +34,8 @@ from .residues import ReducedFraction, farey_fractions, layout_period
 
 # Most family members one predict request lists (~230 B of JSON, ~1.1 KB of memory each).
 MAX_PREDICT_MEMBERS = 10**6
+# Most oracle points one verify request checks (about 0.7 µs each, so ~7 s).
+MAX_VERIFY_POINTS = 10**7
 
 
 def _fraction_arg(text: str) -> ReducedFraction:
@@ -98,19 +100,56 @@ def _predict_payload(m: int, frac: ReducedFraction) -> dict:
     }
 
 
-def _check_predict_size(fraction: ReducedFraction | None, max_d: int | None) -> None:
-    """Refuse a predict request of more than MAX_PREDICT_MEMBERS family members.
+def _farey_total(max_d: int, per_fraction, cap: int) -> int:
+    """Sum per_fraction(b) over every a/b of F_D, stopping once past cap.
 
-    Each a/b has b_prime members, and F_D holds the a in [0, b] prime to b
-    at each b <= D; the count goes b by b and stops once it passes the cap,
-    so it is bounded for any D and builds no F_D.
+    F_D holds the a in [0, b] prime to b at each b <= D, so the sum goes b
+    by b; stopping at the cap keeps it bounded for any D, and no F_D is built.
     """
-    members = 0
-    for b in (fraction.b,) if fraction is not None else range(1, max_d + 1):
-        count = 1 if fraction is not None else sum(gcd(a, b) == 1 for a in range(b + 1))
-        members += count * (b if b % 2 else b // 2)
-        if members > MAX_PREDICT_MEMBERS:
-            raise ValueError(f"predict exceeds the cap of {MAX_PREDICT_MEMBERS} family members")
+    total = 0
+    for b in range(1, max_d + 1):
+        total += sum(gcd(a, b) == 1 for a in range(b + 1)) * per_fraction(b)
+        if total > cap:
+            break
+    return total
+
+
+def _b_prime(b: int) -> int:
+    return b if b % 2 else b // 2
+
+
+def _window(m: int, b_prime: int, window: int | None) -> int:
+    """The oracle half-width: --window, or 3 * b_prime capped at (m - 1) // 2."""
+    return window if window is not None else min(3 * b_prime, (m - 1) // 2)
+
+
+def _check_predict_size(fraction: ReducedFraction | None, max_d: int | None) -> None:
+    """Refuse a predict request of more than MAX_PREDICT_MEMBERS family members
+    (b_prime members per a/b)."""
+    if fraction is not None:
+        members = _b_prime(fraction.b)
+    else:
+        members = _farey_total(max_d, _b_prime, MAX_PREDICT_MEMBERS)
+    if members > MAX_PREDICT_MEMBERS:
+        raise ValueError(f"predict exceeds the cap of {MAX_PREDICT_MEMBERS} family members")
+
+
+def _check_verify_size(m: int, max_d: int, window: int | None) -> None:
+    """Refuse a verify request of more than MAX_VERIFY_POINTS oracle points.
+
+    Each a/b checks at most min(2w + 1, m) points for its window w, and all
+    m when w = 0 (only m <= 2 by default).
+    """
+
+    def points(b: int) -> int:
+        w = _window(m, _b_prime(b), window)
+        return min(2 * w + 1, m) if w else m
+
+    total = _farey_total(max_d, points, MAX_VERIFY_POINTS)
+    if total > MAX_VERIFY_POINTS:
+        raise ValueError(
+            f"verify windows reach {total} oracle points, over the cap of {MAX_VERIFY_POINTS}"
+        )
 
 
 def _cmd_predict(args) -> int:
@@ -129,7 +168,7 @@ def _cmd_predict(args) -> int:
 def _fraction_report(m: int, frac: ReducedFraction, window: int | None) -> dict:
     params = fraction_params(m, frac)
     family = parabola_family(params)
-    span = window if window is not None else min(3 * params.b_prime, (m - 1) // 2)
+    span = _window(m, params.b_prime, window)
     # Only m = 2 admits no window (2 * window < m); its oracle is the whole plot.
     points = residues_near(m, frac, span) if span else [(x, x * x % m) for x in range(m)]
     # covering_members returns one (member, j) pair or [], so truth is "hit once".
@@ -145,6 +184,7 @@ def _fraction_report(m: int, frac: ReducedFraction, window: int | None) -> dict:
 def _cmd_verify(args) -> int:
     m, max_d = args.modulus, args.max_denominator
     check_denominator(m, max_d)
+    _check_verify_size(m, max_d, args.window)
     reports = [_fraction_report(m, frac, args.window) for frac in farey_fractions(max_d)]
 
     checks = {}

@@ -87,11 +87,15 @@ class BundleCurve:
 
 @dataclass
 class Scene:
-    """Normalized scatter points, vertex markers and bundle curves."""
+    """The scatter of x*x mod m, vertex markers and bundle curves on a canvas.
+
+    The scatter is given by its modulus alone (0: no scatter); write_svg
+    draws its m points (x/m, (x*x mod m)/m) straight from it.
+    """
 
     width: int
     height: int
-    points: list[tuple[float, float]] = field(default_factory=list)
+    modulus: int = 0
     curves: list[BundleCurve] = field(default_factory=list)
     markers: list[VertexMarker] = field(default_factory=list)
 
@@ -206,15 +210,15 @@ def overlay_predictions(
     bundle line in exact arithmetic (raising if the match fails); the
     drawn curves span every matched line index.  Uncovered denominators
     still get markers but no guaranteed curve.  Moduli above
-    MAX_SCENE_POINTS are refused before any point is listed.
+    MAX_SCENE_POINTS are refused before anything is built; the scene
+    holds the modulus, not its points.
     """
     check_denominator(m, max_denominator)
     if m > MAX_SCENE_POINTS:
         raise ValueError(f"scene of {m} scatter points exceeds the cap of {MAX_SCENE_POINTS}")
     s = bundle_parameter(m, period)
     covered = denominator_set(period, max_denominator)
-    scene = Scene(width, height)
-    scene.points = [(x / m, x * x % m / m) for x in range(m)]
+    scene = Scene(width, height, m)
     indices: set[int] = set()
     for frac in sorted(farey_fractions(max_denominator), key=ReducedFraction.sort_key):
         on_line: dict[int, int] = {}
@@ -262,48 +266,72 @@ def read_pgm(path) -> Canvas:
     return Canvas(width, height, bytearray(payload))
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.6f}"
+def _scatter(m: int, width: int, height: int) -> bytes:
+    """The m scatter squares, one <rect> line per x in [0, m).
+
+    Point x sits at (x/m*width, (1 - (x*x mod m)/m)*height - 1).  x and
+    m - x share a square, so only the ordinates of x <= m // 2 are
+    formatted and each is reused for its mirror; one % over a template
+    repeated m times then fills every <rect>.
+    """
+    half = m // 2 + 1
+    ys = (b"\n".join([b"%.6f"] * half)
+          % tuple([(1.0 - x * x % m / m) * height - 1.0 for x in range(half)])).split(b"\n")
+    ys += ys[(m + 1) // 2 - 1:0:-1]
+    values = [None] * (2 * m)
+    values[0::2] = [x / m * width for x in range(m)]
+    values[1::2] = ys
+    return b'<rect x="%.6f" y="%s" width="1" height="1"/>\n' * m % tuple(values)
+
+
+def _flipped(points: list[tuple[float, float]], width: int, height: int) -> tuple:
+    """x*width and (1 - y)*height of each point, interleaved for one bulk %."""
+    values = [None] * (2 * len(points))
+    values[0::2] = [x * width for x, _ in points]
+    values[1::2] = [(1.0 - y) * height for _, y in points]
+    return tuple(values)
 
 
 def write_svg(scene: Scene, path) -> None:
     """Write the scene as SVG 1.1.
 
-    Element order is fixed: scatter points (1-unit squares), then bundle
-    curves by ascending line index, then vertex markers (circles) by
-    (denominator, numerator, vertex index).  All coordinates carry
-    exactly six decimal digits, so equal scenes give identical bytes.
+    Element order is fixed: scatter points (1-unit squares, see _scatter),
+    then bundle curves by ascending line index, then vertex markers
+    (circles) by (denominator, numerator, vertex index).  All coordinates
+    carry exactly six decimal digits, so equal scenes give identical
+    bytes.  Each kind of element is formatted with one % over a repeated
+    template rather than point by point.
     """
     width, height = scene.width, scene.height
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
-        '<g fill="black">',
+    segments = [
+        segment
+        for curve in sorted(scene.curves, key=lambda c: c.n)
+        for segment in curve.segments
+        if len(segment) > 1
     ]
-    for x, y in scene.points:
-        parts.append(
-            f'<rect x="{_fmt(x * width)}" y="{_fmt((1.0 - y) * height - 1.0)}" '
-            'width="1" height="1"/>'
-        )
-    parts.append("</g>")
-    parts.append('<g fill="none" stroke="#1f77b4" stroke-width="0.75">')
-    for curve in sorted(scene.curves, key=lambda c: c.n):
-        for segment in curve.segments:
-            if len(segment) < 2:
-                continue
-            coords = " ".join(
-                f"{_fmt(x * width)},{_fmt((1.0 - y) * height)}" for x, y in segment
-            )
-            parts.append(f'<polyline points="{coords}"/>')
-    parts.append("</g>")
-    parts.append('<g fill="none" stroke="#d62728">')
-    for marker in sorted(scene.markers, key=lambda v: (v.b, v.a, v.k)):
-        parts.append(
-            f'<circle cx="{_fmt(marker.x * width)}" cy="{_fmt((1.0 - marker.y) * height)}" r="3"/>'
-        )
-    parts.append("</g>")
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as stream:
-        stream.write("\n".join(parts) + "\n")
+    polylines = b"".join(
+        [b'<polyline points="' + b" ".join([b"%.6f,%.6f"] * len(segment)) + b'"/>\n'
+         for segment in segments]
+    ) % _flipped([point for segment in segments for point in segment], width, height)
+    markers = [(v.x, v.y) for v in sorted(scene.markers, key=lambda v: (v.b, v.a, v.k))]
+    circles = b'<circle cx="%.6f" cy="%.6f" r="3"/>\n' * len(markers) % _flipped(
+        markers, width, height
+    )
+    header = (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">\n'
+        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>\n'
+        '<g fill="black">\n'
+    )
+    scatter = _scatter(scene.modulus, width, height) if scene.modulus else b""
+    with open(path, "wb") as stream:
+        stream.writelines([
+            header.encode(),
+            scatter,
+            b'</g>\n<g fill="none" stroke="#1f77b4" stroke-width="0.75">\n',
+            polylines,
+            b'</g>\n<g fill="none" stroke="#d62728">\n',
+            circles,
+            b"</g>\n</svg>\n",
+        ])

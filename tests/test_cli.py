@@ -7,13 +7,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from importlib.metadata import PackageNotFoundError, distribution, distributions
 from pathlib import Path
 
 import pytest
 
-from qrpat import ReducedFraction, cli, parabola, read_pgm, render
+from qrpat import ReducedFraction, cli, farey_fractions, parabola, read_pgm, render
 from qrpat.cli import main
 
 # stdout of `qrpat bundle --modulus 20179 --lambda-n 9 --max-denominator 9`.
@@ -309,6 +310,45 @@ def test_verify_oracle_over_the_cap_exits_2(capsys, monkeypatch):
     assert run(capsys, *argv) == (
         2, "", "error: oracle window of 51 points exceeds the cap of 50\n"
     )
+
+
+def test_verify_request_over_the_cap_exits_2(capsys, monkeypatch):
+    # Each a/b of F_9 plans 2 * 3 * b_prime + 1 points; a small cap stands in for the real one.
+    argv = ("verify", "--modulus", "997", "--max-denominator", "9")
+    planned = sum(6 * (f.b if f.b % 2 else f.b // 2) + 1 for f in farey_fractions(9))
+    monkeypatch.setattr(cli, "MAX_VERIFY_POINTS", planned)
+    assert run_json(capsys, *argv)[:1] == (0,)
+    monkeypatch.setattr(cli, "MAX_VERIFY_POINTS", planned - 1)
+    refused = f"error: verify windows reach {planned} oracle points, over the cap of {planned - 1}\n"
+    assert run(capsys, *argv) == (2, "", refused)
+
+    # 0/1 and 1/1 with a window of 10^9 are refused by their count alone:
+    # no window list is built.
+    def forbidden(*args):
+        raise AssertionError("oracle window built")
+
+    monkeypatch.setattr(cli, "residues_near", forbidden)
+    monkeypatch.setattr(cli, "MAX_VERIFY_POINTS", 10**9)
+    big = ("verify", "--modulus", str(10**40 + 1), "--max-denominator", "1")
+    assert run(capsys, *big, "--window", str(10**9)) == (
+        2, "", "error: verify windows reach 4000000002 oracle points, over the cap of 1000000000\n"
+    )
+
+
+def test_verify_real_cap_refuses_a_wide_request_at_once(capsys, monkeypatch):
+    # verify --max-denominator 1000 at m = 10^40 + 1 ran past a 10 s timeout before the cap.
+    def forbidden(*args):
+        raise AssertionError("F_D built")
+
+    monkeypatch.setattr(cli, "farey_fractions", forbidden)
+    started = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--modulus", str(10**40 + 1),
+                         "--max-denominator", "1000")
+    assert time.perf_counter() - started < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error: verify windows reach ")
+    assert err.endswith(f" oracle points, over the cap of {cli.MAX_VERIFY_POINTS}\n")
+    assert int(err.split()[4]) > cli.MAX_VERIFY_POINTS
 
 
 def test_verify_rejects_large_denominator(capsys):

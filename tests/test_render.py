@@ -9,9 +9,11 @@ import pytest
 
 from qrpat import render
 from qrpat import (
+    BundleCurve,
     Canvas,
     ReducedFraction,
     Scene,
+    VertexMarker,
     denominator_set,
     farey_fractions,
     fraction_params,
@@ -274,7 +276,7 @@ def test_sample_curve_degenerate_line():
 def test_overlay_markers_and_curves():
     m, max_d, period = 20179, 9, 5040
     scene = overlay_predictions(m, max_d, period, 800, 800)
-    assert len(scene.points) == m
+    assert scene.modulus == m
     expected_markers = 0
     for frac in farey_fractions(max_d):
         expected_markers += fraction_params(m, frac).b_prime
@@ -322,6 +324,7 @@ def test_svg_empty_scene_is_valid(tmp_path):
     text = path.read_text()
     assert text.startswith('<?xml version="1.0"')
     assert "<svg" in text and text.rstrip().endswith("</svg>")
+    assert path.read_bytes() == reference_svg(Scene(64, 64))
 
 
 def test_svg_deterministic_bytes(tmp_path):
@@ -351,6 +354,124 @@ def test_svg_golden_hash(tmp_path):
     path = tmp_path / "overlay.svg"
     write_svg(overlay_predictions(20179, 9, 5040, 800, 800), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SVG_20179
+
+
+def _fmt(value):
+    return f"{value:.6f}"
+
+
+def reference_svg(scene):
+    """The per-point writer: lists the m scatter points as (x/m, y) floats,
+    then formats each coordinate with its own f-string call."""
+    width, height, m = scene.width, scene.height, scene.modulus
+    points = [(x / m, x * x % m / m) for x in range(m)]
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
+        '<g fill="black">',
+    ]
+    for x, y in points:
+        parts.append(
+            f'<rect x="{_fmt(x * width)}" y="{_fmt((1.0 - y) * height - 1.0)}" '
+            'width="1" height="1"/>'
+        )
+    parts.append("</g>")
+    parts.append('<g fill="none" stroke="#1f77b4" stroke-width="0.75">')
+    for curve in sorted(scene.curves, key=lambda c: c.n):
+        for segment in curve.segments:
+            if len(segment) < 2:
+                continue
+            coords = " ".join(
+                f"{_fmt(x * width)},{_fmt((1.0 - y) * height)}" for x, y in segment
+            )
+            parts.append(f'<polyline points="{coords}"/>')
+    parts.append("</g>")
+    parts.append('<g fill="none" stroke="#d62728">')
+    for marker in sorted(scene.markers, key=lambda v: (v.b, v.a, v.k)):
+        parts.append(
+            f'<circle cx="{_fmt(marker.x * width)}" cy="{_fmt((1.0 - marker.y) * height)}" r="3"/>'
+        )
+    parts.append("</g>")
+    parts.append("</svg>")
+    return ("\n".join(parts) + "\n").encode()
+
+
+def svg_bytes(scene, tmp_path):
+    path = tmp_path / "scene.svg"
+    write_svg(scene, path)
+    return path.read_bytes()
+
+
+SVG_SIZES = [(16, 16), (17, 1000), (640, 480), (800, 800), (801, 33)]
+
+
+# Odd and even m; 320000 is a multiple of the 640- and 800-wide canvases.
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 415, 20179, 320000])
+@pytest.mark.parametrize("width, height", SVG_SIZES)
+def test_svg_scatter_matches_per_point_reference(m, width, height, tmp_path):
+    scene = Scene(width, height, m)
+    assert svg_bytes(scene, tmp_path) == reference_svg(scene)
+
+
+# m = k*width +- 1 puts x*width/m just off an integer for many x.
+@pytest.mark.parametrize("k", [1, 2, 25])
+@pytest.mark.parametrize("delta", [-1, 1])
+@pytest.mark.parametrize("width, height", SVG_SIZES)
+def test_svg_scatter_next_to_width_multiples(k, delta, width, height, tmp_path):
+    scene = Scene(width, height, k * width + delta)
+    assert svg_bytes(scene, tmp_path) == reference_svg(scene)
+
+
+def test_svg_overlay_and_one_point_segments_match_reference(tmp_path):
+    scene = overlay_predictions(20179, 9, 5040, 800, 800)
+    assert svg_bytes(scene, tmp_path) == reference_svg(scene)
+    # Two samples of a steep curve wrap at every step: one-point segments
+    # only, so no polyline is drawn, and a lone point between longer ones.
+    steep = sample_bundle_curve(7, 40, samples=2)
+    assert steep.segments and all(len(seg) == 1 for seg in steep.segments)
+    mixed = BundleCurve(-1, (((0.0, 0.25),), ((0.5, 0.0), (0.75, 0.5)), ((1.0, 0.125),)))
+    scene.curves = [mixed, steep, *scene.curves[:2]]
+    assert svg_bytes(scene, tmp_path) == reference_svg(scene)
+    scene.modulus = 0
+    assert svg_bytes(scene, tmp_path) == reference_svg(scene)
+
+
+@pytest.mark.skipif(given is None, reason="hypothesis is not installed")
+def test_svg_writer_matches_reference_on_generated_scenes(tmp_path):
+    unit = st.floats(0.0, 1.0)
+    curves = st.lists(
+        st.builds(sample_bundle_curve, st.integers(-50, 50), st.integers(-6, 6),
+                  st.integers(1, 40)),
+        max_size=4,
+    )
+    markers = st.lists(
+        st.builds(VertexMarker, st.integers(1, 9), st.integers(0, 9), st.integers(0, 8),
+                  unit, unit),
+        max_size=6,
+    )
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from((0, 1)) | st.integers(2, 5000), st.integers(16, 900),
+           st.integers(16, 900), curves, markers)
+    def check(m, width, height, curves, markers):
+        scene = Scene(width, height, m, curves, markers)
+        assert svg_bytes(scene, tmp_path) == reference_svg(scene)
+
+    check()
+
+
+def test_svg_writer_memory_stays_near_the_file_size(tmp_path):
+    path = tmp_path / "overlay.svg"
+    tracemalloc.start()
+    try:
+        write_svg(overlay_predictions(20179, 9, 5040, 800, 800), path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The per-point scene and writer peaked at 6.2 times the file.
+    assert peak < 5 * path.stat().st_size
 
 
 def test_svg_io_error_reports_path():
