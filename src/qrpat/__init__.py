@@ -1,88 +1,12 @@
 """qrpat: exact predictors and deterministic renderers for the parabola
 patterns of quadratic-residue plots."""
 
-from .parabola import (
-    FractionParams,
-    Parabola,
-    ParabolaFamily,
-    canonical_offsets,
-    check_denominator,
-    covering_members,
-    evaluate_parabola,
-    family_structure,
-    fraction_params,
-    parabola_family,
-    residues_near,
-    verify_identity,
-    vertex_heights,
-)
-from .patterns import (
-    LayoutComparison,
-    bundle_parameter,
-    check_period,
-    denominator_set,
-    layouts_equivalent,
-    vertex_on_bundle,
-)
-from .render import (
-    BundleCurve,
-    Canvas,
-    Scene,
-    VertexMarker,
-    overlay_predictions,
-    read_pgm,
-    render_scatter,
-    render_sum_squares,
-    sample_bundle_curve,
-    write_pgm,
-    write_svg,
-)
-from .residues import (
-    ReducedFraction,
-    balanced_residue,
-    check_modulus,
-    farey_fractions,
-    layout_period,
-    qr_mod,
-)
+from . import parabola, patterns, render, residues
+from .parabola import *  # noqa: F403
+from .patterns import *  # noqa: F403
+from .render import *  # noqa: F403
+from .residues import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BundleCurve",
-    "Canvas",
-    "FractionParams",
-    "LayoutComparison",
-    "Parabola",
-    "ParabolaFamily",
-    "ReducedFraction",
-    "Scene",
-    "VertexMarker",
-    "balanced_residue",
-    "bundle_parameter",
-    "canonical_offsets",
-    "check_denominator",
-    "check_modulus",
-    "check_period",
-    "covering_members",
-    "denominator_set",
-    "evaluate_parabola",
-    "family_structure",
-    "farey_fractions",
-    "fraction_params",
-    "layout_period",
-    "layouts_equivalent",
-    "overlay_predictions",
-    "parabola_family",
-    "qr_mod",
-    "read_pgm",
-    "render_scatter",
-    "render_sum_squares",
-    "residues_near",
-    "sample_bundle_curve",
-    "verify_identity",
-    "vertex_heights",
-    "vertex_on_bundle",
-    "write_pgm",
-    "write_svg",
-]
+__all__ = sorted({*residues.__all__, *parabola.__all__, *patterns.__all__, *render.__all__})

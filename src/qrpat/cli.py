@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 from itertools import starmap
 from math import gcd
 
@@ -30,9 +30,11 @@ from .patterns import (
     vertex_on_bundle,
 )
 from .render import overlay_predictions, render_scatter, render_sum_squares, write_pgm, write_svg
-from .residues import ReducedFraction, farey_fractions, layout_period
+from .residues import ReducedFraction, check_modulus, farey_fractions, layout_period
 
-# Most family members one predict request lists (~230 B of JSON, ~1.1 KB of memory each).
+# Most family members one predict request lists.  Entries are written one fraction
+# at a time, so this bounds time and output, not memory: about 3.4 µs and 230 B of
+# compact JSON (355 B indented) per member, so ~3.5 s and ~230 MB at the cap.
 MAX_PREDICT_MEMBERS = 10**6
 # Most oracle points one verify request checks (about 0.7 µs each, so ~7 s).
 MAX_VERIFY_POINTS = 10**7
@@ -52,11 +54,8 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _emit(payload, compact: bool = False) -> None:
-    if compact:
-        print(json.dumps(payload, separators=(",", ":")))
-    else:
-        print(json.dumps(payload, indent=2))
+def _emit(payload) -> None:
+    print(json.dumps(payload, indent=2))
 
 
 def _cmd_plot(args) -> int:
@@ -77,27 +76,43 @@ def _reduced(num: int, den: int) -> tuple[int, int]:
     return num // g, den // g
 
 
-def _predict_payload(m: int, frac: ReducedFraction) -> dict:
+def _predict_values(m: int, frac: ReducedFraction) -> tuple[int, ...]:
+    """Every integer of the predict entry for a/b, in output order."""
     params = fraction_params(m, frac)
     members = parabola_family(params).members
     x_num, x_den = _reduced(frac.a * m, frac.b)
     A, bb = params.b_prime ** 2, frac.b ** 2
-    return {
-        "modulus": m,
-        "fraction": {"a": frac.a, "b": frac.b},
-        "b_prime": params.b_prime,
-        "c": params.c,
-        "alpha": params.alpha,
-        "beta": params.beta,
-        "x0": params.x0,
-        "r0": params.r0,
-        "vertices": [
-            {"i": p.i, "a_prime": p.a_prime, "x_num": x_num, "x_den": x_den,
-             "y_num": y_num, "y_den": y_den}
-            for p in members for y_num, y_den in [_reduced(p.h * m, bb)]
-        ],
-        "coefficients": [{"i": p.i, "A": A, "B": p.B, "C": p.C} for p in members],
+    values = [m, frac.a, frac.b, params.b_prime, params.c, params.alpha, params.beta,
+              params.x0, params.r0]
+    for p in members:
+        values += (p.i, p.a_prime, x_num, x_den, *_reduced(p.h * m, bb))
+    for p in members:
+        values += (p.i, A, p.B, p.C)
+    return tuple(values)
+
+
+@lru_cache(maxsize=256)
+def _predict_template(members: int, indented: bool, listed: bool) -> str:
+    """The JSON of one predict entry with this many members, a %d per integer
+    in the order _predict_values gives them.
+
+    It is json.dumps of the entry's shape with "%d" for every value, so its
+    layout is json's; %d writes an int as json does.  Listed entries sit one
+    level deeper, which indents every line after the first two more spaces.
+    """
+    d = "%d"
+    shape = {
+        "modulus": d,
+        "fraction": {"a": d, "b": d},
+        **dict.fromkeys(("b_prime", "c", "alpha", "beta", "x0", "r0"), d),
+        "vertices": [dict.fromkeys(("i", "a_prime", "x_num", "x_den", "y_num", "y_den"), d)]
+        * members,
+        "coefficients": [dict.fromkeys(("i", "A", "B", "C"), d)] * members,
     }
+    if not indented:
+        return json.dumps(shape, separators=(",", ":")).replace('"%d"', d)
+    text = json.dumps(shape, indent=2).replace('"%d"', d)
+    return text.replace("\n", "\n  ") if listed else text
 
 
 def _farey_total(max_d: int, per_fraction, cap: int) -> int:
@@ -123,15 +138,27 @@ def _window(m: int, b_prime: int, window: int | None) -> int:
     return window if window is not None else min(3 * b_prime, (m - 1) // 2)
 
 
-def _check_predict_size(fraction: ReducedFraction | None, max_d: int | None) -> None:
-    """Refuse a predict request of more than MAX_PREDICT_MEMBERS family members
-    (b_prime members per a/b)."""
+def _check_predict(m: int, fraction: ReducedFraction | None, max_d: int | None) -> None:
+    """Refuse a predict request before it writes anything: more than
+    MAX_PREDICT_MEMBERS family members (b_prime per a/b), a modulus too
+    small for its largest denominator b, or an integer too long for str().
+
+    No printed integer exceeds b*b*m: y_num is at most h*m with h < b*b, and
+    x_num at most a*m with a <= b.
+    """
     if fraction is not None:
-        members = _b_prime(fraction.b)
+        b, members = fraction.b, _b_prime(fraction.b)
     else:
-        members = _farey_total(max_d, _b_prime, MAX_PREDICT_MEMBERS)
+        b, members = max_d, _farey_total(max_d, _b_prime, MAX_PREDICT_MEMBERS)
     if members > MAX_PREDICT_MEMBERS:
         raise ValueError(f"predict exceeds the cap of {MAX_PREDICT_MEMBERS} family members")
+    check_modulus(m)
+    check_denominator(m, b)
+    # Python before 3.10.7 has no limit (0 means none); 2**(3*limit) < 10**limit.
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    largest = b * b * m
+    if limit and largest.bit_length() > 3 * limit and largest >= 10**limit:
+        raise ValueError(f"predict output can exceed Python's limit of {limit} digits per integer")
 
 
 def _check_verify_size(m: int, max_d: int, window: int | None) -> None:
@@ -153,15 +180,24 @@ def _check_verify_size(m: int, max_d: int, window: int | None) -> None:
 
 
 def _cmd_predict(args) -> int:
+    """Write each fraction's entry as soon as its family is built, each
+    filled by one % over its template; of F_D only the fractions are held."""
     if (args.fraction is None) == (args.max_denominator is None):
         raise ValueError("provide exactly one of --fraction or --max-denominator")
-    _check_predict_size(args.fraction, args.max_denominator)
-    m = args.modulus
-    if args.fraction is not None:
-        payload = _predict_payload(m, args.fraction)
-    else:
-        payload = [_predict_payload(m, frac) for frac in farey_fractions(args.max_denominator)]
-    _emit(payload, compact=args.json)
+    m, fraction, indented = args.modulus, args.fraction, not args.json
+    _check_predict(m, fraction, args.max_denominator)
+    listed = fraction is None
+    write = sys.stdout.write
+    if listed:
+        write("[\n  " if indented else "[")
+    for k, frac in enumerate(farey_fractions(args.max_denominator) if listed else [fraction]):
+        values = _predict_values(m, frac)
+        if k:
+            write(",\n  " if indented else ",")
+        write(_predict_template(_b_prime(frac.b), indented, listed) % values)
+    if listed:
+        write("\n]" if indented else "]")
+    write("\n")
     return 0
 
 

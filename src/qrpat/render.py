@@ -35,6 +35,9 @@ __all__ = [
 CURVE_SAMPLES = 1024
 MAX_PIXELS = 10**8  # largest raster canvas (one byte per pixel); larger is refused
 MAX_SCENE_POINTS = 10**6  # largest SVG scatter (one point per residue); larger is refused
+# Most squares one render_scatter computes, (m + 1) // 2 in either mode (about 0.2 µs
+# each, so ~10 s); larger is refused.
+MAX_SCATTER_SQUARES = 5 * 10**7
 
 
 @dataclass
@@ -116,10 +119,16 @@ def render_scatter(m: int, width: int, height: int, half_range: bool = True) -> 
     x*width.  Those g = gcd(m, width) edge points x = k*m/g each open
     their column and mirror one column further right, so the column loop
     skips them and draws each in its own column afterwards.
+
+    Either mode squares about (m + 1) // 2 of the x; more than
+    MAX_SCATTER_SQUARES is refused before the canvas is allocated.
     """
     check_modulus(m)
     if width < 16 or height < 16:
         raise ValueError(f"canvas must be at least 16x16, got {width}x{height}")
+    squares = (m + 1) // 2
+    if squares > MAX_SCATTER_SQUARES:
+        raise ValueError(f"scatter of {squares} squares exceeds the cap of {MAX_SCATTER_SQUARES}")
     canvas = Canvas.blank(width, height)
     mirror = not half_range
     if mirror:

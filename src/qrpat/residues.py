@@ -22,6 +22,11 @@ __all__ = [
     "qr_mod",
 ]
 
+# Largest lambda-n layout_period accepts: layout_period(9000) has 3,902 digits
+# (under Python's 4,300-digit int-to-str limit, so equiv and bundle can print
+# it) and takes about 0.04 s; the period has about 0.434*n digits.
+MAX_LAMBDA_N = 9000
+
 
 def check_modulus(m: int) -> int:
     """Validate a plot modulus (any integer >= 2)."""
@@ -110,8 +115,10 @@ def layout_period(n: int) -> int:
 
     Moduli congruent modulo this period place their residue parabolas
     identically for every anchor denominator the period covers (see
-    ``qrpat.patterns.denominator_set``).
+    ``qrpat.patterns.denominator_set``).  n above MAX_LAMBDA_N is refused.
     """
     if n < 2:
         raise ValueError(f"layout period needs lambda-n >= 2, got {n}")
+    if n > MAX_LAMBDA_N:
+        raise ValueError(f"layout period needs lambda-n <= {MAX_LAMBDA_N}, got {n}")
     return 2 * math.lcm(*range(2, n + 1))

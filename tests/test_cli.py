@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from qrpat import ReducedFraction, cli, farey_fractions, parabola, read_pgm, render
+from qrpat import ReducedFraction, cli, farey_fractions, parabola, read_pgm, render, residues
 from qrpat.cli import main
 
 # stdout of `qrpat bundle --modulus 20179 --lambda-n 9 --max-denominator 9`.
@@ -76,6 +76,47 @@ GOLDEN_PREDICT = {
 }
 
 
+def predict_payload(m, frac):
+    """The predict entry for a/b as a dict, as the CLI built it before it streamed."""
+    params = parabola.fraction_params(m, frac)
+    members = parabola.parabola_family(params).members
+    x = fractions.Fraction(frac.a * m, frac.b)
+    return {
+        "modulus": m,
+        "fraction": {"a": frac.a, "b": frac.b},
+        "b_prime": params.b_prime,
+        "c": params.c,
+        "alpha": params.alpha,
+        "beta": params.beta,
+        "x0": params.x0,
+        "r0": params.r0,
+        "vertices": [
+            {"i": p.i, "a_prime": p.a_prime, "x_num": x.numerator, "x_den": x.denominator,
+             "y_num": y.numerator, "y_den": y.denominator}
+            for p in members for y in [fractions.Fraction(p.h * m, frac.b ** 2)]
+        ],
+        "coefficients": [{"i": p.i, "A": p.A, "B": p.B, "C": p.C} for p in members],
+    }
+
+
+def predict_argv(m, selector, compact):
+    """predict argv for F_D at an int selector D, else for the one fraction."""
+    flag = "--max-denominator" if isinstance(selector, int) else "--fraction"
+    return ["predict", "--modulus", str(m), flag, str(selector)] + ["--json"] * compact
+
+
+def predict_reference(m, selector, compact):
+    """The byte reference for predict stdout: json.dumps of the whole payload,
+    a list over F_D for an int selector D, else the entry of one fraction."""
+    if isinstance(selector, int):
+        payload = [predict_payload(m, frac) for frac in farey_fractions(selector)]
+    else:
+        payload = predict_payload(m, selector)
+    if compact:
+        return json.dumps(payload, separators=(",", ":")) + "\n"
+    return json.dumps(payload, indent=2) + "\n"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -118,6 +159,35 @@ def test_plot_io_error_exits_3(tmp_path, capsys):
                        "--out", str(tmp_path / "missing" / "x.pgm"))
     assert code == 3
     assert "x.pgm" in err
+
+
+@pytest.mark.parametrize("half", ["--half", "--no-half"])
+def test_scatter_over_the_square_cap_exits_2(tmp_path, capsys, monkeypatch, half):
+    # m = 101 squares (101 + 1) // 2 = 51 x in either mode; a small cap stands in.
+    out = tmp_path / "s.pgm"
+    argv = ("plot", "--modulus", "101", "--width", "32", "--height", "32", half, "--out", str(out))
+    monkeypatch.setattr(render, "MAX_SCATTER_SQUARES", 51)
+    assert run(capsys, *argv) == (0, "", "")
+    out.unlink()
+    monkeypatch.setattr(render, "MAX_SCATTER_SQUARES", 50)
+    assert run(capsys, *argv) == (2, "", "error: scatter of 51 squares exceeds the cap of 50\n")
+    assert not out.exists()
+
+
+def test_scatter_real_cap_refuses_a_huge_modulus_at_once(tmp_path, capsys, monkeypatch):
+    # plot --modulus 10^12 at 800x800 ran past a 20 s timeout before the cap.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("canvas allocated")
+
+    monkeypatch.setattr(render.Canvas, "blank", forbidden)
+    out = tmp_path / "s.pgm"
+    started = time.perf_counter()
+    assert run(capsys, "plot", "--modulus", str(10**12), "--out", str(out)) == (
+        2, "", f"error: scatter of {5 * 10**11} squares exceeds the cap of "
+        f"{render.MAX_SCATTER_SQUARES}\n"
+    )
+    assert time.perf_counter() - started < 1.0
+    assert not out.exists()
 
 
 def test_grid_known_pixels(tmp_path, capsys):
@@ -204,9 +274,17 @@ def test_predict_rejects_unreduced_fraction(capsys):
 
 
 def test_predict_rejects_small_modulus(capsys):
-    code, _, err = run(capsys, "predict", "--modulus", "10", "--fraction", "1/7")
-    assert code == 2
-    assert "exceed" in err
+    assert run(capsys, "predict", "--modulus", "10", "--fraction", "1/7") == (
+        2, "", "error: modulus 10 must exceed 7^2 = 49\n"
+    )
+    # 0/1 and every b < 10 allow m = 100, so a writer that checked each
+    # fraction as it went would print part of the array first.
+    assert run(capsys, "predict", "--modulus", "100", "--max-denominator", "28", "--json") == (
+        2, "", "error: modulus 100 must exceed 28^2 = 784\n"
+    )
+    assert run(capsys, "predict", "--modulus", "1", "--max-denominator", "3") == (
+        2, "", "error: modulus must be an integer >= 2, got 1\n"
+    )
 
 
 def test_predict_needs_exactly_one_selector(capsys):
@@ -222,6 +300,51 @@ def test_predict_stdout_golden_hash(capsys, argv):
     code, out, err = run(capsys, "predict", *argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_PREDICT[argv]
+
+
+@pytest.mark.parametrize("compact", [False, True])
+@pytest.mark.parametrize("m, selector", [
+    (20171, 9),
+    (10**38 + 39, 28),
+    (10**40 + 1, 28),
+    (785, 28),
+    (5, 2),
+    (2, 1),
+    (3601, ReducedFraction(7, 60)),
+    (3601, ReducedFraction(59, 60)),
+    (10**40 + 1, ReducedFraction(1, 59)),
+    (20171, ReducedFraction(0, 1)),
+    (20171, ReducedFraction(1, 1)),
+])
+def test_predict_streams_the_json_dumps_bytes(capsys, m, selector, compact):
+    expected = predict_reference(m, selector, compact)
+    assert run(capsys, *predict_argv(m, selector, compact)) == (0, expected, "")
+
+
+def test_predict_past_the_digit_limit_exits_2_before_any_byte(capsys, monkeypatch):
+    # No printed integer exceeds b^2 * m for the largest b, and Python will not
+    # write an int of more digits than its limit.
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 60)
+    m = str(10**58 + 7)
+    assert run(capsys, "predict", "--modulus", m, "--max-denominator", "10", "--json") == (
+        2, "", "error: predict output can exceed Python's limit of 60 digits per integer\n"
+    )
+    # at 1/3 the bound 9 * m has 59 digits
+    code, out, err = run(capsys, "predict", "--modulus", m, "--fraction", "1/3", "--json")
+    assert (code, err) == (0, "")
+    assert out == predict_reference(int(m), ReducedFraction(1, 3), True)
+
+
+def test_predict_at_pythons_digit_limit_exits_2_before_any_byte(capsys):
+    # The default limit is 4300 digits; a writer without the up-front check
+    # printed 4,506 bytes of this answer before the int-to-str error.
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("int-to-str conversion is unlimited here")
+    m = str(10 ** (limit - 1) + 7)
+    assert run(capsys, "predict", "--modulus", m, "--max-denominator", "10", "--json") == (
+        2, "", f"error: predict output can exceed Python's limit of {limit} digits per integer\n"
+    )
 
 
 def test_predict_over_the_cap_exits_2(capsys, monkeypatch):
@@ -436,6 +559,36 @@ def test_lambda_n_one_exits_2_with_one_line(capsys, argv):
     assert run(capsys, *argv, "--lambda-n", "1") == (
         2, "", "error: layout period needs lambda-n >= 2, got 1\n"
     )
+
+
+@pytest.mark.parametrize("argv", [
+    ["equiv", "--m1", "20179", "--m2", "25219"],
+    ["bundle", "--modulus", "20179"],
+])
+def test_lambda_n_over_the_cap_exits_2_at_once(capsys, monkeypatch, argv):
+    # --lambda-n 10^6 ran past a 60 s timeout in lcm(2..n) before the cap.
+    def forbidden(*args):
+        raise AssertionError("layout period computed")
+
+    monkeypatch.setattr(residues.math, "lcm", forbidden)
+    started = time.perf_counter()
+    assert run(capsys, *argv, "--lambda-n", "1000000") == (
+        2, "", "error: layout period needs lambda-n <= 9000, got 1000000\n"
+    )
+    assert time.perf_counter() - started < 1.0
+
+
+def test_lambda_n_at_the_cap_prints_its_period(capsys):
+    # 2 * lcm(2..9000) has 3,902 digits, under Python's int-to-str limit.
+    assert residues.MAX_LAMBDA_N == 9000
+    code, payload, _ = run_json(capsys, "equiv", "--m1", "20179", "--m2", "25219",
+                                "--lambda-n", "9000")
+    assert code == 0
+    assert payload["lambda"] == residues.layout_period(9000)
+    assert len(str(payload["lambda"])) == 3902
+    code, payload, _ = run_json(capsys, "bundle", "--modulus", "20179", "--lambda-n", "9000")
+    assert code == 0
+    assert payload["lambda"] == residues.layout_period(9000)
 
 
 def test_bundle_reference_modulus(tmp_path, capsys):

@@ -1,5 +1,5 @@
 """Generated-input checks of the anchor identity, lattice, coverage, vertex-height,
-predict JSON, layout and bundle claims."""
+predict JSON (against the json.dumps byte reference), layout and bundle claims."""
 
 import io
 import json
@@ -31,6 +31,7 @@ from qrpat import (  # noqa: E402
     vertex_on_bundle,
 )
 from qrpat.cli import main  # noqa: E402
+from test_cli import predict_argv, predict_reference  # noqa: E402
 from test_patterns import first_covered_mismatch, signature_by_squaring  # noqa: E402
 
 
@@ -132,6 +133,26 @@ def test_predict_json_pairs_are_the_reduced_vertices(case):
         old_y = Fraction(m * ((params.beta + p.a_prime * params.c * b) % (b * b)), b * b)
         assert p.vertex_y == y == old_y
         assert p.vertex_x == x
+
+
+@st.composite
+def predict_requests(draw):
+    """(m, selector): a whole F_D with D <= 12, or one a/b with b <= 60 and a in
+    {0, 1, b - 1, b}; m from just above the largest b^2 up to 10^40."""
+    if draw(st.booleans()):
+        max_d = draw(st.integers(1, 12))
+        return draw(moduli_above(max_d)), max_d
+    return draw(edge_anchor_cases())
+
+
+@settings(deadline=None, database=None)
+@given(predict_requests(), st.booleans())
+def test_streamed_predict_is_json_dumps_of_the_payload(case, compact):
+    m, selector = case
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(predict_argv(m, selector, compact)) == 0
+    assert out.getvalue() == predict_reference(m, selector, compact)
 
 
 @st.composite
