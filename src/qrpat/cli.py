@@ -21,21 +21,18 @@ from .parabola import (
     fraction_params,
     parabola_family,
     residues_near,
+    stride,
     verify_identity,
 )
-from .patterns import (
-    bundle_parameter,
-    denominator_set,
-    layouts_equivalent,
-    vertex_on_bundle,
-)
+from .patterns import bundle_matches, bundle_parameter, layouts_equivalent
 from .render import overlay_predictions, render_scatter, render_sum_squares, write_pgm, write_svg
 from .residues import ReducedFraction, check_modulus, farey_fractions, layout_period
 
-# Most family members one predict request lists.  Entries are written one fraction
-# at a time, so this bounds time and output, not memory: about 3.4 µs and 230 B of
-# compact JSON (355 B indented) per member, so ~3.5 s and ~230 MB at the cap.
-MAX_PREDICT_MEMBERS = 10**6
+# Most family members (b_prime per a/b) one predict or bundle request lists.  predict
+# streams them, ~3.4 µs and 230 B of compact JSON (355 B indented) each: ~3.5 s and
+# ~230 MB at the cap.  bundle holds its whole answer, a vertex and an SVG marker per
+# member: near the cap ~10 s and ~870 MB peak RSS, ~18 s and a 106 MB SVG with --out.
+MAX_MEMBERS = 10**6
 # Most oracle points one verify request checks (about 0.7 µs each, so ~7 s).
 MAX_VERIFY_POINTS = 10**7
 
@@ -48,7 +45,11 @@ def _fraction_arg(text: str) -> ReducedFraction:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError as exc:
+        # int's message names Python's digit limit where argparse's would echo every digit
+        raise argparse.ArgumentTypeError(str(exc)) from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
     return value
@@ -129,8 +130,14 @@ def _farey_total(max_d: int, per_fraction, cap: int) -> int:
     return total
 
 
-def _b_prime(b: int) -> int:
-    return b if b % 2 else b // 2
+def _check_members(command: str, max_d: int | None, frac: ReducedFraction | None = None) -> None:
+    """Refuse more than MAX_MEMBERS family members: b_prime for frac, or summed over F_D."""
+    if frac is not None:
+        members = stride(frac.b)[0]
+    else:
+        members = _farey_total(max_d, lambda b: stride(b)[0], MAX_MEMBERS)
+    if members > MAX_MEMBERS:
+        raise ValueError(f"{command} exceeds the cap of {MAX_MEMBERS} family members")
 
 
 def _window(m: int, b_prime: int, window: int | None) -> int:
@@ -140,18 +147,14 @@ def _window(m: int, b_prime: int, window: int | None) -> int:
 
 def _check_predict(m: int, fraction: ReducedFraction | None, max_d: int | None) -> None:
     """Refuse a predict request before it writes anything: more than
-    MAX_PREDICT_MEMBERS family members (b_prime per a/b), a modulus too
-    small for its largest denominator b, or an integer too long for str().
+    MAX_MEMBERS family members, a modulus too small for its largest
+    denominator b, or an integer too long for str().
 
     No printed integer exceeds b*b*m: y_num is at most h*m with h < b*b, and
     x_num at most a*m with a <= b.
     """
-    if fraction is not None:
-        b, members = fraction.b, _b_prime(fraction.b)
-    else:
-        b, members = max_d, _farey_total(max_d, _b_prime, MAX_PREDICT_MEMBERS)
-    if members > MAX_PREDICT_MEMBERS:
-        raise ValueError(f"predict exceeds the cap of {MAX_PREDICT_MEMBERS} family members")
+    b = max_d if fraction is None else fraction.b
+    _check_members("predict", max_d, fraction)
     check_modulus(m)
     check_denominator(m, b)
     # Python before 3.10.7 has no limit (0 means none); 2**(3*limit) < 10**limit.
@@ -169,7 +172,7 @@ def _check_verify_size(m: int, max_d: int, window: int | None) -> None:
     """
 
     def points(b: int) -> int:
-        w = _window(m, _b_prime(b), window)
+        w = _window(m, stride(b)[0], window)
         return min(2 * w + 1, m) if w else m
 
     total = _farey_total(max_d, points, MAX_VERIFY_POINTS)
@@ -194,7 +197,7 @@ def _cmd_predict(args) -> int:
         values = _predict_values(m, frac)
         if k:
             write(",\n  " if indented else ",")
-        write(_predict_template(_b_prime(frac.b), indented, listed) % values)
+        write(_predict_template(stride(frac.b)[0], indented, listed) % values)
     if listed:
         write("\n]" if indented else "]")
     write("\n")
@@ -264,34 +267,22 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_bundle(args) -> int:
+    """Match each covered vertex of F_D once, then write the SVG, the warnings and
+    the JSON from those matches, so every refusal comes before any output."""
     period = layout_period(args.lambda_n)
     m, max_d = args.modulus, args.max_denominator
-    check_denominator(m, max_d)
-    covered = denominator_set(period, max_d)
-    per_fraction = []
-    skipped = []
-    indices: set[int] = set()
-    for frac in sorted(farey_fractions(max_d), key=ReducedFraction.sort_key):
-        if frac.b not in covered:
-            print(
-                f"warning: skipping {frac}: denominator {frac.b} is not covered "
-                f"by period {period}",
-                file=sys.stderr,
-            )
-            skipped.append({"a": frac.a, "b": frac.b})
-            continue
-        pairs = vertex_on_bundle(m, period, frac)
-        indices.update(n for _, n in pairs)
-        per_fraction.append(
-            {
-                "a": frac.a,
-                "b": frac.b,
-                "vertices": [{"k": k, "n": n} for k, n in pairs],
-            }
-        )
+    _check_members("bundle", max_d)
+    matches = bundle_matches(m, period, max_d)
     if args.out:
-        scene = overlay_predictions(m, max_d, period, args.width, args.height)
-        write_svg(scene, args.out)
+        write_svg(overlay_predictions(m, period, matches, args.width, args.height), args.out)
+    skipped = [frac for frac, pairs in matches if pairs is None]
+    for frac in skipped:
+        print(
+            f"warning: skipping {frac}: denominator {frac.b} is not covered "
+            f"by period {period}",
+            file=sys.stderr,
+        )
+    matched = [(frac, pairs) for frac, pairs in matches if pairs is not None]
     _emit(
         {
             "modulus": m,
@@ -299,9 +290,16 @@ def _cmd_bundle(args) -> int:
             "lambda": period,
             "s": bundle_parameter(m, period),
             "max_denominator": max_d,
-            "line_indices": sorted(indices),
-            "fractions": per_fraction,
-            "skipped": skipped,
+            "line_indices": sorted({n for _, pairs in matched for _, n in pairs}),
+            "fractions": [
+                {
+                    "a": frac.a,
+                    "b": frac.b,
+                    "vertices": [{"k": k, "n": n} for k, n in pairs],
+                }
+                for frac, pairs in matched
+            ],
+            "skipped": [{"a": frac.a, "b": frac.b} for frac in skipped],
         }
     )
     return 0

@@ -33,6 +33,7 @@ __all__ = [
     "fraction_params",
     "parabola_family",
     "residues_near",
+    "stride",
     "verify_identity",
     "vertex_heights",
 ]
@@ -53,8 +54,8 @@ class FractionParams:
         b*b * r0 == beta * m + alpha*alpha
 
     which holds whenever m > b*b / 4 (guaranteed here by the stronger
-    construction guard m > b*b).  b_prime is the lattice stride of the
-    family (b for odd b, b/2 for even b) and c == b // b_prime.
+    construction guard m > b*b).  (b_prime, c) is ``stride(b)``: b_prime
+    is the lattice stride of the family and c == b // b_prime.
     """
 
     m: int
@@ -119,6 +120,11 @@ def check_denominator(m: int, b: int) -> int:
     return m
 
 
+def stride(b: int) -> tuple[int, int]:
+    """(b_prime, c) at b: the lattice stride b (odd b) or b/2 (even b), and c = b // b_prime."""
+    return (b, 1) if b % 2 else (b // 2, 2)
+
+
 def _anchor(m: int, frac: ReducedFraction) -> tuple[int, int]:
     """(alpha, x0): balanced remainder of a*m mod b and the anchor integer."""
     alpha = balanced_residue(frac.a * m, frac.b)
@@ -137,8 +143,7 @@ def fraction_params(m: int, frac: ReducedFraction) -> FractionParams:
     alpha, x0 = _anchor(m, frac)
     r0 = x0 * x0 % m
     beta = (a * a * m - 2 * a * alpha) % (b * b)
-    b_prime = b if b % 2 else b // 2
-    return FractionParams(m, frac, b_prime, b // b_prime, alpha, beta, x0, r0)
+    return FractionParams(m, frac, *stride(b), alpha, beta, x0, r0)
 
 
 def verify_identity(params: FractionParams) -> bool:

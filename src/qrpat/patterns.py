@@ -15,11 +15,12 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .parabola import check_denominator, fraction_params, vertex_heights
-from .residues import ReducedFraction
+from .parabola import check_denominator, fraction_params, stride, vertex_heights
+from .residues import ReducedFraction, farey_fractions
 
 __all__ = [
     "LayoutComparison",
+    "bundle_matches",
     "bundle_parameter",
     "check_period",
     "denominator_set",
@@ -40,15 +41,17 @@ class LayoutComparison(NamedTuple):
     witness: ReducedFraction | None
 
 
+BundleMatch = tuple[ReducedFraction, list[tuple[int, int]] | None]
+
+
 def _covered(b: int, period: int) -> bool:
-    return period % b == 0 if b % 2 else period % (2 * b) == 0
+    return period % (stride(b)[1] * b) == 0
 
 
 def denominator_set(period: int, max_b: int) -> frozenset[int]:
     """The denominators up to max_b whose family layout the period pins down.
 
-    b belongs when b divides the period (odd b) or 2*b divides it
-    (even b); equivalently c*b divides the period.
+    b belongs when c*b divides the period, with c from ``stride(b)``.
     """
     check_period(period)
     if max_b < 1:
@@ -73,14 +76,34 @@ def layouts_equivalent(
     m1 == m2 (mod c*b).  On a mismatch the witness is 1/b for the
     smallest such b: b = 1 never fails, and 1 is the smallest numerator
     at every b >= 2.
+
+    The lcm of every covered c*b is the period if 4 divides it, else half
+    of it; if that divides m1 - m2 no b fails.  Else b walks up from 1 to
+    the first failure, a prime power: if b fails, p^(v+1) divides c*b with
+    v = v_p(m1 - m2), so p^(v+1) (odd p) or 2^max(1, v) (p = 2) is covered,
+    fails and is at most b.  At the period 2*lcm(2..n) those are <= n.
     """
-    dset = denominator_set(period, max_denominator)
+    check_period(period)
+    if max_denominator < 1:
+        raise ValueError(f"max_denominator must be >= 1, got {max_denominator}")
     check_denominator(m1, max_denominator)
     check_denominator(m2, max_denominator)
-    for b in sorted(dset):
-        if (m1 - m2) % (b if b % 2 else 2 * b):
-            return LayoutComparison(False, ReducedFraction(1, b))
+    if (m1 - m2) % (period if period % 4 == 0 else period // 2):
+        for b in range(1, max_denominator + 1):
+            if _covered(b, period) and (m1 - m2) % (stride(b)[1] * b):
+                return LayoutComparison(False, ReducedFraction(1, b))
     return LayoutComparison(True, None)
+
+
+def bundle_matches(m: int, period: int, max_denominator: int) -> list[BundleMatch]:
+    """Every a/b of F_D in (b, a) order with its ``vertex_on_bundle`` pairs,
+    or None where the period does not cover b; m must exceed D^2."""
+    check_denominator(m, max_denominator)
+    check_period(period)
+    return [
+        (frac, vertex_on_bundle(m, period, frac) if _covered(frac.b, period) else None)
+        for frac in sorted(farey_fractions(max_denominator), key=ReducedFraction.sort_key)
+    ]
 
 
 def bundle_parameter(m: int, period: int) -> int:

@@ -13,9 +13,9 @@ import re
 from dataclasses import dataclass, field
 from math import gcd
 
-from .parabola import check_denominator, fraction_params, vertex_heights
-from .patterns import bundle_parameter, denominator_set, vertex_on_bundle
-from .residues import ReducedFraction, check_modulus, farey_fractions
+from .parabola import fraction_params, vertex_heights
+from .patterns import BundleMatch, bundle_parameter
+from .residues import check_modulus
 
 __all__ = [
     "BundleCurve",
@@ -211,29 +211,18 @@ def sample_bundle_curve(s: int, n: int, samples: int = CURVE_SAMPLES) -> BundleC
 
 
 def overlay_predictions(
-    m: int, max_denominator: int, period: int, width: int, height: int
+    m: int, period: int, matches: list[BundleMatch], width: int, height: int
 ) -> Scene:
     """Scene with the full scatter, predicted vertices and bundle curves.
 
-    Vertices whose denominator is covered by the period are matched to a
-    bundle line in exact arithmetic (raising if the match fails); the
-    drawn curves span every matched line index.  Uncovered denominators
-    still get markers but no guaranteed curve.  Moduli above
-    MAX_SCENE_POINTS are refused before anything is built; the scene
-    holds the modulus, not its points.
+    matches is ``bundle_matches(m, period, D)``.  Every vertex gets a
+    marker, carrying its line index n when it has one; the drawn curves
+    span every matched n.  The scene holds the modulus, not its points.
     """
-    check_denominator(m, max_denominator)
-    if m > MAX_SCENE_POINTS:
-        raise ValueError(f"scene of {m} scatter points exceeds the cap of {MAX_SCENE_POINTS}")
     s = bundle_parameter(m, period)
-    covered = denominator_set(period, max_denominator)
     scene = Scene(width, height, m)
-    indices: set[int] = set()
-    for frac in sorted(farey_fractions(max_denominator), key=ReducedFraction.sort_key):
-        on_line: dict[int, int] = {}
-        if frac.b in covered:
-            on_line = dict(vertex_on_bundle(m, period, frac))
-            indices.update(on_line.values())
+    for frac, pairs in matches:
+        on_line = dict(pairs or ())
         for k, h in enumerate(vertex_heights(fraction_params(m, frac))):
             scene.markers.append(
                 VertexMarker(
@@ -245,7 +234,7 @@ def overlay_predictions(
                     line_index=on_line.get(k),
                 )
             )
-    n_max = max((abs(n) for n in indices), default=0)
+    n_max = max((abs(n) for _, pairs in matches for _, n in pairs or ()), default=0)
     scene.curves = [sample_bundle_curve(s, n) for n in range(-n_max, n_max + 1)]
     return scene
 
@@ -281,8 +270,11 @@ def _scatter(m: int, width: int, height: int) -> bytes:
     Point x sits at (x/m*width, (1 - (x*x mod m)/m)*height - 1).  x and
     m - x share a square, so only the ordinates of x <= m // 2 are
     formatted and each is reused for its mirror; one % over a template
-    repeated m times then fills every <rect>.
+    repeated m times then fills every <rect>.  More than MAX_SCENE_POINTS
+    points are refused before anything is formatted.
     """
+    if m > MAX_SCENE_POINTS:
+        raise ValueError(f"scene of {m} scatter points exceeds the cap of {MAX_SCENE_POINTS}")
     half = m // 2 + 1
     ys = (b"\n".join([b"%.6f"] * half)
           % tuple([(1.0 - x * x % m / m) * height - 1.0 for x in range(half)])).split(b"\n")
@@ -309,7 +301,7 @@ def write_svg(scene: Scene, path) -> None:
     (circles) by (denominator, numerator, vertex index).  All coordinates
     carry exactly six decimal digits, so equal scenes give identical
     bytes.  Each kind of element is formatted with one % over a repeated
-    template rather than point by point.
+    template rather than point by point, and all before the file is opened.
     """
     width, height = scene.width, scene.height
     segments = [

@@ -14,8 +14,18 @@ from pathlib import Path
 
 import pytest
 
-from qrpat import ReducedFraction, cli, farey_fractions, parabola, read_pgm, render, residues
+from qrpat import (
+    ReducedFraction,
+    cli,
+    farey_fractions,
+    parabola,
+    patterns,
+    read_pgm,
+    render,
+    residues,
+)
 from qrpat.cli import main
+from test_render import GOLDEN_SVG_20179
 
 # stdout of `qrpat bundle --modulus 20179 --lambda-n 9 --max-denominator 9`.
 GOLDEN_BUNDLE_20179 = "116345aa72c8b824aa0aed30064a2e3e49af0d63df2ebaf9ad489dc473fac066"
@@ -350,14 +360,14 @@ def test_predict_at_pythons_digit_limit_exits_2_before_any_byte(capsys):
 def test_predict_over_the_cap_exits_2(capsys, monkeypatch):
     # F_28 has 3,709 members; a small cap stands in for the real one.
     argv = ("predict", "--modulus", "785", "--max-denominator", "28", "--json")
-    monkeypatch.setattr(cli, "MAX_PREDICT_MEMBERS", 3709)
+    monkeypatch.setattr(cli, "MAX_MEMBERS", 3709)
     code, payload, _ = run_json(capsys, *argv)
     assert (code, sum(f["b_prime"] for f in payload)) == (0, 3709)
     refused = (2, "", "error: predict exceeds the cap of 3708 family members\n")
-    monkeypatch.setattr(cli, "MAX_PREDICT_MEMBERS", 3708)
+    monkeypatch.setattr(cli, "MAX_MEMBERS", 3708)
     assert run(capsys, *argv) == refused
     # one fraction has b_prime members: 14 at 27/28 and 27 at 1/27
-    monkeypatch.setattr(cli, "MAX_PREDICT_MEMBERS", 14)
+    monkeypatch.setattr(cli, "MAX_MEMBERS", 14)
     assert run(capsys, "predict", "--modulus", "785", "--fraction", "27/28")[0] == 0
     assert run(capsys, "predict", "--modulus", "785", "--fraction", "1/27") == (
         2, "", "error: predict exceeds the cap of 14 family members\n"
@@ -551,6 +561,35 @@ def test_equiv_rejects_lambda_n_one(capsys):
     assert "lambda-n" in err
 
 
+M40 = 10**40 + 1
+PERIOD_9000 = residues.layout_period(9000)
+
+
+@pytest.mark.parametrize("m2, witness", [
+    (M40 + 1, {"a": 1, "b": 2}),
+    (M40 + 7 * PERIOD_9000, None),
+    # every prime power of the period divides period / 8191 except 8191 itself
+    (M40 + PERIOD_9000 // 8191, {"a": 1, "b": 8191}),
+])
+def test_equiv_at_a_huge_max_denominator_answers_at_once(capsys, m2, witness):
+    # A loop over every b <= D (as denominator_set makes) would never end at D = 10^19.
+    started = time.perf_counter()
+    code, payload, err = run_json(capsys, "equiv", "--m1", str(M40), "--m2", str(m2),
+                                  "--lambda-n", "9000", "--max-denominator", str(10**19))
+    assert time.perf_counter() - started < 1.0
+    assert (code, err) == (0, "")
+    assert (payload["equivalent"], payload["witness"]) == (witness is None, witness)
+
+
+def test_equiv_small_moduli_at_a_huge_max_denominator_exit_2_at_once(capsys):
+    # The moduli were checked only after an O(D) loop: over 20 s at D = 10^11.
+    started = time.perf_counter()
+    assert run(capsys, "equiv", "--m1", "5", "--m2", "7", "--max-denominator", str(10**11)) == (
+        2, "", "error: modulus 5 must exceed 100000000000^2 = 10000000000000000000000\n"
+    )
+    assert time.perf_counter() - started < 1.0
+
+
 @pytest.mark.parametrize("argv", [
     ["equiv", "--m1", "20179", "--m2", "25219"],
     ["bundle", "--modulus", "20179"],
@@ -640,6 +679,91 @@ def test_bundle_skips_uncovered_denominators(capsys):
     assert {f["b"] for f in payload["skipped"]} == {11}
     assert len(payload["skipped"]) == 10
     assert err.count("warning") == 10
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap module.name so that each call adds one to the returned list's only entry."""
+    calls = [0]
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_bundle_out_matches_each_vertex_once(tmp_path, capsys, monkeypatch):
+    # The overlay matched every covered fraction a second time: 58 calls against 29.
+    calls = count_calls(monkeypatch, patterns, "vertex_on_bundle")
+    out = tmp_path / "fig.svg"
+    code, stdout, err = run(capsys, "bundle", "--modulus", "20179", "--out", str(out))
+    assert (code, err, calls[0]) == (0, "", 29)
+    assert hashlib.sha256(stdout.encode()).hexdigest() == GOLDEN_BUNDLE_20179
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SVG_20179
+
+
+@pytest.mark.parametrize("modulus, cap", [("2000003", None), ("20179", 20178)])
+def test_refused_bundle_out_prints_one_line_and_no_warning(tmp_path, capsys, monkeypatch,
+                                                           modulus, cap):
+    # At --lambda-n 3, 22 of F_9's fractions are uncovered: a refused --out used to
+    # print their 22 warnings before its error.
+    if cap is not None:
+        monkeypatch.setattr(render, "MAX_SCENE_POINTS", cap)
+    out = tmp_path / "x.svg"
+    assert run(capsys, "bundle", "--modulus", modulus, "--lambda-n", "3",
+               "--max-denominator", "9", "--out", str(out)) == (
+        2, "", f"error: scene of {modulus} scatter points exceeds the cap of "
+               f"{render.MAX_SCENE_POINTS}\n"
+    )
+    assert not out.exists()
+
+
+def test_bundle_over_the_member_cap_exits_2(tmp_path, capsys, monkeypatch):
+    # F_9 has 151 members, which is also the overlay's marker count.
+    argv = ["bundle", "--modulus", "20179", "--lambda-n", "3", "--out", str(tmp_path / "o.svg")]
+    monkeypatch.setattr(cli, "MAX_MEMBERS", 151)
+    code, _, err = run(capsys, *argv)
+    assert (code, err.count("warning")) == (0, 22)
+    monkeypatch.setattr(cli, "MAX_MEMBERS", 150)
+    calls = count_calls(monkeypatch, patterns, "vertex_on_bundle")
+    (tmp_path / "o.svg").unlink()
+    assert run(capsys, *argv) == (2, "", "error: bundle exceeds the cap of 150 family members\n")
+    assert calls[0] == 0 and not (tmp_path / "o.svg").exists()
+
+
+@pytest.mark.parametrize("lambda_n, max_d", [("400", "200"), ("2", "1500"), ("9", str(10**11))])
+def test_bundle_real_member_cap_refuses_at_once(capsys, monkeypatch, lambda_n, max_d):
+    # Uncapped, 400/200 (1,362,855 members) took 13.9 s and 1.1 GB, and 2/1500
+    # printed 684,180 warning lines.
+    def forbidden(*args):
+        raise AssertionError("vertex matched")
+
+    monkeypatch.setattr(patterns, "vertex_on_bundle", forbidden)
+    started = time.perf_counter()
+    assert run(capsys, "bundle", "--modulus", str(M40), "--lambda-n", lambda_n,
+               "--max-denominator", max_d) == (
+        2, "", "error: bundle exceeds the cap of 1000000 family members\n"
+    )
+    assert time.perf_counter() - started < 1.0
+
+
+@pytest.mark.parametrize("flag", ["--modulus", "--max-denominator"])
+def test_integer_past_pythons_digit_limit_names_flag_and_limit(capsys, flag):
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("int-from-str conversion is unlimited here")
+    argv = {"--modulus": "20179", "--max-denominator": "9", flag: "9" * (limit + 1)}
+    with pytest.raises(SystemExit) as exc:
+        main(["predict", *(part for pair in argv.items() for part in pair)])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    last = err.splitlines()[-1]
+    assert last.startswith(f"qrpat predict: error: argument {flag}: ")
+    assert f"({limit} digits)" in last
+    # argparse used to echo all of the digits back
+    assert "9" * 64 not in err and len(err) < 500
 
 
 def test_python_dash_m_from_source_checkout():

@@ -20,6 +20,7 @@ from qrpat import (
     parabola_family,
     qr_mod,
     residues_near,
+    stride,
     verify_identity,
 )
 
@@ -53,6 +54,15 @@ def test_params_even_denominator():
 def test_params_zero_fraction():
     p = fraction_params(977, ReducedFraction(0, 1))
     assert (p.b_prime, p.c, p.alpha, p.x0, p.beta, p.r0) == (1, 1, 0, 0, 0, 0)
+
+
+def test_stride_is_the_lattice_stride_and_c():
+    # b_prime = b for odd b and b/2 for even b; c*b is 2b for even b.
+    for b in range(1, 61):
+        b_prime, c = stride(b)
+        assert b_prime == (b if b % 2 else b // 2) and c * b_prime == b
+        p = fraction_params(b * b + 1, ReducedFraction(1, b))
+        assert (p.b_prime, p.c) == (b_prime, c)
 
 
 def test_params_reject_small_modulus():

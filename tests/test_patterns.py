@@ -9,6 +9,7 @@ import pytest
 from qrpat import (
     LayoutComparison,
     ReducedFraction,
+    bundle_matches,
     bundle_parameter,
     denominator_set,
     farey_fractions,
@@ -183,6 +184,17 @@ def test_layouts_equivalent_random_congruent_pairs():
         t = rng.randrange(1, 1000)
         result = layouts_equivalent(m1, m1 + t * PERIOD_9, PERIOD_9, 18)
         assert result.equivalent
+
+
+def test_bundle_matches_pairs_every_covered_fraction_in_b_a_order():
+    matches = bundle_matches(20179, PERIOD_9, 11)
+    assert [frac for frac, _ in matches] == sorted(farey_fractions(11),
+                                                   key=ReducedFraction.sort_key)
+    for frac, pairs in matches:
+        # 11 is the only b <= 11 that 5040 leaves uncovered
+        assert pairs == (None if frac.b == 11 else vertex_on_bundle(20179, PERIOD_9, frac))
+    with pytest.raises(ValueError, match="must exceed 11"):
+        bundle_matches(121, PERIOD_9, 11)
 
 
 def test_bundle_parameter_reference_values():

@@ -11,7 +11,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from qrpat import (  # noqa: E402
@@ -192,11 +192,13 @@ def test_vertex_heights_match_family_and_lie_on_bundle(case):
 
 @st.composite
 def equiv_cases(draw):
-    """(m1, m2, period, D): D <= 60, any lambda-n up to 60, m1 from just above D^2
-    up to 10^40, and m2 congruent to m1 modulo the period, shifted by a little,
-    unrelated, or congruent modulo period / q for some q in 2..lambda-n."""
-    max_d = draw(st.integers(1, 60))
-    lambda_n = draw(st.integers(2, 60))
+    """(m1, m2, period, D): lambda-n up to 40, D <= 60 drawn as often above
+    lambda-n (where layouts_equivalent answers a congruent pair without a
+    walk) as at or below it, m1 from just above D^2 up to 10^40, and m2
+    congruent to m1 modulo the period, shifted by a little, unrelated, or
+    congruent modulo period / q for some q in 2..lambda-n."""
+    lambda_n = draw(st.integers(2, 40))
+    max_d = draw(st.integers(1, lambda_n) | st.integers(lambda_n + 1, 60))
     period = layout_period(lambda_n)
     m1 = draw(moduli_above(max_d))
     kind = draw(st.sampled_from(["congruent", "shifted", "unrelated", "partial"]))
@@ -214,6 +216,11 @@ def equiv_cases(draw):
 
 @settings(deadline=None, database=None)
 @given(equiv_cases())
+# D above lambda-n: a congruent pair, one first failing at the odd prime power b = 11
+# (period / 11 has no factor 11) and one at b = 2^v_2(12) = 4 (period 2*lcm(2..4) = 24).
+@example((20179, 20179 + 3 * 5040, 5040, 18))
+@example((10**40 + 1, 10**40 + 1 + 55440 // 11, 55440, 30))
+@example((1000, 1012, 24, 10))
 def test_layouts_equivalent_is_equal_signatures_over_covered_b(case):
     m1, m2, period, max_d = case
     witness = first_covered_mismatch(

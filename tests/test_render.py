@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from qrpat import (
     ReducedFraction,
     Scene,
     VertexMarker,
+    bundle_matches,
     denominator_set,
     farey_fractions,
     fraction_params,
@@ -30,7 +32,7 @@ from qrpat import (
 # must be deliberate and re-locked.
 GOLDEN_PLOT_20171 = "04c9a8845a373c41a3c23508bb5bc3ed17d136bdfe5d47aa69273a2d254cd1dd"
 GOLDEN_GRID_415 = "63377b669e2929b855a64d58a4a56fa758b12187a55a19d0c8c10c0fcd683413"
-# overlay_predictions(20179, 9, 5040, 800, 800) written by write_svg.
+# The overlay of bundle_matches(20179, 5040, 9) on 800x800, written by write_svg.
 GOLDEN_SVG_20179 = "ef80894ea61d39ecb0a690e1976f951869eabcbb3fffa78f59b70ce232312803"
 
 try:
@@ -275,7 +277,7 @@ def test_sample_curve_degenerate_line():
 
 def test_overlay_markers_and_curves():
     m, max_d, period = 20179, 9, 5040
-    scene = overlay_predictions(m, max_d, period, 800, 800)
+    scene = overlay_predictions(m, period, bundle_matches(m, period, max_d), 800, 800)
     assert scene.modulus == m
     expected_markers = 0
     for frac in farey_fractions(max_d):
@@ -298,7 +300,7 @@ def test_overlay_markers_and_curves():
 def test_overlay_degenerate_bundle_is_straight():
     # m a multiple of the period gives s = 0: every curve is the wrapped
     # straight line Y = 2nX mod 1 through the rational vertices
-    scene = overlay_predictions(25200, 3, 5040, 640, 640)
+    scene = overlay_predictions(25200, 5040, bundle_matches(25200, 5040, 3), 640, 640)
     samples = 1024
     for curve in scene.curves:
         for segment in curve.segments:
@@ -308,14 +310,14 @@ def test_overlay_degenerate_bundle_is_straight():
 
 
 def test_overlay_smallest_denominators_only():
-    scene = overlay_predictions(977, 1, 5040, 640, 640)
+    scene = overlay_predictions(977, 5040, bundle_matches(977, 5040, 1), 640, 640)
     assert [(mk.b, mk.a, mk.k) for mk in scene.markers] == [(1, 0, 0), (1, 1, 0)]
     assert {(mk.x, mk.y) for mk in scene.markers} == {(0.0, 0.0), (1.0, 0.0)}
 
 
 def test_overlay_rejects_small_modulus():
     with pytest.raises(ValueError):
-        overlay_predictions(80, 9, 5040, 640, 640)
+        overlay_predictions(80, 5040, bundle_matches(80, 5040, 9), 640, 640)
 
 
 def test_svg_empty_scene_is_valid(tmp_path):
@@ -328,7 +330,7 @@ def test_svg_empty_scene_is_valid(tmp_path):
 
 
 def test_svg_deterministic_bytes(tmp_path):
-    scene = overlay_predictions(415, 4, 24, 320, 320)
+    scene = overlay_predictions(415, 24, bundle_matches(415, 24, 4), 320, 320)
     first = tmp_path / "a.svg"
     second = tmp_path / "b.svg"
     write_svg(scene, first)
@@ -337,7 +339,7 @@ def test_svg_deterministic_bytes(tmp_path):
 
 
 def test_svg_element_order_and_precision(tmp_path):
-    scene = overlay_predictions(415, 3, 24, 320, 320)
+    scene = overlay_predictions(415, 24, bundle_matches(415, 24, 3), 320, 320)
     path = tmp_path / "o.svg"
     write_svg(scene, path)
     text = path.read_text()
@@ -352,7 +354,7 @@ def test_svg_element_order_and_precision(tmp_path):
 
 def test_svg_golden_hash(tmp_path):
     path = tmp_path / "overlay.svg"
-    write_svg(overlay_predictions(20179, 9, 5040, 800, 800), path)
+    write_svg(overlay_predictions(20179, 5040, bundle_matches(20179, 5040, 9), 800, 800), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SVG_20179
 
 
@@ -425,7 +427,7 @@ def test_svg_scatter_next_to_width_multiples(k, delta, width, height, tmp_path):
 
 
 def test_svg_overlay_and_one_point_segments_match_reference(tmp_path):
-    scene = overlay_predictions(20179, 9, 5040, 800, 800)
+    scene = overlay_predictions(20179, 5040, bundle_matches(20179, 5040, 9), 800, 800)
     assert svg_bytes(scene, tmp_path) == reference_svg(scene)
     # Two samples of a steep curve wrap at every step: one-point segments
     # only, so no polyline is drawn, and a lone point between longer ones.
@@ -466,12 +468,30 @@ def test_svg_writer_memory_stays_near_the_file_size(tmp_path):
     path = tmp_path / "overlay.svg"
     tracemalloc.start()
     try:
-        write_svg(overlay_predictions(20179, 9, 5040, 800, 800), path)
+        write_svg(overlay_predictions(20179, 5040, bundle_matches(20179, 5040, 9), 800, 800), path)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     # The per-point scene and writer peaked at 6.2 times the file.
     assert peak < 5 * path.stat().st_size
+
+
+def test_svg_writer_refuses_a_scene_over_the_cap_before_opening(tmp_path, monkeypatch):
+    # The cap sat in overlay_predictions, so a scene built by hand went unchecked.
+    path = tmp_path / "big.svg"
+    started = time.perf_counter()
+    message = r"^scene of 1000000000 scatter points exceeds the cap of 1000000$"
+    with pytest.raises(ValueError, match=message):
+        write_svg(Scene(64, 64, 10**9), path)
+    assert time.perf_counter() - started < 1.0
+    assert not path.exists()
+    monkeypatch.setattr(render, "MAX_SCENE_POINTS", 415)
+    write_svg(Scene(64, 64, 415), path)
+    assert path.read_bytes() == reference_svg(Scene(64, 64, 415))
+    path.unlink()
+    with pytest.raises(ValueError, match="scene of 416 scatter points exceeds the cap of 415"):
+        write_svg(Scene(64, 64, 416), path)
+    assert not path.exists()
 
 
 def test_svg_io_error_reports_path():
