@@ -29,9 +29,8 @@ from .render import overlay_predictions, render_scatter, render_sum_squares, wri
 from .residues import ReducedFraction, check_modulus, farey_fractions, layout_period
 
 # Most family members (b_prime per a/b) one predict or bundle request lists.  predict
-# streams them, ~3.4 µs and 230 B of compact JSON (355 B indented) each: ~3.5 s and
-# ~230 MB at the cap.  bundle holds its whole answer, a vertex and an SVG marker per
-# member: near the cap ~10 s and ~870 MB peak RSS, ~18 s and a 106 MB SVG with --out.
+# streams them, ~3.4 µs and 230 B of compact JSON each (~3.5 s and ~230 MB at the cap);
+# bundle holds its whole answer, ~10 s and ~800 MB peak RSS near the cap (see README).
 MAX_MEMBERS = 10**6
 # Most oracle points one verify request checks (about 0.7 µs each, so ~7 s).
 MAX_VERIFY_POINTS = 10**7
@@ -275,14 +274,20 @@ def _cmd_bundle(args) -> int:
     matches = bundle_matches(m, period, max_d)
     if args.out:
         write_svg(overlay_predictions(m, period, matches, args.width, args.height), args.out)
-    skipped = [frac for frac, pairs in matches if pairs is None]
-    for frac in skipped:
-        print(
-            f"warning: skipping {frac}: denominator {frac.b} is not covered "
-            f"by period {period}",
-            file=sys.stderr,
+    fractions, skipped = [], []
+    for i, (frac, pairs) in enumerate(matches):
+        matches[i] = None  # frees each pair list once its dict is built
+        if pairs is None:
+            print(
+                f"warning: skipping {frac}: denominator {frac.b} is not covered "
+                f"by period {period}",
+                file=sys.stderr,
+            )
+            skipped.append({"a": frac.a, "b": frac.b})
+            continue
+        fractions.append(
+            {"a": frac.a, "b": frac.b, "vertices": [{"k": k, "n": n} for k, n in pairs]}
         )
-    matched = [(frac, pairs) for frac, pairs in matches if pairs is not None]
     _emit(
         {
             "modulus": m,
@@ -290,16 +295,9 @@ def _cmd_bundle(args) -> int:
             "lambda": period,
             "s": bundle_parameter(m, period),
             "max_denominator": max_d,
-            "line_indices": sorted({n for _, pairs in matched for _, n in pairs}),
-            "fractions": [
-                {
-                    "a": frac.a,
-                    "b": frac.b,
-                    "vertices": [{"k": k, "n": n} for k, n in pairs],
-                }
-                for frac, pairs in matched
-            ],
-            "skipped": [{"a": frac.a, "b": frac.b} for frac in skipped],
+            "line_indices": sorted({v["n"] for f in fractions for v in f["vertices"]}),
+            "fractions": fractions,
+            "skipped": skipped,
         }
     )
     return 0

@@ -48,14 +48,18 @@ def _covered(b: int, period: int) -> bool:
     return period % (stride(b)[1] * b) == 0
 
 
+def _check_bound(period: int, max_denominator: int) -> None:
+    check_period(period)
+    if max_denominator < 1:
+        raise ValueError(f"max_denominator must be >= 1, got {max_denominator}")
+
+
 def denominator_set(period: int, max_b: int) -> frozenset[int]:
     """The denominators up to max_b whose family layout the period pins down.
 
     b belongs when c*b divides the period, with c from ``stride(b)``.
     """
-    check_period(period)
-    if max_b < 1:
-        raise ValueError(f"max_b must be >= 1, got {max_b}")
+    _check_bound(period, max_b)
     return frozenset(b for b in range(1, max_b + 1) if _covered(b, period))
 
 
@@ -83,14 +87,13 @@ def layouts_equivalent(
     v = v_p(m1 - m2), so p^(v+1) (odd p) or 2^max(1, v) (p = 2) is covered,
     fails and is at most b.  At the period 2*lcm(2..n) those are <= n.
     """
-    check_period(period)
-    if max_denominator < 1:
-        raise ValueError(f"max_denominator must be >= 1, got {max_denominator}")
+    _check_bound(period, max_denominator)
     check_denominator(m1, max_denominator)
     check_denominator(m2, max_denominator)
     if (m1 - m2) % (period if period % 4 == 0 else period // 2):
         for b in range(1, max_denominator + 1):
-            if _covered(b, period) and (m1 - m2) % (stride(b)[1] * b):
+            cb = stride(b)[1] * b
+            if period % cb == 0 and (m1 - m2) % cb:
                 return LayoutComparison(False, ReducedFraction(1, b))
     return LayoutComparison(True, None)
 

@@ -300,10 +300,11 @@ def write_svg(scene: Scene, path) -> None:
     then bundle curves by ascending line index, then vertex markers
     (circles) by (denominator, numerator, vertex index).  All coordinates
     carry exactly six decimal digits, so equal scenes give identical
-    bytes.  Each kind of element is formatted with one % over a repeated
-    template rather than point by point, and all before the file is opened.
+    bytes.  Each kind is formatted with one % over a repeated template, the
+    scatter (and so its cap) first and all before the file is opened.
     """
     width, height = scene.width, scene.height
+    scatter = _scatter(scene.modulus, width, height) if scene.modulus else b""
     segments = [
         segment
         for curve in sorted(scene.curves, key=lambda c: c.n)
@@ -325,7 +326,6 @@ def write_svg(scene: Scene, path) -> None:
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>\n'
         '<g fill="black">\n'
     )
-    scatter = _scatter(scene.modulus, width, height) if scene.modulus else b""
     with open(path, "wb") as stream:
         stream.writelines([
             header.encode(),

@@ -1,14 +1,17 @@
 """Exact arithmetic primitives for quadratic-residue pattern analysis.
 
 Everything here is pure and exact: Python integers are unbounded, so
-squaring never overflows for any modulus width, and an anchor fraction
-is a pair of integers in lowest terms.
+squaring never overflows for any modulus width, and rational values are
+carried as ``fractions.Fraction`` instances, which stay reduced with a
+positive denominator and support the mod-m / mod-1 reductions the
+predictors rely on (``r % m`` yields the representative in [0, m)).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 __all__ = [
     "ReducedFraction",
@@ -61,6 +64,9 @@ class ReducedFraction:
         except ValueError:
             raise ValueError(f"cannot parse fraction {text!r}") from None
         return cls(a, b)
+
+    def value(self) -> Fraction:
+        return Fraction(self.a, self.b)
 
     def sort_key(self) -> tuple[int, int]:
         """Order by denominator first, then numerator: simplest fractions first."""

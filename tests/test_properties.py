@@ -192,13 +192,13 @@ def test_vertex_heights_match_family_and_lie_on_bundle(case):
 
 @st.composite
 def equiv_cases(draw):
-    """(m1, m2, period, D): lambda-n up to 40, D <= 60 drawn as often above
-    lambda-n (where layouts_equivalent answers a congruent pair without a
-    walk) as at or below it, m1 from just above D^2 up to 10^40, and m2
-    congruent to m1 modulo the period, shifted by a little, unrelated, or
-    congruent modulo period / q for some q in 2..lambda-n."""
-    lambda_n = draw(st.integers(2, 40))
-    max_d = draw(st.integers(1, lambda_n) | st.integers(lambda_n + 1, 60))
+    """(m1, m2, period, D): lambda-n up to 60, D <= 60 drawn at or below
+    lambda-n or, where lambda-n < 60, above it (where layouts_equivalent
+    answers a congruent pair without a walk), m1 from just above D^2 up to
+    10^40, and m2 congruent to m1 modulo the period, shifted by a little,
+    unrelated, or congruent modulo period / q for some q in 2..lambda-n."""
+    lambda_n = draw(st.integers(2, 60))
+    max_d = draw(st.integers(1, lambda_n) | st.integers(min(lambda_n + 1, 60), 60))
     period = layout_period(lambda_n)
     m1 = draw(moduli_above(max_d))
     kind = draw(st.sampled_from(["congruent", "shifted", "unrelated", "partial"]))

@@ -494,6 +494,22 @@ def test_svg_writer_refuses_a_scene_over_the_cap_before_opening(tmp_path, monkey
     assert not path.exists()
 
 
+def test_refused_svg_formats_no_curve_or_marker(tmp_path, monkeypatch):
+    # The scatter, and so its cap, came after every polyline and circle was formatted.
+    def formatted(*args):
+        raise AssertionError("a curve or marker was formatted before the scene cap")
+
+    scene = overlay_predictions(20179, 5040, bundle_matches(20179, 5040, 9), 800, 800)
+    assert scene.curves and scene.markers
+    monkeypatch.setattr(render, "_flipped", formatted)
+    monkeypatch.setattr(render, "MAX_SCENE_POINTS", 20178)
+    path = tmp_path / "x.svg"
+    message = "^scene of 20179 scatter points exceeds the cap of 20178$"
+    with pytest.raises(ValueError, match=message):
+        write_svg(scene, path)
+    assert not path.exists()
+
+
 def test_svg_io_error_reports_path():
     scene = Scene(64, 64)
     with pytest.raises(OSError):

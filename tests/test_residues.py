@@ -126,7 +126,7 @@ def test_farey_matches_brute_enumeration():
         got = farey_fractions(n)
         assert got == brute_farey(n)
         assert len(got) == len(set(got))
-        values = [Fraction(f.a, f.b) for f in got]
+        values = [f.value() for f in got]
         assert values == sorted(values)
 
 
