@@ -32,6 +32,7 @@ GOLDEN_BUNDLE_20179 = "116345aa72c8b824aa0aed30064a2e3e49af0d63df2ebaf9ad489dc47
 
 # A 39-digit modulus for the `equiv` goldens at --max-denominator 40; layout_period(40) = 10685862914126400.
 M39 = "123456789012345678901234567890123456789"
+M40 = 10**40 + 1
 
 # SHA-256 of `qrpat equiv <argv>` stdout.
 GOLDEN_EQUIV = {
@@ -83,6 +84,42 @@ GOLDEN_PREDICT = {
         "088d17eaa49c6111f3775dfebf799b4ba08ad2f3fe634da8b10b613b7e1ae216",
     ("--modulus", "5", "--max-denominator", "2"):
         "7d504a98ed436c1966fef3557cab22b296c9346c3589dcc8bd9fd99fdbd0aae9",
+}
+
+
+# Each wraps the cli-bound check so that it fails some fractions: identity at
+# a = 1, the structure law at even b, and coverage at every point of b = 3.
+TAMPERS = {
+    "verify_identity": lambda check: lambda params: params.frac.a != 1 and check(params),
+    "family_structure": lambda check: lambda family: family.params.frac.b % 2 and check(family),
+    "covering_members": lambda find: lambda family, x, r: (
+        [] if family.params.frac.b == 3 else find(family, x, r)),
+}
+ALL_TAMPERS = tuple(TAMPERS)
+
+# SHA-256 of `qrpat verify <argv>` stdout with the named TAMPERS applied, which
+# pins the order of the failures; recorded before verify became one pass.
+GOLDEN_VERIFY = {
+    ((), ("--modulus", "2", "--max-denominator", "1")):
+        "372fa0db140112758fa32c353adda5bd8d4efc52ff09481ce8231f9416b5b548",
+    ((), ("--modulus", "3", "--max-denominator", "1")):
+        "04c4e314dfbc9f1d755f3b16f23e840e5ee38c65351e636518be9190fe352a29",
+    ((), ("--modulus", "5", "--max-denominator", "2")):
+        "400b1fe552633282f4224dddb6e2b8ff1412c4eb100070b52b8d94568c7a5648",
+    ((), ("--modulus", "20171", "--max-denominator", "9", "--window", "50")):
+        "1895984a9ebb8187800b9199dc8c74547345c1acc731cb013109c335f652d642",
+    ((), ("--modulus", str(M40), "--max-denominator", "8")):
+        "d1a536341863f18a1b77af6796b6f5918b41ef1523a143f82a07c635fdecc7a5",
+    (("verify_identity",), ("--modulus", "997", "--max-denominator", "5")):
+        "16764d47cfa9ff812132fbb8dad36bad79c17e5a0ceae5ce2084c61da5ba45f1",
+    (("family_structure",), ("--modulus", "997", "--max-denominator", "5")):
+        "df3fffe8506e312e1140a1f2ea0f95c9ec5dd365a815d790dfd2bf65ad5da9de",
+    (("covering_members",), ("--modulus", "997", "--max-denominator", "5")):
+        "de6c021d6dab24d76f97cf299bc0bc6d2e6565388e9bc57a3edd25cb66734663",
+    (ALL_TAMPERS, ("--modulus", "997", "--max-denominator", "5")):
+        "f69457ef0a23827bf6e38dba4489213446373641d8622fc816f2904c8b646df2",
+    (ALL_TAMPERS, ("--modulus", "20171", "--max-denominator", "9", "--window", "50")):
+        "ca91fc73e49a5e87c76c1894f90f7faa125572eaa1ec46876f5d79a8af55c307",
 }
 
 
@@ -417,6 +454,14 @@ def test_verify_reference_modulus(capsys):
         assert counts["failed"] == 0
 
 
+@pytest.mark.parametrize("tampered, argv", list(GOLDEN_VERIFY))
+def test_verify_stdout_golden_hash(capsys, monkeypatch, tampered, argv):
+    for name in tampered:
+        monkeypatch.setattr(cli, name, TAMPERS[name](getattr(cli, name)))
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, err) == (1 if tampered else 0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY[tampered, argv]
+
 def test_verify_small_modulus_default_window(capsys):
     code, payload, _ = run_json(capsys, "verify", "--modulus", "101",
                                 "--max-denominator", "9")
@@ -561,7 +606,6 @@ def test_equiv_rejects_lambda_n_one(capsys):
     assert "lambda-n" in err
 
 
-M40 = 10**40 + 1
 PERIOD_9000 = residues.layout_period(9000)
 
 
