@@ -12,7 +12,7 @@ import json
 import sys
 from functools import cache, lru_cache, partial
 from itertools import starmap
-from math import gcd
+from math import gcd, isqrt
 
 from .parabola import (
     check_denominator,
@@ -28,9 +28,10 @@ from .patterns import bundle_matches, bundle_parameter, layouts_equivalent
 from .render import overlay_predictions, render_scatter, render_sum_squares, write_pgm, write_svg
 from .residues import ReducedFraction, check_modulus, farey_fractions, layout_period
 
-# Most family members (b_prime per a/b) one predict or bundle request lists.  predict
-# streams them, ~3.4 µs and 230 B of compact JSON each (~3.5 s and ~230 MB at the cap);
-# bundle holds its whole answer, ~10 s and ~800 MB peak RSS near the cap (see README).
+# Most family members (b_prime per a/b) one predict, bundle or verify request builds.
+# predict streams them, ~3.4 µs and 230 B of compact JSON each (~3.5 s and ~230 MB at
+# the cap); bundle holds its whole answer, ~10 s and ~800 MB peak RSS near the cap;
+# verify checks them, ~2.6 s with --window 1 and ~11 s by default (see README).
 MAX_MEMBERS = 10**6
 # Most oracle points one verify request checks (about 0.7 µs each, so ~7 s).
 MAX_VERIFY_POINTS = 10**7
@@ -118,12 +119,19 @@ def _predict_template(members: int, indented: bool, listed: bool) -> str:
 def _farey_total(max_d: int, per_fraction, cap: int) -> int:
     """Sum per_fraction(b) over every a/b of F_D, stopping once past cap.
 
-    F_D holds the a in [0, b] prime to b at each b <= D, so the sum goes b
-    by b; stopping at the cap keeps it bounded for any D, and no F_D is built.
+    F_D holds phi(b) fractions a/b at each b <= D (0/1 and 1/1 at b = 1), so
+    the sum goes b by b, with phi(b) by trial division; stopping at the cap
+    keeps it bounded for any D, and no F_D is built.
     """
     total = 0
     for b in range(1, max_d + 1):
-        total += sum(gcd(a, b) == 1 for a in range(b + 1)) * per_fraction(b)
+        phi, n = b + (b == 1), b
+        for p in range(2, isqrt(b) + 1):
+            if n % p == 0:
+                phi -= phi // p
+                while n % p == 0:
+                    n //= p
+        total += (phi - phi // n if n > 1 else phi) * per_fraction(b)
         if total > cap:
             break
     return total
@@ -139,9 +147,9 @@ def _check_members(command: str, max_d: int | None, frac: ReducedFraction | None
         raise ValueError(f"{command} exceeds the cap of {MAX_MEMBERS} family members")
 
 
-def _window(m: int, b_prime: int, window: int | None) -> int:
-    """The oracle half-width: --window, or 3 * b_prime capped at (m - 1) // 2."""
-    return window if window is not None else min(3 * b_prime, (m - 1) // 2)
+def _window(b: int, window: int | None) -> int:
+    """The oracle half-width at denominator b: --window, or 3 * b_prime."""
+    return window or 3 * stride(b)[0]
 
 
 def _check_predict(m: int, fraction: ReducedFraction | None, max_d: int | None) -> None:
@@ -166,15 +174,9 @@ def _check_predict(m: int, fraction: ReducedFraction | None, max_d: int | None) 
 def _check_verify_size(m: int, max_d: int, window: int | None) -> None:
     """Refuse a verify request of more than MAX_VERIFY_POINTS oracle points.
 
-    Each a/b checks at most min(2w + 1, m) points for its window w, and all
-    m when w = 0 (only m <= 2 by default).
+    Each a/b checks at most min(2w + 1, m) points for its window w.
     """
-
-    def points(b: int) -> int:
-        w = _window(m, stride(b)[0], window)
-        return min(2 * w + 1, m) if w else m
-
-    total = _farey_total(max_d, points, MAX_VERIFY_POINTS)
+    total = _farey_total(max_d, lambda b: min(2 * _window(b, window) + 1, m), MAX_VERIFY_POINTS)
     if total > MAX_VERIFY_POINTS:
         raise ValueError(
             f"verify windows reach {total} oracle points, over the cap of {MAX_VERIFY_POINTS}"
@@ -203,47 +205,44 @@ def _cmd_predict(args) -> int:
     return 0
 
 
-def _fraction_report(m: int, frac: ReducedFraction, window: int | None) -> dict:
+def _fraction_checks(m: int, frac: ReducedFraction, window: int | None) -> tuple[bool, ...]:
+    """(identity, family_structure, coverage) at a/b; its oracle list dies on return."""
     params = fraction_params(m, frac)
     family = parabola_family(params)
-    span = _window(m, params.b_prime, window)
-    # Only m = 2 admits no window (2 * window < m); its oracle is the whole plot.
-    points = residues_near(m, frac, span) if span else [(x, x * x % m) for x in range(m)]
+    points = residues_near(m, frac, _window(frac.b, window))
     # covering_members returns one (member, j) pair or [], so truth is "hit once".
     coverage = all(starmap(partial(covering_members, family), points))
-    return {
-        "fraction": str(frac),
-        "identity": verify_identity(params),
-        "family_structure": family_structure(family),
-        "coverage": coverage,
-    }
+    return verify_identity(params), family_structure(family), coverage
 
 
 def _cmd_verify(args) -> int:
+    """Check each a/b of F_D once, tallying each check's failures as it goes."""
     m, max_d = args.modulus, args.max_denominator
     check_denominator(m, max_d)
     _check_verify_size(m, max_d, args.window)
-    reports = [_fraction_report(m, frac, args.window) for frac in farey_fractions(max_d)]
-
-    checks = {}
-    failures = []
-    for name in ("identity", "family_structure", "coverage"):
-        passed = sum(1 for r in reports if r[name])
-        checks[name] = {"passed": passed, "failed": len(reports) - passed}
-        failures.extend(f"{r['fraction']}:{name}" for r in reports if not r[name])
-    ok = not failures
+    _check_members("verify", max_d)
+    fractions = farey_fractions(max_d)
+    failed = {"identity": [], "family_structure": [], "coverage": []}
+    for frac in fractions:
+        for name, passed in zip(failed, _fraction_checks(m, frac, args.window)):
+            if not passed:
+                failed[name].append(f"{frac}:{name}")
+    failures = [failure for names in failed.values() for failure in names]
     _emit(
         {
             "modulus": m,
             "max_denominator": max_d,
             "window": args.window,
-            "fractions_checked": len(reports),
-            "checks": checks,
+            "fractions_checked": len(fractions),
+            "checks": {
+                name: {"passed": len(fractions) - len(names), "failed": len(names)}
+                for name, names in failed.items()
+            },
             "failures": failures,
-            "ok": ok,
+            "ok": not failures,
         }
     )
-    return 0 if ok else 1
+    return 1 if failures else 0
 
 
 def _cmd_equiv(args) -> int:
@@ -354,9 +353,8 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--window",
         type=_positive_int,
-        default=None,
         help="half-width of the oracle window around each anchor "
-        "(default: 3 * b_prime per fraction)",
+        "(default: 3 * b_prime per fraction), clipped to the plot",
     )
     verify.set_defaults(handler=_cmd_verify)
 

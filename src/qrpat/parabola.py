@@ -215,14 +215,13 @@ def residues_near(m: int, frac: ReducedFraction, window: int) -> list[tuple[int,
     """Brute-force residue points with |x - x0| <= window, by direct squaring.
 
     This is the oracle the predicted families are checked against; it
-    never touches the lattice formulas.  A window of more than
+    never touches the lattice formulas.  The window is clipped to [0, m),
+    so one of m or more lists every x once.  A clipped window of more than
     MAX_ORACLE_POINTS points is refused before the list is built.
     """
     check_modulus(m)
     if window < 1:
         raise ValueError(f"window must be a positive integer, got {window}")
-    if 2 * window >= m:
-        raise ValueError(f"window {window} must be smaller than half the modulus {m}")
     _, x0 = _anchor(m, frac)
     lo = max(0, x0 - window)
     hi = min(m - 1, x0 + window)

@@ -61,8 +61,10 @@ class ReducedFraction:
         try:
             a = int(num)
             b = int(den) if sep else 1
-        except ValueError:
-            raise ValueError(f"cannot parse fraction {text!r}") from None
+        except ValueError as exc:
+            # a long text is not echoed: int's message names its digit limit instead
+            raise ValueError(f"cannot parse fraction {text!r}" if len(text) <= 100
+                             else f"cannot parse fraction: {exc}") from None
         return cls(a, b)
 
     def value(self) -> Fraction:

@@ -4,12 +4,15 @@ import argparse
 import fractions
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from importlib.metadata import PackageNotFoundError, distribution, distributions
+from io import StringIO
 from pathlib import Path
 
 import pytest
@@ -26,6 +29,12 @@ from qrpat import (
 )
 from qrpat.cli import main
 from test_render import GOLDEN_SVG_20179
+
+try:
+    from hypothesis import example, given, settings
+    from hypothesis import strategies as st
+except ImportError:  # the argv grammar property below is skipped
+    given = None
 
 # stdout of `qrpat bundle --modulus 20179 --lambda-n 9 --max-denominator 9`.
 GOLDEN_BUNDLE_20179 = "116345aa72c8b824aa0aed30064a2e3e49af0d63df2ebaf9ad489dc473fac066"
@@ -471,7 +480,7 @@ def test_verify_small_modulus_default_window(capsys):
 
 @pytest.mark.parametrize("m", [2, 3, 5])
 def test_verify_smallest_moduli(capsys, m):
-    # m = 2 admits no oracle window w >= 1 with 2w < m
+    # the default window 3 * b_prime reaches past both ends of these plots and is clipped
     code, payload, _ = run_json(capsys, "verify", "--modulus", str(m),
                                 "--max-denominator", "1")
     assert code == 0
@@ -529,6 +538,52 @@ def test_verify_real_cap_refuses_a_wide_request_at_once(capsys, monkeypatch):
     assert int(err.split()[4]) > cli.MAX_VERIFY_POINTS
 
 
+def test_verify_window_wider_than_the_plot_is_clipped(capsys):
+    # 2 * 7 >= 5 was refused; the window is clipped to [0, 5) like any other.
+    code, payload, err = run_json(capsys, "verify", "--modulus", "5", "--max-denominator", "2",
+                                  "--window", "7")
+    assert (code, err, payload["ok"], payload["window"]) == (0, "", True, 7)
+    assert payload["fractions_checked"] == 3
+
+
+def test_verify_over_the_member_cap_exits_2(capsys, monkeypatch):
+    # F_9 has 151 members; small caps stand in for the real ones.
+    argv = ("verify", "--modulus", "997", "--max-denominator", "9", "--window", "1")
+    monkeypatch.setattr(cli, "MAX_MEMBERS", 151)
+    assert run_json(capsys, *argv)[:1] == (0,)
+    monkeypatch.setattr(cli, "MAX_MEMBERS", 150)
+    assert run(capsys, *argv) == (2, "", "error: verify exceeds the cap of 150 family members\n")
+    # the oracle point cap is checked first: F_9's 29 fractions plan 3 points each
+    monkeypatch.setattr(cli, "MAX_VERIFY_POINTS", 86)
+    assert run(capsys, *argv) == (
+        2, "", "error: verify windows reach 87 oracle points, over the cap of 86\n"
+    )
+
+
+def test_verify_real_member_cap_refuses_a_narrow_request_at_once(capsys, monkeypatch):
+    # --window 1 plans 8,208,567 oracle points, under their cap, but 4,560,421,995 members;
+    # uncapped, D = 400 took 25.8 s and D = 3000 would have taken hours.
+    def forbidden(*args):
+        raise AssertionError("F_D built")
+
+    monkeypatch.setattr(cli, "farey_fractions", forbidden)
+    started = time.perf_counter()
+    assert run(capsys, "verify", "--modulus", str(M40), "--max-denominator", "3000",
+               "--window", "1") == (
+        2, "", "error: verify exceeds the cap of 1000000 family members\n"
+    )
+    assert time.perf_counter() - started < 1.0
+
+
+def test_farey_total_counts_every_fraction_of_f_d():
+    # the plans count phi(b) fractions at each b by trial division, never building F_D
+    at = [0] * 401
+    for frac in farey_fractions(400):
+        at[frac.b] += 1
+    for d in range(1, 401):
+        assert cli._farey_total(d, lambda b: b, 10**12) == sum(b * at[b] for b in range(d + 1))
+
+
 def test_verify_rejects_large_denominator(capsys):
     code, _, err = run(capsys, "verify", "--modulus", "81", "--max-denominator", "9")
     assert code == 2
@@ -536,11 +591,7 @@ def test_verify_rejects_large_denominator(capsys):
 
 
 def test_verify_exits_1_on_check_failure(capsys, monkeypatch):
-    def broken(m, frac, window):
-        return {"fraction": str(frac), "identity": False,
-                "family_structure": True, "coverage": True}
-
-    monkeypatch.setattr(cli, "_fraction_report", broken)
+    monkeypatch.setattr(cli, "verify_identity", lambda params: False)
     code, payload, _ = run_json(capsys, "verify", "--modulus", "997",
                                 "--max-denominator", "3")
     assert code == 1
@@ -808,6 +859,116 @@ def test_integer_past_pythons_digit_limit_names_flag_and_limit(capsys, flag):
     assert f"({limit} digits)" in last
     # argparse used to echo all of the digits back
     assert "9" * 64 not in err and len(err) < 500
+
+
+def test_overlong_fraction_names_the_limit_without_its_digits(capsys):
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("int-from-str conversion is unlimited here")
+    # 1/ and 5,000 nines wrote 5,202 bytes of stderr that repeated every digit
+    with pytest.raises(SystemExit) as exc:
+        main(["predict", "--modulus", "20179", "--fraction", "1/" + "9" * (limit + 700)])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    last = err.splitlines()[-1]
+    assert last.startswith("qrpat predict: error: argument --fraction: cannot parse fraction: ")
+    assert f"({limit} digits)" in last
+    assert "9" * 64 not in err and len(err) < 500
+    # a short malformed fraction is still echoed
+    with pytest.raises(SystemExit):
+        main(["predict", "--modulus", "20179", "--fraction", "1/x"])
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "qrpat predict: error: argument --fraction: cannot parse fraction '1/x'"
+    )
+
+
+# Small stand-ins for every cap, so that no request the grammar draws runs long.
+SMALL_CAPS = {
+    (cli, "MAX_MEMBERS"): 2000,
+    (cli, "MAX_VERIFY_POINTS"): 25000,
+    (parabola, "MAX_ORACLE_POINTS"): 5000,
+    (render, "MAX_PIXELS"): 64 * 64,
+    (render, "MAX_SCATTER_SQUARES"): 5000,
+    (render, "MAX_SCENE_POINTS"): 3000,
+    (residues, "MAX_LAMBDA_N"): 400,
+}
+
+
+def cli_argv(out):
+    """argv that argparse accepts, over all six subcommands: m = 2, m = D^2 + 1 and
+    40-digit m, lambda-n up to 10^6, --window up to 10^9 and w*h at the pixel cap."""
+    sides = st.one_of(st.sampled_from([1, 15, 16, 64, 65, 256, 257]), st.integers(1, 300))
+
+    @st.composite
+    def draw_argv(draw):
+        command = draw(st.sampled_from(["plot", "grid", "predict", "verify", "equiv", "bundle"]))
+        d = draw(st.one_of(st.integers(1, 12), st.integers(1, 400),
+                           st.sampled_from([10**6, 10**19])))
+
+        def modulus():
+            return str(draw(st.one_of(
+                st.sampled_from([1, 2, 3, 5, d * d, d * d + 1]), st.integers(1, 10**4),
+                st.integers(10**39, 10**40 - 1))))
+
+        def option(flag, values):
+            return draw(st.one_of(st.just([]), values.map(lambda v: [flag, str(v)])))
+
+        lambda_n = option("--lambda-n", st.one_of(st.sampled_from([1, 2, 9, 400, 401, 10**6]),
+                                                  st.integers(1, 10**6)))
+        if command == "plot":
+            half = draw(st.sampled_from([[], ["--half"], ["--no-half"]]))
+            return ["plot", "--modulus", modulus(), "--width", str(draw(sides)),
+                    "--height", str(draw(sides)), *half, "--out", out]
+        if command == "grid":
+            return ["grid", "--modulus", modulus(), "--size", str(draw(sides)), "--out", out]
+        if command == "predict":
+            b = draw(st.one_of(st.integers(1, 60), st.integers(1, 10**6)))
+            a = draw(st.integers(0, b))
+            fraction = f"{a // math.gcd(a, b)}/{b // math.gcd(a, b)}"
+            both = ["--fraction", fraction, "--max-denominator", str(d)]
+            selector = draw(st.sampled_from([both[:2], both[2:], both, []]))
+            return ["predict", "--modulus", modulus(), *selector,
+                    *draw(st.sampled_from([[], ["--json"]]))]
+        if command == "verify":
+            window = option("--window", st.one_of(st.sampled_from([1, 7, 10**9]),
+                                                  st.integers(1, 10**9)))
+            return ["verify", "--modulus", modulus(), "--max-denominator", str(d), *window]
+        if command == "equiv":
+            return ["equiv", "--m1", modulus(), "--m2", modulus(), *lambda_n,
+                    *option("--max-denominator", st.just(d))]
+        svg = draw(st.one_of(st.just([]), st.tuples(sides, sides).map(
+            lambda wh: ["--out", out, "--width", str(wh[0]), "--height", str(wh[1])])))
+        return ["bundle", "--modulus", modulus(), *lambda_n,
+                *option("--max-denominator", st.just(d)), *svg]
+
+    return draw_argv()
+
+
+@pytest.mark.skipif(given is None, reason="hypothesis is not installed")
+def test_every_argv_the_parser_accepts_exits_0_1_or_2_in_time(tmp_path):
+    # Each example runs under SMALL_CAPS, so a kind of work with no cap of its own
+    # outlasts the deadline.
+    @settings(max_examples=150, deadline=500, database=None)
+    @given(cli_argv(str(tmp_path / "out")))
+    # verify capped its oracle points but not the members it builds (4.56e9 here);
+    # SMALL_CAPS refuse its 8.2M points first, at the parent too
+    @example(["verify", "--modulus", str(M40), "--max-denominator", "3000", "--window", "1"])
+    # the same hole under SMALL_CAPS: 20,577 points but 570,773 members
+    @example(["verify", "--modulus", str(M40), "--max-denominator", "150", "--window", "1"])
+    def check(argv):
+        out, err = StringIO(), StringIO()
+        with pytest.MonkeyPatch.context() as patch, redirect_stdout(out), redirect_stderr(err):
+            for (module, name), value in SMALL_CAPS.items():
+                patch.setattr(module, name, value)
+            code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2) and "Traceback" not in err
+        if code == 2:
+            assert out == "" and err.count("\n") == 1 and err.startswith("error: ")
+        if code == 1:
+            assert argv[0] == "verify" and json.loads(out)["ok"] is False
+
+    check()
 
 
 def test_python_dash_m_from_source_checkout():

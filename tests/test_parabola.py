@@ -286,15 +286,21 @@ def test_residues_near_clamps_at_top():
     assert [x for x, _ in pts] == [975, 976]
 
 
-def test_residues_near_rejects_wide_window():
-    # window must stay below m/2; for odd m the largest valid value is (m-1)/2
-    with pytest.raises(ValueError):
-        residues_near(20171, ReducedFraction(1, 3), (20171 + 1) // 2)
-    residues_near(977, ReducedFraction(1, 3), 488)
-    with pytest.raises(ValueError):
-        residues_near(977, ReducedFraction(1, 3), 489)
-    with pytest.raises(ValueError):
+def test_residues_near_clips_a_wide_window():
+    # A window of m or more lists each x in [0, m) exactly once, from any anchor.
+    plot = [(x, x * x % 977) for x in range(977)]
+    for frac in farey_fractions(5):
+        assert residues_near(977, frac, 977) == plot
+        assert residues_near(977, frac, 10**9) == plot
+    assert residues_near(2, ReducedFraction(1, 1), 3) == [(0, 0), (1, 1)]
+    # past half the modulus the window is clipped at one end only
+    assert [x for x, _ in residues_near(977, ReducedFraction(1, 3), 489)] == list(range(816))
+    assert [x for x, _ in residues_near(977, ReducedFraction(2, 3), 489)] == list(range(162, 977))
+    with pytest.raises(ValueError, match="^window must be a positive integer, got 0$"):
         residues_near(20171, ReducedFraction(1, 3), 0)
+    # a clipped window too long for a range's length is still refused by its count
+    with pytest.raises(ValueError, match=f"^oracle window of {2 * 10**30 + 1} points exceeds"):
+        residues_near(10**40 + 1, ReducedFraction(1, 3), 10**30)
 
 
 def test_residues_near_point_cap(monkeypatch):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -170,5 +171,17 @@ def test_reduced_fraction_parse():
     assert ReducedFraction.parse("1") == ReducedFraction(1, 1)
     with pytest.raises(ValueError):
         ReducedFraction.parse("2/6")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^cannot parse fraction 'x/y'$"):
         ReducedFraction.parse("x/y")
+
+
+def test_reduced_fraction_parse_names_the_digit_limit_without_the_digits():
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if not limit:
+        pytest.skip("int-from-str conversion is unlimited here")
+    # the whole text used to be echoed back: 5,202 bytes of stderr for 5,000 nines
+    with pytest.raises(ValueError) as exc:
+        ReducedFraction.parse("1/" + "9" * (limit + 700))
+    message = str(exc.value)
+    assert message.startswith("cannot parse fraction: ") and f"({limit} digits)" in message
+    assert "9" * 64 not in message and len(message) < 300
