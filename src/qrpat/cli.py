@@ -116,14 +116,9 @@ def _predict_template(members: int, indented: bool, listed: bool) -> str:
     return text.replace("\n", "\n  ") if listed else text
 
 
-def _farey_total(max_d: int, per_fraction, cap: int) -> int:
-    """Sum per_fraction(b) over every a/b of F_D, stopping once past cap.
-
-    F_D holds phi(b) fractions a/b at each b <= D (0/1 and 1/1 at b = 1), so
-    the sum goes b by b, with phi(b) by trial division; stopping at the cap
-    keeps it bounded for any D, and no F_D is built.
-    """
-    total = 0
+def _farey_counts(max_d: int):
+    """(b, the number of a/b in F_D) for b = 1..D: phi(b) by trial division,
+    and 2 at b = 1 (0/1 and 1/1), so no F_D is built."""
     for b in range(1, max_d + 1):
         phi, n = b + (b == 1), b
         for p in range(2, isqrt(b) + 1):
@@ -131,20 +126,7 @@ def _farey_total(max_d: int, per_fraction, cap: int) -> int:
                 phi -= phi // p
                 while n % p == 0:
                     n //= p
-        total += (phi - phi // n if n > 1 else phi) * per_fraction(b)
-        if total > cap:
-            break
-    return total
-
-
-def _check_members(command: str, max_d: int | None, frac: ReducedFraction | None = None) -> None:
-    """Refuse more than MAX_MEMBERS family members: b_prime for frac, or summed over F_D."""
-    if frac is not None:
-        members = stride(frac.b)[0]
-    else:
-        members = _farey_total(max_d, lambda b: stride(b)[0], MAX_MEMBERS)
-    if members > MAX_MEMBERS:
-        raise ValueError(f"{command} exceeds the cap of {MAX_MEMBERS} family members")
+        yield b, phi - phi // n if n > 1 else phi
 
 
 def _window(b: int, window: int | None) -> int:
@@ -152,35 +134,40 @@ def _window(b: int, window: int | None) -> int:
     return window or 3 * stride(b)[0]
 
 
-def _check_predict(m: int, fraction: ReducedFraction | None, max_d: int | None) -> None:
-    """Refuse a predict request before it writes anything: more than
-    MAX_MEMBERS family members, a modulus too small for its largest
-    denominator b, or an integer too long for str().
+def _plan(command: str, m: int, b_max: int, fraction: ReducedFraction | None = None,
+          window: int | None = None) -> None:
+    """Refuse a predict, verify or bundle request before any work or output.
 
-    No printed integer exceeds b*b*m: y_num is at most h*m with h < b*b, and
-    x_num at most a*m with a <= b.
+    In one order: the modulus; m > b_max^2; one b-by-b walk of F_D (or of
+    the one fraction) counting members, b_prime per a/b, and verify's oracle
+    points, which stops past MAX_VERIFY_POINTS or, for predict and bundle,
+    past MAX_MEMBERS; the member cap; for predict, the digit bound b*b*m
+    (y_num is at most h*m with h < b*b, and x_num at most a*m with a <= b).
+
+    A window w lists min(w + 1, m) points at 0/1 and min(w, m) at 1/1, so
+    b = 1 counts exactly min(2w + 1, 2m); at b >= 2 each a/b counts the
+    bound min(2w + 1, m), exact unless a window reaches an end of the plot.
     """
-    b = max_d if fraction is None else fraction.b
-    _check_members("predict", max_d, fraction)
     check_modulus(m)
-    check_denominator(m, b)
+    check_denominator(m, b_max)
+    members = points = 0
+    for b, count in _farey_counts(b_max) if fraction is None else [(b_max, 1)]:
+        members += count * stride(b)[0]
+        if command == "verify":
+            w = 2 * _window(b, window) + 1
+            points += min(w, 2 * m) if b == 1 else count * min(w, m)
+            if points > MAX_VERIFY_POINTS:
+                raise ValueError(f"verify windows reach {points} oracle points, "
+                                 f"over the cap of {MAX_VERIFY_POINTS}")
+        elif members > MAX_MEMBERS:
+            break
+    if members > MAX_MEMBERS:
+        raise ValueError(f"{command} exceeds the cap of {MAX_MEMBERS} family members")
     # Python before 3.10.7 has no limit (0 means none); 2**(3*limit) < 10**limit.
-    limit = getattr(sys, "get_int_max_str_digits", int)()
-    largest = b * b * m
+    limit = getattr(sys, "get_int_max_str_digits", int)() if command == "predict" else 0
+    largest = b_max * b_max * m
     if limit and largest.bit_length() > 3 * limit and largest >= 10**limit:
         raise ValueError(f"predict output can exceed Python's limit of {limit} digits per integer")
-
-
-def _check_verify_size(m: int, max_d: int, window: int | None) -> None:
-    """Refuse a verify request of more than MAX_VERIFY_POINTS oracle points.
-
-    Each a/b checks at most min(2w + 1, m) points for its window w.
-    """
-    total = _farey_total(max_d, lambda b: min(2 * _window(b, window) + 1, m), MAX_VERIFY_POINTS)
-    if total > MAX_VERIFY_POINTS:
-        raise ValueError(
-            f"verify windows reach {total} oracle points, over the cap of {MAX_VERIFY_POINTS}"
-        )
 
 
 def _cmd_predict(args) -> int:
@@ -189,7 +176,7 @@ def _cmd_predict(args) -> int:
     if (args.fraction is None) == (args.max_denominator is None):
         raise ValueError("provide exactly one of --fraction or --max-denominator")
     m, fraction, indented = args.modulus, args.fraction, not args.json
-    _check_predict(m, fraction, args.max_denominator)
+    _plan("predict", m, args.max_denominator or fraction.b, fraction)
     listed = fraction is None
     write = sys.stdout.write
     if listed:
@@ -218,9 +205,7 @@ def _fraction_checks(m: int, frac: ReducedFraction, window: int | None) -> tuple
 def _cmd_verify(args) -> int:
     """Check each a/b of F_D once, tallying each check's failures as it goes."""
     m, max_d = args.modulus, args.max_denominator
-    check_denominator(m, max_d)
-    _check_verify_size(m, max_d, args.window)
-    _check_members("verify", max_d)
+    _plan("verify", m, max_d, window=args.window)
     fractions = farey_fractions(max_d)
     failed = {"identity": [], "family_structure": [], "coverage": []}
     for frac in fractions:
@@ -269,7 +254,7 @@ def _cmd_bundle(args) -> int:
     the JSON from those matches, so every refusal comes before any output."""
     period = layout_period(args.lambda_n)
     m, max_d = args.modulus, args.max_denominator
-    _check_members("bundle", max_d)
+    _plan("bundle", m, max_d)
     matches = bundle_matches(m, period, max_d)
     if args.out:
         write_svg(overlay_predictions(m, period, matches, args.width, args.height), args.out)

@@ -500,17 +500,18 @@ def test_verify_oracle_over_the_cap_exits_2(capsys, monkeypatch):
 
 
 def test_verify_request_over_the_cap_exits_2(capsys, monkeypatch):
-    # Each a/b of F_9 plans 2 * 3 * b_prime + 1 points; a small cap stands in for the real one.
+    # F_9's default windows list this many points; a small cap stands in for the real one.
     argv = ("verify", "--modulus", "997", "--max-denominator", "9")
-    planned = sum(6 * (f.b if f.b % 2 else f.b // 2) + 1 for f in farey_fractions(9))
+    planned = sum(len(parabola.residues_near(997, f, 3 * (f.b if f.b % 2 else f.b // 2)))
+                  for f in farey_fractions(9))
     monkeypatch.setattr(cli, "MAX_VERIFY_POINTS", planned)
     assert run_json(capsys, *argv)[:1] == (0,)
     monkeypatch.setattr(cli, "MAX_VERIFY_POINTS", planned - 1)
     refused = f"error: verify windows reach {planned} oracle points, over the cap of {planned - 1}\n"
     assert run(capsys, *argv) == (2, "", refused)
 
-    # 0/1 and 1/1 with a window of 10^9 are refused by their count alone:
-    # no window list is built.
+    # 0/1 and 1/1 with a window of 10^9 list 10^9 + 1 and 10^9 points, and are
+    # refused by that count alone: no window list is built.
     def forbidden(*args):
         raise AssertionError("oracle window built")
 
@@ -518,7 +519,7 @@ def test_verify_request_over_the_cap_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(cli, "MAX_VERIFY_POINTS", 10**9)
     big = ("verify", "--modulus", str(10**40 + 1), "--max-denominator", "1")
     assert run(capsys, *big, "--window", str(10**9)) == (
-        2, "", "error: verify windows reach 4000000002 oracle points, over the cap of 1000000000\n"
+        2, "", "error: verify windows reach 2000000001 oracle points, over the cap of 1000000000\n"
     )
 
 
@@ -553,10 +554,11 @@ def test_verify_over_the_member_cap_exits_2(capsys, monkeypatch):
     assert run_json(capsys, *argv)[:1] == (0,)
     monkeypatch.setattr(cli, "MAX_MEMBERS", 150)
     assert run(capsys, *argv) == (2, "", "error: verify exceeds the cap of 150 family members\n")
-    # the oracle point cap is checked first: F_9's 29 fractions plan 3 points each
-    monkeypatch.setattr(cli, "MAX_VERIFY_POINTS", 86)
+    # the oracle point cap is checked first: F_9's 29 fractions plan 3 points each,
+    # except 0/1 and 1/1, which list 2 and 1
+    monkeypatch.setattr(cli, "MAX_VERIFY_POINTS", 83)
     assert run(capsys, *argv) == (
-        2, "", "error: verify windows reach 87 oracle points, over the cap of 86\n"
+        2, "", "error: verify windows reach 84 oracle points, over the cap of 83\n"
     )
 
 
@@ -576,12 +578,69 @@ def test_verify_real_member_cap_refuses_a_narrow_request_at_once(capsys, monkeyp
 
 
 def test_farey_total_counts_every_fraction_of_f_d():
-    # the plans count phi(b) fractions at each b by trial division, never building F_D
+    # the plan counts phi(b) fractions at each b by trial division, never building F_D
     at = [0] * 401
     for frac in farey_fractions(400):
         at[frac.b] += 1
-    for d in range(1, 401):
-        assert cli._farey_total(d, lambda b: b, 10**12) == sum(b * at[b] for b in range(d + 1))
+    assert list(cli._farey_counts(400)) == list(enumerate(at))[1:]
+
+
+def test_verify_plans_the_clipped_windows_of_0_1_and_1_1(capsys, monkeypatch):
+    # 0/1 and 1/1 list 454,546 and 454,545 points, the 9 other windows of F_5
+    # 909,091 each: 9,090,910 in all.  Counting 2w + 1 at b = 1 refused this.
+    monkeypatch.setattr(cli, "_fraction_checks", lambda m, frac, window: (True, True, True))
+    argv = ("verify", "--modulus", str(M40), "--max-denominator", "5", "--window", "454545")
+    monkeypatch.setattr(cli, "MAX_VERIFY_POINTS", 9090910)
+    assert run_json(capsys, *argv)[:1] == (0,)
+    monkeypatch.setattr(cli, "MAX_VERIFY_POINTS", 9090909)
+    assert run(capsys, *argv) == (
+        2, "", "error: verify windows reach 9090910 oracle points, over the cap of 9090909\n"
+    )
+
+
+# One row per refusal of predict, verify and bundle, in the plan's order: the
+# modulus, m > D^2, the oracle points, the members, then predict's digit bound.
+# At --max-denominator 3000 and m = 100 predict named the member cap, and at
+# m = 1 verify and bundle named m > D^2.
+REFUSALS = [
+    (["predict", "--modulus", "1", "--max-denominator", "3000"],
+     "modulus must be an integer >= 2, got 1"),
+    (["verify", "--modulus", "1", "--max-denominator", "3000"],
+     "modulus must be an integer >= 2, got 1"),
+    (["bundle", "--modulus", "1"], "modulus must be an integer >= 2, got 1"),
+    (["predict", "--modulus", "100", "--max-denominator", "3000"],
+     "modulus 100 must exceed 3000^2 = 9000000"),
+    (["predict", "--modulus", "100", "--fraction", "1/3000"],
+     "modulus 100 must exceed 3000^2 = 9000000"),
+    (["verify", "--modulus", "100", "--max-denominator", "3000"],
+     "modulus 100 must exceed 3000^2 = 9000000"),
+    (["bundle", "--modulus", "100", "--lambda-n", "400", "--max-denominator", "3000"],
+     "modulus 100 must exceed 3000^2 = 9000000"),
+    (["verify", "--modulus", str(M40), "--max-denominator", "1", "--window", str(10**7)],
+     "verify windows reach 20000001 oracle points, over the cap of 10000000"),
+    (["verify", "--modulus", str(M40), "--max-denominator", "3000", "--window", "1"],
+     "verify exceeds the cap of 1000000 family members"),
+    (["predict", "--modulus", str(10**58 + 7), "--max-denominator", "3000"],
+     "predict exceeds the cap of 1000000 family members"),
+    (["bundle", "--modulus", str(M40), "--lambda-n", "400", "--max-denominator", "3000"],
+     "bundle exceeds the cap of 1000000 family members"),
+    (["predict", "--modulus", str(10**58 + 7), "--max-denominator", "10"],
+     "predict output can exceed Python's limit of 60 digits per integer"),
+    # argument checks outside the plan come first
+    (["predict", "--modulus", "1"], "provide exactly one of --fraction or --max-denominator"),
+    (["bundle", "--modulus", "1", "--lambda-n", "1"], "layout period needs lambda-n >= 2, got 1"),
+]
+
+
+@pytest.mark.parametrize("argv, message", REFUSALS)
+def test_every_refusal_comes_in_one_order_before_any_work(capsys, monkeypatch, argv, message):
+    def forbidden(*args):
+        raise AssertionError("work done before the plan refused")
+
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 60)
+    for name in ("farey_fractions", "fraction_params", "bundle_matches"):
+        monkeypatch.setattr(cli, name, forbidden)
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_verify_rejects_large_denominator(capsys):

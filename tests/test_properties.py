@@ -1,10 +1,11 @@
 """Generated-input checks of the anchor identity, lattice, coverage, vertex-height,
-predict JSON (against the json.dumps byte reference), layout and bundle claims."""
+predict JSON (against the json.dumps byte reference), request plan, layout and
+bundle claims."""
 
 import io
 import json
 import math
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -18,14 +19,17 @@ from qrpat import (  # noqa: E402
     LayoutComparison,
     ReducedFraction,
     bundle_parameter,
+    cli,
     covering_members,
     denominator_set,
     evaluate_parabola,
+    farey_fractions,
     family_structure,
     fraction_params,
     layout_period,
     layouts_equivalent,
     parabola_family,
+    residues_near,
     verify_identity,
     vertex_heights,
     vertex_on_bundle,
@@ -153,6 +157,49 @@ def test_streamed_predict_is_json_dumps_of_the_payload(case, compact):
     with redirect_stdout(out):
         assert main(predict_argv(m, selector, compact)) == 0
     assert out.getvalue() == predict_reference(m, selector, compact)
+
+
+@st.composite
+def plan_cases(draw):
+    """(m, D, window): D <= 12, m from just above D^2 up to 10^4, and --window
+    left at its default (None) or drawn from 1..2m."""
+    max_d = draw(st.integers(1, 12))
+    m = draw(st.integers(max_d * max_d + 1, 10**4))
+    return m, max_d, draw(st.one_of(st.none(), st.integers(1, 2 * m)))
+
+
+def run_capped(argv, **caps):
+    """(exit code, stderr) of main(argv) under these cli caps, verify's checks stubbed."""
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, redirect_stdout(out), redirect_stderr(err):
+        patch.setattr(cli, "_fraction_checks", lambda m, frac, window: (True, True, True))
+        for name, value in caps.items():
+            patch.setattr(cli, name, value)
+        return main(argv), err.getvalue()
+
+
+@settings(deadline=None, database=None)
+@given(plan_cases())
+def test_the_plan_never_under_counts_and_counts_members_exactly(case):
+    m, max_d, window = case
+    families = [parabola_family(fraction_params(m, f)) for f in farey_fractions(max_d)]
+    members = sum(len(family.members) for family in families)
+    # (params, w): the default window is 3 * b_prime
+    windows = [(family.params, window or 3 * len(family.members)) for family in families]
+    points = sum(len(residues_near(m, params.frac, w)) for params, w in windows)
+    verify = ["verify", "--modulus", str(m), "--max-denominator", str(max_d),
+              *(["--window", str(window)] if window else [])]
+    code, err = run_capped(verify, MAX_VERIFY_POINTS=points - 1)
+    assert code == 2 and err.endswith(f" oracle points, over the cap of {points - 1}\n")
+    if all(w <= params.x0 < m - w for params, w in windows if params.frac.b > 1):
+        assert run_capped(verify, MAX_VERIFY_POINTS=points) == (0, "")
+    for argv in (verify,
+                 ["predict", "--modulus", str(m), "--max-denominator", str(max_d), "--json"],
+                 ["bundle", "--modulus", str(m), "--max-denominator", str(max_d)]):
+        assert run_capped(argv, MAX_MEMBERS=members, MAX_VERIFY_POINTS=10**9)[0] == 0
+        assert run_capped(argv, MAX_MEMBERS=members - 1, MAX_VERIFY_POINTS=10**9) == (
+            2, f"error: {argv[0]} exceeds the cap of {members - 1} family members\n"
+        )
 
 
 @st.composite
