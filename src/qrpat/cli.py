@@ -16,6 +16,7 @@ from math import gcd, isqrt
 
 from .parabola import (
     check_denominator,
+    check_oracle_window,
     covering_members,
     family_structure,
     fraction_params,
@@ -33,7 +34,7 @@ from .residues import ReducedFraction, check_modulus, farey_fractions, layout_pe
 # the cap); bundle holds its whole answer, ~10 s and ~800 MB peak RSS near the cap;
 # verify checks them, ~2.6 s with --window 1 and ~11 s by default (see README).
 MAX_MEMBERS = 10**6
-# Most oracle points one verify request checks (about 0.7 µs each, so ~7 s).
+# Most oracle points one verify checks: ~1.2 µs each at 7 digits, ~1.5 µs at 40 (see README).
 MAX_VERIFY_POINTS = 10**7
 
 
@@ -139,14 +140,16 @@ def _plan(command: str, m: int, b_max: int, fraction: ReducedFraction | None = N
     """Refuse a predict, verify or bundle request before any work or output.
 
     In one order: the modulus; m > b_max^2; one b-by-b walk of F_D (or of
-    the one fraction) counting members, b_prime per a/b, and verify's oracle
-    points, which stops past MAX_VERIFY_POINTS or, for predict and bundle,
-    past MAX_MEMBERS; the member cap; for predict, the digit bound b*b*m
-    (y_num is at most h*m with h < b*b, and x_num at most a*m with a <= b).
+    the one fraction) counting members, b_prime per a/b, and for verify the
+    oracle points against MAX_VERIFY_POINTS, then the widest window at b
+    against MAX_ORACLE_POINTS (predict and bundle stop past MAX_MEMBERS);
+    the member cap; for predict, the digit bound b*b*m (y_num is at most
+    h*m with h < b*b, and x_num at most a*m with a <= b).
 
     A window w lists min(w + 1, m) points at 0/1 and min(w, m) at 1/1, so
-    b = 1 counts exactly min(2w + 1, 2m); at b >= 2 each a/b counts the
-    bound min(2w + 1, m), exact unless a window reaches an end of the plot.
+    b = 1 counts exactly min(2w + 1, 2m) and its widest window min(w + 1, m);
+    at b >= 2 each a/b counts the bound min(2w + 1, m), exact unless a
+    window reaches an end of the plot.
     """
     check_modulus(m)
     check_denominator(m, b_max)
@@ -154,11 +157,12 @@ def _plan(command: str, m: int, b_max: int, fraction: ReducedFraction | None = N
     for b, count in _farey_counts(b_max) if fraction is None else [(b_max, 1)]:
         members += count * stride(b)[0]
         if command == "verify":
-            w = 2 * _window(b, window) + 1
-            points += min(w, 2 * m) if b == 1 else count * min(w, m)
+            w = _window(b, window)
+            points += min(2 * w + 1, 2 * m) if b == 1 else count * min(2 * w + 1, m)
             if points > MAX_VERIFY_POINTS:
                 raise ValueError(f"verify windows reach {points} oracle points, "
                                  f"over the cap of {MAX_VERIFY_POINTS}")
+            check_oracle_window(min(w + 1 if b == 1 else 2 * w + 1, m))
         elif members > MAX_MEMBERS:
             break
     if members > MAX_MEMBERS:

@@ -27,6 +27,7 @@ __all__ = [
     "ParabolaFamily",
     "canonical_offsets",
     "check_denominator",
+    "check_oracle_window",
     "covering_members",
     "evaluate_parabola",
     "family_structure",
@@ -118,6 +119,12 @@ def check_denominator(m: int, b: int) -> int:
     if m <= b * b:
         raise ValueError(f"modulus {m} must exceed {b}^2 = {b * b}")
     return m
+
+
+def check_oracle_window(points: int) -> None:
+    """Refuse an oracle window of more than MAX_ORACLE_POINTS points."""
+    if points > MAX_ORACLE_POINTS:
+        raise ValueError(f"oracle window of {points} points exceeds the cap of {MAX_ORACLE_POINTS}")
 
 
 def stride(b: int) -> tuple[int, int]:
@@ -225,10 +232,7 @@ def residues_near(m: int, frac: ReducedFraction, window: int) -> list[tuple[int,
     _, x0 = _anchor(m, frac)
     lo = max(0, x0 - window)
     hi = min(m - 1, x0 + window)
-    if hi - lo + 1 > MAX_ORACLE_POINTS:
-        raise ValueError(
-            f"oracle window of {hi - lo + 1} points exceeds the cap of {MAX_ORACLE_POINTS}"
-        )
+    check_oracle_window(hi - lo + 1)
     return [(x, x * x % m) for x in range(lo, hi + 1)]
 
 

@@ -92,8 +92,7 @@ def layouts_equivalent(
     check_denominator(m2, max_denominator)
     if (m1 - m2) % (period if period % 4 == 0 else period // 2):
         for b in range(1, max_denominator + 1):
-            cb = stride(b)[1] * b
-            if period % cb == 0 and (m1 - m2) % cb:
+            if _covered(b, period) and (m1 - m2) % (stride(b)[1] * b):
                 return LayoutComparison(False, ReducedFraction(1, b))
     return LayoutComparison(True, None)
 
@@ -125,8 +124,6 @@ def _smallest_line_index(coef: int, rhs: int, mod: int) -> int:
 
     Ties between n and -n go to the positive solution.
     """
-    if mod == 1:
-        return 0
     g = math.gcd(coef, mod)
     if rhs % g:
         raise ArithmeticError(f"{coef}*n == {rhs} (mod {mod}) has no solution")
@@ -164,12 +161,8 @@ def vertex_on_bundle(
     a, b = frac.a, frac.b
     pairs = []
     for k, h in enumerate(vertex_heights(params)):
-        # h + s*a^2 = (Y + s*X^2) * b^2, a multiple of b when b is covered.
+        # h + s*a^2 = (Y + s*X^2) * b^2; off the bundle no n passes the check below.
         lifted = h + s * a * a
-        if lifted % b:
-            raise ArithmeticError(
-                f"vertex k={k} of {frac} mod {m} is off the bundle lattice"
-            )
         n = _smallest_line_index(2 * a, lifted // b, b)
         if (lifted - 2 * n * a * b) % (b * b):
             raise ArithmeticError(

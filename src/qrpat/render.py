@@ -59,13 +59,10 @@ class Canvas:
             )
 
     @classmethod
-    def blank(cls, width: int, height: int, fill: int = 255) -> "Canvas":
+    def blank(cls, width: int, height: int) -> "Canvas":
         if width * height > MAX_PIXELS:
             raise ValueError(f"canvas of {width * height} pixels exceeds the cap of {MAX_PIXELS}")
-        return cls(width, height, bytearray([fill]) * (width * height))
-
-    def pixel(self, col: int, row: int) -> int:
-        return self.pixels[row * self.width + col]
+        return cls(width, height, bytearray([255]) * (width * height))
 
 
 @dataclass(frozen=True)
@@ -196,17 +193,16 @@ def sample_bundle_curve(s: int, n: int, samples: int = CURVE_SAMPLES) -> BundleC
     """
     segments: list[tuple[tuple[float, float], ...]] = []
     current: list[tuple[float, float]] = []
-    prev_level = None
+    prev_level = 0  # the level at t = 0
     denom = samples * samples
     for t in range(samples + 1):
         level, rem = divmod((2 * n * samples - s * t) * t, denom)
-        if prev_level is not None and level != prev_level and current:
+        if level != prev_level:
             segments.append(tuple(current))
             current = []
         current.append((t / samples, rem / denom))
         prev_level = level
-    if current:
-        segments.append(tuple(current))
+    segments.append(tuple(current))
     return BundleCurve(n, tuple(segments))
 
 

@@ -1,17 +1,14 @@
 """Exact arithmetic primitives for quadratic-residue pattern analysis.
 
 Everything here is pure and exact: Python integers are unbounded, so
-squaring never overflows for any modulus width, and rational values are
-carried as ``fractions.Fraction`` instances, which stay reduced with a
-positive denominator and support the mod-m / mod-1 reductions the
-predictors rely on (``r % m`` yields the representative in [0, m)).
+squaring never overflows for any modulus width, and an anchor fraction
+is a ``ReducedFraction``, a pair of integers kept in lowest terms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 __all__ = [
     "ReducedFraction",
@@ -19,7 +16,6 @@ __all__ = [
     "check_modulus",
     "farey_fractions",
     "layout_period",
-    "qr_mod",
 ]
 
 # Largest lambda-n layout_period accepts: layout_period(9000) has 3,902 digits
@@ -67,21 +63,12 @@ class ReducedFraction:
                              else f"cannot parse fraction: {exc}") from None
         return cls(a, b)
 
-    def value(self) -> Fraction:
-        return Fraction(self.a, self.b)
-
     def sort_key(self) -> tuple[int, int]:
         """Order by denominator first, then numerator: simplest fractions first."""
         return (self.b, self.a)
 
     def __str__(self) -> str:
         return f"{self.a}/{self.b}"
-
-
-def qr_mod(x: int, m: int) -> int:
-    """Quadratic residue of x modulo m: the remainder of x*x divided by m."""
-    check_modulus(m)
-    return x * x % m
 
 
 def balanced_residue(v: int, n: int) -> int:

@@ -23,7 +23,6 @@ from qrpat import (
     layout_period,
     layouts_equivalent,
     parabola_family,
-    qr_mod,
     read_pgm,
     residues_near,
     vertex_on_bundle,

@@ -497,6 +497,18 @@ def test_verify_oracle_over_the_cap_exits_2(capsys, monkeypatch):
     assert run(capsys, *argv) == (
         2, "", "error: oracle window of 51 points exceeds the cap of 50\n"
     )
+    # 1/2 lists x = 449..549; the plan refuses it before any family is built.
+    def forbidden(*args):
+        raise AssertionError("family built before the plan refused")
+
+    argv = ("verify", "--modulus", "997", "--max-denominator", "2", "--window", "50")
+    monkeypatch.setattr(parabola, "MAX_ORACLE_POINTS", 101)
+    assert run_json(capsys, *argv)[:1] == (0,)
+    monkeypatch.setattr(parabola, "MAX_ORACLE_POINTS", 100)
+    monkeypatch.setattr(cli, "fraction_params", forbidden)
+    assert run(capsys, *argv) == (
+        2, "", "error: oracle window of 101 points exceeds the cap of 100\n"
+    )
 
 
 def test_verify_request_over_the_cap_exits_2(capsys, monkeypatch):
@@ -629,6 +641,10 @@ REFUSALS = [
     # argument checks outside the plan come first
     (["predict", "--modulus", "1"], "provide exactly one of --fraction or --max-denominator"),
     (["bundle", "--modulus", "1", "--lambda-n", "1"], "layout period needs lambda-n >= 2, got 1"),
+    # verify's widest oracle window, which the walk checks right after the points
+    # (listed last so that the rows above keep their test ids)
+    (["verify", "--modulus", str(M40), "--max-denominator", "1", "--window", str(10**6)],
+     "oracle window of 1000001 points exceeds the cap of 1000000"),
 ]
 
 

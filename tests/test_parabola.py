@@ -18,7 +18,6 @@ from qrpat import (
     farey_fractions,
     fraction_params,
     parabola_family,
-    qr_mod,
     residues_near,
     stride,
     verify_identity,
@@ -231,7 +230,7 @@ def test_evaluate_next_step():
     p = member_at(fam, 0)
     assert p.B == 2
     assert evaluate_parabola(p, 1) == (6727, 8976)
-    assert 9 + 2 + 8965 == 8976 == qr_mod(6727, 20171)
+    assert 9 + 2 + 8965 == 8976 == 6727 * 6727 % 20171
 
 
 def test_evaluate_zero_fraction():
@@ -414,5 +413,5 @@ def test_exhaustive_small_modulus_coverage():
             for x in range(m):
                 if abs(x - x0) > window:
                     continue
-                hits = covering_members(fam, x, qr_mod(x, m))
+                hits = covering_members(fam, x, x * x % m)
                 assert len(hits) == 1

@@ -267,6 +267,23 @@ def test_vertex_on_bundle_membership_is_exact():
             assert (y + s * x * x - 2 * n * x) % 1 == 0
 
 
+@pytest.mark.parametrize("frac, shift", [(f, 1) for f in farey_fractions(9) if f.b >= 2]
+                         + [(f, f.b) for f in farey_fractions(9) if f.b % 2 == 0])
+def test_vertex_on_bundle_rejects_an_off_bundle_vertex(monkeypatch, frac, shift):
+    # A height moved by 1 makes h + s*a^2 no multiple of b, so the line index
+    # found fails the exact membership check.  Moved by b at even b (half the
+    # height step 2b), it makes 2a*n == (h + s*a^2)/b (mod b) unsolvable, as
+    # gcd(2a, b) = 2 and the right side turns odd.
+    def shifted(params):
+        heights = list(parabola.vertex_heights(params))
+        heights[-1] += shift
+        return heights
+
+    monkeypatch.setattr(patterns, "vertex_heights", shifted)
+    with pytest.raises(ArithmeticError):
+        vertex_on_bundle(20179, PERIOD_9, frac)
+
+
 def test_vertex_on_bundle_rejects_uncovered_denominator():
     with pytest.raises(ValueError):
         vertex_on_bundle(20179, PERIOD_9, ReducedFraction(1, 11))

@@ -47,7 +47,7 @@ def black_pixels(canvas):
         (col, row)
         for row in range(canvas.height)
         for col in range(canvas.width)
-        if canvas.pixel(col, row) == 0
+        if canvas.pixels[row * canvas.width + col] == 0
     }
 
 
@@ -102,14 +102,14 @@ def test_grid_values_match_definition():
         for col in range(size):
             x = col * m // size
             y = row * m // size
-            assert canvas.pixel(col, row) == (x * x + y * y) % m * 255 // (m - 1)
+            assert canvas.pixels[row * size + col] == (x * x + y * y) % m * 255 // (m - 1)
 
 
 def test_grid_symmetric():
     canvas = render_sum_squares(415, 83)
     for row in range(83):
         for col in range(83):
-            assert canvas.pixel(col, row) == canvas.pixel(row, col)
+            assert canvas.pixels[row * 83 + col] == canvas.pixels[col * 83 + row]
 
 
 def reference_scatter(m, width, height, half_range):

@@ -12,7 +12,6 @@ from qrpat import (
     balanced_residue,
     farey_fractions,
     layout_period,
-    qr_mod,
 )
 
 
@@ -27,39 +26,6 @@ def brute_balanced(v, n):
     # every representative with 2|r| <= n, preferring the negative one at a tie
     candidates = [r for r in range(-n, n + 1) if (r - v) % n == 0 and -n <= 2 * r <= n]
     return min(candidates)
-
-
-def test_qr_mod_zero():
-    assert qr_mod(0, 20171) == 0
-
-
-def test_qr_mod_known_value():
-    # 6724^2 = 45212176 = 2241 * 20171 + 8965
-    assert 6724 * 6724 == 45212176
-    assert qr_mod(6724, 20171) == 8965
-
-
-def test_qr_mod_matches_pow():
-    rng = random.Random(11)
-    for _ in range(300):
-        m = rng.randrange(2, 2**62)
-        x = rng.randrange(m)
-        assert qr_mod(x, m) == pow(x, 2, m)
-
-
-def test_qr_mod_mirror_symmetry():
-    rng = random.Random(12)
-    m = 20171
-    for _ in range(1000):
-        x = rng.randrange(m)
-        assert qr_mod(x, m) == qr_mod(m - x, m)
-
-
-def test_qr_mod_rejects_tiny_modulus():
-    with pytest.raises(ValueError):
-        qr_mod(3, 1)
-    with pytest.raises(ValueError):
-        qr_mod(3, 0)
 
 
 def test_balanced_residue_zero():
@@ -127,7 +93,7 @@ def test_farey_matches_brute_enumeration():
         got = farey_fractions(n)
         assert got == brute_farey(n)
         assert len(got) == len(set(got))
-        values = [f.value() for f in got]
+        values = [Fraction(f.a, f.b) for f in got]
         assert values == sorted(values)
 
 
