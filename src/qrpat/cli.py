@@ -147,9 +147,11 @@ def _plan(command: str, m: int, b_max: int, fraction: ReducedFraction | None = N
     h*m with h < b*b, and x_num at most a*m with a <= b).
 
     A window w lists min(w + 1, m) points at 0/1 and min(w, m) at 1/1, so
-    b = 1 counts exactly min(2w + 1, 2m) and its widest window min(w + 1, m);
-    at b >= 2 each a/b counts the bound min(2w + 1, m), exact unless a
-    window reaches an end of the plot.
+    b = 1 counts exactly min(2w + 1, 2m) and its widest window min(w + 1, m).
+    1/2's anchor is floor(m/2) + 1 for odd m, so its window misses x = 0
+    exactly when 2w + 1 == m: b = 2 counts min(2w + 1, m) - (2w + 1 == m),
+    also exact.  At b >= 3 each a/b counts the bound min(2w + 1, m), exact
+    unless a window reaches an end of the plot.
     """
     check_modulus(m)
     check_denominator(m, b_max)
@@ -158,11 +160,12 @@ def _plan(command: str, m: int, b_max: int, fraction: ReducedFraction | None = N
         members += count * stride(b)[0]
         if command == "verify":
             w = _window(b, window)
-            points += min(2 * w + 1, 2 * m) if b == 1 else count * min(2 * w + 1, m)
+            span = min(2 * w + 1, m) - (b == 2 and 2 * w + 1 == m)
+            points += min(2 * w + 1, 2 * m) if b == 1 else count * span
             if points > MAX_VERIFY_POINTS:
                 raise ValueError(f"verify windows reach {points} oracle points, "
                                  f"over the cap of {MAX_VERIFY_POINTS}")
-            check_oracle_window(min(w + 1 if b == 1 else 2 * w + 1, m))
+            check_oracle_window(min(w + 1, m) if b == 1 else span)
         elif members > MAX_MEMBERS:
             break
     if members > MAX_MEMBERS:

@@ -7,16 +7,14 @@ x = x0 + i + j*b_prime, and all members share the rational vertex
 abscissa a*m/b while their vertex ordinates are multiples of m/b^2
 spaced exactly m/b_prime apart.
 
-No floating point is used anywhere.  A member is plain integers: its
-vertex height h in [0, b^2) stands for vertex_y == h*m/b^2.  ``Fraction``
-appears only in the derived ``Parabola.vertex_x``/``vertex_y`` properties;
-building, checking and querying a family construct none.
+No floating point and no ``Fraction`` is used anywhere.  A member is
+plain integers: its vertex sits at (a*m/b, h*m/b^2) with an integer
+height h in [0, b^2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 from .residues import ReducedFraction, balanced_residue, check_modulus
@@ -73,8 +71,8 @@ class Parabola(NamedTuple):
     """One family member: r == (A*j*j + B*j + C) mod m at x = x0 + i + j*b_prime.
 
     a_prime indexes the member's vertex height class modulo b_prime; the
-    vertex sits at (vertex_x, vertex_y) == (a*m/b, h*m/b^2) with h in
-    [0, b^2), so vertex_y is already reduced into [0, m).
+    vertex sits at (a*m/b, h*m/b^2) with h in [0, b^2), so its ordinate
+    is already reduced into [0, m).
     """
 
     params: FractionParams
@@ -87,14 +85,6 @@ class Parabola(NamedTuple):
     @property
     def A(self) -> int:
         return self.params.b_prime ** 2
-
-    @property
-    def vertex_x(self) -> Fraction:
-        return Fraction(self.params.frac.a * self.params.m, self.params.frac.b)
-
-    @property
-    def vertex_y(self) -> Fraction:
-        return Fraction(self.h * self.params.m, self.params.frac.b ** 2)
 
 
 @dataclass(frozen=True)

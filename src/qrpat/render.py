@@ -9,7 +9,6 @@ checks happen before anything is converted to floating point.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -23,7 +22,6 @@ __all__ = [
     "Scene",
     "VertexMarker",
     "overlay_predictions",
-    "read_pgm",
     "render_scatter",
     "render_sum_squares",
     "sample_bundle_curve",
@@ -74,7 +72,6 @@ class VertexMarker:
     k: int
     x: float
     y: float
-    line_index: int | None = None
 
 
 @dataclass(frozen=True)
@@ -212,23 +209,15 @@ def overlay_predictions(
     """Scene with the full scatter, predicted vertices and bundle curves.
 
     matches is ``bundle_matches(m, period, D)``.  Every vertex gets a
-    marker, carrying its line index n when it has one; the drawn curves
-    span every matched n.  The scene holds the modulus, not its points.
+    marker, and the drawn curves span every matched n.  The scene holds
+    the modulus, not its points.
     """
     s = bundle_parameter(m, period)
     scene = Scene(width, height, m)
-    for frac, pairs in matches:
-        on_line = dict(pairs or ())
+    for frac, _ in matches:
         for k, h in enumerate(vertex_heights(fraction_params(m, frac))):
             scene.markers.append(
-                VertexMarker(
-                    b=frac.b,
-                    a=frac.a,
-                    k=k,
-                    x=frac.a / frac.b,
-                    y=h / frac.b**2,
-                    line_index=on_line.get(k),
-                )
+                VertexMarker(b=frac.b, a=frac.a, k=k, x=frac.a / frac.b, y=h / frac.b**2)
             )
     n_max = max((abs(n) for _, pairs in matches for _, n in pairs or ()), default=0)
     scene.curves = [sample_bundle_curve(s, n) for n in range(-n_max, n_max + 1)]
@@ -241,23 +230,6 @@ def write_pgm(canvas: Canvas, path) -> None:
     with open(path, "wb") as stream:
         stream.write(header)
         stream.write(canvas.pixels)
-
-
-_PGM_HEADER = re.compile(rb"\AP5\n(\d+) (\d+)\n255\n")
-
-
-def read_pgm(path) -> Canvas:
-    """Read a PGM file written by write_pgm back into a Canvas."""
-    with open(path, "rb") as stream:
-        raw = stream.read()
-    match = _PGM_HEADER.match(raw)
-    if not match:
-        raise ValueError(f"{path}: not a binary PGM produced by write_pgm")
-    width, height = int(match.group(1)), int(match.group(2))
-    payload = raw[match.end():]
-    if len(payload) != width * height:
-        raise ValueError(f"{path}: expected {width * height} pixel bytes, got {len(payload)}")
-    return Canvas(width, height, bytearray(payload))
 
 
 def _scatter(m: int, width: int, height: int) -> bytes:

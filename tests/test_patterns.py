@@ -11,7 +11,7 @@ from qrpat import (
     ReducedFraction,
     bundle_matches,
     bundle_parameter,
-    denominator_set,
+    check_period,
     farey_fractions,
     fraction_params,
     layout_period,
@@ -43,6 +43,11 @@ def signature_by_squaring(m, max_denominator):
     }
 
 
+def covered_denominators(period, max_b):
+    """The b <= max_b whose layout the period pins down: c*b divides it, c = 2 at even b."""
+    return {b for b in range(1, max_b + 1) if period % (b if b % 2 else 2 * b) == 0}
+
+
 def first_covered_mismatch(sig1, sig2, covered):
     """The smallest fraction (by denominator, then numerator) whose entries differ."""
     for frac in sorted(sig1, key=ReducedFraction.sort_key):
@@ -59,26 +64,32 @@ def random_fraction(rng, max_b):
             return ReducedFraction(a, b)
 
 
+# A period's denominator set: the b that patterns._covered accepts, written out by hand.
 def test_denominator_set_full_below_period_index():
-    assert denominator_set(PERIOD_9, 9) == frozenset(range(1, 10))
+    assert {b for b in range(1, 10) if patterns._covered(b, PERIOD_9)} == set(range(1, 10))
 
 
 def test_denominator_set_up_to_18():
     # 16 is absent: covering an even b needs 2*b | period, and 32 does not
     # divide 5040 = 2^4 * 3^2 * 5 * 7.
     expected = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 15, 18}
-    assert denominator_set(PERIOD_9, 18) == frozenset(expected)
+    assert {b for b in range(1, 19) if patterns._covered(b, PERIOD_9)} == expected
 
 
 def test_denominator_set_tiny_period():
-    assert denominator_set(4, 2) == frozenset({1, 2})
+    assert {b for b in range(1, 3) if patterns._covered(b, 4)} == {1, 2}
 
 
 def test_denominator_set_rejects_odd_period():
-    with pytest.raises(ValueError):
-        denominator_set(5041, 9)
-    with pytest.raises(ValueError):
-        denominator_set(2, 9)
+    with pytest.raises(ValueError, match="^layout period must be an even integer >= 4, got 5041$"):
+        check_period(5041)
+    with pytest.raises(ValueError, match="^layout period must be an even integer >= 4, got 2$"):
+        check_period(2)
+
+
+def test_layouts_equivalent_rejects_max_denominator_zero():
+    with pytest.raises(ValueError, match="^max_denominator must be >= 1, got 0$"):
+        layouts_equivalent(20179, 25219, PERIOD_9, 0)
 
 
 def test_beta_signature_known_entry():
@@ -171,7 +182,7 @@ def test_layouts_equivalent_perturbed_pair():
 
 def test_layouts_equivalent_witness_is_smallest():
     result = layouts_equivalent(20179, 20180, PERIOD_9, 9)
-    dset = denominator_set(PERIOD_9, 9)
+    dset = covered_denominators(PERIOD_9, 9)
     sig1 = signature_by_squaring(20179, 9)
     sig2 = signature_by_squaring(20180, 9)
     assert result.witness == first_covered_mismatch(sig1, sig2, dset)
@@ -300,7 +311,7 @@ def test_vertex_on_bundle_representative_shift():
 
 def test_normalized_vertex_sets_match_between_congruent_moduli():
     rng = random.Random(36)
-    dset = denominator_set(PERIOD_9, 12)
+    dset = covered_denominators(PERIOD_9, 12)
     for _ in range(20):
         m1 = rng.randrange(10**4, 10**7)
         m2 = m1 + rng.randrange(1, 100) * PERIOD_9
@@ -309,8 +320,8 @@ def test_normalized_vertex_sets_match_between_congruent_moduli():
                 continue
             fam1 = parabola_family(fraction_params(m1, frac))
             fam2 = parabola_family(fraction_params(m2, frac))
-            set1 = {p.vertex_y / m1 for p in fam1.members}
-            set2 = {p.vertex_y / m2 for p in fam2.members}
+            set1 = {Fraction(p.h * m1, frac.b**2) / m1 for p in fam1.members}
+            set2 = {Fraction(p.h * m2, frac.b**2) / m2 for p in fam2.members}
             assert set1 == set2
 
 
@@ -326,11 +337,10 @@ def test_family_vertices_equal_normalized_form():
                 (Fraction(beta_prime, frac.b**2) + Fraction(k, params.b_prime)) % 1
                 for k in range(params.b_prime)
             }
-            assert {p.vertex_y / m for p in fam.members} == expected
+            assert {Fraction(p.h * m, frac.b**2) / m for p in fam.members} == expected
 
 
 def test_layout_period_consistency_with_denominator_set():
     for n in range(2, 20):
         period = layout_period(n)
-        members = denominator_set(period, n)
-        assert members == frozenset(range(1, n + 1))
+        assert all(patterns._covered(b, period) for b in range(1, n + 1))

@@ -5,6 +5,7 @@ import math
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,11 +17,9 @@ from qrpat import (
     Scene,
     VertexMarker,
     bundle_matches,
-    denominator_set,
     farey_fractions,
     fraction_params,
     overlay_predictions,
-    read_pgm,
     render_scatter,
     render_sum_squares,
     sample_bundle_curve,
@@ -40,6 +39,15 @@ try:
     from hypothesis import strategies as st
 except ImportError:  # the generated-input property below is skipped
     given = None
+
+
+def read_pgm(path):
+    """The Canvas in a PGM that write_pgm wrote; the header must be its P5 and
+    maxval 255, and Canvas refuses a payload of the wrong length."""
+    magic, size, maxval, payload = Path(path).read_bytes().split(b"\n", 3)
+    assert (magic, maxval) == (b"P5", b"255")
+    width, height = map(int, size.split(b" "))
+    return Canvas(width, height, bytearray(payload))
 
 
 def black_pixels(canvas):
@@ -189,6 +197,11 @@ def test_canvas_pixel_cap(monkeypatch):
         render_sum_squares(101, 18)
 
 
+def test_canvas_rejects_a_buffer_of_the_wrong_length():
+    with pytest.raises(ValueError, match="^pixel buffer of 3 bytes does not match 2x2$"):
+        Canvas(2, 2, bytearray(3))
+
+
 def test_grid_rejects_tiny_size():
     with pytest.raises(ValueError):
         render_sum_squares(415, 1)
@@ -277,18 +290,17 @@ def test_sample_curve_degenerate_line():
 
 def test_overlay_markers_and_curves():
     m, max_d, period = 20179, 9, 5040
-    scene = overlay_predictions(m, period, bundle_matches(m, period, max_d), 800, 800)
+    matches = bundle_matches(m, period, max_d)
+    scene = overlay_predictions(m, period, matches, 800, 800)
     assert scene.modulus == m
     expected_markers = 0
     for frac in farey_fractions(max_d):
         expected_markers += fraction_params(m, frac).b_prime
     assert len(scene.markers) == expected_markers
     drawn = {curve.n for curve in scene.curves}
-    covered = denominator_set(period, max_d)
+    # every line a vertex was matched to has its curve drawn
+    assert {n for _, pairs in matches for _, n in pairs or ()} <= drawn
     for marker in scene.markers:
-        if marker.b in covered:
-            assert marker.line_index is not None
-            assert marker.line_index in drawn
         params = fraction_params(m, ReducedFraction(marker.a, marker.b))
         beta_prime = params.beta % (params.c * marker.b)
         y = (Fraction(beta_prime, marker.b**2) + Fraction(marker.k, params.b_prime)) % 1
