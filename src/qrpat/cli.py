@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 from functools import cache, lru_cache, partial
-from itertools import starmap
+from itertools import starmap, takewhile
 from math import gcd, isqrt
 
 from .parabola import (
@@ -31,7 +31,7 @@ from .residues import ReducedFraction, check_modulus, farey_fractions, layout_pe
 
 # Most family members (b_prime per a/b) one predict, bundle or verify request builds.
 # predict streams them, ~3.4 µs and 230 B of compact JSON each (~3.5 s and ~230 MB at
-# the cap); bundle holds its whole answer, ~10 s and ~800 MB peak RSS near the cap;
+# the cap); bundle streams them too, ~2 s and ~26 MB peak RSS near the cap;
 # verify checks them, ~2.6 s with --window 1 and ~11 s by default (see README).
 MAX_MEMBERS = 10**6
 # Most oracle points one verify checks: ~1.2 µs each at 7 digits, ~1.5 µs at 40 (see README).
@@ -93,15 +93,18 @@ def _predict_values(m: int, frac: ReducedFraction) -> tuple[int, ...]:
     return tuple(values)
 
 
+def _json_template(shape, indented: bool, depth: int) -> str:
+    """json.dumps of shape with each "%d" left bare, so one % fills in ints as json
+    writes them; indented, laid out as an entry of a list depth lists deep."""
+    if not indented:
+        return json.dumps(shape, separators=(",", ":")).replace('"%d"', "%d")
+    return json.dumps(shape, indent=2).replace('"%d"', "%d").replace("\n", "\n" + "  " * depth)
+
+
 @lru_cache(maxsize=256)
 def _predict_template(members: int, indented: bool, listed: bool) -> str:
     """The JSON of one predict entry with this many members, a %d per integer
-    in the order _predict_values gives them.
-
-    It is json.dumps of the entry's shape with "%d" for every value, so its
-    layout is json's; %d writes an int as json does.  Listed entries sit one
-    level deeper, which indents every line after the first two more spaces.
-    """
+    in the order _predict_values gives them; listed entries sit in the list."""
     d = "%d"
     shape = {
         "modulus": d,
@@ -111,10 +114,15 @@ def _predict_template(members: int, indented: bool, listed: bool) -> str:
         * members,
         "coefficients": [dict.fromkeys(("i", "A", "B", "C"), d)] * members,
     }
-    if not indented:
-        return json.dumps(shape, separators=(",", ":")).replace('"%d"', d)
-    text = json.dumps(shape, indent=2).replace('"%d"', d)
-    return text.replace("\n", "\n  ") if listed else text
+    return _json_template(shape, indented, listed)
+
+
+@lru_cache(maxsize=256)
+def _bundle_template(members: int) -> str:
+    """The JSON of one covered bundle fraction with this many vertices, as an
+    entry of "fractions": a %d for a, b and each vertex's n; k is its position."""
+    shape = {"a": "%d", "b": "%d", "vertices": [{"k": k, "n": "%d"} for k in range(members)]}
+    return _json_template(shape, True, 2)
 
 
 def _farey_counts(max_d: int):
@@ -135,23 +143,36 @@ def _window(b: int, window: int | None) -> int:
     return window or 3 * stride(b)[0]
 
 
+def _clipped_windows(m: int, b: int, count: int, w: int) -> tuple[int, int]:
+    """(points, widest) of the oracle windows of the count a/b of F_D at b.
+
+    Window a/b lists min(x0 + w, m - 1) - max(0, x0 - w) + 1 points, x0 =
+    floor(a*m/b + 1/2).  Only the a/b with x0 within w of 0 or of m are walked,
+    in from each end (gcd(a, b) == 1 keeps 0/1 and 1/1 at b = 1); the rest
+    list 2w + 1 each.
+    """
+    def x0(a):
+        return (2 * a * m + b) // (2 * b)
+
+    low = list(takewhile(lambda a: x0(a) < w, range(b + 1)))
+    high = takewhile(lambda a: x0(a) + w >= m, range(b, len(low) - 1, -1))
+    sizes = [min(x0(a) + w, m - 1) - max(0, x0(a) - w) + 1
+             for a in (*low, *high) if gcd(a, b) == 1]
+    rest = count - len(sizes)
+    return sum(sizes) + rest * (2 * w + 1), 2 * w + 1 if rest else max(sizes)
+
+
 def _plan(command: str, m: int, b_max: int, fraction: ReducedFraction | None = None,
           window: int | None = None) -> None:
     """Refuse a predict, verify or bundle request before any work or output.
 
     In one order: the modulus; m > b_max^2; one b-by-b walk of F_D (or of
     the one fraction) counting members, b_prime per a/b, and for verify the
-    oracle points against MAX_VERIFY_POINTS, then the widest window at b
-    against MAX_ORACLE_POINTS (predict and bundle stop past MAX_MEMBERS);
-    the member cap; for predict, the digit bound b*b*m (y_num is at most
-    h*m with h < b*b, and x_num at most a*m with a <= b).
-
-    A window w lists min(w + 1, m) points at 0/1 and min(w, m) at 1/1, so
-    b = 1 counts exactly min(2w + 1, 2m) and its widest window min(w + 1, m).
-    1/2's anchor is floor(m/2) + 1 for odd m, so its window misses x = 0
-    exactly when 2w + 1 == m: b = 2 counts min(2w + 1, m) - (2w + 1 == m),
-    also exact.  At b >= 3 each a/b counts the bound min(2w + 1, m), exact
-    unless a window reaches an end of the plot.
+    exact oracle points (``_clipped_windows``) against MAX_VERIFY_POINTS,
+    then the widest window at b against MAX_ORACLE_POINTS (predict and
+    bundle stop past MAX_MEMBERS); the member cap; for predict, the digit
+    bound b*b*m (y_num is at most h*m with h < b*b, and x_num at most a*m
+    with a <= b).
     """
     check_modulus(m)
     check_denominator(m, b_max)
@@ -159,13 +180,12 @@ def _plan(command: str, m: int, b_max: int, fraction: ReducedFraction | None = N
     for b, count in _farey_counts(b_max) if fraction is None else [(b_max, 1)]:
         members += count * stride(b)[0]
         if command == "verify":
-            w = _window(b, window)
-            span = min(2 * w + 1, m) - (b == 2 and 2 * w + 1 == m)
-            points += min(2 * w + 1, 2 * m) if b == 1 else count * span
+            at_b, widest = _clipped_windows(m, b, count, _window(b, window))
+            points += at_b
             if points > MAX_VERIFY_POINTS:
                 raise ValueError(f"verify windows reach {points} oracle points, "
                                  f"over the cap of {MAX_VERIFY_POINTS}")
-            check_oracle_window(min(w + 1, m) if b == 1 else span)
+            check_oracle_window(widest)
         elif members > MAX_MEMBERS:
             break
     if members > MAX_MEMBERS:
@@ -257,40 +277,32 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_bundle(args) -> int:
-    """Match each covered vertex of F_D once, then write the SVG, the warnings and
-    the JSON from those matches, so every refusal comes before any output."""
+    """Match each covered vertex of F_D once, holding only its line index n;
+    from those matches write the SVG, the warnings, then the JSON head, each
+    covered fraction by one % over its template, and the skipped ones.  Every
+    refusal comes before any output."""
     period = layout_period(args.lambda_n)
     m, max_d = args.modulus, args.max_denominator
     _plan("bundle", m, max_d)
-    matches = bundle_matches(m, period, max_d)
+    matches = list(bundle_matches(m, period, max_d))
     if args.out:
         write_svg(overlay_predictions(m, period, matches, args.width, args.height), args.out)
-    fractions, skipped = [], []
-    for i, (frac, pairs) in enumerate(matches):
-        matches[i] = None  # frees each pair list once its dict is built
-        if pairs is None:
-            print(
-                f"warning: skipping {frac}: denominator {frac.b} is not covered "
-                f"by period {period}",
-                file=sys.stderr,
-            )
-            skipped.append({"a": frac.a, "b": frac.b})
-            continue
-        fractions.append(
-            {"a": frac.a, "b": frac.b, "vertices": [{"k": k, "n": n} for k, n in pairs]}
-        )
-    _emit(
-        {
-            "modulus": m,
-            "lambda_n": args.lambda_n,
-            "lambda": period,
-            "s": bundle_parameter(m, period),
-            "max_denominator": max_d,
-            "line_indices": sorted({v["n"] for f in fractions for v in f["vertices"]}),
-            "fractions": fractions,
-            "skipped": skipped,
-        }
-    )
+    skipped = [frac for frac, ns in matches if ns is None]
+    for frac in skipped:
+        print(f"warning: skipping {frac}: denominator {frac.b} is not covered "
+              f"by period {period}", file=sys.stderr)
+    # The entries replace "fractions"' one placeholder; b = 1 is always covered, so never "[]".
+    head, tail = json.dumps({
+        "modulus": m, "lambda_n": args.lambda_n, "lambda": period,
+        "s": bundle_parameter(m, period), "max_denominator": max_d,
+        "line_indices": sorted(set().union(*(ns for _, ns in matches if ns))),
+        "fractions": ["%s"], "skipped": [{"a": frac.a, "b": frac.b} for frac in skipped],
+    }, indent=2).split('"%s"')
+    write = sys.stdout.write
+    write(head)
+    for k, (frac, ns) in enumerate((frac, ns) for frac, ns in matches if ns is not None):
+        write((",\n    " if k else "") + _bundle_template(len(ns)) % (frac.a, frac.b, *ns))
+    write(tail + "\n")
     return 0
 
 

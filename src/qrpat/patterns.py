@@ -13,6 +13,7 @@ is any representative of m modulo the period.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from typing import NamedTuple
 
 from .parabola import check_denominator, fraction_params, stride, vertex_heights
@@ -40,7 +41,7 @@ class LayoutComparison(NamedTuple):
     witness: ReducedFraction | None
 
 
-BundleMatch = tuple[ReducedFraction, list[tuple[int, int]] | None]
+BundleMatch = tuple[ReducedFraction, tuple[int, ...] | None]
 
 
 def _covered(b: int, period: int) -> bool:
@@ -84,15 +85,18 @@ def layouts_equivalent(
     return LayoutComparison(True, None)
 
 
-def bundle_matches(m: int, period: int, max_denominator: int) -> list[BundleMatch]:
-    """Every a/b of F_D in (b, a) order with its ``vertex_on_bundle`` pairs,
-    or None where the period does not cover b; m must exceed D^2."""
+def bundle_matches(m: int, period: int, max_denominator: int) -> Iterator[BundleMatch]:
+    """(frac, ns) for each a/b of F_D in (b, a) order, made as read: ns is each
+    vertex's line index n in k order, from one ``vertex_on_bundle`` call, or None
+    where the period does not cover b.  m > D^2 and the period are checked at once."""
     check_denominator(m, max_denominator)
     check_period(period)
-    return [
-        (frac, vertex_on_bundle(m, period, frac) if _covered(frac.b, period) else None)
+    lines = {}  # each distinct n is held once, however many vertices lie on its line
+    return (
+        (frac, tuple(lines.setdefault(n, n) for _, n in vertex_on_bundle(m, period, frac))
+         if _covered(frac.b, period) else None)
         for frac in sorted(farey_fractions(max_denominator), key=ReducedFraction.sort_key)
-    ]
+    )
 
 
 def bundle_parameter(m: int, period: int) -> int:

@@ -9,6 +9,7 @@ checks happen before anything is converted to floating point.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -204,22 +205,23 @@ def sample_bundle_curve(s: int, n: int, samples: int = CURVE_SAMPLES) -> BundleC
 
 
 def overlay_predictions(
-    m: int, period: int, matches: list[BundleMatch], width: int, height: int
+    m: int, period: int, matches: Iterable[BundleMatch], width: int, height: int
 ) -> Scene:
     """Scene with the full scatter, predicted vertices and bundle curves.
 
-    matches is ``bundle_matches(m, period, D)``.  Every vertex gets a
-    marker, and the drawn curves span every matched n.  The scene holds
-    the modulus, not its points.
+    matches is ``bundle_matches(m, period, D)``, read once.  Every vertex
+    gets a marker, and the drawn curves span every matched n.  The scene
+    holds the modulus, not its points.
     """
     s = bundle_parameter(m, period)
     scene = Scene(width, height, m)
-    for frac, _ in matches:
+    n_max = 0
+    for frac, ns in matches:
         for k, h in enumerate(vertex_heights(fraction_params(m, frac))):
             scene.markers.append(
                 VertexMarker(b=frac.b, a=frac.a, k=k, x=frac.a / frac.b, y=h / frac.b**2)
             )
-    n_max = max((abs(n) for _, pairs in matches for _, n in pairs or ()), default=0)
+        n_max = max(n_max, *map(abs, ns or (0,)))
     scene.curves = [sample_bundle_curve(s, n) for n in range(-n_max, n_max + 1)]
     return scene
 

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from importlib.metadata import PackageNotFoundError, distribution, distributions
@@ -170,6 +171,39 @@ def predict_reference(m, selector, compact):
     if compact:
         return json.dumps(payload, separators=(",", ":")) + "\n"
     return json.dumps(payload, indent=2) + "\n"
+
+
+def bundle_argv(m, lambda_n, max_d):
+    return ["bundle", "--modulus", str(m), "--lambda-n", str(lambda_n),
+            "--max-denominator", str(max_d)]
+
+
+def bundle_reference(m, lambda_n, max_d):
+    """The byte reference for bundle: (exit code, stdout, stderr) as the CLI wrote
+    them before it streamed, stdout being json.dumps(indent=2) of the whole payload."""
+    period = residues.layout_period(lambda_n)
+    fractions, skipped, err = [], [], ""
+    for frac in sorted(farey_fractions(max_d), key=ReducedFraction.sort_key):
+        if period % (frac.b if frac.b % 2 else 2 * frac.b):
+            err += (f"warning: skipping {frac}: denominator {frac.b} is not covered "
+                    f"by period {period}\n")
+            skipped.append({"a": frac.a, "b": frac.b})
+            continue
+        pairs = patterns.vertex_on_bundle(m, period, frac)
+        fractions.append(
+            {"a": frac.a, "b": frac.b, "vertices": [{"k": k, "n": n} for k, n in pairs]}
+        )
+    payload = {
+        "modulus": m,
+        "lambda_n": lambda_n,
+        "lambda": period,
+        "s": patterns.bundle_parameter(m, period),
+        "max_denominator": max_d,
+        "line_indices": sorted({v["n"] for f in fractions for v in f["vertices"]}),
+        "fractions": fractions,
+        "skipped": skipped,
+    }
+    return 0, json.dumps(payload, indent=2) + "\n", err
 
 
 def run(capsys, *argv):
@@ -621,6 +655,20 @@ def test_verify_plans_the_window_of_1_2_exactly(capsys, monkeypatch):
     )
 
 
+def test_verify_plans_windows_that_reach_an_end_of_the_plot_exactly(capsys, monkeypatch):
+    # At w = 499999 every window of F_6 but 1/2's reaches x = 0 or x = m - 1, and
+    # the clipped windows list 9,700,001 points.  Counting 2w + 1 for each a/b at
+    # b >= 3 refused this as 11,999,988.
+    monkeypatch.setattr(cli, "_fraction_checks", lambda m, frac, window: (True, True, True))
+    argv = ("verify", "--modulus", "1000003", "--max-denominator", "6", "--window", "499999")
+    code, payload, err = run_json(capsys, *argv)
+    assert (code, err, payload["ok"], payload["fractions_checked"]) == (0, "", True, 13)
+    monkeypatch.setattr(cli, "MAX_VERIFY_POINTS", 9700000)
+    assert run(capsys, *argv) == (
+        2, "", "error: verify windows reach 9700001 oracle points, over the cap of 9700000\n"
+    )
+
+
 # One row per refusal of predict, verify and bundle, in the plan's order: the
 # modulus, m > D^2, the oracle points, the members, then predict's digit bound.
 # At --max-denominator 3000 and m = 100 predict named the member cap, and at
@@ -860,6 +908,50 @@ def test_bundle_skips_uncovered_denominators(capsys):
     assert {f["b"] for f in payload["skipped"]} == {11}
     assert len(payload["skipped"]) == 10
     assert err.count("warning") == 10
+
+
+@pytest.mark.parametrize("m, lambda_n, max_d", [
+    (20179, 9, 9),
+    (20179, 3, 9),  # 22 skipped fractions
+    (25200, 9, 3),  # s = 0
+    (977, 9, 1),
+    (M40, 30, 25),
+    (M40, 400, 12),
+])
+def test_bundle_streams_the_json_dumps_bytes(capsys, m, lambda_n, max_d):
+    assert run(capsys, *bundle_argv(m, lambda_n, max_d)) == bundle_reference(m, lambda_n, max_d)
+
+
+class ByteCounter:
+    """A stdout that keeps nothing but the number of characters written to it."""
+
+    def __init__(self):
+        self.count = 0
+
+    def write(self, text):
+        self.count += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_bundle_holds_a_small_fraction_of_what_it_writes():
+    # 2.2 MB of JSON.  Building the whole payload and its json.dumps text first
+    # peaked at 13 times the bytes written; streamed, only a line index per vertex
+    # (and a template per member count) is held.
+    sink = ByteCounter()
+    cli._build_parser()
+    cli._bundle_template.cache_clear()
+    tracemalloc.start()
+    try:
+        with redirect_stdout(sink):
+            assert main(bundle_argv(M40, 400, 60)) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.count > 2 * 10**6
+    assert peak < 0.4 * sink.count
 
 
 def count_calls(monkeypatch, module, name):

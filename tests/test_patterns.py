@@ -198,12 +198,18 @@ def test_layouts_equivalent_random_congruent_pairs():
 
 
 def test_bundle_matches_pairs_every_covered_fraction_in_b_a_order():
-    matches = bundle_matches(20179, PERIOD_9, 11)
+    matches = list(bundle_matches(20179, PERIOD_9, 11))
     assert [frac for frac, _ in matches] == sorted(farey_fractions(11),
                                                    key=ReducedFraction.sort_key)
-    for frac, pairs in matches:
+    for frac, ns in matches:
         # 11 is the only b <= 11 that 5040 leaves uncovered
-        assert pairs == (None if frac.b == 11 else vertex_on_bundle(20179, PERIOD_9, frac))
+        if frac.b == 11:
+            assert ns is None
+            continue
+        pairs = vertex_on_bundle(20179, PERIOD_9, frac)
+        # k is the position, so the line indices alone carry every pair
+        assert [k for k, _ in pairs] == list(range(len(pairs)))
+        assert ns == tuple(n for _, n in pairs)
     with pytest.raises(ValueError, match="must exceed 11"):
         bundle_matches(121, PERIOD_9, 11)
 

@@ -1,6 +1,6 @@
 """Generated-input checks of the anchor identity, lattice, coverage, vertex-height,
-predict JSON (against the json.dumps byte reference), request plan, layout and
-bundle claims."""
+predict and bundle output (against the json.dumps byte references), request plan,
+layout and bundle claims."""
 
 import io
 import json
@@ -27,6 +27,7 @@ from qrpat import (  # noqa: E402
     fraction_params,
     layout_period,
     layouts_equivalent,
+    parabola,
     parabola_family,
     residues_near,
     verify_identity,
@@ -34,7 +35,7 @@ from qrpat import (  # noqa: E402
     vertex_on_bundle,
 )
 from qrpat.cli import main  # noqa: E402
-from test_cli import predict_argv, predict_reference  # noqa: E402
+from test_cli import bundle_argv, bundle_reference, predict_argv, predict_reference  # noqa: E402
 from test_patterns import (  # noqa: E402
     covered_denominators,
     first_covered_mismatch,
@@ -182,22 +183,28 @@ def run_capped(argv, **caps):
 
 @settings(deadline=None, database=None)
 @given(plan_cases())
-# 1/2's window of 500 at m = 1001 lists x = 1..1000, and the plan counts it exactly
+# 1/2's window of 500 at m = 1001 lists x = 1..1000, and the plan counts it exactly;
+# 1/3's window of 400 lists x = 0..734, which counting 2w + 1 at b >= 3 put at 801
 @example((1001, 2, 500))
+@example((1001, 3, 400))
 def test_the_plan_never_under_counts_and_counts_members_exactly(case):
     m, max_d, window = case
     families = [parabola_family(fraction_params(m, f)) for f in farey_fractions(max_d)]
     members = sum(len(family.members) for family in families)
     # (params, w): the default window is 3 * b_prime
     windows = [(family.params, window or 3 * len(family.members)) for family in families]
-    points = sum(len(residues_near(m, params.frac, w)) for params, w in windows)
+    sizes = [len(residues_near(m, params.frac, w)) for params, w in windows]
+    points, widest = sum(sizes), max(sizes)
     verify = ["verify", "--modulus", str(m), "--max-denominator", str(max_d),
               *(["--window", str(window)] if window else [])]
     code, err = run_capped(verify, MAX_VERIFY_POINTS=points - 1)
     assert code == 2 and err.endswith(f" oracle points, over the cap of {points - 1}\n")
-    # b <= 2 is counted exactly; above, only a window inside the plot is
-    if all(w <= params.x0 < m - w for params, w in windows if params.frac.b > 2):
-        assert run_capped(verify, MAX_VERIFY_POINTS=points) == (0, "")
+    assert run_capped(verify, MAX_VERIFY_POINTS=points) == (0, "")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(parabola, "MAX_ORACLE_POINTS", widest - 1)
+        assert run_capped(verify, MAX_VERIFY_POINTS=points) == (
+            2, f"error: oracle window of {widest} points exceeds the cap of {widest - 1}\n"
+        )
     for argv in (verify,
                  ["predict", "--modulus", str(m), "--max-denominator", str(max_d), "--json"],
                  ["bundle", "--modulus", str(m), "--max-denominator", str(max_d)]):
@@ -205,6 +212,22 @@ def test_the_plan_never_under_counts_and_counts_members_exactly(case):
         assert run_capped(argv, MAX_MEMBERS=members - 1, MAX_VERIFY_POINTS=10**9) == (
             2, f"error: {argv[0]} exceeds the cap of {members - 1} family members\n"
         )
+
+
+@st.composite
+def bundle_requests(draw):
+    """(m, lambda_n, D): lambda-n 2..30, D <= 25, m from just above D^2 up to 10^40."""
+    max_d = draw(st.integers(1, 25))
+    return draw(moduli_above(max_d)), draw(st.integers(2, 30)), max_d
+
+
+@settings(deadline=None, database=None)
+@given(bundle_requests())
+def test_streamed_bundle_is_json_dumps_of_the_payload(case):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(bundle_argv(*case))
+    assert (code, out.getvalue(), err.getvalue()) == bundle_reference(*case)
 
 
 @st.composite

@@ -290,7 +290,7 @@ def test_sample_curve_degenerate_line():
 
 def test_overlay_markers_and_curves():
     m, max_d, period = 20179, 9, 5040
-    matches = bundle_matches(m, period, max_d)
+    matches = list(bundle_matches(m, period, max_d))
     scene = overlay_predictions(m, period, matches, 800, 800)
     assert scene.modulus == m
     expected_markers = 0
@@ -299,7 +299,7 @@ def test_overlay_markers_and_curves():
     assert len(scene.markers) == expected_markers
     drawn = {curve.n for curve in scene.curves}
     # every line a vertex was matched to has its curve drawn
-    assert {n for _, pairs in matches for _, n in pairs or ()} <= drawn
+    assert {n for _, ns in matches for n in ns or ()} <= drawn
     for marker in scene.markers:
         params = fraction_params(m, ReducedFraction(marker.a, marker.b))
         beta_prime = params.beta % (params.c * marker.b)
