@@ -15,6 +15,7 @@ from itertools import starmap, takewhile
 from math import gcd, isqrt
 
 from .parabola import (
+    anchor,
     check_denominator,
     check_oracle_window,
     covering_members,
@@ -31,7 +32,7 @@ from .residues import ReducedFraction, check_modulus, farey_fractions, layout_pe
 
 # Most family members (b_prime per a/b) one predict, bundle or verify request builds.
 # predict streams them, ~3.4 µs and 230 B of compact JSON each (~3.5 s and ~230 MB at
-# the cap); bundle streams them too, ~2 s and ~26 MB peak RSS near the cap;
+# the cap); bundle streams them too, ~1 s and ~26 MB peak RSS near the cap;
 # verify checks them, ~2.6 s with --window 1 and ~11 s by default (see README).
 MAX_MEMBERS = 10**6
 # Most oracle points one verify checks: ~1.2 µs each at 7 digits, ~1.5 µs at 40 (see README).
@@ -147,12 +148,12 @@ def _clipped_windows(m: int, b: int, count: int, w: int) -> tuple[int, int]:
     """(points, widest) of the oracle windows of the count a/b of F_D at b.
 
     Window a/b lists min(x0 + w, m - 1) - max(0, x0 - w) + 1 points, x0 =
-    floor(a*m/b + 1/2).  Only the a/b with x0 within w of 0 or of m are walked,
+    ``anchor(m, a, b)``.  Only the a/b with x0 within w of 0 or of m are walked,
     in from each end (gcd(a, b) == 1 keeps 0/1 and 1/1 at b = 1); the rest
     list 2w + 1 each.
     """
     def x0(a):
-        return (2 * a * m + b) // (2 * b)
+        return anchor(m, a, b)
 
     low = list(takewhile(lambda a: x0(a) < w, range(b + 1)))
     high = takewhile(lambda a: x0(a) + w >= m, range(b, len(low) - 1, -1))

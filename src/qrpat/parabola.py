@@ -17,12 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .residues import ReducedFraction, balanced_residue, check_modulus
+from .residues import ReducedFraction, check_modulus
 
 __all__ = [
     "FractionParams",
     "Parabola",
     "ParabolaFamily",
+    "anchor",
     "canonical_offsets",
     "check_denominator",
     "check_oracle_window",
@@ -45,9 +46,8 @@ MAX_ORACLE_POINTS = 10**6
 class FractionParams:
     """Exact quantities attached to one (modulus, anchor fraction) pair.
 
-    x0 is the integer nearest (a/b)*m, with halves rounding up, and r0 is
-    its quadratic residue.  alpha is the balanced remainder of a*m mod b,
-    so x0 == (a*m - alpha) // b exactly.  beta, normalized to [0, b*b),
+    x0 is ``anchor(m, a, b)`` and r0 is its quadratic residue.  alpha is
+    a*m - b*x0, the remainder of a*m mod b in [-b/2, b/2).  beta, in [0, b*b),
     fixes the vertex heights of the family through the integer identity
 
         b*b * r0 == beta * m + alpha*alpha
@@ -122,10 +122,9 @@ def stride(b: int) -> tuple[int, int]:
     return (b, 1) if b % 2 else (b // 2, 2)
 
 
-def _anchor(m: int, frac: ReducedFraction) -> tuple[int, int]:
-    """(alpha, x0): balanced remainder of a*m mod b and the anchor integer."""
-    alpha = balanced_residue(frac.a * m, frac.b)
-    return alpha, (frac.a * m - alpha) // frac.b
+def anchor(m: int, a: int, b: int) -> int:
+    """x0 = floor(a*m/b + 1/2): the integer nearest (a/b)*m, halves rounding up."""
+    return (2 * a * m + b) // (2 * b)
 
 
 def fraction_params(m: int, frac: ReducedFraction) -> FractionParams:
@@ -137,7 +136,8 @@ def fraction_params(m: int, frac: ReducedFraction) -> FractionParams:
     check_modulus(m)
     a, b = frac.a, frac.b
     check_denominator(m, b)
-    alpha, x0 = _anchor(m, frac)
+    x0 = anchor(m, a, b)
+    alpha = a * m - b * x0
     r0 = x0 * x0 % m
     beta = (a * a * m - 2 * a * alpha) % (b * b)
     return FractionParams(m, frac, *stride(b), alpha, beta, x0, r0)
@@ -219,7 +219,7 @@ def residues_near(m: int, frac: ReducedFraction, window: int) -> list[tuple[int,
     check_modulus(m)
     if window < 1:
         raise ValueError(f"window must be a positive integer, got {window}")
-    _, x0 = _anchor(m, frac)
+    x0 = anchor(m, frac.a, frac.b)
     lo = max(0, x0 - window)
     hi = min(m - 1, x0 + window)
     check_oracle_window(hi - lo + 1)

@@ -12,7 +12,6 @@ is any representative of m modulo the period.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 from typing import NamedTuple
 
@@ -110,19 +109,6 @@ def bundle_parameter(m: int, period: int) -> int:
     return r - period if 2 * r > period else r
 
 
-def _smallest_line_index(coef: int, rhs: int, mod: int) -> int:
-    """Solve coef * n == rhs (mod mod) for the n of smallest absolute value.
-
-    Ties between n and -n go to the positive solution.
-    """
-    g = math.gcd(coef, mod)
-    if rhs % g:
-        raise ArithmeticError(f"{coef}*n == {rhs} (mod {mod}) has no solution")
-    reduced = mod // g
-    n0 = (rhs // g) * pow(coef // g, -1, reduced) % reduced
-    return n0 - reduced if 2 * n0 > reduced else n0
-
-
 def vertex_on_bundle(
     m: int, period: int, frac: ReducedFraction, s: int | None = None
 ) -> list[tuple[int, int]]:
@@ -134,6 +120,11 @@ def vertex_on_bundle(
     integer (ties to the positive n), i.e. with
     h_k + s*a^2 - 2*n*a*b divisible by b^2.  That integer membership is
     verified before the pair is returned.
+
+    h_k + s*a^2 rises by c*b per vertex and gcd(2a, b) == c, so n_k solves
+    (2a/c)*n == L0/c + k (mod b_prime) with L0 = (h_0 + s*a^2) / b: one
+    inverse per fraction, and the n_k are ``canonical_offsets(b_prime)``
+    in some order.
 
     The fraction's denominator must be covered by the period; s defaults
     to the balanced representative of m but any other representative of
@@ -149,13 +140,19 @@ def vertex_on_bundle(
         s = bundle_parameter(m, period)
     elif (m - s) % period:
         raise ValueError(f"s = {s} does not represent {m} modulo {period}")
-    a, b = frac.a, frac.b
+    a, b, b_prime, c = frac.a, frac.b, params.b_prime, params.c
+    bb = b * b
+    # Only (h + s*a^2) mod b^2 = (Y + s*X^2) * b^2 mod b^2 matters; off the bundle
+    # (h + s*a^2 no multiple of b, or L0/c no integer) the exact check below fails.
+    sa2 = s * a * a % bb
+    start = (params.beta % (c * b) + sa2) // b // c
+    inverse = pow(2 * a // c, -1, b_prime)
     pairs = []
     for k, h in enumerate(vertex_heights(params)):
-        # h + s*a^2 = (Y + s*X^2) * b^2; off the bundle no n passes the check below.
-        lifted = h + s * a * a
-        n = _smallest_line_index(2 * a, lifted // b, b)
-        if (lifted - 2 * n * a * b) % (b * b):
+        n = (start + k) * inverse % b_prime
+        if 2 * n > b_prime:
+            n -= b_prime
+        if (h + sa2 - 2 * n * a * b) % bb:
             raise ArithmeticError(
                 f"line index {n} fails exact membership for vertex k={k} of {frac}"
             )

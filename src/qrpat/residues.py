@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 __all__ = [
     "ReducedFraction",
-    "balanced_residue",
     "check_modulus",
     "farey_fractions",
     "layout_period",
@@ -69,19 +68,6 @@ class ReducedFraction:
 
     def __str__(self) -> str:
         return f"{self.a}/{self.b}"
-
-
-def balanced_residue(v: int, n: int) -> int:
-    """The representative of v mod n nearest zero, taken from [-n/2, n/2).
-
-    At the even-n halfway point the negative end is returned, which makes
-    (v - balanced_residue(v, n)) // n equal floor(v/n + 1/2): rounding to
-    nearest with halves going up.
-    """
-    if n < 1:
-        raise ValueError(f"modulus for balanced reduction must be >= 1, got {n}")
-    r = v % n
-    return r - n if 2 * r >= n else r
 
 
 def farey_fractions(max_denominator: int) -> list[ReducedFraction]:

@@ -39,6 +39,10 @@ except ImportError:  # the argv grammar property below is skipped
 # stdout of `qrpat bundle --modulus 20179 --lambda-n 9 --max-denominator 9`.
 GOLDEN_BUNDLE_20179 = "116345aa72c8b824aa0aed30064a2e3e49af0d63df2ebaf9ad489dc473fac066"
 
+# stdout of `qrpat bundle --modulus 10**40+1 --lambda-n 400 --max-denominator 60` (2,194,208
+# bytes): bundle_reference matches vertices with vertex_on_bundle, so this pins its line indices.
+GOLDEN_BUNDLE_M40 = "a8feabd54be205178915e2adb0108c890d2b545bb5ce9726cba033d3aa4ed5a1"
+
 # A 39-digit modulus for the `equiv` goldens at --max-denominator 40; layout_period(40) = 10685862914126400.
 M39 = "123456789012345678901234567890123456789"
 M40 = 10**40 + 1
@@ -878,6 +882,12 @@ def test_bundle_stdout_golden_hash(capsys):
                        "--max-denominator", "9")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_BUNDLE_20179
+
+
+def test_bundle_stdout_golden_hash_at_40_digits(capsys):
+    code, out, _ = run(capsys, *bundle_argv(M40, 400, 60))
+    assert (code, len(out)) == (0, 2194208)
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_BUNDLE_M40
 
 
 def test_bundle_scene_over_the_cap_exits_2(tmp_path, capsys, monkeypatch):

@@ -10,6 +10,7 @@ import pytest
 from qrpat import parabola
 from qrpat import (
     ReducedFraction,
+    anchor,
     canonical_offsets,
     check_denominator,
     covering_members,
@@ -78,13 +79,29 @@ def test_check_denominator_is_strict():
         check_denominator(81, 9)
 
 
+def anchor_ties(rng):
+    """(m, a/b) at even b with a*m == b/2 (mod b): a*m/b is a half-integer, rounded up."""
+    for _ in range(200):
+        frac = random_fraction(rng, 25)
+        if frac.b % 2:
+            continue
+        residue = frac.b // 2 * pow(frac.a, -1, frac.b) % frac.b
+        m = residue + frac.b * rng.randrange(frac.b, 10**5)
+        assert frac.a * m % frac.b == frac.b // 2
+        yield m, frac
+
+
 def test_params_anchor_is_nearest_integer():
     rng = random.Random(21)
+    cases = [(5, ReducedFraction(1, 2))]  # x0 = 3, alpha = -1: the tie rounds up
     for _ in range(500):
         frac = random_fraction(rng, 25)
-        m = rng.randrange(frac.b * frac.b + 1, 10**7)
+        cases.append((rng.randrange(frac.b * frac.b + 1, 10**7), frac))
+    for m, frac in [*cases, *anchor_ties(rng)]:
         p = fraction_params(m, frac)
+        assert p.x0 == anchor(m, frac.a, frac.b)
         assert p.x0 == math.floor(Fraction(frac.a * m, frac.b) + Fraction(1, 2))
+        assert -frac.b <= 2 * p.alpha < frac.b
         assert p.x0 * frac.b == frac.a * m - p.alpha
 
 

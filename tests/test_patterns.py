@@ -20,7 +20,6 @@ from qrpat import (
     vertex_on_bundle,
 )
 from qrpat import parabola, patterns
-from qrpat.patterns import _smallest_line_index
 
 PERIOD_9 = 5040  # layout_period(9)
 
@@ -232,30 +231,6 @@ def test_bundle_parameter_balanced_range():
         assert -period < 2 * s <= period
 
 
-def test_smallest_line_index_known_case():
-    # 2n == 1 (mod 3) has n in {..., -1, 2, 5, ...}; -1 wins on |n|
-    assert _smallest_line_index(2, 1, 3) == -1
-    assert _smallest_line_index(2, 2, 3) == 1
-    assert _smallest_line_index(2, 0, 3) == 0
-
-
-def test_smallest_line_index_is_minimal():
-    rng = random.Random(35)
-    for _ in range(500):
-        mod = rng.randrange(1, 60)
-        coef = rng.randrange(1, 60)
-        g = math.gcd(coef, mod)
-        rhs = g * rng.randrange(-30, 30)
-        n = _smallest_line_index(coef, rhs, mod)
-        assert (coef * n - rhs) % mod == 0
-        better = [
-            k
-            for k in range(-abs(n), abs(n) + 1)
-            if (coef * k - rhs) % mod == 0 and (abs(k), -k) < (abs(n), -n)
-        ]
-        assert not better
-
-
 def test_vertex_on_bundle_zero_fraction():
     assert vertex_on_bundle(20179, PERIOD_9, ReducedFraction(0, 1)) == [(0, 0)]
 
@@ -287,10 +262,10 @@ def test_vertex_on_bundle_membership_is_exact():
 @pytest.mark.parametrize("frac, shift", [(f, 1) for f in farey_fractions(9) if f.b >= 2]
                          + [(f, f.b) for f in farey_fractions(9) if f.b % 2 == 0])
 def test_vertex_on_bundle_rejects_an_off_bundle_vertex(monkeypatch, frac, shift):
-    # A height moved by 1 makes h + s*a^2 no multiple of b, so the line index
-    # found fails the exact membership check.  Moved by b at even b (half the
-    # height step 2b), it makes 2a*n == (h + s*a^2)/b (mod b) unsolvable, as
-    # gcd(2a, b) = 2 and the right side turns odd.
+    # The line index of vertex k comes from k alone, so a height moved off the
+    # bundle fails the exact membership check: moved by 1, h + s*a^2 is no
+    # multiple of b; moved by b at even b (half the height step 2b), it is a
+    # multiple of b but not of b^2 once 2*n*a*b is taken away.
     def shifted(params):
         heights = list(parabola.vertex_heights(params))
         heights[-1] += shift

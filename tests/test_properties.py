@@ -19,6 +19,7 @@ from qrpat import (  # noqa: E402
     LayoutComparison,
     ReducedFraction,
     bundle_parameter,
+    canonical_offsets,
     cli,
     covering_members,
     evaluate_parabola,
@@ -263,6 +264,14 @@ def test_vertex_heights_match_family_and_lie_on_bundle(case):
             for k, n in pairs:
                 y = (Fraction(beta_prime, b**2) + Fraction(k, params.b_prime)) % 1
                 assert (y + rep * x * x - 2 * n * x) % 1 == 0
+                # n is the smallest-|n| solution, ties to the positive one; checked in
+                # integers, y * b^2 == beta' + k*c*b (mod b^2).
+                lifted = beta_prime + k * params.c * b + rep * a * a
+                assert not [n2 for n2 in range(-abs(n), abs(n) + 1)
+                            if (lifted - 2 * n2 * a * b) % (b * b) == 0
+                            and (abs(n2), -n2) < (abs(n), -n)]
+            # so the line indices are the b_prime balanced residues, each once
+            assert sorted(n for _, n in pairs) == list(canonical_offsets(params.b_prime))
 
 
 @st.composite

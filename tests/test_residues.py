@@ -1,7 +1,5 @@
 """Tests for the exact arithmetic primitives."""
 
-import math
-import random
 import sys
 from fractions import Fraction
 
@@ -9,7 +7,6 @@ import pytest
 
 from qrpat import (
     ReducedFraction,
-    balanced_residue,
     farey_fractions,
     layout_period,
 )
@@ -20,54 +17,6 @@ def brute_farey(max_denominator):
         {Fraction(a, b) for b in range(1, max_denominator + 1) for a in range(b + 1)}
     )
     return [ReducedFraction(v.numerator, v.denominator) for v in values]
-
-
-def brute_balanced(v, n):
-    # every representative with 2|r| <= n, preferring the negative one at a tie
-    candidates = [r for r in range(-n, n + 1) if (r - v) % n == 0 and -n <= 2 * r <= n]
-    return min(candidates)
-
-
-def test_balanced_residue_zero():
-    assert balanced_residue(0, 9) == 0
-
-
-def test_balanced_residue_known_value():
-    # 20171 == 2 (mod 3), balanced form -1
-    assert 20171 % 3 == 2
-    assert balanced_residue(20171, 3) == -1
-
-
-def test_balanced_residue_even_tie_goes_negative():
-    # forced so that the implied rounding sends halves up
-    assert balanced_residue(2, 4) == -2
-    assert balanced_residue(1, 2) == -1
-
-
-def test_balanced_residue_rejects_zero_modulus():
-    with pytest.raises(ValueError):
-        balanced_residue(5, 0)
-
-
-def test_balanced_residue_properties():
-    rng = random.Random(15)
-    for _ in range(1000):
-        n = rng.randrange(1, 1000)
-        v = rng.randrange(-(10**9), 10**9)
-        r = balanced_residue(v, n)
-        assert (r - v) % n == 0
-        assert -n <= 2 * r <= n
-        assert r == brute_balanced(v, n)
-
-
-def test_balanced_residue_matches_half_up_rounding():
-    rng = random.Random(16)
-    for _ in range(500):
-        n = rng.randrange(1, 500)
-        v = rng.randrange(-(10**6), 10**6)
-        r = balanced_residue(v, n)
-        assert (v - r) % n == 0
-        assert (v - r) // n == math.floor(Fraction(v, n) + Fraction(1, 2))
 
 
 def test_farey_smallest():
