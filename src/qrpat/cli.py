@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 from functools import cache, lru_cache, partial
-from itertools import starmap, takewhile
+from itertools import chain, starmap, takewhile
 from math import gcd, isqrt
 
 from .parabola import (
@@ -37,6 +37,8 @@ from .residues import ReducedFraction, check_modulus, farey_fractions, layout_pe
 MAX_MEMBERS = 10**6
 # Most oracle points one verify checks: ~1.2 µs each at 7 digits, ~1.5 µs at 40 (see README).
 MAX_VERIFY_POINTS = 10**7
+# What json.dumps(indent=2) writes between two entries of a top-level field's list.
+_ENTRY_SEP = ",\n    "
 
 
 def _fraction_arg(text: str) -> ReducedFraction:
@@ -124,6 +126,22 @@ def _bundle_template(members: int) -> str:
     entry of "fractions": a %d for a, b and each vertex's n; k is its position."""
     shape = {"a": "%d", "b": "%d", "vertices": [{"k": k, "n": "%d"} for k in range(members)]}
     return _json_template(shape, True, 2)
+
+
+@cache
+def _bundle_frame(skips: bool) -> tuple[str, str, str]:
+    """bundle's JSON around "fractions"' entries, "skipped" holding entries or not:
+    the head with a %d per field and a %s for "line_indices"' entries, the
+    template of one "skipped" entry, and the tail with a %s for those entries."""
+    shape = {**dict.fromkeys(("modulus", "lambda_n", "lambda", "s", "max_denominator"), "%d"),
+             "line_indices": ["%s"], "fractions": [None], "skipped": ["%s"] * skips}
+    head, tail = _json_template(shape, True, 0).replace('"%s"', "%s").split("null")
+    return head, _json_template({"a": "%d", "b": "%d"}, True, 2), tail
+
+
+def _entries(entry: str, count: int, values) -> str:
+    """count entries of one template as a top-level field's list holds them, filled by one %."""
+    return _ENTRY_SEP.join([entry] * count) % tuple(values)
 
 
 def _farey_counts(max_d: int):
@@ -279,30 +297,28 @@ def _cmd_equiv(args) -> int:
 
 def _cmd_bundle(args) -> int:
     """Match each covered vertex of F_D once, holding only its line index n;
-    from those matches write the SVG, the warnings, then the JSON head, each
-    covered fraction by one % over its template, and the skipped ones.  Every
-    refusal comes before any output."""
+    from those matches write the SVG, the warnings in one write, then the JSON's
+    head with its line indices, each covered fraction and the skipped ones, each
+    by one % over a template.  Every refusal comes before any output."""
     period = layout_period(args.lambda_n)
     m, max_d = args.modulus, args.max_denominator
     _plan("bundle", m, max_d)
     matches = list(bundle_matches(m, period, max_d))
     if args.out:
         write_svg(overlay_predictions(m, period, matches, args.width, args.height), args.out)
-    skipped = [frac for frac, ns in matches if ns is None]
-    for frac in skipped:
-        print(f"warning: skipping {frac}: denominator {frac.b} is not covered "
-              f"by period {period}", file=sys.stderr)
-    # The entries replace "fractions"' one placeholder; b = 1 is always covered, so never "[]".
-    head, tail = json.dumps({
-        "modulus": m, "lambda_n": args.lambda_n, "lambda": period,
-        "s": bundle_parameter(m, period), "max_denominator": max_d,
-        "line_indices": sorted(set().union(*(ns for _, ns in matches if ns))),
-        "fractions": ["%s"], "skipped": [{"a": frac.a, "b": frac.b} for frac in skipped],
-    }, indent=2).split('"%s"')
+    skipped = [(frac.a, frac.b) for frac, ns in matches if ns is None]
+    sys.stderr.write("".join(f"warning: skipping {a}/{b}: denominator {b} is not covered "
+                             f"by period {period}\n" for a, b in skipped))
+    # b = 1 is always covered, so neither "line_indices" nor "fractions" is ever "[]".
+    lines = sorted(set().union(*(ns for _, ns in matches if ns)))
+    head, skip, tail = _bundle_frame(bool(skipped))
     write = sys.stdout.write
-    write(head)
+    write(head % (m, args.lambda_n, period, bundle_parameter(m, period), max_d,
+                  _entries("%d", len(lines), lines)))
     for k, (frac, ns) in enumerate((frac, ns) for frac, ns in matches if ns is not None):
-        write((",\n    " if k else "") + _bundle_template(len(ns)) % (frac.a, frac.b, *ns))
+        write((_ENTRY_SEP if k else "") + _bundle_template(len(ns)) % (frac.a, frac.b, *ns))
+    if skipped:
+        tail %= _entries(skip, len(skipped), chain.from_iterable(skipped))
     write(tail + "\n")
     return 0
 

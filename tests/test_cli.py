@@ -927,6 +927,8 @@ def test_bundle_skips_uncovered_denominators(capsys):
     (977, 9, 1),
     (M40, 30, 25),
     (M40, 400, 12),
+    (M40, 2, 60),  # only b <= 2 covered
+    (20179, 4, 30),  # 266 skipped fractions
 ])
 def test_bundle_streams_the_json_dumps_bytes(capsys, m, lambda_n, max_d):
     assert run(capsys, *bundle_argv(m, lambda_n, max_d)) == bundle_reference(m, lambda_n, max_d)
@@ -975,6 +977,15 @@ def count_calls(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def test_bundle_fills_cached_templates_without_json_dumps(capsys, monkeypatch):
+    # The head and "skipped" went through json.dumps(indent=2) on every request.
+    argv = bundle_argv(20179, 3, 9)  # 22 skipped fractions
+    warm = run(capsys, *argv)
+    calls = count_calls(monkeypatch, cli.json, "dumps")
+    assert run(capsys, *argv) == warm
+    assert calls[0] == 0
 
 
 def test_bundle_out_matches_each_vertex_once(tmp_path, capsys, monkeypatch):
