@@ -14,8 +14,7 @@ height h in [0, b^2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
 from .residues import ReducedFraction, check_modulus
 
@@ -42,9 +41,8 @@ __all__ = [
 MAX_ORACLE_POINTS = 10**6
 
 
-@dataclass(frozen=True)
-class FractionParams:
-    """Exact quantities attached to one (modulus, anchor fraction) pair.
+class FractionParams(namedtuple("FractionParams", "m frac b_prime c alpha beta x0 r0")):
+    """Exact quantities of one (modulus, anchor fraction) pair, an immutable namedtuple.
 
     x0 is ``anchor(m, a, b)`` and r0 is its quadratic residue.  alpha is
     a*m - b*x0, the remainder of a*m mod b in [-b/2, b/2).  beta, in [0, b*b),
@@ -57,17 +55,10 @@ class FractionParams:
     is the lattice stride of the family and c == b // b_prime.
     """
 
-    m: int
-    frac: ReducedFraction
-    b_prime: int
-    c: int
-    alpha: int
-    beta: int
-    x0: int
-    r0: int
+    __slots__ = ()
 
 
-class Parabola(NamedTuple):
+class Parabola(namedtuple("Parabola", "params i a_prime B C h")):
     """One family member: r == (A*j*j + B*j + C) mod m at x = x0 + i + j*b_prime.
 
     a_prime indexes the member's vertex height class modulo b_prime; the
@@ -75,24 +66,17 @@ class Parabola(NamedTuple):
     is already reduced into [0, m).
     """
 
-    params: FractionParams
-    i: int
-    a_prime: int
-    B: int
-    C: int
-    h: int
+    __slots__ = ()
 
     @property
     def A(self) -> int:
         return self.params.b_prime ** 2
 
 
-@dataclass(frozen=True)
-class ParabolaFamily:
-    """The b_prime parabolas anchored at one fraction of the modulus."""
+class ParabolaFamily(namedtuple("ParabolaFamily", "params members")):
+    """The params and the tuple of b_prime members anchored at one fraction of the modulus."""
 
-    params: FractionParams
-    members: tuple[Parabola, ...]
+    __slots__ = ()
 
 
 def canonical_offsets(b_prime: int) -> range:
@@ -232,16 +216,18 @@ def covering_members(family: ParabolaFamily, x: int, r: int) -> list[tuple[Parab
     The offsets are b_prime consecutive integers from -((b_prime - 1) // 2),
     so only the member at index (x - x0 + (b_prime - 1) // 2) mod b_prime can
     hit x; its own i and r are still checked, so a family not laid out as
-    ``family_structure`` requires gets no false hit.
+    ``family_structure`` requires gets no false hit.  Called once per oracle
+    point, so each record field is read once and r is evaluated in Horner form.
     """
     params = family.params
     b_prime = params.b_prime
     d = x - params.x0
-    k = (d + (b_prime - 1) // 2) % b_prime
-    if k >= len(family.members):
+    try:
+        p = family.members[(d + (b_prime - 1) // 2) % b_prime]
+    except IndexError:
         return []
-    p = family.members[k]
-    j, rest = divmod(d - p.i, b_prime)
-    if rest or (b_prime * b_prime * j * j + p.B * j + p.C) % params.m != r:
+    d -= p.i
+    j = d // b_prime
+    if d % b_prime or ((b_prime * b_prime * j + p.B) * j + p.C) % params.m != r:
         return []
     return [(p, j)]

@@ -12,8 +12,8 @@ is any representative of m modulo the period.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator
-from typing import NamedTuple
 
 from .parabola import check_denominator, fraction_params, stride, vertex_heights
 from .residues import ReducedFraction, farey_fractions
@@ -35,9 +35,10 @@ def check_period(period: int) -> int:
     return period
 
 
-class LayoutComparison(NamedTuple):
-    equivalent: bool
-    witness: ReducedFraction | None
+class LayoutComparison(namedtuple("LayoutComparison", "equivalent witness")):
+    """Whether two layouts agree, and the 1/b that shows they do not (else None)."""
+
+    __slots__ = ()
 
 
 BundleMatch = tuple[ReducedFraction, tuple[int, ...] | None]

@@ -9,8 +9,8 @@ checks happen before anything is converted to floating point.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 from math import gcd
 
 from .parabola import fraction_params, vertex_heights
@@ -39,23 +39,24 @@ MAX_SCENE_POINTS = 10**6  # largest SVG scatter (one point per residue); larger 
 MAX_SCATTER_SQUARES = 5 * 10**7
 
 
-@dataclass
-class Canvas:
-    """Row-major grayscale raster, origin top-left.
+class Canvas(namedtuple("Canvas", "width height pixels")):
+    """Row-major grayscale raster, origin top-left, as a checked, immutable
+    namedtuple whose pixels bytearray is drawn into in place.
 
     Scatter plots place residue 0 on the bottom row.
     """
 
-    width: int
-    height: int
-    pixels: bytearray
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.pixels) != self.width * self.height:
+    def __new__(cls, width: int, height: int, pixels: bytearray) -> "Canvas":
+        if len(pixels) != width * height:
             raise ValueError(
-                f"pixel buffer of {len(self.pixels)} bytes does not match "
-                f"{self.width}x{self.height}"
+                f"pixel buffer of {len(pixels)} bytes does not match {width}x{height}"
             )
+        return tuple.__new__(cls, (width, height, pixels))
+
+    # namedtuple's own _make, which _replace calls, would skip the checks in __new__
+    _make = classmethod(lambda cls, values: cls(*values))
 
     @classmethod
     def blank(cls, width: int, height: int) -> "Canvas":
@@ -64,38 +65,31 @@ class Canvas:
         return cls(width, height, bytearray([255]) * (width * height))
 
 
-@dataclass(frozen=True)
-class VertexMarker:
-    """A predicted family vertex in normalized coordinates."""
+class VertexMarker(namedtuple("VertexMarker", "b a k x y")):
+    """Vertex k of the family at a/b, at (x, y) in normalized coordinates."""
 
-    b: int
-    a: int
-    k: int
-    x: float
-    y: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BundleCurve:
-    """Sampled polylines of one wrapped bundle curve, split at mod-1 wraps."""
+class BundleCurve(namedtuple("BundleCurve", "n segments")):
+    """Sampled polylines (tuples of (X, Y)) of bundle curve n, split at mod-1 wraps."""
 
-    n: int
-    segments: tuple[tuple[tuple[float, float], ...], ...]
+    __slots__ = ()
 
 
-@dataclass
 class Scene:
     """The scatter of x*x mod m, vertex markers and bundle curves on a canvas.
 
     The scatter is given by its modulus alone (0: no scatter); write_svg
-    draws its m points (x/m, (x*x mod m)/m) straight from it.
+    draws its m points (x/m, (x*x mod m)/m) straight from it.  A mutable
+    record: each scene owns its curves and markers lists.
     """
 
-    width: int
-    height: int
-    modulus: int = 0
-    curves: list[BundleCurve] = field(default_factory=list)
-    markers: list[VertexMarker] = field(default_factory=list)
+    def __init__(self, width: int, height: int, modulus: int = 0,
+                 curves: list | None = None, markers: list | None = None) -> None:
+        self.width, self.height, self.modulus = width, height, modulus
+        self.curves = [] if curves is None else curves
+        self.markers = [] if markers is None else markers
 
 
 def render_scatter(m: int, width: int, height: int, half_range: bool = True) -> Canvas:

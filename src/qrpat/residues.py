@@ -8,7 +8,7 @@ is a ``ReducedFraction``, a pair of integers kept in lowest terms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 __all__ = [
     "ReducedFraction",
@@ -30,24 +30,27 @@ def check_modulus(m: int) -> int:
     return m
 
 
-@dataclass(frozen=True)
-class ReducedFraction:
+class ReducedFraction(namedtuple("ReducedFraction", "a b")):
     """A fraction a/b in lowest terms, confined to [0, 1].
 
     These are the anchors of the parabola families: each family sits
-    around x = (a/b) * m in a residue plot.
+    around x = (a/b) * m in a residue plot.  A checked, immutable namedtuple:
+    it unpacks as (a, b) and equals that plain tuple.
     """
 
-    a: int
-    b: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.b < 1:
-            raise ValueError(f"denominator must be positive, got {self.b}")
-        if not 0 <= self.a <= self.b:
-            raise ValueError(f"{self.a}/{self.b} lies outside [0, 1]")
-        if math.gcd(self.a, self.b) != 1:
-            raise ValueError(f"{self.a}/{self.b} is not in lowest terms")
+    def __new__(cls, a: int, b: int) -> "ReducedFraction":
+        if b < 1:
+            raise ValueError(f"denominator must be positive, got {b}")
+        if not 0 <= a <= b:
+            raise ValueError(f"{a}/{b} lies outside [0, 1]")
+        if math.gcd(a, b) != 1:
+            raise ValueError(f"{a}/{b} is not in lowest terms")
+        return tuple.__new__(cls, (a, b))
+
+    # namedtuple's own _make, which _replace calls, would skip the checks in __new__
+    _make = classmethod(lambda cls, values: cls(*values))
 
     @classmethod
     def parse(cls, text: str) -> "ReducedFraction":

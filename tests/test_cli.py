@@ -11,7 +11,6 @@ import sys
 import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
 from importlib.metadata import PackageNotFoundError, distribution, distributions
 from io import StringIO
 from pathlib import Path
@@ -744,7 +743,7 @@ def test_verify_reports_tampered_family_structure(capsys, monkeypatch):
     def tampered(params):
         family = build(params)
         first, *rest = family.members
-        return replace(family, members=(first._replace(h=first.h + 1), *rest))
+        return family._replace(members=(first._replace(h=first.h + 1), *rest))
 
     monkeypatch.setattr(cli, "parabola_family", tampered)
     code, payload, _ = run_json(capsys, "verify", "--modulus", "997",

@@ -2,7 +2,6 @@
 
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -207,17 +206,17 @@ def tampered_families(fam):
     first, *rest = fam.members
 
     def with_first(**changes):
-        return replace(fam, members=(first._replace(**changes), *rest))
+        return fam._replace(members=(first._replace(**changes), *rest))
 
     # h is an int, so the old half-unit tamper (an ordinate moved by m/(2b^2)) cannot be built.
     yield "h + 1", with_first(h=first.h + 1)
     yield "h - 1", with_first(h=first.h - 1)
     yield "h + b^2", with_first(h=first.h + b * b)
     yield "neighbour's params", with_first(params=neighbour_params(fam.params))
-    yield "dropped", replace(fam, members=fam.members[:-1])
-    yield "shifted", replace(fam, members=tuple(
+    yield "dropped", fam._replace(members=fam.members[:-1])
+    yield "shifted", fam._replace(members=tuple(
         p._replace(h=(p.h + 1) % (b * b)) for p in fam.members))
-    yield "reordered", replace(fam, members=(rest[0], first, *rest[1:]))
+    yield "reordered", fam._replace(members=(rest[0], first, *rest[1:]))
     yield "duplicated i", with_first(i=rest[0].i)
 
 
@@ -400,7 +399,7 @@ def test_covering_members_on_dropped_family_never_false_hit():
             # the "dropped" tamper (last member removed), and the first removed,
             # which moves every later member off its lookup index
             for dropped in (fam.members[:-1], fam.members[1:]):
-                bad = replace(fam, members=dropped)
+                bad = fam._replace(members=dropped)
                 for x, r in query_points(rng, fam):
                     found = covering_members(bad, x, r)
                     assert all(hit in covering_members_scan(bad, x, r) for hit in found)
@@ -408,6 +407,24 @@ def test_covering_members_on_dropped_family_never_false_hit():
                         assert p in dropped
                         assert x == fam.params.x0 + p.i + j * fam.params.b_prime
                         assert r == x * x % m
+
+
+def test_covering_members_on_every_tampered_family_never_false_hit():
+    # The lookup reads one member by index and checks its own i and value, so no
+    # tamper makes it report a point off the residue curve or off that member's lattice.
+    rng = random.Random(28)
+    for m, text in [(20171, "1/3"), (415, "1/4"), (10**9 + 7, "5/12"), (10**40 + 1, "7/60")]:
+        fam = parabola_family(fraction_params(m, ReducedFraction.parse(text)))
+        names = []
+        for name, bad in tampered_families(fam):
+            names.append(name)
+            for x, r in query_points(rng, fam):
+                found = covering_members(bad, x, r)
+                assert len(found) <= 1
+                for p, j in found:
+                    assert r == x * x % m, (m, text, name, x)
+                    assert p in bad.members and x == fam.params.x0 + p.i + j * fam.params.b_prime
+        assert len(names) == 8
 
 
 def test_every_nearby_residue_on_exactly_one_member():
