@@ -19,6 +19,7 @@ from .parabola import (
     check_denominator,
     check_oracle_window,
     covering_members,
+    family_rows,
     family_structure,
     fraction_params,
     parabola_family,
@@ -31,8 +32,8 @@ from .render import overlay_predictions, render_scatter, render_sum_squares, wri
 from .residues import ReducedFraction, check_modulus, farey_fractions, layout_period
 
 # Most family members (b_prime per a/b) one predict, bundle or verify request builds.
-# predict streams them, ~3.4 µs and 230 B of compact JSON each (~3.5 s and ~230 MB at
-# the cap); bundle streams them too, ~1 s and ~26 MB peak RSS near the cap;
+# predict streams them from member rows, ~3.2 µs and 228 B of compact JSON each (~3.1 s,
+# 225 MB of JSON and 17 MB peak RSS near the cap); bundle, ~1 s and ~26 MB peak RSS;
 # verify checks them, ~2.6 s with --window 1 and ~11 s by default (see README).
 MAX_MEMBERS = 10**6
 # Most oracle points one verify checks: ~1.2 µs each at 7 digits, ~1.5 µs at 40 (see README).
@@ -75,24 +76,24 @@ def _cmd_grid(args) -> int:
     return 0
 
 
-def _reduced(num: int, den: int) -> tuple[int, int]:
-    """num/den in lowest terms; taking num mod den first keeps the gcd small."""
-    g = gcd(num % den, den)
-    return num // g, den // g
-
-
 def _predict_values(m: int, frac: ReducedFraction) -> tuple[int, ...]:
-    """Every integer of the predict entry for a/b, in output order."""
+    """Every integer of the predict entry for a/b, in output order, from the
+    rows of ``family_rows``.  With g = gcd(m, b*b) and k = gcd(h, b*b/g), the
+    ordinate h*m/b^2 in lowest terms is (h/k * m/g) / (b*b/g/k), since m/g and
+    b*b/g are coprime: one big gcd per fraction, a small one per member.  As
+    a/b is reduced, the abscissa a*m/b reduces by gcd(m, b)."""
     params = fraction_params(m, frac)
-    members = parabola_family(params).members
-    x_num, x_den = _reduced(frac.a * m, frac.b)
-    A, bb = params.b_prime ** 2, frac.b ** 2
-    values = [m, frac.a, frac.b, params.b_prime, params.c, params.alpha, params.beta,
-              params.x0, params.r0]
-    for p in members:
-        values += (p.i, p.a_prime, x_num, x_den, *_reduced(p.h * m, bb))
-    for p in members:
-        values += (p.i, A, p.B, p.C)
+    a, b = frac
+    gx, g = gcd(m, b), gcd(m, b * b)
+    x_num, x_den = a * m // gx, b // gx
+    m_g, bb_g, A = m // g, b * b // g, params.b_prime ** 2
+    rows = family_rows(params)
+    values = [m, a, b, params.b_prime, params.c, params.alpha, params.beta, params.x0, params.r0]
+    for i, a_prime, _, _, h in rows:
+        k = gcd(h, bb_g)
+        values += (i, a_prime, x_num, x_den, h // k * m_g, bb_g // k)
+    for i, _, B, C, _ in rows:
+        values += (i, A, B, C)
     return tuple(values)
 
 

@@ -28,6 +28,7 @@ __all__ = [
     "check_oracle_window",
     "covering_members",
     "evaluate_parabola",
+    "family_rows",
     "family_structure",
     "fraction_params",
     "parabola_family",
@@ -137,33 +138,43 @@ def verify_identity(params: FractionParams) -> bool:
     return b * b * params.r0 == params.beta * params.m + params.alpha * params.alpha
 
 
-def vertex_heights(params: FractionParams) -> range:
-    """Vertex height indices h_k = beta' + k*c*b, beta' = beta mod c*b, k < b_prime.
+def vertex_heights(m: int, frac: ReducedFraction) -> range:
+    """Vertex heights h_k = beta' + k*c*b, k < b_prime, of the family at a/b.
 
-    Vertex k sits at normalized height h_k / b^2 == (beta'/b^2 + k/b_prime) mod 1.
+    beta' = beta mod c*b == -a*a*m mod c*b (see ``patterns.layouts_equivalent``),
+    so no ``fraction_params`` is needed.  Vertex k sits at normalized height
+    h_k / b^2 == (beta'/b^2 + k/b_prime) mod 1.  Requires m > b*b.
     """
-    step = params.c * params.frac.b
-    return range(params.beta % step, params.frac.b ** 2, step)
+    check_modulus(m)
+    a, b = frac.a, frac.b
+    check_denominator(m, b)
+    step = stride(b)[1] * b
+    return range(-a * a * m % step, b * b, step)
 
 
-def parabola_family(params: FractionParams) -> ParabolaFamily:
-    """Build the b_prime member parabolas over the canonical offsets.
+def family_rows(params: FractionParams) -> list[tuple[int, int, int, int, int]]:
+    """The rows (i, a_prime, B, C, h) of the b_prime members, i over
+    ``canonical_offsets(b_prime)``: the one place the member formula is written.
 
     Vertex heights are the integers h == (beta + a_prime*c*b) mod b^2, and
-    the a_prime values cover every class modulo b_prime exactly once.
+    the a_prime values cover every class modulo b_prime exactly once.  A list,
+    not a generator: resuming one per member made ``verify`` measurably slower.
     """
     m, x0, alpha, beta = params.m, params.x0, params.alpha, params.beta
     a, b = params.frac.a, params.frac.b
     b_prime, c = params.b_prime, params.c
     two_over_c, cb, bb = 2 // c, c * b, b * b
-    members = []
+    rows = []
     for i in canonical_offsets(b_prime):
         a_prime = two_over_c * i * a % b_prime
-        members.append(Parabola(
-            params, i, a_prime, 2 * b_prime * i - two_over_c * alpha,
-            (x0 + i) ** 2 % m, (beta + a_prime * cb) % bb,
-        ))
-    return ParabolaFamily(params, tuple(members))
+        rows.append((i, a_prime, 2 * b_prime * i - two_over_c * alpha, (x0 + i) ** 2 % m,
+                     (beta + a_prime * cb) % bb))
+    return rows
+
+
+def parabola_family(params: FractionParams) -> ParabolaFamily:
+    """The b_prime member records of ``family_rows``, in its order."""
+    return ParabolaFamily(params, tuple([Parabola(params, *row) for row in family_rows(params)]))
 
 
 def family_structure(family: ParabolaFamily) -> bool:
@@ -179,7 +190,7 @@ def family_structure(family: ParabolaFamily) -> bool:
     return (
         [p.i for p in members] == list(canonical_offsets(params.b_prime))
         and all(p.params == params for p in members)
-        and sorted(p.h for p in members) == list(vertex_heights(params))
+        and sorted(p.h for p in members) == list(vertex_heights(params.m, params.frac))
     )
 
 

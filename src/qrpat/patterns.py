@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterator
 
-from .parabola import check_denominator, fraction_params, stride, vertex_heights
+from .parabola import check_denominator, stride, vertex_heights
 from .residues import ReducedFraction, farey_fractions
 
 __all__ = [
@@ -136,20 +136,20 @@ def vertex_on_bundle(
         raise ValueError(
             f"denominator {frac.b} is not covered by period {period}"
         )
-    params = fraction_params(m, frac)
+    heights = vertex_heights(m, frac)
     if s is None:
         s = bundle_parameter(m, period)
     elif (m - s) % period:
         raise ValueError(f"s = {s} does not represent {m} modulo {period}")
-    a, b, b_prime, c = frac.a, frac.b, params.b_prime, params.c
-    bb = b * b
+    a, b = frac.a, frac.b
+    (b_prime, c), bb = stride(b), b * b
     # Only (h + s*a^2) mod b^2 = (Y + s*X^2) * b^2 mod b^2 matters; off the bundle
     # (h + s*a^2 no multiple of b, or L0/c no integer) the exact check below fails.
     sa2 = s * a * a % bb
-    start = (params.beta % (c * b) + sa2) // b // c
+    start = (heights[0] + sa2) // b // c
     inverse = pow(2 * a // c, -1, b_prime)
     pairs = []
-    for k, h in enumerate(vertex_heights(params)):
+    for k, h in enumerate(heights):
         n = (start + k) * inverse % b_prime
         if 2 * n > b_prime:
             n -= b_prime

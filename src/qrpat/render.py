@@ -13,7 +13,7 @@ from collections import namedtuple
 from collections.abc import Iterable
 from math import gcd
 
-from .parabola import fraction_params, vertex_heights
+from .parabola import vertex_heights
 from .patterns import BundleMatch, bundle_parameter
 from .residues import check_modulus
 
@@ -211,7 +211,7 @@ def overlay_predictions(
     scene = Scene(width, height, m)
     n_max = 0
     for frac, ns in matches:
-        for k, h in enumerate(vertex_heights(fraction_params(m, frac))):
+        for k, h in enumerate(vertex_heights(m, frac)):
             scene.markers.append(
                 VertexMarker(b=frac.b, a=frac.a, k=k, x=frac.a / frac.b, y=h / frac.b**2)
             )

@@ -470,6 +470,23 @@ def test_hot_paths_build_no_fraction(capsys, monkeypatch):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_PREDICT[argv]
 
 
+def test_predict_builds_no_parabola_record(capsys, monkeypatch):
+    # predict reads family_rows; verify still builds records, which covering_members reads.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("predict built a Parabola record")
+
+    listed = predict_reference(20171, 9, False)
+    monkeypatch.setattr(parabola, "Parabola", forbidden)
+    assert run(capsys, "predict", "--modulus", "20171", "--max-denominator", "9") == (
+        0, listed, "")
+    argv = ("--modulus", "20171", "--fraction", "1/3")
+    code, out, err = run(capsys, "predict", *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_PREDICT[argv]
+    with pytest.raises(AssertionError, match="Parabola record"):
+        main(["verify", "--modulus", "20171", "--max-denominator", "3"])
+
+
 def test_parser_is_built_once_per_process(capsys, monkeypatch):
     built = []
     init = argparse.ArgumentParser.__init__
@@ -995,6 +1012,22 @@ def test_bundle_out_matches_each_vertex_once(tmp_path, capsys, monkeypatch):
     assert (code, err, calls[0]) == (0, "", 29)
     assert hashlib.sha256(stdout.encode()).hexdigest() == GOLDEN_BUNDLE_20179
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SVG_20179
+
+
+def test_bundle_builds_no_fraction_params(tmp_path, capsys, monkeypatch):
+    # The overlay rebuilt each covered fraction's params for its vertex heights: 58
+    # fraction_params calls with --out against 29 without.  The heights now come
+    # from beta == -a^2*m (mod c*b), one vertex_heights call per covered fraction
+    # in vertex_on_bundle and one in the overlay, and no params at all.
+    built = [count_calls(monkeypatch, module, "fraction_params") for module in (parabola, cli)]
+    heights = [count_calls(monkeypatch, module, "vertex_heights") for module in (patterns, render)]
+    out = tmp_path / "fig.svg"
+    code, stdout, err = run(capsys, "bundle", "--modulus", "20179", "--out", str(out))
+    assert (code, err, built, heights) == (0, "", [[0], [0]], [[29], [29]])
+    assert hashlib.sha256(stdout.encode()).hexdigest() == GOLDEN_BUNDLE_20179
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SVG_20179
+    assert run(capsys, "bundle", "--modulus", "20179")[0] == 0
+    assert (built, heights) == ([[0], [0]], [[58], [29]])
 
 
 @pytest.mark.parametrize("modulus, cap", [("2000003", None), ("20179", 20178)])

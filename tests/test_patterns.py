@@ -146,7 +146,8 @@ def test_layouts_equivalent_does_no_per_fraction_work(monkeypatch):
     def forbidden(*args):
         raise AssertionError("layouts_equivalent must not build fraction parameters")
 
-    monkeypatch.setattr(patterns, "fraction_params", forbidden)
+    # patterns binds no fraction_params of its own, so any call goes through parabola's
+    assert not hasattr(patterns, "fraction_params")
     monkeypatch.setattr(parabola, "fraction_params", forbidden)
     assert layouts_equivalent(20179, 25219, PERIOD_9, 18) == LayoutComparison(True, None)
     assert layouts_equivalent(20179, 20180, PERIOD_9, 9).witness == ReducedFraction(1, 2)
@@ -266,8 +267,8 @@ def test_vertex_on_bundle_rejects_an_off_bundle_vertex(monkeypatch, frac, shift)
     # bundle fails the exact membership check: moved by 1, h + s*a^2 is no
     # multiple of b; moved by b at even b (half the height step 2b), it is a
     # multiple of b but not of b^2 once 2*n*a*b is taken away.
-    def shifted(params):
-        heights = list(parabola.vertex_heights(params))
+    def shifted(m, frac):
+        heights = list(parabola.vertex_heights(m, frac))
         heights[-1] += shift
         return heights
 

@@ -120,9 +120,28 @@ def edge_anchor_cases(draw):
     return draw(moduli_above(b)), ReducedFraction(a, b)
 
 
-@settings(deadline=None, database=None)
-@given(edge_anchor_cases())
+@st.composite
+def wide_anchor_cases(draw):
+    """(m, a/b): b <= 300, a in {0, 1, b - 1, b} and in lowest terms, m from just
+    above b^2 up to 10^40, drawn as a multiple of 1, of b's smallest prime, of b
+    or of b^2, so that gcd(m, b^2) > 1 comes often."""
+    b = draw(st.integers(1, 300))
+    a = draw(st.sampled_from([0, 1, b - 1, b]).filter(lambda a: math.gcd(a, b) == 1))
+    smallest_prime = next(p for p in range(2, b + 1) if b % p == 0) if b > 1 else 1
+    d = draw(st.sampled_from([1, smallest_prime, b, b * b]))
+    low = b * b // d + 1
+    k = draw(st.one_of(st.integers(low, low + 64), st.integers(low, 10**40 // d)))
+    return d * k, ReducedFraction(a, b)
+
+
+@settings(deadline=1000, database=None)
+@given(wide_anchor_cases())
+@example((10**40, ReducedFraction(1, 250)))  # gcd(m, b^2) = b^2
+@example((300**2 + 1, ReducedFraction(299, 300)))
+@example((10**40, ReducedFraction(0, 1)))  # every height h is 0
 def test_predict_json_pairs_are_the_reduced_vertices(case):
+    # predict reads family_rows, not records, and reduces y = h*m/b^2 by
+    # gcd(m, b^2) once and gcd(h, b^2/g) per member.
     m, frac = case
     a, b = frac.a, frac.b
     out = io.StringIO()
@@ -131,16 +150,29 @@ def test_predict_json_pairs_are_the_reduced_vertices(case):
     payload = json.loads(out.getvalue())
     params = fraction_params(m, frac)
     members = parabola_family(params).members
-    assert len(payload["vertices"]) == len(members) == params.b_prime
+    assert [payload[key] for key in ("b_prime", "c", "alpha", "beta", "x0", "r0")] == [
+        params.b_prime, params.c, params.alpha, params.beta, params.x0, params.r0]
+    assert len(payload["vertices"]) == len(payload["coefficients"]) == len(members)
+    assert len(members) == params.b_prime
     x = Fraction(a * m, b)
-    for p, v in zip(members, payload["vertices"]):
+    for p, v, coef in zip(members, payload["vertices"], payload["coefficients"]):
         y = Fraction(p.h * m, b * b)
-        assert (v["i"], v["a_prime"]) == (p.i, p.a_prime)
-        assert (v["x_num"], v["x_den"]) == (x.numerator, x.denominator)
-        assert (v["y_num"], v["y_den"]) == (y.numerator, y.denominator)
+        assert v == {"i": p.i, "a_prime": p.a_prime, "x_num": x.numerator,
+                     "x_den": x.denominator, "y_num": y.numerator, "y_den": y.denominator}
+        assert coef == {"i": p.i, "A": p.A, "B": p.B, "C": p.C}
         # the ordinate each member carried before heights became integers
         old_y = Fraction(m * ((params.beta + p.a_prime * params.c * b) % (b * b)), b * b)
         assert y == old_y
+
+
+@settings(deadline=None, database=None)
+@given(st.one_of(anchor_cases(), wide_anchor_cases()))
+def test_vertex_heights_closed_form_is_beta_mod_cb(case):
+    # beta == -a^2*m (mod c*b), so the heights need no fraction_params
+    m, frac = case
+    params = fraction_params(m, frac)
+    cb = params.c * frac.b
+    assert vertex_heights(m, frac) == range(params.beta % cb, frac.b ** 2, cb)
 
 
 @st.composite
@@ -251,7 +283,7 @@ def test_vertex_heights_match_family_and_lie_on_bundle(case):
             continue
         frac = ReducedFraction(a, b)
         params = fraction_params(m, frac)
-        heights = [Fraction(h, b * b) for h in vertex_heights(params)]
+        heights = [Fraction(h, b * b) for h in vertex_heights(m, frac)]
         assert len(heights) == params.b_prime
         family = parabola_family(params)
         assert family_structure(family)
