@@ -28,13 +28,15 @@ from .parabola import (
     verify_identity,
 )
 from .patterns import bundle_matches, bundle_parameter, layouts_equivalent
-from .render import overlay_predictions, render_scatter, render_sum_squares, write_pgm, write_svg
+from .render import (check_scene, overlay_predictions, render_scatter, render_sum_squares,
+                     write_pgm, write_svg)
 from .residues import ReducedFraction, check_modulus, farey_fractions, layout_period
 
 # Most family members (b_prime per a/b) one predict, bundle or verify request builds.
 # predict streams them from member rows, ~3.2 µs and 228 B of compact JSON each (~3.1 s,
-# 225 MB of JSON and 17 MB peak RSS near the cap); bundle, ~1 s and ~26 MB peak RSS;
-# verify checks them, ~2.6 s with --window 1 and ~11 s by default (see README).
+# 225 MB of JSON and 17 MB peak RSS near the cap); bundle, ~1 s and ~26 MB peak RSS, and
+# with --out at m = 999983 (a 106 MB SVG) ~2.8 s and 68 MB; verify checks them, ~2.6 s
+# with --window 1 and ~11 s by default (see README).
 MAX_MEMBERS = 10**6
 # Most oracle points one verify checks: ~1.2 µs each at 7 digits, ~1.5 µs at 40 (see README).
 MAX_VERIFY_POINTS = 10**7
@@ -300,10 +302,12 @@ def _cmd_bundle(args) -> int:
     """Match each covered vertex of F_D once, holding only its line index n;
     from those matches write the SVG, the warnings in one write, then the JSON's
     head with its line indices, each covered fraction and the skipped ones, each
-    by one % over a template.  Every refusal comes before any output."""
+    by one % over a template.  Every refusal comes before any work or output."""
     period = layout_period(args.lambda_n)
     m, max_d = args.modulus, args.max_denominator
     _plan("bundle", m, max_d)
+    if args.out:
+        check_scene(m)
     matches = list(bundle_matches(m, period, max_d))
     if args.out:
         write_svg(overlay_predictions(m, period, matches, args.width, args.height), args.out)

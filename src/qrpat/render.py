@@ -13,7 +13,7 @@ from collections import namedtuple
 from collections.abc import Iterable
 from math import gcd
 
-from .parabola import vertex_heights
+from .parabola import check_denominator, vertex_heights
 from .patterns import BundleMatch, bundle_parameter
 from .residues import check_modulus
 
@@ -21,7 +21,7 @@ __all__ = [
     "BundleCurve",
     "Canvas",
     "Scene",
-    "VertexMarker",
+    "check_scene",
     "overlay_predictions",
     "render_scatter",
     "render_sum_squares",
@@ -37,6 +37,11 @@ MAX_SCENE_POINTS = 10**6  # largest SVG scatter (one point per residue); larger 
 # Most squares one render_scatter computes, (m + 1) // 2 in either mode (about 0.2 µs
 # each, so ~10 s); larger is refused.
 MAX_SCATTER_SQUARES = 5 * 10**7
+# Scatter squares write_svg formats per %, about 240 KB of SVG; a chunk and the
+# held ordinates of x <= m // 2 are all the scatter keeps.
+_CHUNK = 4096
+_RECT = b'<rect x="%.6f" y="%s" width="1" height="1"/>\n'
+_CIRCLE = b'<circle cx="%.6f" cy="%%.6f" r="3"/>\n'
 
 
 class Canvas(namedtuple("Canvas", "width height pixels")):
@@ -65,31 +70,24 @@ class Canvas(namedtuple("Canvas", "width height pixels")):
         return cls(width, height, bytearray([255]) * (width * height))
 
 
-class VertexMarker(namedtuple("VertexMarker", "b a k x y")):
-    """Vertex k of the family at a/b, at (x, y) in normalized coordinates."""
-
-    __slots__ = ()
-
-
 class BundleCurve(namedtuple("BundleCurve", "n segments")):
     """Sampled polylines (tuples of (X, Y)) of bundle curve n, split at mod-1 wraps."""
 
     __slots__ = ()
 
 
-class Scene:
-    """The scatter of x*x mod m, vertex markers and bundle curves on a canvas.
+class Scene(namedtuple("Scene", "width height modulus s lines fractions",
+                       defaults=(0, 0, range(0), ()))):
+    """The scatter of x*x mod m, bundle curves and family vertices on a canvas,
+    each given by what draws it, not by its points.
 
-    The scatter is given by its modulus alone (0: no scatter); write_svg
-    draws its m points (x/m, (x*x mod m)/m) straight from it.  A mutable
-    record: each scene owns its curves and markers lists.
+    The scatter is the m points (x/m, (x*x mod m)/m) of the modulus (0: no
+    scatter); the curves are ``sample_bundle_curve(s, n)`` for n in lines;
+    the vertices are those of each a/b in fractions, at (a/b, h/b^2) for h in
+    ``vertex_heights(modulus, a/b)``.  write_svg computes each as it writes it.
     """
 
-    def __init__(self, width: int, height: int, modulus: int = 0,
-                 curves: list | None = None, markers: list | None = None) -> None:
-        self.width, self.height, self.modulus = width, height, modulus
-        self.curves = [] if curves is None else curves
-        self.markers = [] if markers is None else markers
+    __slots__ = ()
 
 
 def render_scatter(m: int, width: int, height: int, half_range: bool = True) -> Canvas:
@@ -201,23 +199,18 @@ def sample_bundle_curve(s: int, n: int, samples: int = CURVE_SAMPLES) -> BundleC
 def overlay_predictions(
     m: int, period: int, matches: Iterable[BundleMatch], width: int, height: int
 ) -> Scene:
-    """Scene with the full scatter, predicted vertices and bundle curves.
+    """Scene with the full scatter, every vertex of matches and the bundle curves.
 
-    matches is ``bundle_matches(m, period, D)``, read once.  Every vertex
-    gets a marker, and the drawn curves span every matched n.  The scene
-    holds the modulus, not its points.
+    matches is ``bundle_matches(m, period, D)``, read once; its fractions,
+    skipped ones included, are kept in their (b, a) order, and the drawn
+    curves run from -n_max to n_max, n_max the largest matched |n|.
     """
     s = bundle_parameter(m, period)
-    scene = Scene(width, height, m)
-    n_max = 0
+    fractions, n_max = [], 0
     for frac, ns in matches:
-        for k, h in enumerate(vertex_heights(m, frac)):
-            scene.markers.append(
-                VertexMarker(b=frac.b, a=frac.a, k=k, x=frac.a / frac.b, y=h / frac.b**2)
-            )
+        fractions.append(frac)
         n_max = max(n_max, *map(abs, ns or (0,)))
-    scene.curves = [sample_bundle_curve(s, n) for n in range(-n_max, n_max + 1)]
-    return scene
+    return Scene(width, height, m, s, range(-n_max, n_max + 1), tuple(fractions))
 
 
 def write_pgm(canvas: Canvas, path) -> None:
@@ -228,61 +221,64 @@ def write_pgm(canvas: Canvas, path) -> None:
         stream.write(canvas.pixels)
 
 
-def _scatter(m: int, width: int, height: int) -> bytes:
-    """The m scatter squares, one <rect> line per x in [0, m).
+def check_scene(points: int) -> None:
+    """Refuse an SVG scatter of more than MAX_SCENE_POINTS points."""
+    if points > MAX_SCENE_POINTS:
+        raise ValueError(f"scene of {points} scatter points exceeds the cap of {MAX_SCENE_POINTS}")
+
+
+def _scatter(m: int, width: int, height: int):
+    """The m scatter squares, one <rect> line per x in [0, m), _CHUNK at a time.
 
     Point x sits at (x/m*width, (1 - (x*x mod m)/m)*height - 1).  x and
-    m - x share a square, so only the ordinates of x <= m // 2 are
-    formatted and each is reused for its mirror; one % over a template
-    repeated m times then fills every <rect>.  More than MAX_SCENE_POINTS
-    points are refused before anything is formatted.
+    m - x share a square, so the ordinates of x <= m // 2 are formatted
+    once into ys, and each chunk takes its y strings as a forward slice and
+    a reversed slice of ys; one % over a template repeated per square then
+    fills the chunk's <rect> lines.
     """
-    if m > MAX_SCENE_POINTS:
-        raise ValueError(f"scene of {m} scatter points exceeds the cap of {MAX_SCENE_POINTS}")
     half = m // 2 + 1
     ys = (b"\n".join([b"%.6f"] * half)
           % tuple([(1.0 - x * x % m / m) * height - 1.0 for x in range(half)])).split(b"\n")
-    ys += ys[(m + 1) // 2 - 1:0:-1]
-    values = [None] * (2 * m)
-    values[0::2] = [x / m * width for x in range(m)]
-    values[1::2] = ys
-    return b'<rect x="%.6f" y="%s" width="1" height="1"/>\n' * m % tuple(values)
+    full = _RECT * _CHUNK
+    for lo in range(0, m, _CHUNK):
+        hi = min(lo + _CHUNK, m)
+        values = [None] * (2 * (hi - lo))
+        values[0::2] = [x / m * width for x in range(lo, hi)]
+        values[1::2] = ys[lo:hi] + ys[m - max(lo, half):m - hi:-1]
+        yield (full if hi - lo == _CHUNK else _RECT * (hi - lo)) % tuple(values)
 
 
-def _flipped(points: list[tuple[float, float]], width: int, height: int) -> tuple:
-    """x*width and (1 - y)*height of each point, interleaved for one bulk %."""
+def _polylines(curve: BundleCurve, width: int, height: int) -> bytes:
+    """One <polyline> line per segment of two or more points, filled by one %."""
+    segments = [segment for segment in curve.segments if len(segment) > 1]
+    points = [point for segment in segments for point in segment]
     values = [None] * (2 * len(points))
     values[0::2] = [x * width for x, _ in points]
     values[1::2] = [(1.0 - y) * height for _, y in points]
-    return tuple(values)
+    return b"".join(
+        [b'<polyline points="' + b" ".join([b"%.6f,%.6f"] * len(segment)) + b'"/>\n'
+         for segment in segments]
+    ) % tuple(values)
 
 
 def write_svg(scene: Scene, path) -> None:
-    """Write the scene as SVG 1.1.
+    """Write the scene as SVG 1.1, formatting it as it goes.
 
     Element order is fixed: scatter points (1-unit squares, see _scatter),
-    then bundle curves by ascending line index, then vertex markers
-    (circles) by (denominator, numerator, vertex index).  All coordinates
-    carry exactly six decimal digits, so equal scenes give identical
-    bytes.  Each kind is formatted with one % over a repeated template, the
-    scatter (and so its cap) first and all before the file is opened.
+    then bundle curves in the order of scene.lines, then vertex markers
+    (circles) fraction by fraction in the order of scene.fractions, each in
+    vertex order.  All coordinates carry exactly six decimal digits, so
+    equal scenes give identical bytes.  Every cap (and m > b*b for each
+    vertex) is checked before the file is opened.  Then each chunk of the
+    scatter, each curve (sampled as it is reached) and each fraction's
+    circles (from its ``vertex_heights``) is filled by one % over a repeated
+    template and written at once.  What stays held is the scatter's
+    half-list ys of formatted ordinates and one chunk.
     """
-    width, height = scene.width, scene.height
-    scatter = _scatter(scene.modulus, width, height) if scene.modulus else b""
-    segments = [
-        segment
-        for curve in sorted(scene.curves, key=lambda c: c.n)
-        for segment in curve.segments
-        if len(segment) > 1
-    ]
-    polylines = b"".join(
-        [b'<polyline points="' + b" ".join([b"%.6f,%.6f"] * len(segment)) + b'"/>\n'
-         for segment in segments]
-    ) % _flipped([point for segment in segments for point in segment], width, height)
-    markers = [(v.x, v.y) for v in sorted(scene.markers, key=lambda v: (v.b, v.a, v.k))]
-    circles = b'<circle cx="%.6f" cy="%.6f" r="3"/>\n' * len(markers) % _flipped(
-        markers, width, height
-    )
+    width, height, m = scene.width, scene.height, scene.modulus
+    check_scene(m)
+    if scene.fractions:
+        check_denominator(m, max(frac.b for frac in scene.fractions))
     header = (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -291,12 +287,16 @@ def write_svg(scene: Scene, path) -> None:
         '<g fill="black">\n'
     )
     with open(path, "wb") as stream:
-        stream.writelines([
-            header.encode(),
-            scatter,
-            b'</g>\n<g fill="none" stroke="#1f77b4" stroke-width="0.75">\n',
-            polylines,
-            b'</g>\n<g fill="none" stroke="#d62728">\n',
-            circles,
-            b"</g>\n</svg>\n",
-        ])
+        write = stream.write
+        write(header.encode())
+        if m:
+            stream.writelines(_scatter(m, width, height))
+        write(b'</g>\n<g fill="none" stroke="#1f77b4" stroke-width="0.75">\n')
+        for n in scene.lines:
+            write(_polylines(sample_bundle_curve(scene.s, n), width, height))
+        write(b'</g>\n<g fill="none" stroke="#d62728">\n')
+        for frac in scene.fractions:  # one cx per fraction, formatted once
+            heights, bb = vertex_heights(m, frac), frac.b**2
+            circle = _CIRCLE % (frac.a / frac.b * width)
+            write(circle * len(heights) % tuple([(1.0 - h / bb) * height for h in heights]))
+        write(b"</g>\n</svg>\n")

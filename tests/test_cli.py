@@ -724,6 +724,10 @@ REFUSALS = [
     # (listed last so that the rows above keep their test ids)
     (["verify", "--modulus", str(M40), "--max-denominator", "1", "--window", str(10**6)],
      "oracle window of 1000001 points exceeds the cap of 1000000"),
+    # bundle --out's scene cap, right after the plan
+    (["bundle", "--modulus", str(M40), "--lambda-n", "400", "--max-denominator", "180",
+      "--out", "x.svg"],
+     f"scene of {M40} scatter points exceeds the cap of 1000000"),
 ]
 
 
@@ -1043,6 +1047,22 @@ def test_refused_bundle_out_prints_one_line_and_no_warning(tmp_path, capsys, mon
         2, "", f"error: scene of {modulus} scatter points exceeds the cap of "
                f"{render.MAX_SCENE_POINTS}\n"
     )
+    assert not out.exists()
+
+
+def test_bundle_out_over_the_scene_cap_refuses_before_matching(tmp_path, capsys, monkeypatch):
+    # The scene cap sat in write_svg alone: this request matched 987,919 vertices
+    # (3.9 s and 215 MB) before it was refused.
+    def forbidden(*args):
+        raise AssertionError("vertices matched before the scene cap")
+
+    monkeypatch.setattr(cli, "bundle_matches", forbidden)
+    out = tmp_path / "x.svg"
+    started = time.perf_counter()
+    code, stdout, err = run(capsys, *bundle_argv(M40, 400, 180), "--out", str(out))
+    assert time.perf_counter() - started < 1.0
+    assert (code, stdout) == (2, "")
+    assert err == f"error: scene of {M40} scatter points exceeds the cap of 1000000\n"
     assert not out.exists()
 
 

@@ -1,6 +1,6 @@
-"""The record contract: every immutable record is a namedtuple that compares,
+"""The record contract: every record is an immutable namedtuple that compares,
 hashes and prints by value, refuses assignment, and checks every way it is
-built; a Scene is a mutable record that owns its lists."""
+built."""
 
 import pytest
 
@@ -13,7 +13,6 @@ from qrpat import (
     ParabolaFamily,
     ReducedFraction,
     Scene,
-    VertexMarker,
     fraction_params,
     layouts_equivalent,
     parabola_family,
@@ -27,7 +26,7 @@ PARAMS_REPR = ("FractionParams(m=20171, frac=ReducedFraction(a=1, b=3), b_prime=
 
 
 def records():
-    """One record of each immutable kind, with the repr the dataclass form printed."""
+    """One record of each kind, with its repr."""
     yield THIRD, "ReducedFraction(a=1, b=3)"
     yield PARAMS, PARAMS_REPR
     yield FAMILY.members[0], f"Parabola(params={PARAMS_REPR}, i=-1, a_prime=1, B=-4, C=15689, h=7)"
@@ -35,7 +34,9 @@ def records():
     yield FAMILY, f"ParabolaFamily(params={PARAMS_REPR}, members=({members}))"
     yield (layouts_equivalent(20171, 20173, 5040, 9),
            "LayoutComparison(equivalent=False, witness=ReducedFraction(a=1, b=2))")
-    yield VertexMarker(3, 1, 0, 0.5, 0.25), "VertexMarker(b=3, a=1, k=0, x=0.5, y=0.25)"
+    yield (Scene(16, 32, 415, 7, range(-1, 2), (THIRD,)),
+           "Scene(width=16, height=32, modulus=415, s=7, lines=range(-1, 2), "
+           "fractions=(ReducedFraction(a=1, b=3),))")
     yield BundleCurve(-1, (((0.0, 0.25),),)), "BundleCurve(n=-1, segments=(((0.0, 0.25),),))"
     yield (Canvas(2, 1, bytearray([0, 255])),
            "Canvas(width=2, height=1, pixels=bytearray(b'\\x00\\xff'))")
@@ -63,13 +64,13 @@ def test_records_with_different_fields_differ():
     assert ReducedFraction(1, 3) != ReducedFraction(2, 3)
     assert fraction_params(20173, THIRD) != PARAMS
     assert hash(ReducedFraction(1, 3)) != hash(ReducedFraction(2, 3))
-    assert VertexMarker(3, 1, 0, 0.5, 0.25) != VertexMarker(3, 1, 1, 0.5, 0.25)
+    assert Scene(64, 64, 415) != Scene(64, 64, 415, lines=range(1))
 
 
 def test_every_record_kind_is_covered():
     kinds = {type(record) for record, _ in RECORDS}
     assert kinds == {ReducedFraction, FractionParams, Parabola, ParabolaFamily,
-                     LayoutComparison, VertexMarker, BundleCurve, Canvas}
+                     LayoutComparison, Scene, BundleCurve, Canvas}
     assert all(issubclass(kind, tuple) and kind.__slots__ == () for kind in kinds)
 
 
@@ -111,16 +112,10 @@ def test_family_replace_swaps_members():
     assert FAMILY.members[0] is first  # the original is untouched
 
 
-def test_scenes_do_not_share_lists():
-    one, two = Scene(64, 64), Scene(64, 64)
-    one.markers.append(VertexMarker(1, 0, 0, 0.0, 0.0))
-    one.curves.append(BundleCurve(0, ()))
-    assert two.markers == [] and two.curves == []
-    assert (one.width, one.height, one.modulus) == (64, 64, 0)
-    curves, markers = [BundleCurve(1, ())], []
-    scene = Scene(16, 32, 415, curves, markers)
-    assert (scene.width, scene.height, scene.modulus) == (16, 32, 415)
-    assert scene.curves is curves and scene.markers is markers
-    scene.modulus = 0
-    scene.curves = []
-    assert scene.modulus == 0 and scene.curves == [] and curves
+def test_scene_defaults_draw_nothing():
+    # A Scene names what draws its scatter, curves and vertices, and holds none of
+    # them, so it is as immutable as the other records.
+    scene = Scene(64, 64)
+    assert scene == (64, 64, 0, 0, range(0), ())
+    assert not (scene.modulus or scene.lines or scene.fractions)
+    assert Scene(16, 32, 415)._replace(modulus=0) == Scene(16, 32)

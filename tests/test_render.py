@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -15,10 +16,11 @@ from qrpat import (
     Canvas,
     ReducedFraction,
     Scene,
-    VertexMarker,
     bundle_matches,
+    bundle_parameter,
     farey_fractions,
     fraction_params,
+    layout_period,
     overlay_predictions,
     render_scatter,
     render_sum_squares,
@@ -288,43 +290,54 @@ def test_sample_curve_degenerate_line():
     assert len(curve.segments) == 3
 
 
-def test_overlay_markers_and_curves():
+def circles(path):
+    return re.findall(rb"<circle [^\n]*\n", path.read_bytes())
+
+
+def test_overlay_markers_and_curves(tmp_path):
     m, max_d, period = 20179, 9, 5040
     matches = list(bundle_matches(m, period, max_d))
     scene = overlay_predictions(m, period, matches, 800, 800)
-    assert scene.modulus == m
-    expected_markers = 0
-    for frac in farey_fractions(max_d):
-        expected_markers += fraction_params(m, frac).b_prime
-    assert len(scene.markers) == expected_markers
-    drawn = {curve.n for curve in scene.curves}
-    # every line a vertex was matched to has its curve drawn
-    assert {n for _, ns in matches for n in ns or ()} <= drawn
-    for marker in scene.markers:
-        params = fraction_params(m, ReducedFraction(marker.a, marker.b))
-        beta_prime = params.beta % (params.c * marker.b)
-        y = (Fraction(beta_prime, marker.b**2) + Fraction(marker.k, params.b_prime)) % 1
-        assert marker.y == float(y)
-    n_max = max(abs(n) for n in drawn)
-    assert drawn == set(range(-n_max, n_max + 1))
+    assert (scene.modulus, scene.s) == (m, bundle_parameter(m, period))
+    assert scene.fractions == tuple(sorted(farey_fractions(max_d), key=ReducedFraction.sort_key))
+    matched = {n for _, ns in matches for n in ns or ()}
+    n_max = max(map(abs, matched))
+    # every line a vertex was matched to has its curve drawn, and no other
+    assert scene.lines == range(-n_max, n_max + 1) and set(scene.lines) == matched
+    # one circle per vertex, in (b, a, k) order, at (beta'/b^2 + k/b_prime) mod 1
+    expected = []
+    for frac in scene.fractions:
+        params = fraction_params(m, frac)
+        beta_prime = params.beta % (params.c * frac.b)
+        for k in range(params.b_prime):
+            y = (Fraction(beta_prime, frac.b**2) + Fraction(k, params.b_prime)) % 1
+            expected.append(b'<circle cx="%.6f" cy="%.6f" r="3"/>\n'
+                            % (frac.a / frac.b * 800, (1.0 - float(y)) * 800))
+    path = tmp_path / "o.svg"
+    write_svg(scene, path)
+    assert circles(path) == expected
 
 
 def test_overlay_degenerate_bundle_is_straight():
     # m a multiple of the period gives s = 0: every curve is the wrapped
     # straight line Y = 2nX mod 1 through the rational vertices
     scene = overlay_predictions(25200, 5040, bundle_matches(25200, 5040, 3), 640, 640)
+    assert scene.s == 0 and len(scene.lines) > 1
     samples = 1024
-    for curve in scene.curves:
+    for curve in (sample_bundle_curve(scene.s, n) for n in scene.lines):
         for segment in curve.segments:
             for x, y in segment:
                 t = round(x * samples)
                 assert y == float(2 * curve.n * Fraction(t, samples) % 1)
 
 
-def test_overlay_smallest_denominators_only():
+def test_overlay_smallest_denominators_only(tmp_path):
     scene = overlay_predictions(977, 5040, bundle_matches(977, 5040, 1), 640, 640)
-    assert [(mk.b, mk.a, mk.k) for mk in scene.markers] == [(1, 0, 0), (1, 1, 0)]
-    assert {(mk.x, mk.y) for mk in scene.markers} == {(0.0, 0.0), (1.0, 0.0)}
+    assert scene.fractions == (ReducedFraction(0, 1), ReducedFraction(1, 1))
+    path = tmp_path / "o.svg"
+    write_svg(scene, path)
+    assert circles(path) == [b'<circle cx="0.000000" cy="640.000000" r="3"/>\n',
+                             b'<circle cx="640.000000" cy="640.000000" r="3"/>\n']
 
 
 def test_overlay_rejects_small_modulus():
@@ -357,8 +370,6 @@ def test_svg_element_order_and_precision(tmp_path):
     text = path.read_text()
     assert text.index("<rect x=") < text.index("<polyline") < text.index("<circle")
     # every emitted coordinate carries exactly six decimals
-    import re
-
     for value in re.findall(r'c?[xy]1?="([-0-9.]+)"', text):
         if "." in value:
             assert len(value.split(".")[1]) == 6
@@ -374,9 +385,21 @@ def _fmt(value):
     return f"{value:.6f}"
 
 
+def reference_polylines(curve, width, height):
+    """The <polyline> elements of one curve, one f-string call per coordinate."""
+    elements = []
+    for segment in curve.segments:
+        if len(segment) < 2:
+            continue
+        coords = " ".join(f"{_fmt(x * width)},{_fmt((1.0 - y) * height)}" for x, y in segment)
+        elements.append(f'<polyline points="{coords}"/>')
+    return elements
+
+
 def reference_svg(scene):
     """The per-point writer: lists the m scatter points as (x/m, y) floats,
-    then formats each coordinate with its own f-string call."""
+    samples every curve and takes every vertex height from fraction_params
+    before it writes, then formats each coordinate with its own f-string call."""
     width, height, m = scene.width, scene.height, scene.modulus
     points = [(x / m, x * x % m / m) for x in range(m)]
     parts = [
@@ -393,20 +416,19 @@ def reference_svg(scene):
         )
     parts.append("</g>")
     parts.append('<g fill="none" stroke="#1f77b4" stroke-width="0.75">')
-    for curve in sorted(scene.curves, key=lambda c: c.n):
-        for segment in curve.segments:
-            if len(segment) < 2:
-                continue
-            coords = " ".join(
-                f"{_fmt(x * width)},{_fmt((1.0 - y) * height)}" for x, y in segment
-            )
-            parts.append(f'<polyline points="{coords}"/>')
+    for n in scene.lines:
+        parts.extend(reference_polylines(sample_bundle_curve(scene.s, n), width, height))
     parts.append("</g>")
     parts.append('<g fill="none" stroke="#d62728">')
-    for marker in sorted(scene.markers, key=lambda v: (v.b, v.a, v.k)):
-        parts.append(
-            f'<circle cx="{_fmt(marker.x * width)}" cy="{_fmt((1.0 - marker.y) * height)}" r="3"/>'
-        )
+    for frac in scene.fractions:
+        params = fraction_params(m, frac)
+        step = params.c * frac.b
+        for k in range(params.b_prime):
+            y = (params.beta % step + k * step) / frac.b**2
+            parts.append(
+                f'<circle cx="{_fmt(frac.a / frac.b * width)}" cy="{_fmt((1.0 - y) * height)}" '
+                'r="3"/>'
+            )
     parts.append("</g>")
     parts.append("</svg>")
     return ("\n".join(parts) + "\n").encode()
@@ -421,8 +443,15 @@ def svg_bytes(scene, tmp_path):
 SVG_SIZES = [(16, 16), (17, 1000), (640, 480), (800, 800), (801, 33)]
 
 
-# Odd and even m; 320000 is a multiple of the 640- and 800-wide canvases.
-@pytest.mark.parametrize("m", [2, 3, 4, 5, 415, 20179, 320000])
+# Odd and even m; 320000 is a multiple of the 640- and 800-wide canvases.  The rest
+# sit at the scatter's chunk edges: one chunk less one square, one chunk, one more,
+# and 2*CHUNK - 2 and - 1 (whose first mirrored x, m // 2 + 1, opens the second
+# chunk), 2*CHUNK and 2*CHUNK + 1 (whose first mirrored x is one past that edge).
+CHUNK = render._CHUNK
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 415, 20179, 320000, CHUNK - 1, CHUNK, CHUNK + 1,
+                               2 * CHUNK - 2, 2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 1])
 @pytest.mark.parametrize("width, height", SVG_SIZES)
 def test_svg_scatter_matches_per_point_reference(m, width, height, tmp_path):
     scene = Scene(width, height, m)
@@ -438,54 +467,100 @@ def test_svg_scatter_next_to_width_multiples(k, delta, width, height, tmp_path):
     assert svg_bytes(scene, tmp_path) == reference_svg(scene)
 
 
+def formatted_polylines(curve, width, height):
+    return render._polylines(curve, width, height).decode().splitlines()
+
+
 def test_svg_overlay_and_one_point_segments_match_reference(tmp_path):
     scene = overlay_predictions(20179, 5040, bundle_matches(20179, 5040, 9), 800, 800)
     assert svg_bytes(scene, tmp_path) == reference_svg(scene)
+    assert svg_bytes(scene._replace(modulus=0, fractions=()), tmp_path) == reference_svg(
+        scene._replace(modulus=0, fractions=()))
     # Two samples of a steep curve wrap at every step: one-point segments
     # only, so no polyline is drawn, and a lone point between longer ones.
     steep = sample_bundle_curve(7, 40, samples=2)
     assert steep.segments and all(len(seg) == 1 for seg in steep.segments)
+    assert formatted_polylines(steep, 800, 800) == reference_polylines(steep, 800, 800) == []
     mixed = BundleCurve(-1, (((0.0, 0.25),), ((0.5, 0.0), (0.75, 0.5)), ((1.0, 0.125),)))
-    scene.curves = [mixed, steep, *scene.curves[:2]]
-    assert svg_bytes(scene, tmp_path) == reference_svg(scene)
-    scene.modulus = 0
+    assert formatted_polylines(mixed, 640, 480) == reference_polylines(mixed, 640, 480) == [
+        '<polyline points="320.000000,480.000000 480.000000,240.000000"/>']
+
+
+def test_svg_overlay_with_skipped_fractions_matches_reference(tmp_path):
+    # Period 5040 skips b = 11: its circles are drawn all the same.  s = -13 makes
+    # the nine curves wrap 10 to 22 times over the non-square canvas.
+    matches = list(bundle_matches(10067, 5040, 11))
+    scene = overlay_predictions(10067, 5040, matches, 320, 240)
+    assert [frac.b for frac, ns in matches if ns is None] == [11] * 10
+    assert (scene.s, scene.lines, len(scene.fractions)) == (-13, range(-4, 5), 43)
+    assert [len(sample_bundle_curve(-13, n).segments) for n in (-4, 4)] == [10, 22]
     assert svg_bytes(scene, tmp_path) == reference_svg(scene)
 
 
 @pytest.mark.skipif(given is None, reason="hypothesis is not installed")
 def test_svg_writer_matches_reference_on_generated_scenes(tmp_path):
-    unit = st.floats(0.0, 1.0)
-    curves = st.lists(
-        st.builds(sample_bundle_curve, st.integers(-50, 50), st.integers(-6, 6),
-                  st.integers(1, 40)),
-        max_size=4,
-    )
-    markers = st.lists(
-        st.builds(VertexMarker, st.integers(1, 9), st.integers(0, 9), st.integers(0, 8),
-                  unit, unit),
-        max_size=6,
-    )
+    sides = st.integers(16, 900)
+
+    @st.composite
+    def scenes(draw):
+        m = draw(st.sampled_from((0, 1)) | st.integers(2, 5000))
+        # vertices need m > b*b; F_9 holds every fraction drawn
+        fractions = farey_fractions(min(9, math.isqrt(m - 1))) if m > 1 else []
+        lo = draw(st.integers(-6, 6))
+        return Scene(draw(sides), draw(sides), m, draw(st.integers(-50, 50)),
+                     range(lo, lo + draw(st.integers(0, 3))),
+                     tuple(draw(st.lists(st.sampled_from(fractions), max_size=6)))
+                     if fractions else ())
 
     @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from((0, 1)) | st.integers(2, 5000), st.integers(16, 900),
-           st.integers(16, 900), curves, markers)
-    def check(m, width, height, curves, markers):
-        scene = Scene(width, height, m, curves, markers)
+    @given(scenes())
+    def check(scene):
         assert svg_bytes(scene, tmp_path) == reference_svg(scene)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.builds(sample_bundle_curve, st.integers(-50, 50), st.integers(-6, 6),
+                     st.integers(1, 40)), sides, sides)
+    def check_curve(curve, width, height):
+        assert formatted_polylines(curve, width, height) == reference_polylines(
+            curve, width, height)
+
     check()
+    check_curve()
+
+
+def svg_peak(scene_of, path):
+    """tracemalloc's peak while scene_of() builds a scene and write_svg writes it."""
+    tracemalloc.start()
+    try:
+        write_svg(scene_of(), path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_svg_writer_memory_stays_near_the_file_size(tmp_path):
     path = tmp_path / "overlay.svg"
-    tracemalloc.start()
-    try:
-        write_svg(overlay_predictions(20179, 5040, bundle_matches(20179, 5040, 9), 800, 800), path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # The per-point scene and writer peaked at 6.2 times the file.
-    assert peak < 5 * path.stat().st_size
+    peak = svg_peak(lambda: overlay_predictions(20179, 5040, bundle_matches(20179, 5040, 9),
+                                                800, 800), path)
+    # The per-point scene and writer peaked at 6.2 times the file, and formatting
+    # the whole file before opening it at 3.7 times.
+    assert peak < 1.5 * path.stat().st_size
+
+
+def test_svg_writer_memory_with_many_vertices_stays_under_the_file_size(tmp_path):
+    # 36,709 vertices over F_60: one marker record per vertex peaked at 8.2 times the file.
+    path = tmp_path / "markers.svg"
+    period = layout_period(400)
+    peak = svg_peak(lambda: overlay_predictions(20179, period, bundle_matches(20179, period, 60),
+                                                800, 800), path)
+    assert peak < path.stat().st_size
+
+
+def test_svg_scatter_memory_stays_under_the_file_size(tmp_path):
+    # One % over all 320,000 squares peaked at 3.4 times the file.
+    path = tmp_path / "scatter.svg"
+    peak = svg_peak(lambda: Scene(800, 800, 320000), path)
+    assert peak < path.stat().st_size
 
 
 def test_svg_writer_refuses_a_scene_over_the_cap_before_opening(tmp_path, monkeypatch):
@@ -497,6 +572,11 @@ def test_svg_writer_refuses_a_scene_over_the_cap_before_opening(tmp_path, monkey
         write_svg(Scene(64, 64, 10**9), path)
     assert time.perf_counter() - started < 1.0
     assert not path.exists()
+    # a vertex needs m > b*b, checked before the file is opened too
+    with pytest.raises(ValueError, match=r"^modulus 80 must exceed 9\^2 = 81$"):
+        write_svg(Scene(64, 64, 80, fractions=(ReducedFraction(1, 3), ReducedFraction(1, 9))),
+                  path)
+    assert not path.exists()
     monkeypatch.setattr(render, "MAX_SCENE_POINTS", 415)
     write_svg(Scene(64, 64, 415), path)
     assert path.read_bytes() == reference_svg(Scene(64, 64, 415))
@@ -507,13 +587,15 @@ def test_svg_writer_refuses_a_scene_over_the_cap_before_opening(tmp_path, monkey
 
 
 def test_refused_svg_formats_no_curve_or_marker(tmp_path, monkeypatch):
-    # The scatter, and so its cap, came after every polyline and circle was formatted.
+    # The scatter, and so its cap, came after every polyline and circle was formatted;
+    # now no curve is sampled and no vertex height taken before the cap either.
     def formatted(*args):
-        raise AssertionError("a curve or marker was formatted before the scene cap")
+        raise AssertionError("a curve or marker was computed before the scene cap")
 
     scene = overlay_predictions(20179, 5040, bundle_matches(20179, 5040, 9), 800, 800)
-    assert scene.curves and scene.markers
-    monkeypatch.setattr(render, "_flipped", formatted)
+    assert scene.lines and scene.fractions
+    for name in ("_scatter", "_polylines", "sample_bundle_curve", "vertex_heights"):
+        monkeypatch.setattr(render, name, formatted)
     monkeypatch.setattr(render, "MAX_SCENE_POINTS", 20178)
     path = tmp_path / "x.svg"
     message = "^scene of 20179 scatter points exceeds the cap of 20178$"
