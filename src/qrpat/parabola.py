@@ -59,9 +59,11 @@ class FractionParams(namedtuple("FractionParams", "m frac b_prime c alpha beta x
     __slots__ = ()
 
 
-class Parabola(namedtuple("Parabola", "params i a_prime B C h")):
-    """One family member: r == (A*j*j + B*j + C) mod m at x = x0 + i + j*b_prime.
+class Parabola(namedtuple("Parabola", "i a_prime B C h")):
+    """One family member, the named form of a ``family_rows`` row:
+    r == (b_prime**2 * j*j + B*j + C) mod m at x = x0 + i + j*b_prime.
 
+    m, x0 and b_prime belong to the family's params, not to the member.
     a_prime indexes the member's vertex height class modulo b_prime; the
     vertex sits at (a*m/b, h*m/b^2) with h in [0, b^2), so its ordinate
     is already reduced into [0, m).
@@ -69,13 +71,9 @@ class Parabola(namedtuple("Parabola", "params i a_prime B C h")):
 
     __slots__ = ()
 
-    @property
-    def A(self) -> int:
-        return self.params.b_prime ** 2
-
 
 class ParabolaFamily(namedtuple("ParabolaFamily", "params members")):
-    """The params and the tuple of b_prime members anchored at one fraction of the modulus."""
+    """The params (sole owner of m, x0 and b_prime) and the b_prime members at one fraction."""
 
     __slots__ = ()
 
@@ -174,33 +172,32 @@ def family_rows(params: FractionParams) -> list[tuple[int, int, int, int, int]]:
 
 def parabola_family(params: FractionParams) -> ParabolaFamily:
     """The b_prime member records of ``family_rows``, in its order."""
-    return ParabolaFamily(params, tuple([Parabola(params, *row) for row in family_rows(params)]))
+    return ParabolaFamily(params, tuple([Parabola._make(row) for row in family_rows(params)]))
 
 
 def family_structure(family: ParabolaFamily) -> bool:
     """The vertex law of a family, checked in integers against ``vertex_heights``.
 
     True when the offsets i are ``canonical_offsets(b_prime)`` in order (the
-    layout ``covering_members`` relies on), every member carries the
-    family's own params (so its vertex abscissa is a*m/b), and the heights
-    h, sorted, are the h_k.
+    layout ``covering_members`` relies on) and the heights h, sorted, are
+    the h_k.  Every member's vertex abscissa is a*m/b by construction: the
+    family's params are the only ones its members have.
     """
     params = family.params
     members = family.members
     return (
         [p.i for p in members] == list(canonical_offsets(params.b_prime))
-        and all(p.params == params for p in members)
         and sorted(p.h for p in members) == list(vertex_heights(params.m, params.frac))
     )
 
 
-def evaluate_parabola(p: Parabola, j: int) -> tuple[int, int]:
-    """Point (x, r) of member p at lattice step j, with x kept inside [0, m)."""
-    m = p.params.m
-    x = p.params.x0 + p.i + j * p.params.b_prime
+def evaluate_parabola(params: FractionParams, p: Parabola, j: int) -> tuple[int, int]:
+    """Point (x, r) of member p of params' family at lattice step j, x kept inside [0, m)."""
+    m, b_prime = params.m, params.b_prime
+    x = params.x0 + p.i + j * b_prime
     if not 0 <= x < m:
         raise ValueError(f"lattice step {j} puts x = {x} outside [0, {m})")
-    return x, (p.A * j * j + p.B * j + p.C) % m
+    return x, (b_prime * b_prime * j * j + p.B * j + p.C) % m
 
 
 def residues_near(m: int, frac: ReducedFraction, window: int) -> list[tuple[int, int]]:
@@ -227,8 +224,9 @@ def covering_members(family: ParabolaFamily, x: int, r: int) -> list[tuple[Parab
     The offsets are b_prime consecutive integers from -((b_prime - 1) // 2),
     so only the member at index (x - x0 + (b_prime - 1) // 2) mod b_prime can
     hit x; its own i and r are still checked, so a family not laid out as
-    ``family_structure`` requires gets no false hit.  Called once per oracle
-    point, so each record field is read once and r is evaluated in Horner form.
+    ``family_structure`` requires gets no false hit.  m, x0 and A = b_prime**2
+    are the family's.  Called once per oracle point, so each field is read
+    once and r is evaluated in Horner form.
     """
     params = family.params
     b_prime = params.b_prime

@@ -232,13 +232,14 @@ def _scatter(m: int, width: int, height: int):
 
     Point x sits at (x/m*width, (1 - (x*x mod m)/m)*height - 1).  x and
     m - x share a square, so the ordinates of x <= m // 2 are formatted
-    once into ys, and each chunk takes its y strings as a forward slice and
-    a reversed slice of ys; one % over a template repeated per square then
-    fills the chunk's <rect> lines.
+    once into ys, _CHUNK per %, and each chunk takes its y strings as a
+    forward slice and a reversed slice of ys; one % over a template repeated
+    per square then fills the chunk's <rect> lines.
     """
-    half = m // 2 + 1
-    ys = (b"\n".join([b"%.6f"] * half)
-          % tuple([(1.0 - x * x % m / m) * height - 1.0 for x in range(half)])).split(b"\n")
+    half, ys = m // 2 + 1, []
+    for lo in range(0, half, _CHUNK):
+        xs = range(lo, min(lo + _CHUNK, half))
+        ys += (b"%.6f " * len(xs) % tuple([(1 - x * x % m / m) * height - 1 for x in xs])).split()
     full = _RECT * _CHUNK
     for lo in range(0, m, _CHUNK):
         hi = min(lo + _CHUNK, m)

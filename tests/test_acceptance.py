@@ -77,7 +77,7 @@ def test_02_lattice_evaluations_match_direct_squaring():
             j_lo = -(base // family.params.b_prime)
             j_hi = (m - 1 - base) // family.params.b_prime
             j = rng.randint(j_lo, j_hi)
-            x, r = evaluate_parabola(p, j)
+            x, r = evaluate_parabola(family.params, p, j)
             assert r == pow(x, 2, m), (m, str(frac), p.i, j)
             checked += 1
     elapsed = time.perf_counter() - started
@@ -102,8 +102,8 @@ def test_03_vertex_structure_of_every_tested_family():
         family = parabola_family(params)
         b, b_prime = frac.b, params.b_prime
         assert len(family.members) == (b if b % 2 else b // 2) == b_prime
-        # each vertex sits at (a*m/b, h*m/b^2), a/b and m from the member's own params
-        assert all(p.params == params for p in family.members)
+        # each vertex sits at (a*m/b, h*m/b^2), a/b and m from the family's one params
+        assert family.params is params
         heights = sorted(Fraction(p.h * m, b * b) for p in family.members)
         assert all(0 <= y < m for y in heights)
         gap = Fraction(m, b_prime)

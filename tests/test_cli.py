@@ -154,7 +154,8 @@ def predict_payload(m, frac):
              "y_num": y.numerator, "y_den": y.denominator}
             for p in members for y in [fractions.Fraction(p.h * m, frac.b ** 2)]
         ],
-        "coefficients": [{"i": p.i, "A": p.A, "B": p.B, "C": p.C} for p in members],
+        "coefficients": [{"i": p.i, "A": params.b_prime ** 2, "B": p.B, "C": p.C}
+                         for p in members],
     }
 
 
@@ -476,7 +477,7 @@ def test_predict_builds_no_parabola_record(capsys, monkeypatch):
         raise AssertionError("predict built a Parabola record")
 
     listed = predict_reference(20171, 9, False)
-    monkeypatch.setattr(parabola, "Parabola", forbidden)
+    monkeypatch.setattr(parabola.Parabola, "_make", forbidden)  # parabola_family's one builder
     assert run(capsys, "predict", "--modulus", "20171", "--max-denominator", "9") == (
         0, listed, "")
     argv = ("--modulus", "20171", "--fraction", "1/3")

@@ -23,6 +23,7 @@ from qrpat import (  # noqa: E402
     cli,
     covering_members,
     evaluate_parabola,
+    family_rows,
     farey_fractions,
     family_structure,
     fraction_params,
@@ -78,6 +79,16 @@ def test_anchor_identity_at_the_extremes(case):
     assert verify_identity(params)
 
 
+@settings(deadline=None, database=None)
+@given(anchor_cases())
+def test_a_member_is_its_row(case):
+    # the family's params are the only params: a member is the named family_rows row
+    params = fraction_params(*case)
+    family = parabola_family(params)
+    assert family.params is params
+    assert family.members == tuple(family_rows(params))
+
+
 @st.composite
 def family_cases(draw):
     """A family for m from just above b^2 up to 10^40, b <= 60, any a coprime to b."""
@@ -94,7 +105,7 @@ def test_lattice_evaluation_is_direct_squaring(family, data):
     p = data.draw(st.sampled_from(family.members))
     base = params.x0 + p.i
     j = data.draw(st.integers(-(base // params.b_prime), (params.m - 1 - base) // params.b_prime))
-    x, r = evaluate_parabola(p, j)
+    x, r = evaluate_parabola(params, p, j)
     assert x == base + j * params.b_prime
     assert r == pow(x, 2, params.m)
 
@@ -108,7 +119,7 @@ def test_each_point_near_anchor_on_exactly_one_member(family):
         hits = covering_members(family, x, pow(x, 2, m))
         assert len(hits) == 1
         (p, j), = hits
-        assert evaluate_parabola(p, j) == (x, pow(x, 2, m))
+        assert evaluate_parabola(params, p, j) == (x, pow(x, 2, m))
 
 
 @st.composite
@@ -159,7 +170,7 @@ def test_predict_json_pairs_are_the_reduced_vertices(case):
         y = Fraction(p.h * m, b * b)
         assert v == {"i": p.i, "a_prime": p.a_prime, "x_num": x.numerator,
                      "x_den": x.denominator, "y_num": y.numerator, "y_den": y.denominator}
-        assert coef == {"i": p.i, "A": p.A, "B": p.B, "C": p.C}
+        assert coef == {"i": p.i, "A": params.b_prime ** 2, "B": p.B, "C": p.C}
         # the ordinate each member carried before heights became integers
         old_y = Fraction(m * ((params.beta + p.a_prime * params.c * b) % (b * b)), b * b)
         assert y == old_y

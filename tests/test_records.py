@@ -29,7 +29,7 @@ def records():
     """One record of each kind, with its repr."""
     yield THIRD, "ReducedFraction(a=1, b=3)"
     yield PARAMS, PARAMS_REPR
-    yield FAMILY.members[0], f"Parabola(params={PARAMS_REPR}, i=-1, a_prime=1, B=-4, C=15689, h=7)"
+    yield FAMILY.members[0], "Parabola(i=-1, a_prime=1, B=-4, C=15689, h=7)"
     members = ", ".join(map(repr, FAMILY.members))
     yield FAMILY, f"ParabolaFamily(params={PARAMS_REPR}, members=({members}))"
     yield (layouts_equivalent(20171, 20173, 5040, 9),
@@ -72,6 +72,13 @@ def test_every_record_kind_is_covered():
     assert kinds == {ReducedFraction, FractionParams, Parabola, ParabolaFamily,
                      LayoutComparison, Scene, BundleCurve, Canvas}
     assert all(issubclass(kind, tuple) and kind.__slots__ == () for kind in kinds)
+
+
+def test_only_the_family_holds_params():
+    # a member is its family_rows row; m, x0 and b_prime belong to the family alone
+    assert Parabola._fields == ("i", "a_prime", "B", "C", "h")
+    holders = {type(r) for r, _ in RECORDS if any(isinstance(v, FractionParams) for v in r)}
+    assert holders == {ParabolaFamily}
 
 
 @pytest.mark.parametrize("a, b, message", [
