@@ -35,7 +35,7 @@ from .residues import ReducedFraction, check_modulus, farey_fractions, layout_pe
 # Most family members (b_prime per a/b) one predict, bundle or verify request builds.
 # predict streams them from member rows, ~3.2 µs and 228 B of compact JSON each (~3.1 s,
 # 225 MB of JSON and 17 MB peak RSS near the cap); bundle, ~1 s and ~26 MB peak RSS, and
-# with --out at m = 999983 (a 106 MB SVG) ~2.8 s and 68 MB; verify checks them, ~2.6 s
+# with --out at m = 999983 (a 77 MB SVG) ~2.0-2.5 s and 36 MB; verify checks them, ~2.6 s
 # with --window 1 and ~11 s by default (see README).
 MAX_MEMBERS = 10**6
 # Most oracle points one verify checks: ~1.2 µs each at 7 digits, ~1.5 µs at 40 (see README).

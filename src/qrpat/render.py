@@ -37,10 +37,11 @@ MAX_SCENE_POINTS = 10**6  # largest SVG scatter (one point per residue); larger 
 # Most squares one render_scatter computes, (m + 1) // 2 in either mode (about 0.2 µs
 # each, so ~10 s); larger is refused.
 MAX_SCATTER_SQUARES = 5 * 10**7
-# Scatter squares write_svg formats per %, about 240 KB of SVG; a chunk and the
-# held ordinates of x <= m // 2 are all the scatter keeps.
+# Scatter squares write_svg formats per % into one <path>, about 120 KB of SVG; a chunk
+# and the held ordinate block of x <= m // 2 (w bytes each) are all the scatter keeps.
 _CHUNK = 4096
-_RECT = b'<rect x="%.6f" y="%s" width="1" height="1"/>\n'
+_SQUARE = b"M%.6f %sh1v1h-1z"  # one scatter square at x and a formatted y
+_PATH = b'<path d="%s"/>\n'
 _CIRCLE = b'<circle cx="%.6f" cy="%%.6f" r="3"/>\n'
 
 
@@ -228,25 +229,26 @@ def check_scene(points: int) -> None:
 
 
 def _scatter(m: int, width: int, height: int):
-    """The m scatter squares, one <rect> line per x in [0, m), _CHUNK at a time.
+    """The m scatter squares, "M x y h1v1h-1z" each, one <path> per _CHUNK x.
 
-    Point x sits at (x/m*width, (1 - (x*x mod m)/m)*height - 1).  x and
-    m - x share a square, so the ordinates of x <= m // 2 are formatted
-    once into ys, _CHUNK per %, and each chunk takes its y strings as a
-    forward slice and a reversed slice of ys; one % over a template repeated
-    per square then fills the chunk's <rect> lines.
+    Square x is at (x/m*width, (1 - (x*x mod m)/m)*height - 1); the nonzero
+    fill unions overlapping squares.  x and m - x share a y, so the ordinates
+    of x <= m // 2 are formatted once, _CHUNK per %, into ys: one bytes block
+    of w-wide fields, w two more than "%.6f" % height, so each starts with a
+    space.  A chunk splits its y strings from a forward and a mirrored slice
+    of ys, and one % over a template repeated per square fills its <path>.
     """
-    half, ys = m // 2 + 1, []
-    for lo in range(0, half, _CHUNK):
-        xs = range(lo, min(lo + _CHUNK, half))
-        ys += (b"%.6f " * len(xs) % tuple([(1 - x * x % m / m) * height - 1 for x in xs])).split()
-    full = _RECT * _CHUNK
+    half, w = m // 2 + 1, len(b"%.6f" % height) + 2
+    ys = b"".join([b"%%%d.6f" % w * len(xs) % tuple([(1 - x * x % m / m) * height - 1 for x in xs])
+                   for xs in (range(lo, min(lo + _CHUNK, half)) for lo in range(0, half, _CHUNK))])
+    full = _PATH % (_SQUARE * _CHUNK)
     for lo in range(0, m, _CHUNK):
         hi = min(lo + _CHUNK, m)
+        mirrored = ys[(m - hi + 1) * w:(m - max(lo, half) + 1) * w].split()
         values = [None] * (2 * (hi - lo))
         values[0::2] = [x / m * width for x in range(lo, hi)]
-        values[1::2] = ys[lo:hi] + ys[m - max(lo, half):m - hi:-1]
-        yield (full if hi - lo == _CHUNK else _RECT * (hi - lo)) % tuple(values)
+        values[1::2] = ys[lo * w:hi * w].split() + mirrored[::-1]
+        yield (full if hi - lo == _CHUNK else _PATH % (_SQUARE * (hi - lo))) % tuple(values)
 
 
 def _polylines(curve: BundleCurve, width: int, height: int) -> bytes:
@@ -265,19 +267,18 @@ def _polylines(curve: BundleCurve, width: int, height: int) -> bytes:
 def write_svg(scene: Scene, path) -> None:
     """Write the scene as SVG 1.1, formatting it as it goes.
 
-    Element order is fixed: scatter points (1-unit squares, see _scatter),
-    then bundle curves in the order of scene.lines, then vertex markers
-    (circles) fraction by fraction in the order of scene.fractions, each in
-    vertex order.  All coordinates carry exactly six decimal digits, so
-    equal scenes give identical bytes.  Every cap (and m > b*b for each
-    vertex) is checked before the file is opened.  Then each chunk of the
-    scatter, each curve (sampled as it is reached) and each fraction's
-    circles (from its ``vertex_heights``) is filled by one % over a repeated
-    template and written at once.  What stays held is the scatter's
-    half-list ys of formatted ordinates and one chunk.
+    Element order is fixed: the scatter (unit squares in <path>s, see _scatter),
+    bundle curves in the order of scene.lines, then vertex circles fraction by
+    fraction in the order of scene.fractions, each in vertex order.  Every
+    coordinate carries six decimals, so equal scenes give identical bytes.
+    Every check (modulus 0, for no scatter, or >= 2; the caps; m > b*b per
+    vertex) comes before the file is opened.  Then each scatter chunk, curve
+    (sampled as it is reached) and fraction's circles (from ``vertex_heights``)
+    is filled by one % over a repeated template and written at once; the
+    scatter's ordinate block ys and one chunk are all that stay held.
     """
     width, height, m = scene.width, scene.height, scene.modulus
-    check_scene(m)
+    check_scene(m and check_modulus(m))  # m = 0 draws no scatter
     if scene.fractions:
         check_denominator(m, max(frac.b for frac in scene.fractions))
     header = (

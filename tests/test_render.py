@@ -5,6 +5,7 @@ import math
 import re
 import time
 import tracemalloc
+import xml.etree.ElementTree as ET
 from fractions import Fraction
 from pathlib import Path
 
@@ -34,7 +35,7 @@ from qrpat import (
 GOLDEN_PLOT_20171 = "04c9a8845a373c41a3c23508bb5bc3ed17d136bdfe5d47aa69273a2d254cd1dd"
 GOLDEN_GRID_415 = "63377b669e2929b855a64d58a4a56fa758b12187a55a19d0c8c10c0fcd683413"
 # The overlay of bundle_matches(20179, 5040, 9) on 800x800, written by write_svg.
-GOLDEN_SVG_20179 = "ef80894ea61d39ecb0a690e1976f951869eabcbb3fffa78f59b70ce232312803"
+GOLDEN_SVG_20179 = "9ce0d1c0539ff8f200b65582828d7085eb830c7d90fc5960802b47f4cee9b73f"
 
 try:
     from hypothesis import given, settings
@@ -368,7 +369,7 @@ def test_svg_element_order_and_precision(tmp_path):
     path = tmp_path / "o.svg"
     write_svg(scene, path)
     text = path.read_text()
-    assert text.index("<rect x=") < text.index("<polyline") < text.index("<circle")
+    assert text.index('<path d="M') < text.index("<polyline") < text.index("<circle")
     # every emitted coordinate carries exactly six decimals
     for value in re.findall(r'c?[xy]1?="([-0-9.]+)"', text):
         if "." in value:
@@ -396,12 +397,19 @@ def reference_polylines(curve, width, height):
     return elements
 
 
+def reference_squares(m, width, height):
+    """The path data "M x y h1v1h-1z" of each scatter square x in [0, m), in x order,
+    from the point (x/m, (x*x mod m)/m) with one f-string call per coordinate."""
+    points = [(x / m, x * x % m / m) for x in range(m)]
+    return [f"M{_fmt(x * width)} {_fmt((1.0 - y) * height - 1.0)}h1v1h-1z" for x, y in points]
+
+
 def reference_svg(scene):
-    """The per-point writer: lists the m scatter points as (x/m, y) floats,
+    """The per-point writer: lists the m scatter squares (one <path> per CHUNK),
     samples every curve and takes every vertex height from fraction_params
     before it writes, then formats each coordinate with its own f-string call."""
     width, height, m = scene.width, scene.height, scene.modulus
-    points = [(x / m, x * x % m / m) for x in range(m)]
+    squares = reference_squares(m, width, height)
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -409,11 +417,8 @@ def reference_svg(scene):
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
         '<g fill="black">',
     ]
-    for x, y in points:
-        parts.append(
-            f'<rect x="{_fmt(x * width)}" y="{_fmt((1.0 - y) * height - 1.0)}" '
-            'width="1" height="1"/>'
-        )
+    for lo in range(0, m, CHUNK):
+        parts.append(f'<path d="{"".join(squares[lo:lo + CHUNK])}"/>')
     parts.append("</g>")
     parts.append('<g fill="none" stroke="#1f77b4" stroke-width="0.75">')
     for n in scene.lines:
@@ -467,6 +472,36 @@ def test_svg_scatter_next_to_width_multiples(k, delta, width, height, tmp_path):
     assert svg_bytes(scene, tmp_path) == reference_svg(scene)
 
 
+# The held ordinates are fields of len("%.6f" % height) + 2 bytes: the heights where
+# that length steps (9 -> 10, 99 -> 100), and height 1, whose ordinates all lie in
+# (-1, 0] and so fill all but one byte of the field with a minus sign.
+@pytest.mark.parametrize("height", [1, 9, 10, 99, 100, 1000])
+@pytest.mark.parametrize("m", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 1, 2 * CHUNK,
+                               2 * CHUNK + 1])
+def test_svg_scatter_ordinate_block_widths_match_reference(m, height, tmp_path):
+    scene = Scene(37, height, m)
+    assert svg_bytes(scene, tmp_path) == reference_svg(scene)
+
+
+@pytest.mark.parametrize("m, width, height", [(2, 16, 16), (415, 640, 480), (20179, 800, 800),
+                                              (2 * CHUNK + 1, 801, 33)])
+def test_svg_scatter_parses_to_each_square_of_x_squared(m, width, height, tmp_path):
+    # Read back with ElementTree, not compared with the reference's scatter bytes:
+    # ceil(m / CHUNK) paths whose data splits into exactly the m squares, in x order.
+    scene = Scene(width, height, m, 7, range(-1, 2), tuple(farey_fractions(1)))
+    data = svg_bytes(scene, tmp_path)
+    black = ET.fromstring(data).find("svg:g[@fill='black']",
+                                     {"svg": "http://www.w3.org/2000/svg"})
+    assert [child.tag for child in black] == ["{http://www.w3.org/2000/svg}path"] * -(-m // CHUNK)
+    d = "".join(path.get("d") for path in black)
+    squares = re.findall(r"M(\S+) (\S+)h1v1h-1z", d)
+    assert "".join(f"M{x} {y}h1v1h-1z" for x, y in squares) == d
+    assert squares == [(f"{x / m * width:.6f}", f"{(1 - x * x % m / m) * height - 1:.6f}")
+                       for x in range(m)]
+    curves, reference = b'</g>\n<g fill="none" stroke="#1f77b4"', reference_svg(scene)
+    assert data[data.index(curves):] == reference[reference.index(curves):]
+
+
 def formatted_polylines(curve, width, height):
     return render._polylines(curve, width, height).decode().splitlines()
 
@@ -503,7 +538,7 @@ def test_svg_writer_matches_reference_on_generated_scenes(tmp_path):
 
     @st.composite
     def scenes(draw):
-        m = draw(st.sampled_from((0, 1)) | st.integers(2, 5000))
+        m = draw(st.just(0) | st.integers(2, 5000))
         # vertices need m > b*b; F_9 holds every fraction drawn
         fractions = farey_fractions(min(9, math.isqrt(m - 1))) if m > 1 else []
         lo = draw(st.integers(-6, 6))
@@ -557,10 +592,12 @@ def test_svg_writer_memory_with_many_vertices_stays_under_the_file_size(tmp_path
 
 
 def test_svg_scatter_memory_stays_under_the_file_size(tmp_path):
-    # One % over all 320,000 squares peaked at 3.4 times the file.
+    # One % over all 320,000 squares peaked at 3.4 times the file; the <path> form with
+    # the held ordinates as a list of 160,001 bytes objects at 0.92 times.  As one block
+    # of fixed-width fields they take 12 bytes each.
     path = tmp_path / "scatter.svg"
     peak = svg_peak(lambda: Scene(800, 800, 320000), path)
-    assert peak < path.stat().st_size
+    assert peak < 0.5 * path.stat().st_size
 
 
 def test_svg_writer_refuses_a_scene_over_the_cap_before_opening(tmp_path, monkeypatch):
@@ -583,6 +620,16 @@ def test_svg_writer_refuses_a_scene_over_the_cap_before_opening(tmp_path, monkey
     path.unlink()
     with pytest.raises(ValueError, match="scene of 416 scatter points exceeds the cap of 415"):
         write_svg(Scene(64, 64, 416), path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("m", [-5, 1])
+def test_svg_writer_refuses_a_modulus_below_2_before_opening(m, tmp_path):
+    # Scene(64, 64, -5) wrote zero squares and Scene(64, 64, 1) one, while
+    # render_scatter refused both; 0 alone means no scatter.
+    path = tmp_path / "bad.svg"
+    with pytest.raises(ValueError, match=rf"^modulus must be an integer >= 2, got {m}$"):
+        write_svg(Scene(64, 64, m), path)
     assert not path.exists()
 
 
