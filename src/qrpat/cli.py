@@ -28,8 +28,7 @@ from .parabola import (
     verify_identity,
 )
 from .patterns import bundle_matches, bundle_parameter, layouts_equivalent
-from .render import (check_scene, overlay_predictions, render_scatter, render_sum_squares,
-                     write_pgm, write_svg)
+from .render import Scene, check_scene, render_scatter, render_sum_squares, write_pgm, write_svg
 from .residues import ReducedFraction, check_modulus, farey_fractions, layout_period
 
 # Most family members (b_prime per a/b) one predict, bundle or verify request builds.
@@ -300,26 +299,29 @@ def _cmd_equiv(args) -> int:
 
 def _cmd_bundle(args) -> int:
     """Match each covered vertex of F_D once, holding only its line index n;
-    from those matches write the SVG, the warnings in one write, then the JSON's
-    head with its line indices, each covered fraction and the skipped ones, each
-    by one % over a template.  Every refusal comes before any work or output."""
+    from those matches write the SVG (its Scene draws the curves -n_max..n_max,
+    n_max the largest matched |n|, and every fraction's vertices, skipped ones
+    included), the warnings in one write, then the JSON's head with s and the
+    line indices, each covered fraction and the skipped ones, each by one % over
+    a template.  Every refusal comes before any work or output."""
     period = layout_period(args.lambda_n)
     m, max_d = args.modulus, args.max_denominator
     _plan("bundle", m, max_d)
     if args.out:
         check_scene(m)
-    matches = list(bundle_matches(m, period, max_d))
+    matches, s = list(bundle_matches(m, period, max_d)), bundle_parameter(m, period)
+    # b = 1 is always covered, so neither "line_indices" nor "fractions" is ever "[]".
+    lines = sorted(set().union(*(ns for _, ns in matches if ns)))
     if args.out:
-        write_svg(overlay_predictions(m, period, matches, args.width, args.height), args.out)
+        n_max = max(-lines[0], lines[-1])
+        write_svg(Scene(args.width, args.height, m, s, range(-n_max, n_max + 1),
+                        tuple([frac for frac, _ in matches])), args.out)
     skipped = [(frac.a, frac.b) for frac, ns in matches if ns is None]
     sys.stderr.write("".join(f"warning: skipping {a}/{b}: denominator {b} is not covered "
                              f"by period {period}\n" for a, b in skipped))
-    # b = 1 is always covered, so neither "line_indices" nor "fractions" is ever "[]".
-    lines = sorted(set().union(*(ns for _, ns in matches if ns)))
     head, skip, tail = _bundle_frame(bool(skipped))
     write = sys.stdout.write
-    write(head % (m, args.lambda_n, period, bundle_parameter(m, period), max_d,
-                  _entries("%d", len(lines), lines)))
+    write(head % (m, args.lambda_n, period, s, max_d, _entries("%d", len(lines), lines)))
     for k, (frac, ns) in enumerate((frac, ns) for frac, ns in matches if ns is not None):
         write((_ENTRY_SEP if k else "") + _bundle_template(len(ns)) % (frac.a, frac.b, *ns))
     if skipped:

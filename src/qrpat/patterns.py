@@ -41,9 +41,6 @@ class LayoutComparison(namedtuple("LayoutComparison", "equivalent witness")):
     __slots__ = ()
 
 
-BundleMatch = tuple[ReducedFraction, tuple[int, ...] | None]
-
-
 def _covered(b: int, period: int) -> bool:
     """Whether the period pins down the layout at b: c*b divides it, c from ``stride(b)``."""
     return period % (stride(b)[1] * b) == 0
@@ -85,7 +82,9 @@ def layouts_equivalent(
     return LayoutComparison(True, None)
 
 
-def bundle_matches(m: int, period: int, max_denominator: int) -> Iterator[BundleMatch]:
+def bundle_matches(
+    m: int, period: int, max_denominator: int
+) -> Iterator[tuple[ReducedFraction, tuple[int, ...] | None]]:
     """(frac, ns) for each a/b of F_D in (b, a) order, made as read: ns is each
     vertex's line index n in k order, from one ``vertex_on_bundle`` call, or None
     where the period does not cover b.  m > D^2 and the period are checked at once."""

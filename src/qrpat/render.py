@@ -10,11 +10,9 @@ checks happen before anything is converted to floating point.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable
 from math import gcd
 
 from .parabola import check_denominator, vertex_heights
-from .patterns import BundleMatch, bundle_parameter
 from .residues import check_modulus
 
 __all__ = [
@@ -22,7 +20,6 @@ __all__ = [
     "Canvas",
     "Scene",
     "check_scene",
-    "overlay_predictions",
     "render_scatter",
     "render_sum_squares",
     "sample_bundle_curve",
@@ -86,6 +83,8 @@ class Scene(namedtuple("Scene", "width height modulus s lines fractions",
     scatter); the curves are ``sample_bundle_curve(s, n)`` for n in lines;
     the vertices are those of each a/b in fractions, at (a/b, h/b^2) for h in
     ``vertex_heights(modulus, a/b)``.  write_svg computes each as it writes it.
+    ``bundle --out`` builds its own: s is ``bundle_parameter``, lines runs over
+    -n_max..n_max of its matched |n|, and fractions is F_D in (b, a) order.
     """
 
     __slots__ = ()
@@ -195,23 +194,6 @@ def sample_bundle_curve(s: int, n: int, samples: int = CURVE_SAMPLES) -> BundleC
         prev_level = level
     segments.append(tuple(current))
     return BundleCurve(n, tuple(segments))
-
-
-def overlay_predictions(
-    m: int, period: int, matches: Iterable[BundleMatch], width: int, height: int
-) -> Scene:
-    """Scene with the full scatter, every vertex of matches and the bundle curves.
-
-    matches is ``bundle_matches(m, period, D)``, read once; its fractions,
-    skipped ones included, are kept in their (b, a) order, and the drawn
-    curves run from -n_max to n_max, n_max the largest matched |n|.
-    """
-    s = bundle_parameter(m, period)
-    fractions, n_max = [], 0
-    for frac, ns in matches:
-        fractions.append(frac)
-        n_max = max(n_max, *map(abs, ns or (0,)))
-    return Scene(width, height, m, s, range(-n_max, n_max + 1), tuple(fractions))
 
 
 def write_pgm(canvas: Canvas, path) -> None:

@@ -27,7 +27,7 @@ from qrpat import (
     residues,
 )
 from qrpat.cli import main
-from test_render import GOLDEN_SVG_20179, read_pgm
+from test_render import GOLDEN_SVG_20179, by_denominator, read_pgm
 
 try:
     from hypothesis import example, given, settings
@@ -1017,6 +1017,17 @@ def test_bundle_out_matches_each_vertex_once(tmp_path, capsys, monkeypatch):
     assert (code, err, calls[0]) == (0, "", 29)
     assert hashlib.sha256(stdout.encode()).hexdigest() == GOLDEN_BUNDLE_20179
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SVG_20179
+
+
+def test_bundle_out_draws_its_scene_from_its_own_matches(tmp_path, capsys):
+    # bundle builds the Scene itself: every fraction gets circles, the ten skipped k/11
+    # included; the curves run over -n_max..n_max; s is the balanced -13, not 10067 % 5040.
+    out, drawn = tmp_path / "x.svg", tmp_path / "scene.svg"
+    argv = [*bundle_argv(10067, 9, 11), "--width", "320", "--height", "240", "--out", str(out)]
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout, err) == bundle_reference(10067, 9, 11)
+    render.write_svg(render.Scene(320, 240, 10067, -13, range(-4, 5), by_denominator(11)), drawn)
+    assert out.read_bytes() == drawn.read_bytes()
 
 
 def test_bundle_builds_no_fraction_params(tmp_path, capsys, monkeypatch):

@@ -46,6 +46,14 @@ def imported_modules():
         yield path, imported
 
 
+def test_render_imports_nothing_from_patterns():
+    # render draws a Scene it is given; bundle composes its matches into one.
+    tree = ast.parse(Path(render.__file__).read_text())
+    siblings = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level}
+    assert siblings == {"parabola", "residues"}
+
+
 def test_no_module_imports_fractions():
     # the README's exact-arithmetic claim: every rational is a pair of integers
     for path, imported in imported_modules():

@@ -1,12 +1,13 @@
 """Generated-input checks of the anchor identity, lattice, coverage, vertex-height,
 predict and bundle output (against the json.dumps byte references), request plan,
-layout and bundle claims."""
+layout and bundle claims, and of CLI answers against qrbench's independent checkers."""
 
 import io
 import json
 import math
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +37,8 @@ from qrpat import (  # noqa: E402
     vertex_heights,
     vertex_on_bundle,
 )
+from qrbench import checks  # noqa: E402
+from qrbench.workloads import Request  # noqa: E402
 from qrpat.cli import main  # noqa: E402
 from test_cli import bundle_argv, bundle_reference, predict_argv, predict_reference  # noqa: E402
 from test_patterns import (  # noqa: E402
@@ -357,3 +360,54 @@ def test_layouts_equivalent_is_equal_signatures_over_covered_b(case):
         covered_denominators(period, max_d),
     )
     assert layouts_equivalent(m1, m2, period, max_d) == LayoutComparison(witness is None, witness)
+
+
+@st.composite
+def checked_requests(draw):
+    """(kind, argv, info) of a bundle (with or without --out), predict --max-denominator
+    --json, verify or equiv request: D <= 8, --lambda-n 2..12, m from just above D^2 up
+    to 10^40 (10^4 with --out, whose SVG draws a square per residue), and equiv's m2
+    congruent to m1, shifted by a little, unrelated, or congruent modulo period / q."""
+    max_d, lambda_n = draw(st.integers(1, 8)), draw(st.integers(2, 12))
+    kind = draw(st.sampled_from(["bundle", "bundle --out", "predict", "verify", "equiv"]))
+    m = draw(st.integers(max_d * max_d + 1, 10**4) if kind == "bundle --out"
+             else moduli_above(max_d))
+    info = {"m": m, "d": max_d, "lambda_n": lambda_n}
+    if kind.startswith("bundle"):
+        argv = bundle_argv(m, lambda_n, max_d)
+        if kind == "bundle --out":
+            info.update(width=draw(st.integers(16, 400)), height=draw(st.integers(16, 400)))
+            argv += ["--width", str(info["width"]), "--height", str(info["height"])]
+    elif kind == "predict":
+        argv = ["predict", "--modulus", str(m), "--max-denominator", str(max_d), "--json"]
+    elif kind == "verify":
+        window = draw(st.none() | st.integers(1, 64))
+        argv = ["verify", "--modulus", str(m), "--max-denominator", str(max_d),
+                *(["--window", str(window)] if window else [])]
+    else:
+        period = layout_period(lambda_n)
+        m2 = draw(st.one_of(
+            st.integers(0, 10**6).map(lambda k: m + period * k),
+            st.integers(1, 10**4).map(lambda k: m + k),
+            moduli_above(max_d),
+            st.tuples(st.integers(2, lambda_n), st.integers(1, 10**6)).map(
+                lambda qk: m + period // qk[0] * qk[1]),
+        ))
+        info.update(m1=m, m2=m2, congruent=(m2 - m) % period == 0)
+        argv = ["equiv", "--m1", str(m), "--m2", str(m2), "--lambda-n", str(lambda_n),
+                "--max-denominator", str(max_d)]
+    return kind, argv, info
+
+
+@settings(max_examples=500, deadline=2000, database=None)
+@given(case=checked_requests())
+def test_generated_requests_pass_the_independent_checkers(case, tmp_path_factory):
+    # qrbench's checkers rebuild each answer from the definitions (nearest anchor, direct
+    # squaring, the anchor identity), never from qrpat.
+    kind, argv, info = case
+    out = str(tmp_path_factory.getbasetemp() / "checked.svg") if kind == "bundle --out" else None
+    stdout = io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(io.StringIO()):
+        assert main(argv + (["--out", out] if out else [])) == 0
+    data = Path(out).read_bytes() if out else None
+    checks.check(Request(argv[0], argv, 0, out, info), stdout.getvalue(), data)

@@ -21,20 +21,19 @@ from qrpat import (
     bundle_parameter,
     farey_fractions,
     fraction_params,
-    layout_period,
-    overlay_predictions,
     render_scatter,
     render_sum_squares,
     sample_bundle_curve,
     write_pgm,
     write_svg,
 )
+from qrpat.cli import main
 
 # Locked at the first verified build; any byte change in the renderers
 # must be deliberate and re-locked.
 GOLDEN_PLOT_20171 = "04c9a8845a373c41a3c23508bb5bc3ed17d136bdfe5d47aa69273a2d254cd1dd"
 GOLDEN_GRID_415 = "63377b669e2929b855a64d58a4a56fa758b12187a55a19d0c8c10c0fcd683413"
-# The overlay of bundle_matches(20179, 5040, 9) on 800x800, written by write_svg.
+# write_svg of SCENE_20179, the scene of `qrpat bundle --modulus 20179 --out`.
 GOLDEN_SVG_20179 = "9ce0d1c0539ff8f200b65582828d7085eb830c7d90fc5960802b47f4cee9b73f"
 
 try:
@@ -42,6 +41,16 @@ try:
     from hypothesis import strategies as st
 except ImportError:  # the generated-input property below is skipped
     given = None
+
+
+def by_denominator(max_d):
+    """F_D in (b, a) order, the order bundle draws its fractions in."""
+    return tuple(sorted(farey_fractions(max_d), key=ReducedFraction.sort_key))
+
+
+# The default bundle at m = 20179 on 800x800: period 5040, so s = 20179 - 4*5040 = 19,
+# and F_9's vertices lie on the lines -4..4.
+SCENE_20179 = Scene(800, 800, 20179, 19, range(-4, 5), by_denominator(9))
 
 
 def read_pgm(path):
@@ -296,15 +305,10 @@ def circles(path):
 
 
 def test_overlay_markers_and_curves(tmp_path):
-    m, max_d, period = 20179, 9, 5040
-    matches = list(bundle_matches(m, period, max_d))
-    scene = overlay_predictions(m, period, matches, 800, 800)
-    assert (scene.modulus, scene.s) == (m, bundle_parameter(m, period))
-    assert scene.fractions == tuple(sorted(farey_fractions(max_d), key=ReducedFraction.sort_key))
-    matched = {n for _, ns in matches for n in ns or ()}
-    n_max = max(map(abs, matched))
+    m, period, scene = 20179, 5040, SCENE_20179
+    assert scene.s == bundle_parameter(m, period)
     # every line a vertex was matched to has its curve drawn, and no other
-    assert scene.lines == range(-n_max, n_max + 1) and set(scene.lines) == matched
+    assert set(scene.lines) == {n for _, ns in bundle_matches(m, period, 9) for n in ns}
     # one circle per vertex, in (b, a, k) order, at (beta'/b^2 + k/b_prime) mod 1
     expected = []
     for frac in scene.fractions:
@@ -322,8 +326,8 @@ def test_overlay_markers_and_curves(tmp_path):
 def test_overlay_degenerate_bundle_is_straight():
     # m a multiple of the period gives s = 0: every curve is the wrapped
     # straight line Y = 2nX mod 1 through the rational vertices
-    scene = overlay_predictions(25200, 5040, bundle_matches(25200, 5040, 3), 640, 640)
-    assert scene.s == 0 and len(scene.lines) > 1
+    scene = Scene(640, 640, 25200, 0, range(-1, 2), by_denominator(3))
+    assert bundle_parameter(25200, 5040) == 0
     samples = 1024
     for curve in (sample_bundle_curve(scene.s, n) for n in scene.lines):
         for segment in curve.segments:
@@ -332,18 +336,19 @@ def test_overlay_degenerate_bundle_is_straight():
                 assert y == float(2 * curve.n * Fraction(t, samples) % 1)
 
 
-def test_overlay_smallest_denominators_only(tmp_path):
-    scene = overlay_predictions(977, 5040, bundle_matches(977, 5040, 1), 640, 640)
-    assert scene.fractions == (ReducedFraction(0, 1), ReducedFraction(1, 1))
+def test_overlay_smallest_denominators_only(tmp_path, capsys):
     path = tmp_path / "o.svg"
-    write_svg(scene, path)
+    assert main(["bundle", "--modulus", "977", "--max-denominator", "1", "--width", "640",
+                 "--height", "640", "--out", str(path)]) == 0
     assert circles(path) == [b'<circle cx="0.000000" cy="640.000000" r="3"/>\n',
                              b'<circle cx="640.000000" cy="640.000000" r="3"/>\n']
 
 
-def test_overlay_rejects_small_modulus():
-    with pytest.raises(ValueError):
-        overlay_predictions(80, 5040, bundle_matches(80, 5040, 9), 640, 640)
+def test_overlay_rejects_small_modulus(tmp_path, capsys):
+    path = tmp_path / "o.svg"
+    assert main(["bundle", "--modulus", "80", "--max-denominator", "9", "--out", str(path)]) == 2
+    assert capsys.readouterr().err == "error: modulus 80 must exceed 9^2 = 81\n"
+    assert not path.exists()
 
 
 def test_svg_empty_scene_is_valid(tmp_path):
@@ -356,7 +361,7 @@ def test_svg_empty_scene_is_valid(tmp_path):
 
 
 def test_svg_deterministic_bytes(tmp_path):
-    scene = overlay_predictions(415, 24, bundle_matches(415, 24, 4), 320, 320)
+    scene = Scene(320, 320, 415, 7, range(-1, 2), by_denominator(4))
     first = tmp_path / "a.svg"
     second = tmp_path / "b.svg"
     write_svg(scene, first)
@@ -365,7 +370,7 @@ def test_svg_deterministic_bytes(tmp_path):
 
 
 def test_svg_element_order_and_precision(tmp_path):
-    scene = overlay_predictions(415, 24, bundle_matches(415, 24, 3), 320, 320)
+    scene = Scene(320, 320, 415, 7, range(-1, 2), by_denominator(3))
     path = tmp_path / "o.svg"
     write_svg(scene, path)
     text = path.read_text()
@@ -378,7 +383,7 @@ def test_svg_element_order_and_precision(tmp_path):
 
 def test_svg_golden_hash(tmp_path):
     path = tmp_path / "overlay.svg"
-    write_svg(overlay_predictions(20179, 5040, bundle_matches(20179, 5040, 9), 800, 800), path)
+    write_svg(SCENE_20179, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SVG_20179
 
 
@@ -507,7 +512,7 @@ def formatted_polylines(curve, width, height):
 
 
 def test_svg_overlay_and_one_point_segments_match_reference(tmp_path):
-    scene = overlay_predictions(20179, 5040, bundle_matches(20179, 5040, 9), 800, 800)
+    scene = SCENE_20179
     assert svg_bytes(scene, tmp_path) == reference_svg(scene)
     assert svg_bytes(scene._replace(modulus=0, fractions=()), tmp_path) == reference_svg(
         scene._replace(modulus=0, fractions=()))
@@ -524,10 +529,9 @@ def test_svg_overlay_and_one_point_segments_match_reference(tmp_path):
 def test_svg_overlay_with_skipped_fractions_matches_reference(tmp_path):
     # Period 5040 skips b = 11: its circles are drawn all the same.  s = -13 makes
     # the nine curves wrap 10 to 22 times over the non-square canvas.
-    matches = list(bundle_matches(10067, 5040, 11))
-    scene = overlay_predictions(10067, 5040, matches, 320, 240)
-    assert [frac.b for frac, ns in matches if ns is None] == [11] * 10
-    assert (scene.s, scene.lines, len(scene.fractions)) == (-13, range(-4, 5), 43)
+    scene = Scene(320, 240, 10067, -13, range(-4, 5), by_denominator(11))
+    assert [frac.b for frac, ns in bundle_matches(10067, 5040, 11) if ns is None] == [11] * 10
+    assert len(scene.fractions) == 43
     assert [len(sample_bundle_curve(-13, n).segments) for n in (-4, 4)] == [10, 22]
     assert svg_bytes(scene, tmp_path) == reference_svg(scene)
 
@@ -575,8 +579,7 @@ def svg_peak(scene_of, path):
 
 def test_svg_writer_memory_stays_near_the_file_size(tmp_path):
     path = tmp_path / "overlay.svg"
-    peak = svg_peak(lambda: overlay_predictions(20179, 5040, bundle_matches(20179, 5040, 9),
-                                                800, 800), path)
+    peak = svg_peak(lambda: SCENE_20179, path)
     # The per-point scene and writer peaked at 6.2 times the file, and formatting
     # the whole file before opening it at 3.7 times.
     assert peak < 1.5 * path.stat().st_size
@@ -585,9 +588,8 @@ def test_svg_writer_memory_stays_near_the_file_size(tmp_path):
 def test_svg_writer_memory_with_many_vertices_stays_under_the_file_size(tmp_path):
     # 36,709 vertices over F_60: one marker record per vertex peaked at 8.2 times the file.
     path = tmp_path / "markers.svg"
-    period = layout_period(400)
-    peak = svg_peak(lambda: overlay_predictions(20179, period, bundle_matches(20179, period, 60),
-                                                800, 800), path)
+    peak = svg_peak(lambda: Scene(800, 800, 20179, 20179, range(-29, 30), by_denominator(60)),
+                    path)
     assert peak < path.stat().st_size
 
 
@@ -601,7 +603,7 @@ def test_svg_scatter_memory_stays_under_the_file_size(tmp_path):
 
 
 def test_svg_writer_refuses_a_scene_over_the_cap_before_opening(tmp_path, monkeypatch):
-    # The cap sat in overlay_predictions, so a scene built by hand went unchecked.
+    # The cap sat in the scene builder bundle used, so a scene built by hand went unchecked.
     path = tmp_path / "big.svg"
     started = time.perf_counter()
     message = r"^scene of 1000000000 scatter points exceeds the cap of 1000000$"
@@ -639,8 +641,7 @@ def test_refused_svg_formats_no_curve_or_marker(tmp_path, monkeypatch):
     def formatted(*args):
         raise AssertionError("a curve or marker was computed before the scene cap")
 
-    scene = overlay_predictions(20179, 5040, bundle_matches(20179, 5040, 9), 800, 800)
-    assert scene.lines and scene.fractions
+    scene = SCENE_20179
     for name in ("_scatter", "_polylines", "sample_bundle_curve", "vertex_heights"):
         monkeypatch.setattr(render, name, formatted)
     monkeypatch.setattr(render, "MAX_SCENE_POINTS", 20178)
