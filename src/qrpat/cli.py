@@ -32,10 +32,10 @@ from .render import Scene, check_scene, render_scatter, render_sum_squares, writ
 from .residues import ReducedFraction, check_modulus, farey_fractions, layout_period
 
 # Most family members (b_prime per a/b) one predict, bundle or verify request builds.
-# predict streams them from member rows, ~3.2 µs and 228 B of compact JSON each (~3.1 s,
-# 225 MB of JSON and 17 MB peak RSS near the cap); bundle, ~1 s and ~26 MB peak RSS, and
-# with --out at m = 999983 (a 77 MB SVG) ~2.0-2.5 s and 36 MB; verify checks them, ~2.6 s
-# with --window 1 and ~11 s by default (see README).
+# predict streams F_D's from member rows (~3.1 s and 17 MB peak RSS near the cap) but holds a
+# single --fraction's whole family (1/999999 at m = 10^40+1: 7-9.5 s and 1,056 MB); bundle,
+# ~1 s and ~26 MB, and with --out at m = 999983 (a 77 MB SVG) ~2.0-2.5 s and 36 MB; verify
+# checks them, ~2.6 s with --window 1 and ~11 s by default (see README).
 MAX_MEMBERS = 10**6
 # Most oracle points one verify checks: ~1.2 µs each at 7 digits, ~1.5 µs at 40 (see README).
 MAX_VERIFY_POINTS = 10**7

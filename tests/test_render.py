@@ -210,8 +210,9 @@ def test_canvas_pixel_cap(monkeypatch):
 
 
 def test_canvas_rejects_a_buffer_of_the_wrong_length():
-    with pytest.raises(ValueError, match="^pixel buffer of 3 bytes does not match 2x2$"):
-        Canvas(2, 2, bytearray(3))
+    for size in (3, 5):
+        with pytest.raises(ValueError, match=f"^pixel buffer of {size} bytes does not match 2x2$"):
+            Canvas(2, 2, bytearray(size))
 
 
 def test_grid_rejects_tiny_size():
