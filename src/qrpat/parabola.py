@@ -1,4 +1,4 @@
-"""Parabola families in quadratic-residue plots.
+"""The parabola families of quadratic-residue plots.
 
 Residue points near x = (a/b)*m fall on a small set of upward parabolas.
 This module computes them exactly: each family member is an integer
@@ -20,14 +20,12 @@ from .residues import ReducedFraction, check_modulus
 
 __all__ = [
     "FractionParams",
-    "Parabola",
     "ParabolaFamily",
     "anchor",
     "canonical_offsets",
     "check_denominator",
     "check_oracle_window",
     "covering_members",
-    "evaluate_parabola",
     "family_rows",
     "family_structure",
     "fraction_params",
@@ -59,21 +57,8 @@ class FractionParams(namedtuple("FractionParams", "m frac b_prime c alpha beta x
     __slots__ = ()
 
 
-class Parabola(namedtuple("Parabola", "i a_prime B C h")):
-    """One family member, the named form of a ``family_rows`` row:
-    r == (b_prime**2 * j*j + B*j + C) mod m at x = x0 + i + j*b_prime.
-
-    m, x0 and b_prime belong to the family's params, not to the member.
-    a_prime indexes the member's vertex height class modulo b_prime; the
-    vertex sits at (a*m/b, h*m/b^2) with h in [0, b^2), so its ordinate
-    is already reduced into [0, m).
-    """
-
-    __slots__ = ()
-
-
 class ParabolaFamily(namedtuple("ParabolaFamily", "params members")):
-    """The params (sole owner of m, x0 and b_prime) and the b_prime members at one fraction."""
+    """The params (sole owner of m, x0 and b_prime) and the ``family_rows`` rows at one fraction."""
 
     __slots__ = ()
 
@@ -152,10 +137,11 @@ def vertex_heights(m: int, frac: ReducedFraction) -> range:
 
 def family_rows(params: FractionParams) -> list[tuple[int, int, int, int, int]]:
     """The rows (i, a_prime, B, C, h) of the b_prime members, i over
-    ``canonical_offsets(b_prime)``: the one place the member formula is written.
+    ``canonical_offsets(b_prime)``: the one place the member formula and field order are written.
 
-    Vertex heights are the integers h == (beta + a_prime*c*b) mod b^2, and
-    the a_prime values cover every class modulo b_prime exactly once.  A list,
+    Row i is r == (b_prime**2 * j*j + B*j + C) mod m at x = x0 + i + j*b_prime, with m, x0
+    and b_prime from params.  Its vertex is (a*m/b, h*m/b^2) with h == (beta + a_prime*c*b)
+    mod b^2 in [0, b^2); the a_prime values cover every class modulo b_prime once.  A list,
     not a generator: resuming one per member made ``verify`` measurably slower.
     """
     m, x0, alpha, beta = params.m, params.x0, params.alpha, params.beta
@@ -171,8 +157,8 @@ def family_rows(params: FractionParams) -> list[tuple[int, int, int, int, int]]:
 
 
 def parabola_family(params: FractionParams) -> ParabolaFamily:
-    """The b_prime member records of ``family_rows``, in its order."""
-    return ParabolaFamily(params, tuple([Parabola._make(row) for row in family_rows(params)]))
+    """The family at params: its members are the ``family_rows`` rows, as a tuple."""
+    return ParabolaFamily(params, tuple(family_rows(params)))
 
 
 def family_structure(family: ParabolaFamily) -> bool:
@@ -183,21 +169,11 @@ def family_structure(family: ParabolaFamily) -> bool:
     the h_k.  Every member's vertex abscissa is a*m/b by construction: the
     family's params are the only ones its members have.
     """
-    params = family.params
-    members = family.members
+    params, members = family
     return (
-        [p.i for p in members] == list(canonical_offsets(params.b_prime))
-        and sorted(p.h for p in members) == list(vertex_heights(params.m, params.frac))
+        [p[0] for p in members] == list(canonical_offsets(params.b_prime))
+        and sorted(p[4] for p in members) == list(vertex_heights(params.m, params.frac))
     )
-
-
-def evaluate_parabola(params: FractionParams, p: Parabola, j: int) -> tuple[int, int]:
-    """Point (x, r) of member p of params' family at lattice step j, x kept inside [0, m)."""
-    m, b_prime = params.m, params.b_prime
-    x = params.x0 + p.i + j * b_prime
-    if not 0 <= x < m:
-        raise ValueError(f"lattice step {j} puts x = {x} outside [0, {m})")
-    return x, (b_prime * b_prime * j * j + p.B * j + p.C) % m
 
 
 def residues_near(m: int, frac: ReducedFraction, window: int) -> list[tuple[int, int]]:
@@ -218,8 +194,8 @@ def residues_near(m: int, frac: ReducedFraction, window: int) -> list[tuple[int,
     return [(x, x * x % m) for x in range(lo, hi + 1)]
 
 
-def covering_members(family: ParabolaFamily, x: int, r: int) -> list[tuple[Parabola, int]]:
-    """The (member, j) pairs of the family that hit the point (x, r): at most one.
+def covering_members(family: ParabolaFamily, x: int, r: int) -> list[tuple[tuple, int]]:
+    """The (row, j) pairs of the family that hit the point (x, r): at most one.
 
     The offsets are b_prime consecutive integers from -((b_prime - 1) // 2),
     so only the member at index (x - x0 + (b_prime - 1) // 2) mod b_prime can
@@ -235,8 +211,8 @@ def covering_members(family: ParabolaFamily, x: int, r: int) -> list[tuple[Parab
         p = family.members[(d + (b_prime - 1) // 2) % b_prime]
     except IndexError:
         return []
-    d -= p.i
+    d -= p[0]
     j = d // b_prime
-    if d % b_prime or ((b_prime * b_prime * j + p.B) * j + p.C) % params.m != r:
+    if d % b_prime or ((b_prime * b_prime * j + p[2]) * j + p[3]) % params.m != r:
         return []
     return [(p, j)]

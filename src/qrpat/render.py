@@ -215,21 +215,24 @@ def _scatter(m: int, width: int, height: int):
 
     Square x is at (x/m*width, (1 - (x*x mod m)/m)*height - 1); the nonzero
     fill unions overlapping squares.  x and m - x share a y, so the ordinates
-    of x <= m // 2 are formatted once, _CHUNK per %, into ys: one bytes block
-    of w-wide fields, w two more than "%.6f" % height, so each starts with a
-    space.  A chunk splits its y strings from a forward and a mirrored slice
-    of ys, and one % over a template repeated per square fills its <path>.
+    of x <= m // 2 are formatted once, _CHUNK per %, into ys: one buffer of half
+    w-wide fields, w two more than "%.6f" % height, so each starts with a space.
+    A chunk's y strings split from bytes copies of a forward and a mirrored slice of
+    ys (no list of them outlives values), and one % over a template fills its <path>.
     """
     half, w = m // 2 + 1, len(b"%.6f" % height) + 2
-    ys = b"".join([b"%%%d.6f" % w * len(xs) % tuple([(1 - x * x % m / m) * height - 1 for x in xs])
-                   for xs in (range(lo, min(lo + _CHUNK, half)) for lo in range(0, half, _CHUNK))])
-    full = _PATH % (_SQUARE * _CHUNK)
+    ys, field = bytearray(half * w), b"%%%d.6f" % w
+    for lo in range(0, half, _CHUNK):
+        xs = range(lo, min(lo + _CHUNK, half))
+        ys[lo * w:xs.stop * w] = (
+            field * len(xs) % tuple([(1 - x * x % m / m) * height - 1 for x in xs]))
+    ys, full = memoryview(ys), _PATH % (_SQUARE * _CHUNK)
     for lo in range(0, m, _CHUNK):
         hi = min(lo + _CHUNK, m)
-        mirrored = ys[(m - hi + 1) * w:(m - max(lo, half) + 1) * w].split()
         values = [None] * (2 * (hi - lo))
         values[0::2] = [x / m * width for x in range(lo, hi)]
-        values[1::2] = ys[lo * w:hi * w].split() + mirrored[::-1]
+        values[1::2] = (ys[lo * w:hi * w].tobytes().split()
+                        + ys[(m - hi + 1) * w:(m - max(lo, half) + 1) * w].tobytes().split()[::-1])
         yield (full if hi - lo == _CHUNK else _PATH % (_SQUARE * (hi - lo))) % tuple(values)
 
 

@@ -16,7 +16,6 @@ from qrpat import (
     ReducedFraction,
     bundle_parameter,
     covering_members,
-    evaluate_parabola,
     farey_fractions,
     fraction_params,
     layout_period,
@@ -72,13 +71,12 @@ def test_02_lattice_evaluations_match_direct_squaring():
         m = rng.randrange(max(frac.b * frac.b + 1, 1000), 10**9)
         family = parabola_family(fraction_params(m, frac))
         for _ in range(10):
-            p = family.members[rng.randrange(len(family.members))]
-            base = family.params.x0 + p.i
-            j_lo = -(base // family.params.b_prime)
-            j_hi = (m - 1 - base) // family.params.b_prime
-            j = rng.randint(j_lo, j_hi)
-            x, r = evaluate_parabola(family.params, p, j)
-            assert r == pow(x, 2, m), (m, str(frac), p.i, j)
+            i, _, B, C, _ = family.members[rng.randrange(len(family.members))]
+            b_prime = family.params.b_prime
+            base = family.params.x0 + i
+            j = rng.randint(-(base // b_prime), (m - 1 - base) // b_prime)
+            x = base + j * b_prime  # in [0, m)
+            assert (b_prime * b_prime * j * j + B * j + C) % m == pow(x, 2, m), (m, str(frac), i, j)
             checked += 1
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0, f"lattice suite took {elapsed:.2f}s"
@@ -104,7 +102,7 @@ def test_03_vertex_structure_of_every_tested_family():
         assert len(family.members) == (b if b % 2 else b // 2) == b_prime
         # each vertex sits at (a*m/b, h*m/b^2), a/b and m from the family's one params
         assert family.params is params
-        heights = sorted(Fraction(p.h * m, b * b) for p in family.members)
+        heights = sorted(Fraction(h * m, b * b) for *_, h in family.members)
         assert all(0 <= y < m for y in heights)
         gap = Fraction(m, b_prime)
         assert all(

@@ -150,12 +150,12 @@ def predict_payload(m, frac):
         "x0": params.x0,
         "r0": params.r0,
         "vertices": [
-            {"i": p.i, "a_prime": p.a_prime, "x_num": x.numerator, "x_den": x.denominator,
+            {"i": i, "a_prime": a_prime, "x_num": x.numerator, "x_den": x.denominator,
              "y_num": y.numerator, "y_den": y.denominator}
-            for p in members for y in [fractions.Fraction(p.h * m, frac.b ** 2)]
+            for i, a_prime, _, _, h in members for y in [fractions.Fraction(h * m, frac.b ** 2)]
         ],
-        "coefficients": [{"i": p.i, "A": params.b_prime ** 2, "B": p.B, "C": p.C}
-                         for p in members],
+        "coefficients": [{"i": i, "A": params.b_prime ** 2, "B": B, "C": C}
+                         for i, _, B, C, _ in members],
     }
 
 
@@ -471,20 +471,21 @@ def test_hot_paths_build_no_fraction(capsys, monkeypatch):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_PREDICT[argv]
 
 
-def test_predict_builds_no_parabola_record(capsys, monkeypatch):
-    # predict reads family_rows; verify still builds records, which covering_members reads.
+def test_predict_builds_no_parabola_family(capsys, monkeypatch):
+    # predict reads family_rows; verify builds a family, which covering_members reads.
     def forbidden(*args, **kwargs):
-        raise AssertionError("predict built a Parabola record")
+        raise AssertionError("parabola_family called")
 
     listed = predict_reference(20171, 9, False)
-    monkeypatch.setattr(parabola.Parabola, "_make", forbidden)  # parabola_family's one builder
+    for module in (cli, parabola):
+        monkeypatch.setattr(module, "parabola_family", forbidden)
     assert run(capsys, "predict", "--modulus", "20171", "--max-denominator", "9") == (
         0, listed, "")
     argv = ("--modulus", "20171", "--fraction", "1/3")
     code, out, err = run(capsys, "predict", *argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_PREDICT[argv]
-    with pytest.raises(AssertionError, match="Parabola record"):
+    with pytest.raises(AssertionError, match="^parabola_family called$"):
         main(["verify", "--modulus", "20171", "--max-denominator", "3"])
 
 
@@ -764,8 +765,8 @@ def test_verify_reports_tampered_family_structure(capsys, monkeypatch):
 
     def tampered(params):
         family = build(params)
-        first, *rest = family.members
-        return family._replace(members=(first._replace(h=first.h + 1), *rest))
+        (*first, h), *rest = family.members  # h is a family_rows row's last field
+        return family._replace(members=((*first, h + 1), *rest))
 
     monkeypatch.setattr(cli, "parabola_family", tampered)
     code, payload, _ = run_json(capsys, "verify", "--modulus", "997",

@@ -13,7 +13,6 @@ from qrpat import (
     canonical_offsets,
     check_denominator,
     covering_members,
-    evaluate_parabola,
     family_structure,
     farey_fractions,
     fraction_params,
@@ -33,7 +32,15 @@ def random_fraction(rng, max_b):
 
 
 def member_at(family, i):
-    return next(p for p in family.members if p.i == i)
+    return next(row for row in family.members if row[0] == i)
+
+
+def lattice_point(params, row, j):
+    """(x, r) of a family_rows row (i, a_prime, B, C, h) at lattice step j:
+    x = x0 + i + j*b_prime and r = (b_prime^2*j^2 + B*j + C) mod m."""
+    i, _, B, C, _ = row
+    b_prime = params.b_prime
+    return params.x0 + i + j * b_prime, (b_prime * b_prime * j * j + B * j + C) % params.m
 
 
 def test_params_odd_denominator():
@@ -133,28 +140,29 @@ def test_family_known_vertices():
     m = 20171
     fam = parabola_family(fraction_params(m, ReducedFraction(1, 3)))
     # the vertex sits at (a*m/b, h*m/b^2), a*m/b read from the family's params
-    assert {Fraction(p.h * m, 9) for p in fam.members} == {
+    assert {Fraction(h * m, 9) for *_, h in fam.members} == {
         Fraction(m, 9),
         Fraction(4 * m, 9),
         Fraction(7 * m, 9),
     }
     assert fam.params.frac == ReducedFraction(1, 3)
-    assert sorted(p.a_prime for p in fam.members) == [0, 1, 2]
+    assert sorted(a_prime for _, a_prime, *_ in fam.members) == [0, 1, 2]
 
 
 def test_family_even_denominator_gap():
     fam = parabola_family(fraction_params(415, ReducedFraction(1, 4)))
     assert len(fam.members) == 2
-    ys = sorted(Fraction(p.h * 415, 4 * 4) for p in fam.members)
+    ys = sorted(Fraction(h * 415, 4 * 4) for *_, h in fam.members)
     assert ys[1] - ys[0] == Fraction(415, 2)
 
 
 def test_family_zero_fraction_is_plain_square():
     fam = parabola_family(fraction_params(977, ReducedFraction(0, 1)))
     assert len(fam.members) == 1
-    p = fam.members[0]
-    assert (fam.params.b_prime ** 2, p.B, p.C) == (1, 0, 0)  # A = b_prime^2
-    assert (fam.params.frac.a, p.h) == (0, 0)  # the vertex (a*m/b, h*m/b^2) is (0, 0)
+    i, a_prime, B, C, h = fam.members[0]
+    assert (i, a_prime) == (0, 0)
+    assert (fam.params.b_prime ** 2, B, C) == (1, 0, 0)  # A = b_prime^2
+    assert (fam.params.frac.a, h) == (0, 0)  # the vertex (a*m/b, h*m/b^2) is (0, 0)
 
 
 def test_family_structure_random():
@@ -168,17 +176,17 @@ def test_family_structure_random():
         expected_count = b if b % 2 else b // 2
         assert len(fam.members) == expected_count == b_prime
         assert fam.params is params  # one vertex abscissa a*m/b for every member
-        ys = sorted(Fraction(p.h * m, b * b) for p in fam.members)
+        ys = sorted(Fraction(h * m, b * b) for *_, h in fam.members)
         assert all(0 <= y < m for y in ys)
         gap = Fraction(m, b_prime)
         assert all(ys[i + 1] - ys[i] == gap for i in range(len(ys) - 1))
         assert ys[0] + m - ys[-1] == gap
 
 
-def vertex(params, p):
-    """(a*m/b, h*m/b^2): the vertex of member p of the family at params."""
+def vertex(params, row):
+    """(a*m/b, h*m/b^2): the vertex of the family_rows row (i, a_prime, B, C, h) at params."""
     a, b, m = params.frac.a, params.frac.b, params.m
-    return Fraction(a * m, b), Fraction(p.h * m, b * b)
+    return Fraction(a * m, b), Fraction(row[4] * m, b * b)
 
 
 def spacing_law(fam):
@@ -197,19 +205,20 @@ def spacing_law(fam):
 def tampered_families(fam):
     b = fam.params.frac.b
     first, *rest = fam.members
+    i, a_prime, B, C, h = first
 
-    def with_first(**changes):
-        return fam._replace(members=(first._replace(**changes), *rest))
+    def with_first(row):
+        return fam._replace(members=(row, *rest))
 
     # h is an int, so the old half-unit tamper (an ordinate moved by m/(2b^2)) cannot be built.
-    yield "h + 1", with_first(h=first.h + 1)
-    yield "h - 1", with_first(h=first.h - 1)
-    yield "h + b^2", with_first(h=first.h + b * b)
+    yield "h + 1", with_first((i, a_prime, B, C, h + 1))
+    yield "h - 1", with_first((i, a_prime, B, C, h - 1))
+    yield "h + b^2", with_first((i, a_prime, B, C, h + b * b))
     yield "dropped", fam._replace(members=fam.members[:-1])
     yield "shifted", fam._replace(members=tuple(
-        p._replace(h=(p.h + 1) % (b * b)) for p in fam.members))
+        (*row[:4], (row[4] + 1) % (b * b)) for row in fam.members))
     yield "reordered", fam._replace(members=(rest[0], first, *rest[1:]))
-    yield "duplicated i", with_first(i=rest[0].i)
+    yield "duplicated i", with_first((rest[0][0], a_prime, B, C, h))
 
 
 # Tampers the vertex-spacing law cannot see: a phase shift by m/b^2, and the
@@ -233,32 +242,23 @@ def test_family_structure_reference_and_tampered():
 
 def test_evaluate_anchor_point():
     fam = parabola_family(fraction_params(20171, ReducedFraction(1, 3)))
-    p = member_at(fam, 0)
-    assert evaluate_parabola(fam.params, p, 0) == (6724, 8965)
+    row = member_at(fam, 0)
+    assert lattice_point(fam.params, row, 0) == (6724, 8965) == (6724, pow(6724, 2, 20171))
 
 
 def test_evaluate_next_step():
     fam = parabola_family(fraction_params(20171, ReducedFraction(1, 3)))
-    p = member_at(fam, 0)
-    assert p.B == 2
-    assert evaluate_parabola(fam.params, p, 1) == (6727, 8976)
-    assert 9 + 2 + 8965 == 8976 == 6727 * 6727 % 20171
+    row = member_at(fam, 0)
+    assert row[2] == 2  # B
+    assert lattice_point(fam.params, row, 1) == (6727, 8976) == (6727, pow(6727, 2, 20171))
+    assert 9 + 2 + 8965 == 8976
 
 
 def test_evaluate_zero_fraction():
     m = 977
     fam = parabola_family(fraction_params(m, ReducedFraction(0, 1)))
-    p = fam.members[0]
     for j in (0, 1, 5, 976):
-        assert evaluate_parabola(fam.params, p, j) == (j, j * j % m)
-
-
-def test_evaluate_rejects_out_of_range():
-    fam = parabola_family(fraction_params(977, ReducedFraction(0, 1)))
-    with pytest.raises(ValueError):
-        evaluate_parabola(fam.params, fam.members[0], 977)
-    with pytest.raises(ValueError):
-        evaluate_parabola(fam.params, fam.members[0], -1)
+        assert lattice_point(fam.params, fam.members[0], j) == (j, pow(j, 2, m))
 
 
 def test_lattice_matches_direct_squaring():
@@ -268,13 +268,13 @@ def test_lattice_matches_direct_squaring():
         m = rng.randrange(max(frac.b * frac.b + 1, 1000), 10**9)
         params = fraction_params(m, frac)
         fam = parabola_family(params)
-        p = rng.choice(fam.members)
-        base = params.x0 + p.i
+        row = rng.choice(fam.members)
+        base = params.x0 + row[0]
         j_lo = -(base // params.b_prime)
         j_hi = (m - 1 - base) // params.b_prime
         j = rng.randint(j_lo, j_hi)
-        x, r = evaluate_parabola(params, p, j)
-        assert r == pow(x, 2, m)
+        x, r = lattice_point(params, row, j)
+        assert 0 <= x < m and r == pow(x, 2, m)
 
 
 def test_residues_near_known_window():
@@ -331,13 +331,14 @@ def covering_members_scan(family, x, r):
     """The earlier coverage check: every member tested, all hits kept."""
     m, x0, b_prime = family.params.m, family.params.x0, family.params.b_prime
     hits = []
-    for p in family.members:
-        d = x - x0 - p.i
+    for row in family.members:
+        i, _, B, C, _ = row
+        d = x - x0 - i
         if d % b_prime:
             continue
         j = d // b_prime
-        if (b_prime * b_prime * j * j + p.B * j + p.C) % m == r:
-            hits.append((p, j))
+        if (b_prime * b_prime * j * j + B * j + C) % m == r:
+            hits.append((row, j))
     return hits
 
 
@@ -394,9 +395,9 @@ def test_covering_members_on_dropped_family_never_false_hit():
                 for x, r in query_points(rng, fam):
                     found = covering_members(bad, x, r)
                     assert all(hit in covering_members_scan(bad, x, r) for hit in found)
-                    for p, j in found:
-                        assert p in dropped
-                        assert x == fam.params.x0 + p.i + j * fam.params.b_prime
+                    for row, j in found:
+                        assert row in dropped
+                        assert x == fam.params.x0 + row[0] + j * fam.params.b_prime
                         assert r == x * x % m
 
 
@@ -415,9 +416,10 @@ def test_covering_members_on_every_tampered_family_never_false_hit():
                 assert len(found) <= 1
                 assert all(hit in covering_members_scan(bad, x, r) for hit in found), (
                     m, text, name, x, r)
-                for p, j in found:
+                for row, j in found:
                     assert r == x * x % m, (m, text, name, x)
-                    assert p in bad.members and x == fam.params.x0 + p.i + j * fam.params.b_prime
+                    assert row in bad.members
+                    assert x == fam.params.x0 + row[0] + j * fam.params.b_prime
         assert len(names) == 7
 
 

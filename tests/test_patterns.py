@@ -302,8 +302,8 @@ def test_normalized_vertex_sets_match_between_congruent_moduli():
                 continue
             fam1 = parabola_family(fraction_params(m1, frac))
             fam2 = parabola_family(fraction_params(m2, frac))
-            set1 = {Fraction(p.h * m1, frac.b**2) / m1 for p in fam1.members}
-            set2 = {Fraction(p.h * m2, frac.b**2) / m2 for p in fam2.members}
+            set1 = {Fraction(h * m1, frac.b**2) / m1 for *_, h in fam1.members}
+            set2 = {Fraction(h * m2, frac.b**2) / m2 for *_, h in fam2.members}
             assert set1 == set2
 
 
@@ -319,7 +319,7 @@ def test_family_vertices_equal_normalized_form():
                 (Fraction(beta_prime, frac.b**2) + Fraction(k, params.b_prime)) % 1
                 for k in range(params.b_prime)
             }
-            assert {Fraction(p.h * m, frac.b**2) / m for p in fam.members} == expected
+            assert {Fraction(h * m, frac.b**2) / m for *_, h in fam.members} == expected
 
 
 def test_layout_period_consistency_with_denominator_set():

@@ -23,7 +23,6 @@ from qrpat import (  # noqa: E402
     canonical_offsets,
     cli,
     covering_members,
-    evaluate_parabola,
     family_rows,
     farey_fractions,
     family_structure,
@@ -105,12 +104,13 @@ def family_cases(draw):
 @given(family_cases(), st.data())
 def test_lattice_evaluation_is_direct_squaring(family, data):
     params = family.params
-    p = data.draw(st.sampled_from(family.members))
-    base = params.x0 + p.i
-    j = data.draw(st.integers(-(base // params.b_prime), (params.m - 1 - base) // params.b_prime))
-    x, r = evaluate_parabola(params, p, j)
-    assert x == base + j * params.b_prime
-    assert r == pow(x, 2, params.m)
+    m, b_prime = params.m, params.b_prime
+    i, _, B, C, _ = data.draw(st.sampled_from(family.members))
+    base = params.x0 + i
+    j = data.draw(st.integers(-(base // b_prime), (m - 1 - base) // b_prime))
+    x = base + j * b_prime
+    assert 0 <= x < m
+    assert (b_prime * b_prime * j * j + B * j + C) % m == pow(x, 2, m)
 
 
 @settings(deadline=None, database=None)
@@ -121,8 +121,10 @@ def test_each_point_near_anchor_on_exactly_one_member(family):
     for x in range(max(0, x0 - span), min(m, x0 + span + 1)):
         hits = covering_members(family, x, pow(x, 2, m))
         assert len(hits) == 1
-        (p, j), = hits
-        assert evaluate_parabola(params, p, j) == (x, pow(x, 2, m))
+        ((i, _, B, C, _), j), = hits
+        b_prime = params.b_prime
+        assert x == params.x0 + i + j * b_prime
+        assert (b_prime * b_prime * j * j + B * j + C) % m == pow(x, 2, m)
 
 
 @st.composite
@@ -154,8 +156,8 @@ def wide_anchor_cases(draw):
 @example((300**2 + 1, ReducedFraction(299, 300)))
 @example((10**40, ReducedFraction(0, 1)))  # every height h is 0
 def test_predict_json_pairs_are_the_reduced_vertices(case):
-    # predict reads family_rows, not records, and reduces y = h*m/b^2 by
-    # gcd(m, b^2) once and gcd(h, b^2/g) per member.
+    # predict reads family_rows and reduces y = h*m/b^2 by gcd(m, b^2) once and
+    # gcd(h, b^2/g) per member; each (i, A, B, C) it prints is checked by direct squaring.
     m, frac = case
     a, b = frac.a, frac.b
     out = io.StringIO()
@@ -169,14 +171,21 @@ def test_predict_json_pairs_are_the_reduced_vertices(case):
     assert len(payload["vertices"]) == len(payload["coefficients"]) == len(members)
     assert len(members) == params.b_prime
     x = Fraction(a * m, b)
-    for p, v, coef in zip(members, payload["vertices"], payload["coefficients"]):
-        y = Fraction(p.h * m, b * b)
-        assert v == {"i": p.i, "a_prime": p.a_prime, "x_num": x.numerator,
+    for (i, a_prime, B, C, h), v, coef in zip(members, payload["vertices"],
+                                               payload["coefficients"]):
+        y = Fraction(h * m, b * b)
+        assert v == {"i": i, "a_prime": a_prime, "x_num": x.numerator,
                      "x_den": x.denominator, "y_num": y.numerator, "y_den": y.denominator}
-        assert coef == {"i": p.i, "A": params.b_prime ** 2, "B": p.B, "C": p.C}
+        assert coef == {"i": i, "A": params.b_prime ** 2, "B": B, "C": C}
         # the ordinate each member carried before heights became integers
-        old_y = Fraction(m * ((params.beta + p.a_prime * params.c * b) % (b * b)), b * b)
+        old_y = Fraction(m * ((params.beta + a_prime * params.c * b) % (b * b)), b * b)
         assert y == old_y
+    for coef in payload["coefficients"]:  # the printed quadratic is the residue curve
+        for j in (-1, 0, 1):
+            lattice_x = payload["x0"] + coef["i"] + j * payload["b_prime"]
+            if 0 <= lattice_x < m:
+                r = (coef["A"] * j * j + coef["B"] * j + coef["C"]) % m
+                assert r == pow(lattice_x, 2, m), (m, str(frac), coef, j)
 
 
 @settings(deadline=None, database=None)
@@ -301,7 +310,7 @@ def test_vertex_heights_match_family_and_lie_on_bundle(case):
         assert len(heights) == params.b_prime
         family = parabola_family(params)
         assert family_structure(family)
-        assert set(heights) == {Fraction(p.h * m, b * b) / m % 1 for p in family.members}
+        assert set(heights) == {Fraction(h * m, b * b) / m % 1 for *_, h in family.members}
 
         beta_prime = params.beta % (params.c * b)
         x = Fraction(a, b)

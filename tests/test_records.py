@@ -9,10 +9,10 @@ from qrpat import (
     Canvas,
     FractionParams,
     LayoutComparison,
-    Parabola,
     ParabolaFamily,
     ReducedFraction,
     Scene,
+    family_rows,
     fraction_params,
     layouts_equivalent,
     parabola_family,
@@ -29,9 +29,8 @@ def records():
     """One record of each kind, with its repr."""
     yield THIRD, "ReducedFraction(a=1, b=3)"
     yield PARAMS, PARAMS_REPR
-    yield FAMILY.members[0], "Parabola(i=-1, a_prime=1, B=-4, C=15689, h=7)"
-    members = ", ".join(map(repr, FAMILY.members))
-    yield FAMILY, f"ParabolaFamily(params={PARAMS_REPR}, members=({members}))"
+    yield FAMILY, (f"ParabolaFamily(params={PARAMS_REPR}, members=((-1, 1, -4, 15689, 7), "
+                   "(0, 0, 2, 8965, 4), (1, 2, 8, 2243, 1)))")
     yield (layouts_equivalent(20171, 20173, 5040, 9),
            "LayoutComparison(equivalent=False, witness=ReducedFraction(a=1, b=2))")
     yield (Scene(16, 32, 415, 7, range(-1, 2), (THIRD,)),
@@ -69,14 +68,16 @@ def test_records_with_different_fields_differ():
 
 def test_every_record_kind_is_covered():
     kinds = {type(record) for record, _ in RECORDS}
-    assert kinds == {ReducedFraction, FractionParams, Parabola, ParabolaFamily,
+    assert kinds == {ReducedFraction, FractionParams, ParabolaFamily,
                      LayoutComparison, Scene, BundleCurve, Canvas}
     assert all(issubclass(kind, tuple) and kind.__slots__ == () for kind in kinds)
 
 
 def test_only_the_family_holds_params():
-    # a member is its family_rows row; m, x0 and b_prime belong to the family alone
-    assert Parabola._fields == ("i", "a_prime", "B", "C", "h")
+    # a member is its family_rows row (i, a_prime, B, C, h), a plain tuple of ints;
+    # m, x0 and b_prime belong to the family alone
+    assert FAMILY.members == tuple(family_rows(PARAMS))
+    assert all(type(row) is tuple and set(map(type, row)) == {int} for row in FAMILY.members)
     holders = {type(r) for r, _ in RECORDS if any(isinstance(v, FractionParams) for v in r)}
     assert holders == {ParabolaFamily}
 
@@ -112,10 +113,11 @@ def test_canvas_checks_every_construction():
 
 def test_family_replace_swaps_members():
     first, *rest = FAMILY.members
-    tampered = FAMILY._replace(members=(first._replace(h=first.h + 1), *rest))
+    tampered = FAMILY._replace(members=((*first[:4], first[4] + 1), *rest))
     assert type(tampered) is ParabolaFamily
     assert tampered.params is PARAMS
-    assert tampered.members[0].h == first.h + 1 and tampered.members[1:] == FAMILY.members[1:]
+    assert tampered.members[0] == (-1, 1, -4, 15689, 8)  # h, the last field, moved by 1
+    assert tampered.members[1:] == FAMILY.members[1:]
     assert FAMILY.members[0] is first  # the original is untouched
 
 

@@ -603,6 +603,25 @@ def test_svg_scatter_memory_stays_under_the_file_size(tmp_path):
     assert peak < 0.5 * path.stat().st_size
 
 
+def test_scatter_holds_its_ordinate_block_once(monkeypatch):
+    # The block of m // 2 + 1 fields, 12 bytes each at height 800, is filled in place
+    # and each chunk splits a bytes copy of its slices, so the peak is the block and
+    # one chunk's work.  Joining a list of per-chunk bytes into the block would hold
+    # it twice, a whole block over.  Chunks of 512 squares keep one chunk's work near
+    # a third of the block at a modulus this small.
+    monkeypatch.setattr(render, "_CHUNK", 512)
+    m = 50021
+    block = (m // 2 + 1) * len(b" %.6f " % 800)
+    tracemalloc.start()
+    try:
+        squares = sum(chunk.count(b"h1v1h-1z") for chunk in render._scatter(m, 800, 800))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert squares == m
+    assert peak - block < block // 2
+
+
 def test_svg_writer_refuses_a_scene_over_the_cap_before_opening(tmp_path, monkeypatch):
     # The cap sat in the scene builder bundle used, so a scene built by hand went unchecked.
     path = tmp_path / "big.svg"
