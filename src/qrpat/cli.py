@@ -11,8 +11,8 @@ import argparse
 import json
 import sys
 from functools import cache, lru_cache, partial
-from itertools import chain, starmap, takewhile
-from math import gcd, isqrt
+from itertools import chain, starmap
+from math import gcd
 
 from .parabola import (
     anchor,
@@ -146,71 +146,41 @@ def _entries(entry: str, count: int, values) -> str:
     return _ENTRY_SEP.join([entry] * count) % tuple(values)
 
 
-def _farey_counts(max_d: int):
-    """(b, the number of a/b in F_D) for b = 1..D: phi(b) by trial division,
-    and 2 at b = 1 (0/1 and 1/1), so no F_D is built."""
-    for b in range(1, max_d + 1):
-        phi, n = b + (b == 1), b
-        for p in range(2, isqrt(b) + 1):
-            if n % p == 0:
-                phi -= phi // p
-                while n % p == 0:
-                    n //= p
-        yield b, phi - phi // n if n > 1 else phi
-
-
 def _window(b: int, window: int | None) -> int:
     """The oracle half-width at denominator b: --window, or 3 * b_prime."""
     return window or 3 * stride(b)[0]
-
-
-def _clipped_windows(m: int, b: int, count: int, w: int) -> tuple[int, int]:
-    """(points, widest) of the oracle windows of the count a/b of F_D at b.
-
-    Window a/b lists min(x0 + w, m - 1) - max(0, x0 - w) + 1 points, x0 =
-    ``anchor(m, a, b)``.  Only the a/b with x0 within w of 0 or of m are walked,
-    in from each end (gcd(a, b) == 1 keeps 0/1 and 1/1 at b = 1); the rest
-    list 2w + 1 each.
-    """
-    def x0(a):
-        return anchor(m, a, b)
-
-    low = list(takewhile(lambda a: x0(a) < w, range(b + 1)))
-    high = takewhile(lambda a: x0(a) + w >= m, range(b, len(low) - 1, -1))
-    sizes = [min(x0(a) + w, m - 1) - max(0, x0(a) - w) + 1
-             for a in (*low, *high) if gcd(a, b) == 1]
-    rest = count - len(sizes)
-    return sum(sizes) + rest * (2 * w + 1), 2 * w + 1 if rest else max(sizes)
 
 
 def _plan(command: str, m: int, b_max: int, fraction: ReducedFraction | None = None,
           window: int | None = None) -> None:
     """Refuse a predict, verify or bundle request before any work or output.
 
-    In one order: the modulus; m > b_max^2; one b-by-b walk of F_D (or of
-    the one fraction) counting members, b_prime per a/b, and for verify the
-    exact oracle points (``_clipped_windows``) against MAX_VERIFY_POINTS,
-    then the widest window at b against MAX_ORACLE_POINTS (predict and
-    bundle stop past MAX_MEMBERS); the member cap; for predict, the digit
-    bound b*b*m (y_num is at most h*m with h < b*b, and x_num at most a*m
-    with a <= b).
+    In one order: the modulus; m > b_max^2; then one walk over b = 1..b_max,
+    the a/b at each b being those with gcd(a, b) == 1 (0/1 and 1/1 at b = 1),
+    or over the one fraction.  At each b it checks verify's oracle points
+    against MAX_VERIFY_POINTS (a window w at anchor x0 lists
+    min(x0 + w, m - 1) - max(0, x0 - w) + 1 of them), then verify's widest
+    window against MAX_ORACLE_POINTS, then the members, b_prime per a/b,
+    against MAX_MEMBERS.  Last, for predict, the digit bound b*b*m (y_num is
+    at most h*m with h < b*b, and x_num at most a*m with a <= b).
     """
     check_modulus(m)
     check_denominator(m, b_max)
     members = points = 0
-    for b, count in _farey_counts(b_max) if fraction is None else [(b_max, 1)]:
-        members += count * stride(b)[0]
+    walk = ((b, [a for a in range(b + 1) if gcd(a, b) == 1]) for b in range(1, b_max + 1))
+    for b, numerators in walk if fraction is None else [(fraction.b, [fraction.a])]:
+        members += len(numerators) * stride(b)[0]
         if command == "verify":
-            at_b, widest = _clipped_windows(m, b, count, _window(b, window))
-            points += at_b
+            w = _window(b, window)
+            sizes = [min(x0 + w, m - 1) - max(0, x0 - w) + 1
+                     for x0 in (anchor(m, a, b) for a in numerators)]
+            points += sum(sizes)
             if points > MAX_VERIFY_POINTS:
                 raise ValueError(f"verify windows reach {points} oracle points, "
                                  f"over the cap of {MAX_VERIFY_POINTS}")
-            check_oracle_window(widest)
-        elif members > MAX_MEMBERS:
-            break
-    if members > MAX_MEMBERS:
-        raise ValueError(f"{command} exceeds the cap of {MAX_MEMBERS} family members")
+            check_oracle_window(max(sizes))
+        if members > MAX_MEMBERS:
+            raise ValueError(f"{command} exceeds the cap of {MAX_MEMBERS} family members")
     # Python before 3.10.7 has no limit (0 means none); 2**(3*limit) < 10**limit.
     limit = getattr(sys, "get_int_max_str_digits", int)() if command == "predict" else 0
     largest = b_max * b_max * m

@@ -27,7 +27,7 @@ PINS = (
     Pin("near-cap-bundle",
         ("bundle", "--modulus", M40, "--lambda-n", "400", "--max-denominator", "180"),
         "c601d791fe061cb7f14271bcb73d219bac599584951b888d0758499de1d8d181", mb=200),
-    # 382 bytes: "ok" and the 9,881 fractions, each checked against its member records.
+    # 382 bytes: "ok" and the 9,881 fractions, each checked against its family_rows rows.
     Pin("near-cap-verify",
         ("verify", "--modulus", M40, "--max-denominator", "180", "--window", "1"),
         "d085fd24faa382263296ef3202a2a910d322c4ead88b514bc98185ac2d4602bb", mb=100),

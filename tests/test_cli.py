@@ -591,18 +591,17 @@ def test_verify_request_over_the_cap_exits_2(capsys, monkeypatch):
 
 def test_verify_real_cap_refuses_a_wide_request_at_once(capsys, monkeypatch):
     # verify --max-denominator 1000 at m = 10^40 + 1 ran past a 10 s timeout before the cap.
+    # Windows of 200,001 points pass the point cap at b = 13, long before the members.
     def forbidden(*args):
         raise AssertionError("F_D built")
 
     monkeypatch.setattr(cli, "farey_fractions", forbidden)
     started = time.perf_counter()
-    code, out, err = run(capsys, "verify", "--modulus", str(10**40 + 1),
-                         "--max-denominator", "1000")
+    assert run(capsys, "verify", "--modulus", str(M40), "--max-denominator", "1000",
+               "--window", "100000") == (
+        2, "", "error: verify windows reach 11600058 oracle points, over the cap of 10000000\n"
+    )
     assert time.perf_counter() - started < 1.0
-    assert (code, out) == (2, "")
-    assert err.startswith("error: verify windows reach ")
-    assert err.endswith(f" oracle points, over the cap of {cli.MAX_VERIFY_POINTS}\n")
-    assert int(err.split()[4]) > cli.MAX_VERIFY_POINTS
 
 
 def test_verify_window_wider_than_the_plot_is_clipped(capsys):
@@ -620,35 +619,45 @@ def test_verify_over_the_member_cap_exits_2(capsys, monkeypatch):
     assert run_json(capsys, *argv)[:1] == (0,)
     monkeypatch.setattr(cli, "MAX_MEMBERS", 150)
     assert run(capsys, *argv) == (2, "", "error: verify exceeds the cap of 150 family members\n")
-    # the oracle point cap is checked first: F_9's 29 fractions plan 3 points each,
-    # except 0/1 and 1/1, which list 2 and 1
+    # at each b: points, widest window, members.  F_9's 29 fractions plan 3 points
+    # each, except 0/1 and 1/1, which list 2 and 1: 84 in all, and both caps cross at b = 9
     monkeypatch.setattr(cli, "MAX_VERIFY_POINTS", 83)
     assert run(capsys, *argv) == (
         2, "", "error: verify windows reach 84 oracle points, over the cap of 83\n"
     )
+    # F_8 has 97 members and plans 66 points, so a member cap of 96 stops the walk at b = 8
+    monkeypatch.setattr(cli, "MAX_MEMBERS", 96)
+    assert run(capsys, *argv) == (2, "", "error: verify exceeds the cap of 96 family members\n")
 
 
 def test_verify_real_member_cap_refuses_a_narrow_request_at_once(capsys, monkeypatch):
-    # --window 1 plans 8,208,567 oracle points, under their cap, but 4,560,421,995 members;
-    # uncapped, D = 400 took 25.8 s and D = 3000 would have taken hours.
+    # D = 3000 with --window 1 plans 8,208,567 oracle points, under their cap, but
+    # 4,560,421,995 members; uncapped, D = 400 took 25.8 s and D = 3000 would have
+    # taken hours.  D = 1000 with the default windows has planned about 6.1 M points
+    # when its members pass the cap at b = 181.
     def forbidden(*args):
         raise AssertionError("F_D built")
 
     monkeypatch.setattr(cli, "farey_fractions", forbidden)
-    started = time.perf_counter()
-    assert run(capsys, "verify", "--modulus", str(M40), "--max-denominator", "3000",
-               "--window", "1") == (
-        2, "", "error: verify exceeds the cap of 1000000 family members\n"
-    )
-    assert time.perf_counter() - started < 1.0
+    for max_d, window in (("3000", ["--window", "1"]), ("1000", [])):
+        started = time.perf_counter()
+        assert run(capsys, "verify", "--modulus", str(M40), "--max-denominator", max_d,
+                   *window) == (2, "", "error: verify exceeds the cap of 1000000 family members\n")
+        assert time.perf_counter() - started < 1.0
 
 
-def test_farey_total_counts_every_fraction_of_f_d():
-    # the plan counts phi(b) fractions at each b by trial division, never building F_D
-    at = [0] * 401
-    for frac in farey_fractions(400):
-        at[frac.b] += 1
-    assert list(cli._farey_counts(400)) == list(enumerate(at))[1:]
+def test_the_plan_counts_every_member_of_f_d(monkeypatch):
+    # b_prime members per a/b of F_D, 0/1 and 1/1 included, whether or not the windows clip
+    for max_d in range(1, 61):
+        members = sum(f.b if f.b % 2 else f.b // 2 for f in farey_fractions(max_d))
+        for m in (max_d * max_d + 1, M40):
+            for command, window in (("predict", None), ("bundle", None), ("verify", 1)):
+                monkeypatch.setattr(cli, "MAX_MEMBERS", members)
+                cli._plan(command, m, max_d, window=window)
+                monkeypatch.setattr(cli, "MAX_MEMBERS", members - 1)
+                with pytest.raises(ValueError, match=f"^{command} exceeds the cap of "
+                                                     f"{members - 1} family members$"):
+                    cli._plan(command, m, max_d, window=window)
 
 
 def test_verify_plans_the_clipped_windows_of_0_1_and_1_1(capsys, monkeypatch):
@@ -692,7 +701,8 @@ def test_verify_plans_windows_that_reach_an_end_of_the_plot_exactly(capsys, monk
 
 
 # One row per refusal of predict, verify and bundle, in the plan's order: the
-# modulus, m > D^2, the oracle points, the members, then predict's digit bound.
+# modulus, m > D^2, then at each b: points, widest window, members; last,
+# predict's digit bound.
 # At --max-denominator 3000 and m = 100 predict named the member cap, and at
 # m = 1 verify and bundle named m > D^2.
 REFUSALS = [
