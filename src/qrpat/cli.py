@@ -16,6 +16,7 @@ from math import gcd
 
 from .parabola import (
     anchor,
+    canonical_offsets,
     check_denominator,
     check_oracle_window,
     covering_members,
@@ -27,14 +28,15 @@ from .parabola import (
     stride,
     verify_identity,
 )
-from .patterns import bundle_matches, bundle_parameter, layouts_equivalent
-from .render import Scene, check_scene, render_scatter, render_sum_squares, write_pgm, write_svg
+from .patterns import bundle_parameter, covered, layouts_equivalent, vertex_on_bundle
+from .render import (Scene, check_canvas, check_scene, render_scatter, render_sum_squares,
+                     write_pgm, write_svg)
 from .residues import ReducedFraction, check_modulus, farey_fractions, layout_period
 
 # Most family members (b_prime per a/b) one predict, bundle or verify request builds.
 # predict streams F_D's from member rows (~3.1 s and 17 MB peak RSS near the cap) but holds a
 # single --fraction's whole family (1/999999 at m = 10^40+1: 7-9.5 s and 1,056 MB); bundle,
-# ~1 s and ~26 MB, and with --out at m = 999983 (a 77 MB SVG) ~2.0-2.5 s and 36 MB; verify
+# ~1 s and ~16 MB, and with --out at m = 999983 (a 77 MB SVG) ~1.9 s and 22 MB; verify
 # checks them, ~2.6 s with --window 1 and ~11 s by default (see README).
 MAX_MEMBERS = 10**6
 # Most oracle points one verify checks: ~1.2 µs each at 7 digits, ~1.5 µs at 40 (see README).
@@ -268,31 +270,34 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_bundle(args) -> int:
-    """Match each covered vertex of F_D once, holding only its line index n;
-    from those matches write the SVG (its Scene draws the curves -n_max..n_max,
-    n_max the largest matched |n|, and every fraction's vertices, skipped ones
-    included), the warnings in one write, then the JSON's head with s and the
-    line indices, each covered fraction and the skipped ones, each by one % over
-    a template.  Every refusal comes before any work or output."""
+    """Write the SVG, the warnings in one write and the JSON's head, then each
+    covered fraction's entry as its vertices are matched, then the tail.  A covered
+    fraction's n are canonical_offsets(b_prime), so the head's line indices are those
+    of the widest covered b_prime and the Scene's curves run -n..n, n the largest.
+    Each part is filled by one % over a template, and of the matches only the
+    fraction being written is held.  Every refusal comes before any work or output."""
     period = layout_period(args.lambda_n)
     m, max_d = args.modulus, args.max_denominator
     _plan("bundle", m, max_d)
     if args.out:
         check_scene(m)
-    matches, s = list(bundle_matches(m, period, max_d)), bundle_parameter(m, period)
+        check_canvas(args.width, args.height)
+    s = bundle_parameter(m, period)
+    fractions = sorted(farey_fractions(max_d), key=ReducedFraction.sort_key)
+    covers = {b for b in range(1, max_d + 1) if covered(b, period)}
     # b = 1 is always covered, so neither "line_indices" nor "fractions" is ever "[]".
-    lines = sorted(set().union(*(ns for _, ns in matches if ns)))
+    lines = canonical_offsets(max(stride(b)[0] for b in covers))
     if args.out:
-        n_max = max(-lines[0], lines[-1])
-        write_svg(Scene(args.width, args.height, m, s, range(-n_max, n_max + 1),
-                        tuple([frac for frac, _ in matches])), args.out)
-    skipped = [(frac.a, frac.b) for frac, ns in matches if ns is None]
+        write_svg(Scene(args.width, args.height, m, s, range(-lines[-1], lines[-1] + 1),
+                        tuple(fractions)), args.out)
+    skipped = [(frac.a, frac.b) for frac in fractions if frac.b not in covers]
     sys.stderr.write("".join(f"warning: skipping {a}/{b}: denominator {b} is not covered "
                              f"by period {period}\n" for a, b in skipped))
     head, skip, tail = _bundle_frame(bool(skipped))
     write = sys.stdout.write
     write(head % (m, args.lambda_n, period, s, max_d, _entries("%d", len(lines), lines)))
-    for k, (frac, ns) in enumerate((frac, ns) for frac, ns in matches if ns is not None):
+    for k, frac in enumerate(frac for frac in fractions if frac.b in covers):
+        ns = [n for _, n in vertex_on_bundle(m, period, frac, s)]
         write((_ENTRY_SEP if k else "") + _bundle_template(len(ns)) % (frac.a, frac.b, *ns))
     if skipped:
         tail %= _entries(skip, len(skipped), chain.from_iterable(skipped))

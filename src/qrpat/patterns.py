@@ -13,16 +13,15 @@ is any representative of m modulo the period.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterator
 
 from .parabola import check_denominator, stride, vertex_heights
-from .residues import ReducedFraction, farey_fractions
+from .residues import ReducedFraction
 
 __all__ = [
     "LayoutComparison",
-    "bundle_matches",
     "bundle_parameter",
     "check_period",
+    "covered",
     "layouts_equivalent",
     "vertex_on_bundle",
 ]
@@ -41,7 +40,7 @@ class LayoutComparison(namedtuple("LayoutComparison", "equivalent witness")):
     __slots__ = ()
 
 
-def _covered(b: int, period: int) -> bool:
+def covered(b: int, period: int) -> bool:
     """Whether the period pins down the layout at b: c*b divides it, c from ``stride(b)``."""
     return period % (stride(b)[1] * b) == 0
 
@@ -77,25 +76,9 @@ def layouts_equivalent(
     check_denominator(m2, max_denominator)
     if (m1 - m2) % (period if period % 4 == 0 else period // 2):
         for b in range(1, max_denominator + 1):
-            if _covered(b, period) and (m1 - m2) % (stride(b)[1] * b):
+            if covered(b, period) and (m1 - m2) % (stride(b)[1] * b):
                 return LayoutComparison(False, ReducedFraction(1, b))
     return LayoutComparison(True, None)
-
-
-def bundle_matches(
-    m: int, period: int, max_denominator: int
-) -> Iterator[tuple[ReducedFraction, tuple[int, ...] | None]]:
-    """(frac, ns) for each a/b of F_D in (b, a) order, made as read: ns is each
-    vertex's line index n in k order, from one ``vertex_on_bundle`` call, or None
-    where the period does not cover b.  m > D^2 and the period are checked at once."""
-    check_denominator(m, max_denominator)
-    check_period(period)
-    lines = {}  # each distinct n is held once, however many vertices lie on its line
-    return (
-        (frac, tuple(lines.setdefault(n, n) for _, n in vertex_on_bundle(m, period, frac))
-         if _covered(frac.b, period) else None)
-        for frac in sorted(farey_fractions(max_denominator), key=ReducedFraction.sort_key)
-    )
 
 
 def bundle_parameter(m: int, period: int) -> int:
@@ -131,7 +114,7 @@ def vertex_on_bundle(
     the same class may be passed in.
     """
     check_period(period)
-    if not _covered(frac.b, period):
+    if not covered(frac.b, period):
         raise ValueError(
             f"denominator {frac.b} is not covered by period {period}"
         )

@@ -19,6 +19,7 @@ __all__ = [
     "BundleCurve",
     "Canvas",
     "Scene",
+    "check_canvas",
     "check_scene",
     "render_scatter",
     "render_sum_squares",
@@ -29,7 +30,7 @@ __all__ = [
 
 # Polyline resolution for the wrapped bundle curves (points per unit X).
 CURVE_SAMPLES = 1024
-MAX_PIXELS = 10**8  # largest raster canvas (one byte per pixel); larger is refused
+MAX_PIXELS = 10**8  # largest canvas, PGM (one byte per pixel) or SVG; larger is refused
 MAX_SCENE_POINTS = 10**6  # largest SVG scatter (one point per residue); larger is refused
 # Most squares one render_scatter computes, (m + 1) // 2 in either mode (about 0.2 µs
 # each, so ~10 s); larger is refused.
@@ -63,8 +64,7 @@ class Canvas(namedtuple("Canvas", "width height pixels")):
 
     @classmethod
     def blank(cls, width: int, height: int) -> "Canvas":
-        if width * height > MAX_PIXELS:
-            raise ValueError(f"canvas of {width * height} pixels exceeds the cap of {MAX_PIXELS}")
+        check_canvas(width, height)
         return cls(width, height, bytearray([255]) * (width * height))
 
 
@@ -83,8 +83,8 @@ class Scene(namedtuple("Scene", "width height modulus s lines fractions",
     scatter); the curves are ``sample_bundle_curve(s, n)`` for n in lines;
     the vertices are those of each a/b in fractions, at (a/b, h/b^2) for h in
     ``vertex_heights(modulus, a/b)``.  write_svg computes each as it writes it.
-    ``bundle --out`` builds its own: s is ``bundle_parameter``, lines runs over
-    -n_max..n_max of its matched |n|, and fractions is F_D in (b, a) order.
+    ``bundle --out`` builds its own before it matches a vertex: s is ``bundle_parameter``,
+    lines runs -n..n, n its largest line index, and fractions is F_D in (b, a) order.
     """
 
     __slots__ = ()
@@ -204,6 +204,12 @@ def write_pgm(canvas: Canvas, path) -> None:
         stream.write(canvas.pixels)
 
 
+def check_canvas(width: int, height: int) -> None:
+    """Refuse a PGM or SVG canvas of more than MAX_PIXELS pixels."""
+    if width * height > MAX_PIXELS:
+        raise ValueError(f"canvas of {width * height} pixels exceeds the cap of {MAX_PIXELS}")
+
+
 def check_scene(points: int) -> None:
     """Refuse an SVG scatter of more than MAX_SCENE_POINTS points."""
     if points > MAX_SCENE_POINTS:
@@ -256,14 +262,15 @@ def write_svg(scene: Scene, path) -> None:
     bundle curves in the order of scene.lines, then vertex circles fraction by
     fraction in the order of scene.fractions, each in vertex order.  Every
     coordinate carries six decimals, so equal scenes give identical bytes.
-    Every check (modulus 0, for no scatter, or >= 2; the caps; m > b*b per
-    vertex) comes before the file is opened.  Then each scatter chunk, curve
+    Every check (modulus 0, for no scatter, or >= 2; the scene and canvas caps;
+    m > b*b per vertex) comes before the file is opened.  Then each scatter chunk, curve
     (sampled as it is reached) and fraction's circles (from ``vertex_heights``)
     is filled by one % over a repeated template and written at once; the
     scatter's ordinate block ys and one chunk are all that stay held.
     """
     width, height, m = scene.width, scene.height, scene.modulus
     check_scene(m and check_modulus(m))  # m = 0 draws no scatter
+    check_canvas(width, height)
     if scene.fractions:
         check_denominator(m, max(frac.b for frac in scene.fractions))
     header = (

@@ -740,18 +740,29 @@ REFUSALS = [
     (["bundle", "--modulus", str(M40), "--lambda-n", "400", "--max-denominator", "180",
       "--out", "x.svg"],
      f"scene of {M40} scatter points exceeds the cap of 1000000"),
+    # bundle --out's canvas, right after its scene (the SVG's coordinates grew without
+    # bound: 10^400 ended in a traceback and a partial file)
+    (["bundle", "--modulus", "20179", "--width", str(10**400), "--out", "x.svg"],
+     f"canvas of {800 * 10**400} pixels exceeds the cap of 100000000"),
+    (["bundle", "--modulus", "20179", "--height", str(10**400), "--out", "x.svg"],
+     f"canvas of {800 * 10**400} pixels exceeds the cap of 100000000"),
+    (["bundle", "--modulus", "999983", "--width", str(10**30), "--out", "x.svg"],
+     f"canvas of {800 * 10**30} pixels exceeds the cap of 100000000"),
 ]
 
 
 @pytest.mark.parametrize("argv, message", REFUSALS)
-def test_every_refusal_comes_in_one_order_before_any_work(capsys, monkeypatch, argv, message):
+def test_every_refusal_comes_in_one_order_before_any_work(tmp_path, capsys, monkeypatch,
+                                                           argv, message):
     def forbidden(*args):
         raise AssertionError("work done before the plan refused")
 
     monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 60)
-    for name in ("farey_fractions", "fraction_params", "bundle_matches"):
+    for name in ("farey_fractions", "fraction_params", "covered", "vertex_on_bundle"):
         monkeypatch.setattr(cli, name, forbidden)
+    monkeypatch.chdir(tmp_path)
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+    assert not list(tmp_path.iterdir())
 
 
 def test_verify_rejects_large_denominator(capsys):
@@ -981,21 +992,22 @@ class ByteCounter:
 
 
 def test_bundle_holds_a_small_fraction_of_what_it_writes():
-    # 2.2 MB of JSON.  Building the whole payload and its json.dumps text first
-    # peaked at 13 times the bytes written; streamed, only a line index per vertex
-    # (and a template per member count) is held.
+    # 7.4 MB of JSON.  Building the whole payload and its json.dumps text first
+    # peaked at 13 times the bytes written, and holding every vertex's line index
+    # for the head at 0.23 times; streamed, F_D, one fraction's matches and a
+    # template per member count are held, 0.07 times.
     sink = ByteCounter()
     cli._build_parser()
     cli._bundle_template.cache_clear()
     tracemalloc.start()
     try:
         with redirect_stdout(sink):
-            assert main(bundle_argv(M40, 400, 60)) == 0
+            assert main(bundle_argv(M40, 400, 90)) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sink.count > 2 * 10**6
-    assert peak < 0.4 * sink.count
+    assert sink.count > 7 * 10**6
+    assert peak < 0.12 * sink.count
 
 
 def count_calls(monkeypatch, module, name):
@@ -1022,7 +1034,7 @@ def test_bundle_fills_cached_templates_without_json_dumps(capsys, monkeypatch):
 
 def test_bundle_out_matches_each_vertex_once(tmp_path, capsys, monkeypatch):
     # The overlay matched every covered fraction a second time: 58 calls against 29.
-    calls = count_calls(monkeypatch, patterns, "vertex_on_bundle")
+    calls = count_calls(monkeypatch, cli, "vertex_on_bundle")
     out = tmp_path / "fig.svg"
     code, stdout, err = run(capsys, "bundle", "--modulus", "20179", "--out", str(out))
     assert (code, err, calls[0]) == (0, "", 29)
@@ -1032,13 +1044,19 @@ def test_bundle_out_matches_each_vertex_once(tmp_path, capsys, monkeypatch):
 
 def test_bundle_out_draws_its_scene_from_its_own_matches(tmp_path, capsys):
     # bundle builds the Scene itself: every fraction gets circles, the ten skipped k/11
-    # included; the curves run over -n_max..n_max; s is the balanced -13, not 10067 % 5040.
+    # included; the curves run over -n..n, n the largest line index, also where the
+    # line indices are uneven (at --lambda-n 4 the widest covered b_prime is 6, at
+    # b = 12); s is the balanced -13, not 10067 % 5040.
     out, drawn = tmp_path / "x.svg", tmp_path / "scene.svg"
-    argv = [*bundle_argv(10067, 9, 11), "--width", "320", "--height", "240", "--out", str(out)]
-    code, stdout, err = run(capsys, *argv)
-    assert (code, stdout, err) == bundle_reference(10067, 9, 11)
-    render.write_svg(render.Scene(320, 240, 10067, -13, range(-4, 5), by_denominator(11)), drawn)
-    assert out.read_bytes() == drawn.read_bytes()
+    for lambda_n, max_d, s, lines, curves in ((9, 11, -13, range(-4, 5), range(-4, 5)),
+                                              (4, 12, 11, range(-2, 4), range(-3, 4))):
+        argv = [*bundle_argv(10067, lambda_n, max_d), "--width", "320", "--height", "240",
+                "--out", str(out)]
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout, err) == bundle_reference(10067, lambda_n, max_d)
+        assert json.loads(stdout)["line_indices"] == list(lines)
+        render.write_svg(render.Scene(320, 240, 10067, s, curves, by_denominator(max_d)), drawn)
+        assert out.read_bytes() == drawn.read_bytes()
 
 
 def test_bundle_builds_no_fraction_params(tmp_path, capsys, monkeypatch):
@@ -1079,7 +1097,8 @@ def test_bundle_out_over_the_scene_cap_refuses_before_matching(tmp_path, capsys,
     def forbidden(*args):
         raise AssertionError("vertices matched before the scene cap")
 
-    monkeypatch.setattr(cli, "bundle_matches", forbidden)
+    for name in ("farey_fractions", "vertex_on_bundle"):
+        monkeypatch.setattr(cli, name, forbidden)
     out = tmp_path / "x.svg"
     started = time.perf_counter()
     code, stdout, err = run(capsys, *bundle_argv(M40, 400, 180), "--out", str(out))
@@ -1096,7 +1115,7 @@ def test_bundle_over_the_member_cap_exits_2(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, *argv)
     assert (code, err.count("warning")) == (0, 22)
     monkeypatch.setattr(cli, "MAX_MEMBERS", 150)
-    calls = count_calls(monkeypatch, patterns, "vertex_on_bundle")
+    calls = count_calls(monkeypatch, cli, "vertex_on_bundle")
     (tmp_path / "o.svg").unlink()
     assert run(capsys, *argv) == (2, "", "error: bundle exceeds the cap of 150 family members\n")
     assert calls[0] == 0 and not (tmp_path / "o.svg").exists()
@@ -1109,7 +1128,7 @@ def test_bundle_real_member_cap_refuses_at_once(capsys, monkeypatch, lambda_n, m
     def forbidden(*args):
         raise AssertionError("vertex matched")
 
-    monkeypatch.setattr(patterns, "vertex_on_bundle", forbidden)
+    monkeypatch.setattr(cli, "vertex_on_bundle", forbidden)
     started = time.perf_counter()
     assert run(capsys, "bundle", "--modulus", str(M40), "--lambda-n", lambda_n,
                "--max-denominator", max_d) == (
@@ -1170,8 +1189,9 @@ SMALL_CAPS = {
 
 def cli_argv(out):
     """argv that argparse accepts, over all six subcommands: m = 2, m = D^2 + 1 and
-    40-digit m, lambda-n up to 10^6, --window up to 10^9 and w*h at the pixel cap."""
-    sides = st.one_of(st.sampled_from([1, 15, 16, 64, 65, 256, 257]), st.integers(1, 300))
+    40-digit m, lambda-n up to 10^6, --window up to 10^9 and sides up to 10^400."""
+    sides = st.one_of(st.sampled_from([1, 15, 16, 64, 65, 256, 257, 10**30, 10**400]),
+                      st.integers(1, 300))
 
     @st.composite
     def draw_argv(draw):

@@ -9,14 +9,16 @@ import pytest
 from qrpat import (
     LayoutComparison,
     ReducedFraction,
-    bundle_matches,
     bundle_parameter,
+    canonical_offsets,
     check_period,
+    covered,
     farey_fractions,
     fraction_params,
     layout_period,
     layouts_equivalent,
     parabola_family,
+    stride,
     vertex_on_bundle,
 )
 from qrpat import parabola, patterns
@@ -63,20 +65,20 @@ def random_fraction(rng, max_b):
             return ReducedFraction(a, b)
 
 
-# A period's denominator set: the b that patterns._covered accepts, written out by hand.
+# A period's denominator set: the b that patterns.covered accepts, written out by hand.
 def test_denominator_set_full_below_period_index():
-    assert {b for b in range(1, 10) if patterns._covered(b, PERIOD_9)} == set(range(1, 10))
+    assert {b for b in range(1, 10) if covered(b, PERIOD_9)} == set(range(1, 10))
 
 
 def test_denominator_set_up_to_18():
     # 16 is absent: covering an even b needs 2*b | period, and 32 does not
     # divide 5040 = 2^4 * 3^2 * 5 * 7.
     expected = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 15, 18}
-    assert {b for b in range(1, 19) if patterns._covered(b, PERIOD_9)} == expected
+    assert {b for b in range(1, 19) if covered(b, PERIOD_9)} == expected
 
 
 def test_denominator_set_tiny_period():
-    assert {b for b in range(1, 3) if patterns._covered(b, 4)} == {1, 2}
+    assert {b for b in range(1, 3) if covered(b, 4)} == {1, 2}
 
 
 def test_denominator_set_rejects_odd_period():
@@ -197,21 +199,17 @@ def test_layouts_equivalent_random_congruent_pairs():
         assert result.equivalent
 
 
-def test_bundle_matches_pairs_every_covered_fraction_in_b_a_order():
-    matches = list(bundle_matches(20179, PERIOD_9, 11))
-    assert [frac for frac, _ in matches] == sorted(farey_fractions(11),
-                                                   key=ReducedFraction.sort_key)
-    for frac, ns in matches:
-        # 11 is the only b <= 11 that 5040 leaves uncovered
-        if frac.b == 11:
-            assert ns is None
-            continue
+def test_covered_fractions_match_in_k_order_onto_their_own_offsets():
+    # 11 is the only b <= 11 that 5040 leaves uncovered
+    assert [b for b in range(1, 12) if not covered(b, PERIOD_9)] == [11]
+    for frac in farey_fractions(10):
         pairs = vertex_on_bundle(20179, PERIOD_9, frac)
-        # k is the position, so the line indices alone carry every pair
+        # k is the position, so bundle's entries carry the line indices alone, and
+        # the n are canonical_offsets(b_prime), so bundle knows its lines up front
         assert [k for k, _ in pairs] == list(range(len(pairs)))
-        assert ns == tuple(n for _, n in pairs)
-    with pytest.raises(ValueError, match="must exceed 11"):
-        bundle_matches(121, PERIOD_9, 11)
+        assert sorted(n for _, n in pairs) == list(canonical_offsets(stride(frac.b)[0]))
+    with pytest.raises(ValueError, match="must exceed 10"):
+        vertex_on_bundle(100, PERIOD_9, ReducedFraction(1, 10))
 
 
 def test_bundle_parameter_reference_values():
@@ -325,4 +323,4 @@ def test_family_vertices_equal_normalized_form():
 def test_layout_period_consistency_with_denominator_set():
     for n in range(2, 20):
         period = layout_period(n)
-        assert all(patterns._covered(b, period) for b in range(1, n + 1))
+        assert all(covered(b, period) for b in range(1, n + 1))

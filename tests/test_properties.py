@@ -284,6 +284,30 @@ def test_streamed_bundle_is_json_dumps_of_the_payload(case):
 
 
 @st.composite
+def line_index_requests(draw):
+    """(m, lambda_n, D): lambda-n 2..14, D <= 40, m from just above D^2 up to 10^40."""
+    max_d = draw(st.integers(1, 40))
+    return draw(moduli_above(max_d)), draw(st.integers(2, 14)), max_d
+
+
+@settings(deadline=None, database=None)
+@given(line_index_requests())
+@example((10**40 + 1, 4, 12))  # the widest covered b_prime is 6 (b = 12): lines run -2..3
+def test_bundle_line_indices_are_the_widest_covered_offsets(case):
+    # bundle writes its line indices before it matches a vertex; they must be
+    # the n its entries go on to use, each once.
+    m, lambda_n, max_d = case
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        assert main(bundle_argv(*case)) == 0
+    payload = json.loads(out.getvalue())
+    matched = sorted({v["n"] for f in payload["fractions"] for v in f["vertices"]})
+    covers = covered_denominators(layout_period(lambda_n), max_d)
+    widest = max(b if b % 2 else b // 2 for b in covers)
+    assert payload["line_indices"] == matched == list(canonical_offsets(widest))
+
+
+@st.composite
 def bundle_cases(draw):
     """(m, b, lambda_n): m from just above b^2 up to 10^40, b <= 60, b covered."""
     b = draw(st.integers(1, 60))

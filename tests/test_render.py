@@ -17,13 +17,14 @@ from qrpat import (
     Canvas,
     ReducedFraction,
     Scene,
-    bundle_matches,
     bundle_parameter,
+    covered,
     farey_fractions,
     fraction_params,
     render_scatter,
     render_sum_squares,
     sample_bundle_curve,
+    vertex_on_bundle,
     write_pgm,
     write_svg,
 )
@@ -309,7 +310,8 @@ def test_overlay_markers_and_curves(tmp_path):
     m, period, scene = 20179, 5040, SCENE_20179
     assert scene.s == bundle_parameter(m, period)
     # every line a vertex was matched to has its curve drawn, and no other
-    assert set(scene.lines) == {n for _, ns in bundle_matches(m, period, 9) for n in ns}
+    assert set(scene.lines) == {n for frac in scene.fractions if covered(frac.b, period)
+                                for _, n in vertex_on_bundle(m, period, frac)}
     # one circle per vertex, in (b, a, k) order, at (beta'/b^2 + k/b_prime) mod 1
     expected = []
     for frac in scene.fractions:
@@ -531,7 +533,7 @@ def test_svg_overlay_with_skipped_fractions_matches_reference(tmp_path):
     # Period 5040 skips b = 11: its circles are drawn all the same.  s = -13 makes
     # the nine curves wrap 10 to 22 times over the non-square canvas.
     scene = Scene(320, 240, 10067, -13, range(-4, 5), by_denominator(11))
-    assert [frac.b for frac, ns in bundle_matches(10067, 5040, 11) if ns is None] == [11] * 10
+    assert [frac.b for frac in scene.fractions if not covered(frac.b, 5040)] == [11] * 10
     assert len(scene.fractions) == 43
     assert [len(sample_bundle_curve(-13, n).segments) for n in (-4, 4)] == [10, 22]
     assert svg_bytes(scene, tmp_path) == reference_svg(scene)
@@ -642,6 +644,26 @@ def test_svg_writer_refuses_a_scene_over_the_cap_before_opening(tmp_path, monkey
     path.unlink()
     with pytest.raises(ValueError, match="scene of 416 scatter points exceeds the cap of 415"):
         write_svg(Scene(64, 64, 416), path)
+    assert not path.exists()
+
+
+def test_svg_writer_refuses_a_canvas_over_the_pixel_cap_before_opening(tmp_path, monkeypatch):
+    # A 10^400-wide canvas died in the scatter's float conversion with a partial file
+    # open (a 10^400-high one in its "%.6f"), and a 10^30-wide one wrote 57 MB.
+    path = tmp_path / "big.svg"
+    for width, height in ((10**400, 800), (800, 10**400), (10**30, 800)):
+        message = rf"^canvas of {width * height} pixels exceeds the cap of 100000000$"
+        for scene in (Scene(width, height, 20179), Scene(width, height)):
+            with pytest.raises(ValueError, match=message):
+                write_svg(scene, path)
+            assert not path.exists()
+    # the cap and its message are Canvas.blank's
+    monkeypatch.setattr(render, "MAX_PIXELS", 16 * 20)
+    write_svg(Scene(16, 20, 101), path)
+    assert path.read_bytes() == reference_svg(Scene(16, 20, 101))
+    path.unlink()
+    with pytest.raises(ValueError, match="^canvas of 336 pixels exceeds the cap of 320$"):
+        write_svg(Scene(16, 21, 101), path)
     assert not path.exists()
 
 
