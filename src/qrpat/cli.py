@@ -31,7 +31,7 @@ from .parabola import (
 from .patterns import bundle_parameter, covered, layouts_equivalent, vertex_on_bundle
 from .render import (Scene, check_canvas, check_scene, render_scatter, render_sum_squares,
                      write_pgm, write_svg)
-from .residues import ReducedFraction, check_modulus, farey_fractions, layout_period
+from .residues import ReducedFraction, check_modulus, layout_period
 
 # Most family members (b_prime per a/b) one predict, bundle or verify request builds.
 # predict streams F_D's from member rows (~3.1 s and 17 MB peak RSS near the cap) but holds a
@@ -154,33 +154,36 @@ def _window(b: int, window: int | None) -> int:
 
 
 def _plan(command: str, m: int, b_max: int, fraction: ReducedFraction | None = None,
-          window: int | None = None) -> None:
-    """Refuse a predict, verify or bundle request before any work or output.
+          window: int | None = None) -> list[ReducedFraction]:
+    """Refuse a predict, verify or bundle request before any work or output; else
+    return its fractions, built once every check has passed: the one fraction or
+    F_D in (b, a) order.
 
     In one order: the modulus; m > b_max^2; then one walk over b = 1..b_max,
     the a/b at each b being those with gcd(a, b) == 1 (0/1 and 1/1 at b = 1),
-    or over the one fraction.  At each b it checks verify's oracle points
-    against MAX_VERIFY_POINTS (a window w at anchor x0 lists
-    min(x0 + w, m - 1) - max(0, x0 - w) + 1 of them), then verify's widest
-    window against MAX_ORACLE_POINTS, then the members, b_prime per a/b,
-    against MAX_MEMBERS.  Last, for predict, the digit bound b*b*m (y_num is
-    at most h*m with h < b*b, and x_num at most a*m with a <= b).
+    or over the one fraction.  At each b it checks verify's widest window
+    against MAX_ORACLE_POINTS (which bounds the sum it prints next), then its
+    oracle points against MAX_VERIFY_POINTS (a window w at anchor x0 lists
+    min(x0 + w, m - 1) - max(0, x0 - w) + 1 of them), then the members,
+    b_prime per a/b, against MAX_MEMBERS.  Last, for predict, the digit bound
+    b*b*m (y_num is at most h*m with h < b*b, and x_num at most a*m with a <= b).
     """
     check_modulus(m)
     check_denominator(m, b_max)
-    members = points = 0
+    members, points, walked = 0, 0, []
     walk = ((b, [a for a in range(b + 1) if gcd(a, b) == 1]) for b in range(1, b_max + 1))
     for b, numerators in walk if fraction is None else [(fraction.b, [fraction.a])]:
+        walked.append((b, numerators))
         members += len(numerators) * stride(b)[0]
         if command == "verify":
             w = _window(b, window)
             sizes = [min(x0 + w, m - 1) - max(0, x0 - w) + 1
                      for x0 in (anchor(m, a, b) for a in numerators)]
+            check_oracle_window(max(sizes))
             points += sum(sizes)
             if points > MAX_VERIFY_POINTS:
                 raise ValueError(f"verify windows reach {points} oracle points, "
                                  f"over the cap of {MAX_VERIFY_POINTS}")
-            check_oracle_window(max(sizes))
         if members > MAX_MEMBERS:
             raise ValueError(f"{command} exceeds the cap of {MAX_MEMBERS} family members")
     # Python before 3.10.7 has no limit (0 means none); 2**(3*limit) < 10**limit.
@@ -188,20 +191,29 @@ def _plan(command: str, m: int, b_max: int, fraction: ReducedFraction | None = N
     largest = b_max * b_max * m
     if limit and largest.bit_length() > 3 * limit and largest >= 10**limit:
         raise ValueError(f"predict output can exceed Python's limit of {limit} digits per integer")
+    return [ReducedFraction(a, b) for b, numerators in walked for a in numerators]
+
+
+def _in_farey_order(fractions: list[ReducedFraction], b_max: int) -> list[ReducedFraction]:
+    """The plan's fractions in increasing order.  The key a*b_max^2 // b is exact:
+    two members of F_D differ by at least 1/b_max^2, so their keys differ by at least 1."""
+    scale = b_max * b_max
+    return sorted(fractions, key=lambda frac: frac.a * scale // frac.b)
 
 
 def _cmd_predict(args) -> int:
-    """Write each fraction's entry as soon as its family is built, each
-    filled by one % over its template; of F_D only the fractions are held."""
+    """Write each of the plan's fractions, in Farey order, as soon as its family is
+    built, each filled by one % over its template; of F_D only the fractions are held."""
     if (args.fraction is None) == (args.max_denominator is None):
         raise ValueError("provide exactly one of --fraction or --max-denominator")
     m, fraction, indented = args.modulus, args.fraction, not args.json
-    _plan("predict", m, args.max_denominator or fraction.b, fraction)
+    b_max = args.max_denominator or fraction.b
+    fractions = _in_farey_order(_plan("predict", m, b_max, fraction), b_max)
     listed = fraction is None
     write = sys.stdout.write
     if listed:
         write("[\n  " if indented else "[")
-    for k, frac in enumerate(farey_fractions(args.max_denominator) if listed else [fraction]):
+    for k, frac in enumerate(fractions):
         values = _predict_values(m, frac)
         if k:
             write(",\n  " if indented else ",")
@@ -223,10 +235,9 @@ def _fraction_checks(m: int, frac: ReducedFraction, window: int | None) -> tuple
 
 
 def _cmd_verify(args) -> int:
-    """Check each a/b of F_D once, tallying each check's failures as it goes."""
+    """Check each a/b of the plan's F_D once, in Farey order, tallying failures as it goes."""
     m, max_d = args.modulus, args.max_denominator
-    _plan("verify", m, max_d, window=args.window)
-    fractions = farey_fractions(max_d)
+    fractions = _in_farey_order(_plan("verify", m, max_d, window=args.window), max_d)
     failed = {"identity": [], "family_structure": [], "coverage": []}
     for frac in fractions:
         for name, passed in zip(failed, _fraction_checks(m, frac, args.window)):
@@ -270,20 +281,19 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_bundle(args) -> int:
-    """Write the SVG, the warnings in one write and the JSON's head, then each
-    covered fraction's entry as its vertices are matched, then the tail.  A covered
-    fraction's n are canonical_offsets(b_prime), so the head's line indices are those
-    of the widest covered b_prime and the Scene's curves run -n..n, n the largest.
-    Each part is filled by one % over a template, and of the matches only the
-    fraction being written is held.  Every refusal comes before any work or output."""
+    """Write the SVG, the warnings in one write and the JSON's head, then each covered
+    fraction of the plan's F_D, in its (b, a) order, as its vertices are matched, then
+    the tail.  A covered fraction's n are canonical_offsets(b_prime), so the head's line
+    indices are those of the widest covered b_prime and the Scene's curves run -n..n, n
+    the largest.  Each part is filled by one % over a template, and of the matches only
+    the fraction being written is held.  Every refusal comes before any work or output."""
     period = layout_period(args.lambda_n)
     m, max_d = args.modulus, args.max_denominator
-    _plan("bundle", m, max_d)
+    fractions = _plan("bundle", m, max_d)
     if args.out:
         check_scene(m)
         check_canvas(args.width, args.height)
     s = bundle_parameter(m, period)
-    fractions = sorted(farey_fractions(max_d), key=ReducedFraction.sort_key)
     covers = {b for b in range(1, max_d + 1) if covered(b, period)}
     # b = 1 is always covered, so neither "line_indices" nor "fractions" is ever "[]".
     lines = canonical_offsets(max(stride(b)[0] for b in covers))

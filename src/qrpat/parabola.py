@@ -75,7 +75,7 @@ def canonical_offsets(b_prime: int) -> range:
 def check_denominator(m: int, b: int) -> int:
     """Validate m > b*b, which every family at denominator b (or below) needs."""
     if m <= b * b:
-        raise ValueError(f"modulus {m} must exceed {b}^2 = {b * b}")
+        raise ValueError(f"modulus {m} must exceed {b}^2")
     return m
 
 

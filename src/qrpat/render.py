@@ -207,7 +207,7 @@ def write_pgm(canvas: Canvas, path) -> None:
 def check_canvas(width: int, height: int) -> None:
     """Refuse a PGM or SVG canvas of more than MAX_PIXELS pixels."""
     if width * height > MAX_PIXELS:
-        raise ValueError(f"canvas of {width * height} pixels exceeds the cap of {MAX_PIXELS}")
+        raise ValueError(f"canvas of {width}x{height} pixels exceeds the cap of {MAX_PIXELS}")
 
 
 def check_scene(points: int) -> None:

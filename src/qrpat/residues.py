@@ -13,7 +13,6 @@ from collections import namedtuple
 __all__ = [
     "ReducedFraction",
     "check_modulus",
-    "farey_fractions",
     "layout_period",
 ]
 
@@ -65,27 +64,8 @@ class ReducedFraction(namedtuple("ReducedFraction", "a b")):
                              else f"cannot parse fraction: {exc}") from None
         return cls(a, b)
 
-    def sort_key(self) -> tuple[int, int]:
-        """Order by denominator first, then numerator: simplest fractions first."""
-        return (self.b, self.a)
-
     def __str__(self) -> str:
         return f"{self.a}/{self.b}"
-
-
-def farey_fractions(max_denominator: int) -> list[ReducedFraction]:
-    """All reduced fractions in [0, 1] with denominator <= max_denominator,
-    in increasing order, without duplicates."""
-    if max_denominator < 1:
-        raise ValueError(f"max_denominator must be >= 1, got {max_denominator}")
-    n = max_denominator
-    sequence = [ReducedFraction(0, 1)]
-    a, b, c, d = 0, 1, 1, n
-    while c <= n:
-        k = (n + b) // d
-        a, b, c, d = c, d, k * c - a, k * d - b
-        sequence.append(ReducedFraction(a, b))
-    return sequence
 
 
 def layout_period(n: int) -> int:

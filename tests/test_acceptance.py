@@ -16,7 +16,6 @@ from qrpat import (
     ReducedFraction,
     bundle_parameter,
     covering_members,
-    farey_fractions,
     fraction_params,
     layout_period,
     layouts_equivalent,
@@ -26,6 +25,7 @@ from qrpat import (
 )
 from qrpat.cli import main
 from test_render import read_pgm
+from test_residues import farey
 
 # Locked at the first verified build (same constants as tests/test_render.py).
 GOLDEN_PLOT_20171 = "04c9a8845a373c41a3c23508bb5bc3ed17d136bdfe5d47aa69273a2d254cd1dd"
@@ -87,7 +87,7 @@ def test_03_vertex_structure_of_every_tested_family():
     started = time.perf_counter()
     cases = []
     for m in (415, 997, 20171, 20179):
-        for frac in farey_fractions(12):
+        for frac in farey(12):
             if m > frac.b**2:
                 cases.append((m, frac))
     rng = random.Random(415)
@@ -135,7 +135,7 @@ def test_05_every_vertex_lies_on_a_bundle_line():
         s = bundle_parameter(m, period)
         if m == 25200:
             assert s == 0
-        for frac in farey_fractions(9):
+        for frac in farey(9):
             if period % (frac.b if frac.b % 2 else 2 * frac.b):
                 continue  # b is not covered: c*b does not divide the period
             params = fraction_params(m, frac)
@@ -154,7 +154,7 @@ def test_05_every_vertex_lies_on_a_bundle_line():
 
 def test_06_brute_force_coverage_for_all_small_moduli():
     started = time.perf_counter()
-    fractions = farey_fractions(7)
+    fractions = farey(7)
     for m in range(50, 3000):
         for frac in fractions:
             family = parabola_family(fraction_params(m, frac))

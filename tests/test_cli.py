@@ -20,7 +20,6 @@ import pytest
 from qrpat import (
     ReducedFraction,
     cli,
-    farey_fractions,
     parabola,
     patterns,
     render,
@@ -28,6 +27,7 @@ from qrpat import (
 )
 from qrpat.cli import main
 from test_render import GOLDEN_SVG_20179, by_denominator, read_pgm
+from test_residues import farey
 
 try:
     from hypothesis import example, given, settings
@@ -169,7 +169,7 @@ def predict_reference(m, selector, compact):
     """The byte reference for predict stdout: json.dumps of the whole payload,
     a list over F_D for an int selector D, else the entry of one fraction."""
     if isinstance(selector, int):
-        payload = [predict_payload(m, frac) for frac in farey_fractions(selector)]
+        payload = [predict_payload(m, frac) for frac in farey(selector)]
     else:
         payload = predict_payload(m, selector)
     if compact:
@@ -187,7 +187,7 @@ def bundle_reference(m, lambda_n, max_d):
     them before it streamed, stdout being json.dumps(indent=2) of the whole payload."""
     period = residues.layout_period(lambda_n)
     fractions, skipped, err = [], [], ""
-    for frac in sorted(farey_fractions(max_d), key=ReducedFraction.sort_key):
+    for frac in by_denominator(max_d):
         if period % (frac.b if frac.b % 2 else 2 * frac.b):
             err += (f"warning: skipping {frac}: denominator {frac.b} is not covered "
                     f"by period {period}\n")
@@ -307,7 +307,7 @@ def test_oversized_canvas_exits_2(tmp_path, capsys, monkeypatch, argv):
     out = tmp_path / "big.pgm"
     code, stdout, err = run(capsys, *argv, "--out", str(out))
     assert (code, stdout) == (2, "")
-    assert err == "error: canvas of 1600 pixels exceeds the cap of 1599\n"
+    assert err == "error: canvas of 40x40 pixels exceeds the cap of 1599\n"
     assert not out.exists()
 
 
@@ -368,12 +368,12 @@ def test_predict_rejects_unreduced_fraction(capsys):
 
 def test_predict_rejects_small_modulus(capsys):
     assert run(capsys, "predict", "--modulus", "10", "--fraction", "1/7") == (
-        2, "", "error: modulus 10 must exceed 7^2 = 49\n"
+        2, "", "error: modulus 10 must exceed 7^2\n"
     )
     # 0/1 and every b < 10 allow m = 100, so a writer that checked each
     # fraction as it went would print part of the array first.
     assert run(capsys, "predict", "--modulus", "100", "--max-denominator", "28", "--json") == (
-        2, "", "error: modulus 100 must exceed 28^2 = 784\n"
+        2, "", "error: modulus 100 must exceed 28^2\n"
     )
     assert run(capsys, "predict", "--modulus", "1", "--max-denominator", "3") == (
         2, "", "error: modulus must be an integer >= 2, got 1\n"
@@ -569,7 +569,7 @@ def test_verify_request_over_the_cap_exits_2(capsys, monkeypatch):
     # F_9's default windows list this many points; a small cap stands in for the real one.
     argv = ("verify", "--modulus", "997", "--max-denominator", "9")
     planned = sum(len(parabola.residues_near(997, f, 3 * (f.b if f.b % 2 else f.b // 2)))
-                  for f in farey_fractions(9))
+                  for f in farey(9))
     monkeypatch.setattr(cli, "MAX_VERIFY_POINTS", planned)
     assert run_json(capsys, *argv)[:1] == (0,)
     monkeypatch.setattr(cli, "MAX_VERIFY_POINTS", planned - 1)
@@ -577,11 +577,13 @@ def test_verify_request_over_the_cap_exits_2(capsys, monkeypatch):
     assert run(capsys, *argv) == (2, "", refused)
 
     # 0/1 and 1/1 with a window of 10^9 list 10^9 + 1 and 10^9 points, and are
-    # refused by that count alone: no window list is built.
+    # refused by that count alone: no window list is built.  The oracle cap, which
+    # the plan checks first, is raised to let them through.
     def forbidden(*args):
         raise AssertionError("oracle window built")
 
     monkeypatch.setattr(cli, "residues_near", forbidden)
+    monkeypatch.setattr(parabola, "MAX_ORACLE_POINTS", 10**9 + 1)
     monkeypatch.setattr(cli, "MAX_VERIFY_POINTS", 10**9)
     big = ("verify", "--modulus", str(10**40 + 1), "--max-denominator", "1")
     assert run(capsys, *big, "--window", str(10**9)) == (
@@ -595,7 +597,7 @@ def test_verify_real_cap_refuses_a_wide_request_at_once(capsys, monkeypatch):
     def forbidden(*args):
         raise AssertionError("F_D built")
 
-    monkeypatch.setattr(cli, "farey_fractions", forbidden)
+    monkeypatch.setattr(cli, "ReducedFraction", forbidden)
     started = time.perf_counter()
     assert run(capsys, "verify", "--modulus", str(M40), "--max-denominator", "1000",
                "--window", "100000") == (
@@ -619,7 +621,7 @@ def test_verify_over_the_member_cap_exits_2(capsys, monkeypatch):
     assert run_json(capsys, *argv)[:1] == (0,)
     monkeypatch.setattr(cli, "MAX_MEMBERS", 150)
     assert run(capsys, *argv) == (2, "", "error: verify exceeds the cap of 150 family members\n")
-    # at each b: points, widest window, members.  F_9's 29 fractions plan 3 points
+    # at each b: widest window, points, members.  F_9's 29 fractions plan 3 points
     # each, except 0/1 and 1/1, which list 2 and 1: 84 in all, and both caps cross at b = 9
     monkeypatch.setattr(cli, "MAX_VERIFY_POINTS", 83)
     assert run(capsys, *argv) == (
@@ -638,7 +640,7 @@ def test_verify_real_member_cap_refuses_a_narrow_request_at_once(capsys, monkeyp
     def forbidden(*args):
         raise AssertionError("F_D built")
 
-    monkeypatch.setattr(cli, "farey_fractions", forbidden)
+    monkeypatch.setattr(cli, "ReducedFraction", forbidden)
     for max_d, window in (("3000", ["--window", "1"]), ("1000", [])):
         started = time.perf_counter()
         assert run(capsys, "verify", "--modulus", str(M40), "--max-denominator", max_d,
@@ -649,7 +651,7 @@ def test_verify_real_member_cap_refuses_a_narrow_request_at_once(capsys, monkeyp
 def test_the_plan_counts_every_member_of_f_d(monkeypatch):
     # b_prime members per a/b of F_D, 0/1 and 1/1 included, whether or not the windows clip
     for max_d in range(1, 61):
-        members = sum(f.b if f.b % 2 else f.b // 2 for f in farey_fractions(max_d))
+        members = sum(f.b if f.b % 2 else f.b // 2 for f in farey(max_d))
         for m in (max_d * max_d + 1, M40):
             for command, window in (("predict", None), ("bundle", None), ("verify", 1)):
                 monkeypatch.setattr(cli, "MAX_MEMBERS", members)
@@ -701,7 +703,7 @@ def test_verify_plans_windows_that_reach_an_end_of_the_plot_exactly(capsys, monk
 
 
 # One row per refusal of predict, verify and bundle, in the plan's order: the
-# modulus, m > D^2, then at each b: points, widest window, members; last,
+# modulus, m > D^2, then at each b: widest window, points, members; last,
 # predict's digit bound.
 # At --max-denominator 3000 and m = 100 predict named the member cap, and at
 # m = 1 verify and bundle named m > D^2.
@@ -712,15 +714,16 @@ REFUSALS = [
      "modulus must be an integer >= 2, got 1"),
     (["bundle", "--modulus", "1"], "modulus must be an integer >= 2, got 1"),
     (["predict", "--modulus", "100", "--max-denominator", "3000"],
-     "modulus 100 must exceed 3000^2 = 9000000"),
+     "modulus 100 must exceed 3000^2"),
     (["predict", "--modulus", "100", "--fraction", "1/3000"],
-     "modulus 100 must exceed 3000^2 = 9000000"),
+     "modulus 100 must exceed 3000^2"),
     (["verify", "--modulus", "100", "--max-denominator", "3000"],
-     "modulus 100 must exceed 3000^2 = 9000000"),
+     "modulus 100 must exceed 3000^2"),
     (["bundle", "--modulus", "100", "--lambda-n", "400", "--max-denominator", "3000"],
-     "modulus 100 must exceed 3000^2 = 9000000"),
-    (["verify", "--modulus", str(M40), "--max-denominator", "1", "--window", str(10**7)],
-     "verify windows reach 20000001 oracle points, over the cap of 10000000"),
+     "modulus 100 must exceed 3000^2"),
+    # windows of at most 999,999 points each, which pass the oracle cap checked before them
+    (["verify", "--modulus", str(M40), "--max-denominator", "6", "--window", "499999"],
+     "verify windows reach 11999988 oracle points, over the cap of 10000000"),
     (["verify", "--modulus", str(M40), "--max-denominator", "3000", "--window", "1"],
      "verify exceeds the cap of 1000000 family members"),
     (["predict", "--modulus", str(10**58 + 7), "--max-denominator", "3000"],
@@ -732,8 +735,8 @@ REFUSALS = [
     # argument checks outside the plan come first
     (["predict", "--modulus", "1"], "provide exactly one of --fraction or --max-denominator"),
     (["bundle", "--modulus", "1", "--lambda-n", "1"], "layout period needs lambda-n >= 2, got 1"),
-    # verify's widest oracle window, which the walk checks right after the points
-    # (listed last so that the rows above keep their test ids)
+    # verify's widest oracle window, which the walk checks first at each b
+    # (listed here so that the rows above keep their test ids)
     (["verify", "--modulus", str(M40), "--max-denominator", "1", "--window", str(10**6)],
      "oracle window of 1000001 points exceeds the cap of 1000000"),
     # bundle --out's scene cap, right after the plan
@@ -743,11 +746,22 @@ REFUSALS = [
     # bundle --out's canvas, right after its scene (the SVG's coordinates grew without
     # bound: 10^400 ended in a traceback and a partial file)
     (["bundle", "--modulus", "20179", "--width", str(10**400), "--out", "x.svg"],
-     f"canvas of {800 * 10**400} pixels exceeds the cap of 100000000"),
+     f"canvas of {10**400}x800 pixels exceeds the cap of 100000000"),
     (["bundle", "--modulus", "20179", "--height", str(10**400), "--out", "x.svg"],
-     f"canvas of {800 * 10**400} pixels exceeds the cap of 100000000"),
+     f"canvas of 800x{10**400} pixels exceeds the cap of 100000000"),
     (["bundle", "--modulus", "999983", "--width", str(10**30), "--out", "x.svg"],
-     f"canvas of {800 * 10**30} pixels exceeds the cap of 100000000"),
+     f"canvas of {10**30}x800 pixels exceeds the cap of 100000000"),
+    # Each message names only values parsed from argv, or bounded ones: these printed
+    # Python's int-to-str error, for b*b, width*height and a 4,301-digit sum of windows.
+    (["predict", "--modulus", "5", "--max-denominator", "9" * 3000],
+     f"modulus 5 must exceed {'9' * 3000}^2"),
+    (["equiv", "--m1", "5", "--m2", "7", "--max-denominator", "9" * 3000],
+     f"modulus 5 must exceed {'9' * 3000}^2"),
+    (["plot", "--modulus", "20179", "--width", "9" * 2200, "--height", "9" * 2200,
+      "--out", "x.pgm"],
+     f"canvas of {'9' * 2200}x{'9' * 2200} pixels exceeds the cap of 100000000"),
+    (["verify", "--modulus", "9" * 4300, "--max-denominator", "1", "--window", "9" * 4300],
+     f"oracle window of {'9' * 4300} points exceeds the cap of 1000000"),
 ]
 
 
@@ -758,7 +772,7 @@ def test_every_refusal_comes_in_one_order_before_any_work(tmp_path, capsys, monk
         raise AssertionError("work done before the plan refused")
 
     monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 60)
-    for name in ("farey_fractions", "fraction_params", "covered", "vertex_on_bundle"):
+    for name in ("fraction_params", "covered", "vertex_on_bundle", "write_svg"):
         monkeypatch.setattr(cli, name, forbidden)
     monkeypatch.chdir(tmp_path)
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
@@ -827,7 +841,7 @@ def test_equiv_stdout_golden_hash(capsys, argv):
 def test_equiv_small_modulus_exits_2(capsys, moduli):
     m1, m2 = moduli
     assert run(capsys, "equiv", "--m1", m1, "--m2", m2, "--max-denominator", "9") == (
-        2, "", "error: modulus 81 must exceed 9^2 = 81\n"
+        2, "", "error: modulus 81 must exceed 9^2\n"
     )
 
 
@@ -861,7 +875,7 @@ def test_equiv_small_moduli_at_a_huge_max_denominator_exit_2_at_once(capsys):
     # The moduli were checked only after an O(D) loop: over 20 s at D = 10^11.
     started = time.perf_counter()
     assert run(capsys, "equiv", "--m1", "5", "--m2", "7", "--max-denominator", str(10**11)) == (
-        2, "", "error: modulus 5 must exceed 100000000000^2 = 10000000000000000000000\n"
+        2, "", "error: modulus 5 must exceed 100000000000^2\n"
     )
     assert time.perf_counter() - started < 1.0
 
@@ -1097,7 +1111,7 @@ def test_bundle_out_over_the_scene_cap_refuses_before_matching(tmp_path, capsys,
     def forbidden(*args):
         raise AssertionError("vertices matched before the scene cap")
 
-    for name in ("farey_fractions", "vertex_on_bundle"):
+    for name in ("fraction_params", "covered", "vertex_on_bundle", "write_svg"):
         monkeypatch.setattr(cli, name, forbidden)
     out = tmp_path / "x.svg"
     started = time.perf_counter()

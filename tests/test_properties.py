@@ -24,7 +24,6 @@ from qrpat import (  # noqa: E402
     cli,
     covering_members,
     family_rows,
-    farey_fractions,
     family_structure,
     fraction_params,
     layout_period,
@@ -45,6 +44,7 @@ from test_patterns import (  # noqa: E402
     first_covered_mismatch,
     signature_by_squaring,
 )
+from test_residues import farey  # noqa: E402
 
 
 def moduli_above(b):
@@ -249,7 +249,7 @@ def test_verify_plans_exactly_the_oracle_points_of_f_d(case):
     m, max_d, window = case
     # the default window is 3 * b_prime
     sizes = [len(residues_near(m, f, window or 3 * (f.b if f.b % 2 else f.b // 2)))
-             for f in farey_fractions(max_d)]
+             for f in farey(max_d)]
     points, widest = sum(sizes), max(sizes)
     verify = ["verify", "--modulus", str(m), "--max-denominator", str(max_d),
               *(["--window", str(window)] if window else [])]

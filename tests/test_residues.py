@@ -1,30 +1,38 @@
-"""Tests for the exact arithmetic primitives."""
+"""Tests for the exact arithmetic primitives, and for F_D as the CLI's plan
+returns it and puts it in order."""
 
 import sys
 from fractions import Fraction
 
 import pytest
 
+from qrbench import workloads
 from qrpat import (
     ReducedFraction,
-    farey_fractions,
+    cli,
     layout_period,
 )
+from qrpat.cli import main
 
 
-def brute_farey(max_denominator):
-    values = sorted(
-        {Fraction(a, b) for b in range(1, max_denominator + 1) for a in range(b + 1)}
-    )
-    return [ReducedFraction(v.numerator, v.denominator) for v in values]
+def farey(max_denominator):
+    """F_D in increasing order: qrbench's brute-force enumeration, sorted with Fraction."""
+    return sorted(map(ReducedFraction._make, workloads.farey(max_denominator)),
+                  key=lambda f: Fraction(*f))
+
+
+def planned_farey(max_denominator):
+    """F_D as predict and verify list it: the plan's fractions in Farey order."""
+    m = max_denominator * max_denominator + 1
+    return cli._in_farey_order(cli._plan("predict", m, max_denominator), max_denominator)
 
 
 def test_farey_smallest():
-    assert farey_fractions(1) == [ReducedFraction(0, 1), ReducedFraction(1, 1)]
+    assert planned_farey(1) == [ReducedFraction(0, 1), ReducedFraction(1, 1)]
 
 
 def test_farey_order_three():
-    assert farey_fractions(3) == [
+    assert planned_farey(3) == [
         ReducedFraction(0, 1),
         ReducedFraction(1, 3),
         ReducedFraction(1, 2),
@@ -34,21 +42,43 @@ def test_farey_order_three():
 
 
 def test_farey_order_five_count():
-    assert len(farey_fractions(5)) == 11
+    assert len(planned_farey(5)) == 11
 
 
 def test_farey_matches_brute_enumeration():
     for n in range(1, 13):
-        got = farey_fractions(n)
-        assert got == brute_farey(n)
+        got = planned_farey(n)
+        assert got == farey(n)
+        assert all(type(f) is ReducedFraction for f in got)
         assert len(got) == len(set(got))
         values = [Fraction(f.a, f.b) for f in got]
         assert values == sorted(values)
 
 
-def test_farey_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        farey_fractions(0)
+def test_farey_rejects_nonpositive(capsys):
+    # the parser refuses D < 1 before any plan
+    for command in ("predict", "verify", "bundle"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--modulus", "997", "--max-denominator", "0"])
+        assert exc.value.code == 2
+        assert "expected a positive integer, got 0" in capsys.readouterr().err
+
+
+def test_the_plan_walks_f_d_by_denominator_then_numerator():
+    # the order bundle writes; qrbench enumerates F_D the same way
+    for n in range(1, 30):
+        for command, window in (("predict", None), ("verify", 1), ("bundle", None)):
+            planned = cli._plan(command, n * n + 1, n, window=window)
+            assert planned == [ReducedFraction(a, b) for a, b in workloads.farey(n)]
+            assert planned == sorted(planned, key=lambda f: (f.b, f.a))
+
+
+def test_farey_neighbours_satisfy_bc_minus_ad_equals_one():
+    # a/b < c/d adjacent in F_D exactly when b*c - a*d = 1
+    for n in range(1, 61):
+        got = planned_farey(n)
+        assert got[0] == (0, 1) and got[-1] == (1, 1)
+        assert all(b * c - a * d == 1 for (a, b), (c, d) in zip(got, got[1:]))
 
 
 def test_layout_period_values():
