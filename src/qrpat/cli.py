@@ -34,15 +34,18 @@ from .render import (Scene, check_canvas, check_scene, render_scatter, render_su
 from .residues import ReducedFraction, check_modulus, layout_period
 
 # Most family members (b_prime per a/b) one predict, bundle or verify request builds.
-# predict streams F_D's from member rows (~3.1 s and 17 MB peak RSS near the cap) but holds a
-# single --fraction's whole family (1/999999 at m = 10^40+1: 7-9.5 s and 1,056 MB); bundle,
-# ~1 s and ~16 MB, and with --out at m = 999983 (a 77 MB SVG) ~1.9 s and 22 MB; verify
-# checks them, ~2.6 s with --window 1 and ~11 s by default (see README).
+# predict streams F_D and a single --fraction alike, a window at a time; the pins in
+# tests/pins.py time each command near the cap (near-cap-predict, one-fraction-predict,
+# near-cap-bundle, large-bundle-svg, near-cap-verify with --window 1) and bound its memory
+# above the interpreter's floor.  verify with its default windows takes ~11 s there.
 MAX_MEMBERS = 10**6
 # Most oracle points one verify checks: ~1.2 µs each at 7 digits, ~1.5 µs at 40 (see README).
 MAX_VERIFY_POINTS = 10**7
 # What json.dumps(indent=2) writes between two entries of a top-level field's list.
 _ENTRY_SEP = ",\n    "
+# Vertex and coefficient items one % fills in a predict entry: an entry of up to
+# _WINDOW // 2 members is one window, and a larger one is held a window at a time.
+_WINDOW = 512
 
 
 def _fraction_arg(text: str) -> ReducedFraction:
@@ -79,25 +82,42 @@ def _cmd_grid(args) -> int:
     return 0
 
 
-def _predict_values(m: int, frac: ReducedFraction) -> tuple[int, ...]:
-    """Every integer of the predict entry for a/b, in output order, from the
-    rows of ``family_rows``.  With g = gcd(m, b*b) and k = gcd(h, b*b/g), the
-    ordinate h*m/b^2 in lowest terms is (h/k * m/g) / (b*b/g/k), since m/g and
-    b*b/g are coprime: one big gcd per fraction, a small one per member.  As
-    a/b is reduced, the abscissa a*m/b reduces by gcd(m, b)."""
+def _write_predict_entry(write, m: int, frac: ReducedFraction, indented: bool,
+                         listed: bool) -> None:
+    """Write the predict entry for a/b: its b_prime vertex items, then its b_prime
+    coefficient items, _WINDOW items to a window, each window filled by one % over its
+    template from the ``family_rows`` rows of its slice of the offsets.
+    With g = gcd(m, b*b) and k = gcd(h, b*b/g), the ordinate h*m/b^2 in lowest terms
+    is (h/k * m/g) / (b*b/g/k), since m/g and b*b/g are coprime: one big gcd per
+    fraction, a small one per member.  As a/b is reduced, the abscissa a*m/b reduces
+    by gcd(m, b)."""
     params = fraction_params(m, frac)
     a, b = frac
     gx, g = gcd(m, b), gcd(m, b * b)
     x_num, x_den = a * m // gx, b // gx
-    m_g, bb_g, A = m // g, b * b // g, params.b_prime ** 2
-    rows = family_rows(params)
-    values = [m, a, b, params.b_prime, params.c, params.alpha, params.beta, params.x0, params.r0]
-    for i, a_prime, _, _, h in rows:
-        k = gcd(h, bb_g)
-        values += (i, a_prime, x_num, x_den, h // k * m_g, bb_g // k)
-    for i, _, B, C, _ in rows:
-        values += (i, A, B, C)
-    return tuple(values)
+    b_prime = params.b_prime
+    m_g, bb_g, A = m // g, b * b // g, b_prime ** 2
+    offsets, items = canonical_offsets(b_prime), 2 * b_prime
+    for lo in range(0, items, _WINDOW):
+        hi = min(lo + _WINDOW, items)
+        vertex_at = offsets[lo:hi]
+        # a window that is the whole entry reads one set of rows for both parts
+        coefficient_at = (offsets[max(lo - b_prime, 0):max(hi - b_prime, 0)]
+                          if lo or hi < items else vertex_at)
+        rows = family_rows(params, vertex_at)
+        values = [] if lo else [m, a, b, *params[2:]]  # b_prime, c, alpha, beta, x0, r0
+        for i, a_prime, _, _, h in rows:
+            k = gcd(h, bb_g)
+            values += (i, a_prime, x_num, x_den, h // k * m_g, bb_g // k)
+        if coefficient_at is not vertex_at:
+            rows = family_rows(params, coefficient_at)
+        for i, _, B, C, _ in rows:
+            values += (i, A, B, C)
+        if lo:
+            sep, turn = _predict_parts(indented, listed)[3:5]
+            write(turn if lo == b_prime else sep)
+        write(_predict_template(indented, listed, not lo, len(vertex_at), len(coefficient_at),
+                                hi == items) % tuple(values))
 
 
 def _json_template(shape, indented: bool, depth: int) -> str:
@@ -108,20 +128,38 @@ def _json_template(shape, indented: bool, depth: int) -> str:
     return json.dumps(shape, indent=2).replace('"%d"', "%d").replace("\n", "\n" + "  " * depth)
 
 
-@lru_cache(maxsize=256)
-def _predict_template(members: int, indented: bool, listed: bool) -> str:
-    """The JSON of one predict entry with this many members, a %d per integer
-    in the order _predict_values gives them; listed entries sit in the list."""
+@cache
+def _predict_parts(indented: bool, listed: bool) -> list[str]:
+    """[head, vertex, coefficient, separator, turn, tail]: one predict entry's JSON
+    around and between its items, a %d per integer; the head runs up to the first
+    vertex, the turn from the last vertex to the first coefficient, the tail from the
+    last coefficient.  Listed entries sit in the list."""
     d = "%d"
+    vertex = dict.fromkeys(("i", "a_prime", "x_num", "x_den", "y_num", "y_den"), d)
+    coefficient = dict.fromkeys(("i", "A", "B", "C"), d)
     shape = {
         "modulus": d,
         "fraction": {"a": d, "b": d},
         **dict.fromkeys(("b_prime", "c", "alpha", "beta", "x0", "r0"), d),
-        "vertices": [dict.fromkeys(("i", "a_prime", "x_num", "x_den", "y_num", "y_den"), d)]
-        * members,
-        "coefficients": [dict.fromkeys(("i", "A", "B", "C"), d)] * members,
+        "vertices": [vertex, vertex],
+        "coefficients": [coefficient],
     }
-    return _json_template(shape, indented, listed)
+    vertex, coefficient = (_json_template(item, indented, listed + 2)
+                           for item in (vertex, coefficient))
+    head, sep, rest = _json_template(shape, indented, listed).split(vertex)
+    return [head, vertex, coefficient, sep, *rest.split(coefficient)]
+
+
+@lru_cache(maxsize=256)
+def _predict_template(indented: bool, listed: bool, opens: bool, vertices: int,
+                      coefficients: int, closes: bool) -> str:
+    """One window of a predict entry: this many vertex items, then this many
+    coefficient items, a %d per integer in the order _write_predict_entry fills them,
+    after the entry's head if the window opens it, before its tail if it closes it."""
+    head, vertex, coefficient, sep, turn, tail = _predict_parts(indented, listed)
+    return "".join([head if opens else "", sep.join([vertex] * vertices),
+                    turn if vertices and coefficients else "",
+                    sep.join([coefficient] * coefficients), tail if closes else ""])
 
 
 @lru_cache(maxsize=256)
@@ -202,8 +240,8 @@ def _in_farey_order(fractions: list[ReducedFraction], b_max: int) -> list[Reduce
 
 
 def _cmd_predict(args) -> int:
-    """Write each of the plan's fractions, in Farey order, as soon as its family is
-    built, each filled by one % over its template; of F_D only the fractions are held."""
+    """Write each of the plan's fractions, in Farey order, window by window of its
+    entry (see _write_predict_entry); of F_D only the fractions and one window are held."""
     if (args.fraction is None) == (args.max_denominator is None):
         raise ValueError("provide exactly one of --fraction or --max-denominator")
     m, fraction, indented = args.modulus, args.fraction, not args.json
@@ -214,10 +252,9 @@ def _cmd_predict(args) -> int:
     if listed:
         write("[\n  " if indented else "[")
     for k, frac in enumerate(fractions):
-        values = _predict_values(m, frac)
         if k:
             write(",\n  " if indented else ",")
-        write(_predict_template(stride(frac.b)[0], indented, listed) % values)
+        _write_predict_entry(write, m, frac, indented, listed)
     if listed:
         write("\n]" if indented else "]")
     write("\n")

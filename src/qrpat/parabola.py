@@ -135,9 +135,11 @@ def vertex_heights(m: int, frac: ReducedFraction) -> range:
     return range(-a * a * m % step, b * b, step)
 
 
-def family_rows(params: FractionParams) -> list[tuple[int, int, int, int, int]]:
+def family_rows(params: FractionParams, offsets: range | None = None
+                ) -> list[tuple[int, int, int, int, int]]:
     """The rows (i, a_prime, B, C, h) of the b_prime members, i over
-    ``canonical_offsets(b_prime)``: the one place the member formula and field order are written.
+    ``canonical_offsets(b_prime)`` or the given slice of it: the one place the member
+    formula and field order are written.
 
     Row i is r == (b_prime**2 * j*j + B*j + C) mod m at x = x0 + i + j*b_prime, with m, x0
     and b_prime from params.  Its vertex is (a*m/b, h*m/b^2) with h == (beta + a_prime*c*b)
@@ -149,7 +151,7 @@ def family_rows(params: FractionParams) -> list[tuple[int, int, int, int, int]]:
     b_prime, c = params.b_prime, params.c
     two_over_c, cb, bb = 2 // c, c * b, b * b
     rows = []
-    for i in canonical_offsets(b_prime):
+    for i in canonical_offsets(b_prime) if offsets is None else offsets:
         a_prime = two_over_c * i * a % b_prime
         rows.append((i, a_prime, 2 * b_prime * i - two_over_c * alpha, (x0 + i) ** 2 % m,
                      (beta + a_prime * cb) % bb))

@@ -35,11 +35,12 @@ MAX_SCENE_POINTS = 10**6  # largest SVG scatter (one point per residue); larger 
 # Most squares one render_scatter computes, (m + 1) // 2 in either mode (about 0.2 µs
 # each, so ~10 s); larger is refused.
 MAX_SCATTER_SQUARES = 5 * 10**7
-# Scatter squares write_svg formats per % into one <path>, about 120 KB of SVG; a chunk
-# and the held ordinate block of x <= m // 2 (w bytes each) are all the scatter keeps.
+# Scatter squares per <path>, about 120 KB of SVG; it sets the file's bytes.
 _CHUNK = 4096
+# Scatter squares one % fills, about 15 KB of SVG, a divisor of _CHUNK; a part and the
+# held ordinate block of x <= m // 2 (w bytes each) are all the scatter keeps.
+_FILL = 512
 _SQUARE = b"M%.6f %sh1v1h-1z"  # one scatter square at x and a formatted y
-_PATH = b'<path d="%s"/>\n'
 _CIRCLE = b'<circle cx="%.6f" cy="%%.6f" r="3"/>\n'
 
 
@@ -217,29 +218,36 @@ def check_scene(points: int) -> None:
 
 
 def _scatter(m: int, width: int, height: int):
-    """The m scatter squares, "M x y h1v1h-1z" each, one <path> per _CHUNK x.
+    """The m scatter squares, "M x y h1v1h-1z" each, one <path> per _CHUNK x,
+    each <path>'s data filled _FILL squares per %.
 
     Square x is at (x/m*width, (1 - (x*x mod m)/m)*height - 1); the nonzero
     fill unions overlapping squares.  x and m - x share a y, so the ordinates
-    of x <= m // 2 are formatted once, _CHUNK per %, into ys: one buffer of half
+    of x <= m // 2 are formatted once, _FILL per %, into ys: one buffer of half
     w-wide fields, w two more than "%.6f" % height, so each starts with a space.
-    A chunk's y strings split from bytes copies of a forward and a mirrored slice of
-    ys (no list of them outlives values), and one % over a template fills its <path>.
+    A part's y strings split from bytes copies of a forward and a mirrored slice of
+    ys (no list of them outlives values), and one % over a template fills it.  How
+    many squares a <path> holds sets the bytes; how many one % fills sets only the
+    memory, so a part is smaller than a <path>.
     """
     half, w = m // 2 + 1, len(b"%.6f" % height) + 2
     ys, field = bytearray(half * w), b"%%%d.6f" % w
-    for lo in range(0, half, _CHUNK):
-        xs = range(lo, min(lo + _CHUNK, half))
+    for lo in range(0, half, _FILL):
+        xs = range(lo, min(lo + _FILL, half))
         ys[lo * w:xs.stop * w] = (
             field * len(xs) % tuple([(1 - x * x % m / m) * height - 1 for x in xs]))
-    ys, full = memoryview(ys), _PATH % (_SQUARE * _CHUNK)
-    for lo in range(0, m, _CHUNK):
-        hi = min(lo + _CHUNK, m)
-        values = [None] * (2 * (hi - lo))
-        values[0::2] = [x / m * width for x in range(lo, hi)]
-        values[1::2] = (ys[lo * w:hi * w].tobytes().split()
-                        + ys[(m - hi + 1) * w:(m - max(lo, half) + 1) * w].tobytes().split()[::-1])
-        yield (full if hi - lo == _CHUNK else _PATH % (_SQUARE * (hi - lo))) % tuple(values)
+    ys, full = memoryview(ys), _SQUARE * _FILL
+    for start in range(0, m, _CHUNK):
+        yield b'<path d="'
+        for lo in range(start, min(start + _CHUNK, m), _FILL):
+            hi = min(lo + _FILL, m)
+            values = [None] * (2 * (hi - lo))
+            values[0::2] = [x / m * width for x in range(lo, hi)]
+            values[1::2] = (
+                ys[lo * w:hi * w].tobytes().split()
+                + ys[(m - hi + 1) * w:(m - max(lo, half) + 1) * w].tobytes().split()[::-1])
+            yield (full if hi - lo == _FILL else _SQUARE * (hi - lo)) % tuple(values)
+        yield b'"/>\n'
 
 
 def _polylines(curve: BundleCurve, width: int, height: int) -> bytes:
@@ -263,10 +271,11 @@ def write_svg(scene: Scene, path) -> None:
     fraction in the order of scene.fractions, each in vertex order.  Every
     coordinate carries six decimals, so equal scenes give identical bytes.
     Every check (modulus 0, for no scatter, or >= 2; the scene and canvas caps;
-    m > b*b per vertex) comes before the file is opened.  Then each scatter chunk, curve
-    (sampled as it is reached) and fraction's circles (from ``vertex_heights``)
-    is filled by one % over a repeated template and written at once; the
-    scatter's ordinate block ys and one chunk are all that stay held.
+    m > b*b per vertex) comes before the file is opened.  Then each scatter part
+    (_FILL squares of a _CHUNK-square <path>), curve (sampled as it is reached) and
+    fraction's circles (from ``vertex_heights``) is filled by one % over a repeated
+    template and written at once; the scatter's ordinate block ys and one part are
+    all that stay held.
     """
     width, height, m = scene.width, scene.height, scene.modulus
     check_scene(m and check_modulus(m))  # m = 0 draws no scatter
@@ -280,7 +289,9 @@ def write_svg(scene: Scene, path) -> None:
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>\n'
         '<g fill="black">\n'
     )
-    with open(path, "wb") as stream:
+    # A scatter part (~15 KB) passes the default 8 KB buffer, which would make each one
+    # its own system call; 64 KB holds four.
+    with open(path, "wb", buffering=1 << 16) as stream:
         write = stream.write
         write(header.encode())
         if m:

@@ -408,10 +408,27 @@ def test_predict_stdout_golden_hash(capsys, argv):
     (10**40 + 1, ReducedFraction(1, 59)),
     (20171, ReducedFraction(0, 1)),
     (20171, ReducedFraction(1, 1)),
+    # b_prime 1,201 is five windows, the turn to the coefficients inside the third;
+    # b_prime 512 is two, the second opening on the turn
+    (10**40 + 1, ReducedFraction(1, 1201)),
+    (10**40, ReducedFraction(1023, 1024)),
 ])
 def test_predict_streams_the_json_dumps_bytes(capsys, m, selector, compact):
     expected = predict_reference(m, selector, compact)
     assert run(capsys, *predict_argv(m, selector, compact)) == (0, expected, "")
+
+
+@pytest.mark.parametrize("window", [1, 2, 3, 4, 7])
+def test_predict_windows_of_any_size_join_to_the_json_dumps_bytes(capsys, monkeypatch,
+                                                                    window):
+    # Small windows cut F_D's entries too, at every place a window can start or end:
+    # the head, the turn from vertices to coefficients, a separator and the tail.
+    monkeypatch.setattr(cli, "_WINDOW", window)
+    for m, selector in [(20171, 9), (10**40 + 1, ReducedFraction(1, 7)),
+                        (3601, ReducedFraction(7, 60))]:
+        for compact in (False, True):
+            expected = predict_reference(m, selector, compact)
+            assert run(capsys, *predict_argv(m, selector, compact)) == (0, expected, "")
 
 
 def test_predict_past_the_digit_limit_exits_2_before_any_byte(capsys, monkeypatch):
@@ -1022,6 +1039,25 @@ def test_bundle_holds_a_small_fraction_of_what_it_writes():
         tracemalloc.stop()
     assert sink.count > 7 * 10**6
     assert peak < 0.12 * sink.count
+
+
+def test_one_fraction_predict_holds_a_small_fraction_of_what_it_writes():
+    # 5.0 MB of JSON for 20,001 members.  One % over the whole entry peaked at 2.8
+    # times the bytes written; a window of _WINDOW items at a time, with the window
+    # templates it caches, at 0.07 times.
+    sink = ByteCounter()
+    cli._build_parser()
+    cli._predict_template.cache_clear()
+    tracemalloc.start()
+    try:
+        with redirect_stdout(sink):
+            assert main(["predict", "--modulus", str(M40), "--fraction", "1/20001",
+                         "--json"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.count > 5 * 10**6
+    assert peak < 0.1 * sink.count
 
 
 def count_calls(monkeypatch, module, name):

@@ -155,6 +155,7 @@ def wide_anchor_cases(draw):
 @example((10**40, ReducedFraction(1, 250)))  # gcd(m, b^2) = b^2
 @example((300**2 + 1, ReducedFraction(299, 300)))
 @example((10**40, ReducedFraction(0, 1)))  # every height h is 0
+@example((10**40 + 1, ReducedFraction(1, 601)))  # 1,202 items: three windows, turning in the second
 def test_predict_json_pairs_are_the_reduced_vertices(case):
     # predict reads family_rows and reduces y = h*m/b^2 by gcd(m, b^2) once and
     # gcd(h, b^2/g) per member; each (i, A, B, C) it prints is checked by direct squaring.

@@ -457,14 +457,17 @@ SVG_SIZES = [(16, 16), (17, 1000), (640, 480), (800, 800), (801, 33)]
 
 
 # Odd and even m; 320000 is a multiple of the 640- and 800-wide canvases.  The rest
-# sit at the scatter's chunk edges: one chunk less one square, one chunk, one more,
+# sit at the scatter's <path> edges: one chunk less one square, one chunk, one more,
 # and 2*CHUNK - 2 and - 1 (whose first mirrored x, m // 2 + 1, opens the second
-# chunk), 2*CHUNK and 2*CHUNK + 1 (whose first mirrored x is one past that edge).
-CHUNK = render._CHUNK
+# chunk), 2*CHUNK and 2*CHUNK + 1 (whose first mirrored x is one past that edge);
+# and at its fill-part edges inside the first <path>: FILL - 1, FILL, FILL + 1 and
+# 2*FILL - 1 (whose first mirrored x, FILL, opens the second part).
+CHUNK, FILL = render._CHUNK, render._FILL
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 415, 20179, 320000, CHUNK - 1, CHUNK, CHUNK + 1,
-                               2 * CHUNK - 2, 2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 1])
+                               2 * CHUNK - 2, 2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 1,
+                               FILL - 1, FILL, FILL + 1, 2 * FILL - 1])
 @pytest.mark.parametrize("width, height", SVG_SIZES)
 def test_svg_scatter_matches_per_point_reference(m, width, height, tmp_path):
     scene = Scene(width, height, m)
@@ -605,23 +608,40 @@ def test_svg_scatter_memory_stays_under_the_file_size(tmp_path):
     assert peak < 0.5 * path.stat().st_size
 
 
-def test_scatter_holds_its_ordinate_block_once(monkeypatch):
-    # The block of m // 2 + 1 fields, 12 bytes each at height 800, is filled in place
-    # and each chunk splits a bytes copy of its slices, so the peak is the block and
-    # one chunk's work.  Joining a list of per-chunk bytes into the block would hold
-    # it twice, a whole block over.  Chunks of 512 squares keep one chunk's work near
-    # a third of the block at a modulus this small.
-    monkeypatch.setattr(render, "_CHUNK", 512)
-    m = 50021
-    block = (m // 2 + 1) * len(b" %.6f " % 800)
+def scatter_peak(m):
+    """(squares, tracemalloc's peak) while a bare 800x800 scatter at m is formatted."""
     tracemalloc.start()
     try:
-        squares = sum(chunk.count(b"h1v1h-1z") for chunk in render._scatter(m, 800, 800))
-        peak = tracemalloc.get_traced_memory()[1]
+        squares = sum(part.count(b"h1v1h-1z") for part in render._scatter(m, 800, 800))
+        return squares, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def ordinate_block(m):
+    """The held ordinates: m // 2 + 1 fields, 12 bytes each at height 800."""
+    return (m // 2 + 1) * len(b" %.6f " % 800)
+
+
+def test_scatter_holds_its_ordinate_block_once(monkeypatch):
+    # The block is filled in place and each part splits a bytes copy of its slices,
+    # so the peak is the block and one part's work.  Joining a list of per-part bytes
+    # into the block would hold it twice, a whole block over.  Parts of 512 squares
+    # keep one part's work near a third of the block at a modulus this small.
+    monkeypatch.setattr(render, "_FILL", 512)
+    m = 50021
+    squares, peak = scatter_peak(m)
     assert squares == m
-    assert peak - block < block // 2
+    assert peak - ordinate_block(m) < ordinate_block(m) // 2
+
+
+def test_scatter_work_past_its_ordinate_block_is_one_fill_part():
+    # 18,461 held fields at m = 36,920.  Filling a whole 4,096-square <path> per % held
+    # 0.75 MB past them; a part of _FILL squares, 0.1 MB.
+    m = 36920
+    squares, peak = scatter_peak(m)
+    assert squares == m
+    assert peak - ordinate_block(m) < 150_000
 
 
 def test_svg_writer_refuses_a_scene_over_the_cap_before_opening(tmp_path, monkeypatch):
