@@ -1,12 +1,11 @@
 """qrpat: exact predictors and deterministic renderers for the parabola
 patterns of quadratic-residue plots."""
 
-from . import parabola, patterns, render, residues
+from . import parabola, patterns, render
 from .parabola import *  # noqa: F403
 from .patterns import *  # noqa: F403
 from .render import *  # noqa: F403
-from .residues import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = sorted({*residues.__all__, *parabola.__all__, *patterns.__all__, *render.__all__})
+__all__ = sorted({*parabola.__all__, *patterns.__all__, *render.__all__})

@@ -15,9 +15,11 @@ from itertools import chain, starmap
 from math import gcd
 
 from .parabola import (
+    ReducedFraction,
     anchor,
     canonical_offsets,
     check_denominator,
+    check_modulus,
     check_oracle_window,
     covering_members,
     family_rows,
@@ -28,10 +30,9 @@ from .parabola import (
     stride,
     verify_identity,
 )
-from .patterns import bundle_parameter, covered, layouts_equivalent, vertex_on_bundle
+from .patterns import bundle_parameter, covered, layout_period, layouts_equivalent, vertex_on_bundle
 from .render import (Scene, check_canvas, check_scene, render_scatter, render_sum_squares,
                      write_pgm, write_svg)
-from .residues import ReducedFraction, check_modulus, layout_period
 
 # Most family members (b_prime per a/b) one predict, bundle or verify request builds.
 # predict streams F_D and a single --fraction alike, a window at a time; the pins in

@@ -7,23 +7,25 @@ x = x0 + i + j*b_prime, and all members share the rational vertex
 abscissa a*m/b while their vertex ordinates are multiples of m/b^2
 spaced exactly m/b_prime apart.
 
-No floating point and no ``Fraction`` is used anywhere.  A member is
-plain integers: its vertex sits at (a*m/b, h*m/b^2) with an integer
+No floating point and no ``Fraction`` is used anywhere.  An anchor is a
+``ReducedFraction``, a checked pair of integers in lowest terms, and a member
+is plain integers: its vertex sits at (a*m/b, h*m/b^2) with an integer
 height h in [0, b^2).
 """
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
-
-from .residues import ReducedFraction, check_modulus
 
 __all__ = [
     "FractionParams",
     "ParabolaFamily",
+    "ReducedFraction",
     "anchor",
     "canonical_offsets",
     "check_denominator",
+    "check_modulus",
     "check_oracle_window",
     "covering_members",
     "family_rows",
@@ -38,6 +40,45 @@ __all__ = [
 
 # Most points one residues_near call lists (~150 bytes each); more is refused.
 MAX_ORACLE_POINTS = 10**6
+
+
+class ReducedFraction(namedtuple("ReducedFraction", "a b")):
+    """A fraction a/b in lowest terms, confined to [0, 1].
+
+    These are the anchors of the parabola families: each family sits
+    around x = (a/b) * m in a residue plot.  A checked, immutable namedtuple:
+    it unpacks as (a, b) and equals that plain tuple.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int) -> "ReducedFraction":
+        if b < 1:
+            raise ValueError(f"denominator must be positive, got {b}")
+        if not 0 <= a <= b:
+            raise ValueError(f"{a}/{b} lies outside [0, 1]")
+        if math.gcd(a, b) != 1:
+            raise ValueError(f"{a}/{b} is not in lowest terms")
+        return tuple.__new__(cls, (a, b))
+
+    # namedtuple's own _make, which _replace calls, would skip the checks in __new__
+    _make = classmethod(lambda cls, values: cls(*values))
+
+    @classmethod
+    def parse(cls, text: str) -> "ReducedFraction":
+        """Parse 'a/b' (or a bare integer) into a ReducedFraction."""
+        num, sep, den = text.partition("/")
+        try:
+            a = int(num)
+            b = int(den) if sep else 1
+        except ValueError as exc:
+            # a long text is not echoed: int's message names its digit limit instead
+            raise ValueError(f"cannot parse fraction {text!r}" if len(text) <= 100
+                             else f"cannot parse fraction: {exc}") from None
+        return cls(a, b)
+
+    def __str__(self) -> str:
+        return f"{self.a}/{self.b}"
 
 
 class FractionParams(namedtuple("FractionParams", "m frac b_prime c alpha beta x0 r0")):
@@ -70,6 +111,13 @@ def canonical_offsets(b_prime: int) -> range:
     that every class appears exactly once for either parity.
     """
     return range(-((b_prime - 1) // 2), b_prime // 2 + 1)
+
+
+def check_modulus(m: int) -> int:
+    """Validate a plot modulus (any integer >= 2)."""
+    if m < 2:
+        raise ValueError(f"modulus must be an integer >= 2, got {m}")
+    return m
 
 
 def check_denominator(m: int, b: int) -> int:

@@ -4,27 +4,34 @@ The placement of each parabola family, viewed as a whole, is fixed by
 beta reduced modulo c*b, and beta == -a^2 * m (mod c*b).  So the layout
 at denominator b depends only on m mod c*b: two moduli draw their
 families in the same positions at b exactly when they are congruent
-modulo c*b, and moduli congruent modulo a layout period agree at every
-denominator the period covers.  The family vertices themselves are
-rational points of the wrapped curves Y = (2nX - sX^2) mod 1, where s
-is any representative of m modulo the period.
+modulo c*b.  Moduli congruent modulo the layout period 2*lcm(2..n) of
+``layout_period`` agree at every denominator the period covers; this
+module builds, checks and reduces by that period.  The family vertices
+are rational points of the wrapped curves Y = (2nX - sX^2) mod 1, where
+s is any representative of m modulo the period.
 """
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 
-from .parabola import check_denominator, stride, vertex_heights
-from .residues import ReducedFraction
+from .parabola import ReducedFraction, check_denominator, stride, vertex_heights
 
 __all__ = [
     "LayoutComparison",
     "bundle_parameter",
     "check_period",
     "covered",
+    "layout_period",
     "layouts_equivalent",
     "vertex_on_bundle",
 ]
+
+# Largest lambda-n layout_period accepts: layout_period(9000) has 3,902 digits
+# (under Python's 4,300-digit int-to-str limit, so equiv and bundle can print
+# it) and takes about 0.04 s; the period has about 0.434*n digits.
+MAX_LAMBDA_N = 9000
 
 
 def check_period(period: int) -> int:
@@ -32,6 +39,20 @@ def check_period(period: int) -> int:
     if period < 4 or period % 2:
         raise ValueError(f"layout period must be an even integer >= 4, got {period}")
     return period
+
+
+def layout_period(n: int) -> int:
+    """Twice the least common multiple of 2..n.
+
+    Moduli congruent modulo this period place their residue parabolas
+    identically at every anchor denominator b whose c*b divides it (see
+    ``layouts_equivalent``).  n above MAX_LAMBDA_N is refused.
+    """
+    if n < 2:
+        raise ValueError(f"layout period needs lambda-n >= 2, got {n}")
+    if n > MAX_LAMBDA_N:
+        raise ValueError(f"layout period needs lambda-n <= {MAX_LAMBDA_N}, got {n}")
+    return 2 * math.lcm(*range(2, n + 1))
 
 
 class LayoutComparison(namedtuple("LayoutComparison", "equivalent witness")):

@@ -12,8 +12,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import gcd
 
-from .parabola import check_denominator, vertex_heights
-from .residues import check_modulus
+from .parabola import check_denominator, check_modulus, vertex_heights
 
 __all__ = [
     "BundleCurve",

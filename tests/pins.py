@@ -105,7 +105,8 @@ def run(pin: Pin, floor_mb: float | None) -> dict:
         reasons.append(f"{over:.1f} MB over the floor's {floor_mb:.1f} MB, bound {pin.mb} MB")
     return {"name": pin.name, "exit": child.returncode, "seconds": round(seconds, 3),
             "peak_mb": round(mb, 1), "over_floor_mb": None if over is None else round(over, 1),
-            "stdout_bytes": size, "pass": not reasons, "reason": "; ".join(reasons) or None}
+            "stdout_bytes": size, "stdout_mb_per_s": round(size / seconds / 1e6, 3),
+            "pass": not reasons, "reason": "; ".join(reasons) or None}
 
 
 def run_all(pins) -> int:

@@ -23,7 +23,6 @@ from qrpat import (
     parabola,
     patterns,
     render,
-    residues,
 )
 from qrpat.cli import main
 from test_render import GOLDEN_SVG_20179, by_denominator, read_pgm
@@ -185,7 +184,7 @@ def bundle_argv(m, lambda_n, max_d):
 def bundle_reference(m, lambda_n, max_d):
     """The byte reference for bundle: (exit code, stdout, stderr) as the CLI wrote
     them before it streamed, stdout being json.dumps(indent=2) of the whole payload."""
-    period = residues.layout_period(lambda_n)
+    period = patterns.layout_period(lambda_n)
     fractions, skipped, err = [], [], ""
     for frac in by_denominator(max_d):
         if period % (frac.b if frac.b % 2 else 2 * frac.b):
@@ -429,6 +428,25 @@ def test_predict_windows_of_any_size_join_to_the_json_dumps_bytes(capsys, monkey
         for compact in (False, True):
             expected = predict_reference(m, selector, compact)
             assert run(capsys, *predict_argv(m, selector, compact)) == (0, expected, "")
+
+
+@pytest.mark.parametrize("selector, lookups", [
+    (40, len(farey(40))),
+    (ReducedFraction(1, 512), 1),  # b_prime 256: 512 items, one window
+    (ReducedFraction(1, 257), 2),  # b_prime 257: 514 items, two windows
+])
+def test_predict_fills_an_entry_of_up_to_256_members_by_one_template(capsys, monkeypatch,
+                                                                       selector, lookups):
+    # Every F_D entry the member cap admits (b_prime <= 180) is one % over one template.
+    template, calls = cli._predict_template, []
+
+    def counted(*key):
+        calls.append(key)
+        return template(*key)
+
+    monkeypatch.setattr(cli, "_predict_template", counted)
+    code, _, err = run(capsys, *predict_argv(M40, selector, True))
+    assert (code, err, len(calls)) == (0, "", lookups)
 
 
 def test_predict_past_the_digit_limit_exits_2_before_any_byte(capsys, monkeypatch):
@@ -779,6 +797,11 @@ REFUSALS = [
      f"canvas of {'9' * 2200}x{'9' * 2200} pixels exceeds the cap of 100000000"),
     (["verify", "--modulus", "9" * 4300, "--max-denominator", "1", "--window", "9" * 4300],
      f"oracle window of {'9' * 4300} points exceeds the cap of 1000000"),
+    # the two caps checked outside the plan, which README's caps table also names
+    (["plot", "--modulus", str(10**12), "--out", "x.pgm"],
+     "scatter of 500000000000 squares exceeds the cap of 50000000"),
+    (["bundle", "--modulus", "1", "--lambda-n", "9001"],
+     "layout period needs lambda-n <= 9000, got 9001"),
 ]
 
 
@@ -869,7 +892,7 @@ def test_equiv_rejects_lambda_n_one(capsys):
     assert "lambda-n" in err
 
 
-PERIOD_9000 = residues.layout_period(9000)
+PERIOD_9000 = patterns.layout_period(9000)
 
 
 @pytest.mark.parametrize("m2, witness", [
@@ -916,7 +939,7 @@ def test_lambda_n_over_the_cap_exits_2_at_once(capsys, monkeypatch, argv):
     def forbidden(*args):
         raise AssertionError("layout period computed")
 
-    monkeypatch.setattr(residues.math, "lcm", forbidden)
+    monkeypatch.setattr(patterns.math, "lcm", forbidden)
     started = time.perf_counter()
     assert run(capsys, *argv, "--lambda-n", "1000000") == (
         2, "", "error: layout period needs lambda-n <= 9000, got 1000000\n"
@@ -926,15 +949,15 @@ def test_lambda_n_over_the_cap_exits_2_at_once(capsys, monkeypatch, argv):
 
 def test_lambda_n_at_the_cap_prints_its_period(capsys):
     # 2 * lcm(2..9000) has 3,902 digits, under Python's int-to-str limit.
-    assert residues.MAX_LAMBDA_N == 9000
+    assert patterns.MAX_LAMBDA_N == 9000
     code, payload, _ = run_json(capsys, "equiv", "--m1", "20179", "--m2", "25219",
                                 "--lambda-n", "9000")
     assert code == 0
-    assert payload["lambda"] == residues.layout_period(9000)
+    assert payload["lambda"] == patterns.layout_period(9000)
     assert len(str(payload["lambda"])) == 3902
     code, payload, _ = run_json(capsys, "bundle", "--modulus", "20179", "--lambda-n", "9000")
     assert code == 0
-    assert payload["lambda"] == residues.layout_period(9000)
+    assert payload["lambda"] == patterns.layout_period(9000)
 
 
 def test_bundle_reference_modulus(tmp_path, capsys):
@@ -1233,7 +1256,7 @@ SMALL_CAPS = {
     (render, "MAX_PIXELS"): 64 * 64,
     (render, "MAX_SCATTER_SQUARES"): 5000,
     (render, "MAX_SCENE_POINTS"): 3000,
-    (residues, "MAX_LAMBDA_N"): 400,
+    (patterns, "MAX_LAMBDA_N"): 400,
 }
 
 

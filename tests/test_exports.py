@@ -1,18 +1,24 @@
 """The package namespace re-exports exactly the public names of its modules,
-the README's library example runs as written, no module imports fractions, and
-the CLI starts without dataclasses, typing or inspect."""
+the README's library example runs as written and its caps table matches the code,
+no module imports fractions, and the CLI starts without dataclasses, typing or
+inspect."""
 
 import ast
 import doctest
+import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import qrpat
-from qrpat import parabola, patterns, render, residues
+from qrpat import parabola, patterns, render
+from test_cli import REFUSALS
 
-MODULES = (residues, parabola, patterns, render)
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+MODULES = (parabola, patterns, render)
 
 
 def test_package_all_is_union_of_module_all():
@@ -27,9 +33,35 @@ def test_every_exported_name_resolves():
 
 
 def test_readme_library_example_runs():
-    readme = Path(__file__).resolve().parent.parent / "README.md"
-    result = doctest.testfile(str(readme), module_relative=False)
+    result = doctest.testfile(str(README), module_relative=False)
     assert result.attempted and not result.failed
+
+
+def caps_rows():
+    """(cap, value, message) of each row of README's "Caps and refusals" table, the
+    backticks dropped and the value read as an integer (10^7, 5*10^7, 9000)."""
+    section = README.read_text().split("## Caps and refusals\n", 1)[1].split("\n## ", 1)[0]
+    for line in section.splitlines():
+        cells = [cell.strip().strip("`") for cell in line.strip("|").split(" | ")]
+        if len(cells) == 5 and cells[0] != "cap":
+            text = cells[1].split()[0]
+            factor, power, exponent = text.rpartition("10^")
+            value = int(factor.rstrip("*") or 1) * 10 ** int(exponent) if power else int(text)
+            yield cells[0], value, cells[4]
+
+
+def test_readme_caps_table_names_each_cap_its_value_and_a_refusal():
+    # Digits masked, a row's message is one the CLI prints for some REFUSALS row.
+    printed = {re.sub(r"\d+", "#", message) for _, message in REFUSALS}
+    rows = list(caps_rows())
+    assert len(rows) == 8
+    for cap, value, message in rows:
+        if cap == "sys.get_int_max_str_digits()":
+            assert value == 4300
+        else:
+            module, name = cap.split(".")
+            assert getattr(importlib.import_module(f"qrpat.{module}"), name) == value, cap
+        assert re.sub(r"\d+", "#", message) in printed, cap
 
 
 def imported_modules():
@@ -51,7 +83,7 @@ def test_render_imports_nothing_from_patterns():
     tree = ast.parse(Path(render.__file__).read_text())
     siblings = {node.module for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and node.level}
-    assert siblings == {"parabola", "residues"}
+    assert siblings == {"parabola"}
 
 
 def test_no_module_imports_fractions():

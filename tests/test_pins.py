@@ -81,6 +81,10 @@ def test_each_row_reports_its_own_peak_rss():
     _, (big, small) = run_all([LARGE, PREDICT])
     assert big["peak_mb"] > 64
     assert small["pass"] and small["peak_mb"] < big["peak_mb"] / 2
+    # plot writes its canvas to a file and nothing to stdout; predict writes its JSON there
+    assert (big["stdout_bytes"], big["stdout_mb_per_s"]) == (0, 0)
+    rate = small["stdout_bytes"] / small["seconds"] / 1e6  # seconds are rounded to 1 ms
+    assert small["stdout_bytes"] > 0 and abs(small["stdout_mb_per_s"] - rate) < 0.001 + rate / 50
 
 
 def test_every_pin_has_its_own_name_and_pins_the_file_it_writes():
