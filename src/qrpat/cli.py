@@ -42,11 +42,11 @@ from .render import (Scene, check_canvas, check_scene, render_scatter, render_su
 MAX_MEMBERS = 10**6
 # Most oracle points one verify checks: ~1.2 µs each at 7 digits, ~1.5 µs at 40 (see README).
 MAX_VERIFY_POINTS = 10**7
-# What json.dumps(indent=2) writes between two entries of a top-level field's list.
-_ENTRY_SEP = ",\n    "
 # Vertex and coefficient items one % fills in a predict entry: an entry of up to
 # _WINDOW // 2 members is one window, and a larger one is held a window at a time.
 _WINDOW = 512
+# A list as _cut cuts it: two marker items, so that its separator is written once.
+_ITEMS = ["*", "*"]
 
 
 def _fraction_arg(text: str) -> ReducedFraction:
@@ -115,26 +115,30 @@ def _write_predict_entry(write, m: int, frac: ReducedFraction, indented: bool,
         for i, _, B, C, _ in rows:
             values += (i, A, B, C)
         if lo:
-            sep, turn = _predict_parts(indented, listed)[3:5]
-            write(turn if lo == b_prime else sep)
+            _, sep, turn, coefficient_sep = _predict_parts(indented, listed)[:4]
+            write(sep if lo < b_prime else turn if lo == b_prime else coefficient_sep)
         write(_predict_template(indented, listed, not lo, len(vertex_at), len(coefficient_at),
                                 hi == items) % tuple(values))
 
 
-def _json_template(shape, indented: bool, depth: int) -> str:
-    """json.dumps of shape with each "%d" left bare, so one % fills in ints as json
-    writes them; indented, laid out as an entry of a list depth lists deep."""
-    if not indented:
-        return json.dumps(shape, separators=(",", ":")).replace('"%d"', "%d")
-    return json.dumps(shape, indent=2).replace('"%d"', "%d").replace("\n", "\n" + "  " * depth)
+def _cut(shape, indented: bool, depth: int = 0) -> list[str]:
+    """json.dumps of shape, compact or indented as an entry of a list depth lists deep,
+    with each "%d" left bare so that one % fills in ints as json writes them, cut at
+    each "*" item: a list that holds _ITEMS gives its opening text (the end of one
+    part), its item separator (a part) and its closing text (the start of the next)."""
+    text = (json.dumps(shape, indent=2).replace("\n", "\n" + "  " * depth) if indented
+            else json.dumps(shape, separators=(",", ":")))
+    return text.replace('"%d"', "%d").split('"*"')
 
 
 @cache
 def _predict_parts(indented: bool, listed: bool) -> list[str]:
-    """[head, vertex, coefficient, separator, turn, tail]: one predict entry's JSON
-    around and between its items, a %d per integer; the head runs up to the first
-    vertex, the turn from the last vertex to the first coefficient, the tail from the
-    last coefficient.  Listed entries sit in the list."""
+    """[head, separator, turn, separator, tail, vertex, coefficient, opening, separator,
+    closing]: one predict entry's JSON around and between its items, a %d per integer,
+    then one vertex item and one coefficient item, then what F_D's list writes before,
+    between and after its entries ("" for an entry that is not listed).  The head runs
+    up to the first vertex, the turn from the last vertex to the first coefficient, the
+    tail from the last coefficient."""
     d = "%d"
     vertex = dict.fromkeys(("i", "a_prime", "x_num", "x_den", "y_num", "y_den"), d)
     coefficient = dict.fromkeys(("i", "A", "B", "C"), d)
@@ -142,13 +146,12 @@ def _predict_parts(indented: bool, listed: bool) -> list[str]:
         "modulus": d,
         "fraction": {"a": d, "b": d},
         **dict.fromkeys(("b_prime", "c", "alpha", "beta", "x0", "r0"), d),
-        "vertices": [vertex, vertex],
-        "coefficients": [coefficient],
+        "vertices": _ITEMS,
+        "coefficients": _ITEMS,
     }
-    vertex, coefficient = (_json_template(item, indented, listed + 2)
-                           for item in (vertex, coefficient))
-    head, sep, rest = _json_template(shape, indented, listed).split(vertex)
-    return [head, vertex, coefficient, sep, *rest.split(coefficient)]
+    items = [_cut(item, indented, listed + 2)[0] for item in (vertex, coefficient)]
+    return [*_cut(shape, indented, listed), *items,
+            *(_cut(_ITEMS, indented) if listed else ["", "", ""])]
 
 
 @lru_cache(maxsize=256)
@@ -157,10 +160,22 @@ def _predict_template(indented: bool, listed: bool, opens: bool, vertices: int,
     """One window of a predict entry: this many vertex items, then this many
     coefficient items, a %d per integer in the order _write_predict_entry fills them,
     after the entry's head if the window opens it, before its tail if it closes it."""
-    head, vertex, coefficient, sep, turn, tail = _predict_parts(indented, listed)
+    parts = _predict_parts(indented, listed)
+    head, sep, turn, coefficient_sep, tail, vertex, coefficient = parts[:7]
     return "".join([head if opens else "", sep.join([vertex] * vertices),
                     turn if vertices and coefficients else "",
-                    sep.join([coefficient] * coefficients), tail if closes else ""])
+                    coefficient_sep.join([coefficient] * coefficients), tail if closes else ""])
+
+
+@cache
+def _bundle_parts(skips: bool) -> list[str]:
+    """[head, separator, turn, separator, tail, (separator, closing,) skipped]: bundle's
+    JSON, a %d per integer, around and between the entries of "line_indices", of
+    "fractions" and, if skips, of "skipped" (the tail then opens it and the closing
+    closes it), then the template of one "skipped" entry."""
+    shape = {**dict.fromkeys(("modulus", "lambda_n", "lambda", "s", "max_denominator"), "%d"),
+             "line_indices": _ITEMS, "fractions": _ITEMS, "skipped": _ITEMS * skips}
+    return [*_cut(shape, True), *_cut({"a": "%d", "b": "%d"}, True, 2)]
 
 
 @lru_cache(maxsize=256)
@@ -168,23 +183,7 @@ def _bundle_template(members: int) -> str:
     """The JSON of one covered bundle fraction with this many vertices, as an
     entry of "fractions": a %d for a, b and each vertex's n; k is its position."""
     shape = {"a": "%d", "b": "%d", "vertices": [{"k": k, "n": "%d"} for k in range(members)]}
-    return _json_template(shape, True, 2)
-
-
-@cache
-def _bundle_frame(skips: bool) -> tuple[str, str, str]:
-    """bundle's JSON around "fractions"' entries, "skipped" holding entries or not:
-    the head with a %d per field and a %s for "line_indices"' entries, the
-    template of one "skipped" entry, and the tail with a %s for those entries."""
-    shape = {**dict.fromkeys(("modulus", "lambda_n", "lambda", "s", "max_denominator"), "%d"),
-             "line_indices": ["%s"], "fractions": [None], "skipped": ["%s"] * skips}
-    head, tail = _json_template(shape, True, 0).replace('"%s"', "%s").split("null")
-    return head, _json_template({"a": "%d", "b": "%d"}, True, 2), tail
-
-
-def _entries(entry: str, count: int, values) -> str:
-    """count entries of one template as a top-level field's list holds them, filled by one %."""
-    return _ENTRY_SEP.join([entry] * count) % tuple(values)
+    return _cut(shape, True, 2)[0]
 
 
 def _window(b: int, window: int | None) -> int:
@@ -200,10 +199,9 @@ def _plan(command: str, m: int, b_max: int, fraction: ReducedFraction | None = N
 
     In one order: the modulus; m > b_max^2; then one walk over b = 1..b_max,
     the a/b at each b being those with gcd(a, b) == 1 (0/1 and 1/1 at b = 1),
-    or over the one fraction.  At each b it checks verify's widest window
-    against MAX_ORACLE_POINTS (which bounds the sum it prints next), then its
-    oracle points against MAX_VERIFY_POINTS (a window w at anchor x0 lists
-    min(x0 + w, m - 1) - max(0, x0 - w) + 1 of them), then the members,
+    or over the one fraction.  At each b it checks each of verify's windows, clipped
+    by check_oracle_window, against MAX_ORACLE_POINTS (which bounds the sum it prints
+    next), then their oracle points against MAX_VERIFY_POINTS, then the members,
     b_prime per a/b, against MAX_MEMBERS.  Last, for predict, the digit bound
     b*b*m (y_num is at most h*m with h < b*b, and x_num at most a*m with a <= b).
     """
@@ -216,10 +214,9 @@ def _plan(command: str, m: int, b_max: int, fraction: ReducedFraction | None = N
         members += len(numerators) * stride(b)[0]
         if command == "verify":
             w = _window(b, window)
-            sizes = [min(x0 + w, m - 1) - max(0, x0 - w) + 1
-                     for x0 in (anchor(m, a, b) for a in numerators)]
-            check_oracle_window(max(sizes))
-            points += sum(sizes)
+            for a in numerators:
+                lo, hi = check_oracle_window(m, anchor(m, a, b), w)
+                points += hi - lo + 1
             if points > MAX_VERIFY_POINTS:
                 raise ValueError(f"verify windows reach {points} oracle points, "
                                  f"over the cap of {MAX_VERIFY_POINTS}")
@@ -249,16 +246,12 @@ def _cmd_predict(args) -> int:
     b_max = args.max_denominator or fraction.b
     fractions = _in_farey_order(_plan("predict", m, b_max, fraction), b_max)
     listed = fraction is None
+    opening, sep, closing = _predict_parts(indented, listed)[7:]
     write = sys.stdout.write
-    if listed:
-        write("[\n  " if indented else "[")
     for k, frac in enumerate(fractions):
-        if k:
-            write(",\n  " if indented else ",")
+        write(sep if k else opening)
         _write_predict_entry(write, m, frac, indented, listed)
-    if listed:
-        write("\n]" if indented else "]")
-    write("\n")
+    write(closing + "\n")
     return 0
 
 
@@ -341,15 +334,17 @@ def _cmd_bundle(args) -> int:
     skipped = [(frac.a, frac.b) for frac in fractions if frac.b not in covers]
     sys.stderr.write("".join(f"warning: skipping {a}/{b}: denominator {b} is not covered "
                              f"by period {period}\n" for a, b in skipped))
-    head, skip, tail = _bundle_frame(bool(skipped))
+    head, line_sep, turn, sep, tail, *skip_parts, skip = _bundle_parts(bool(skipped))
     write = sys.stdout.write
-    write(head % (m, args.lambda_n, period, s, max_d, _entries("%d", len(lines), lines)))
+    write((head + line_sep.join(["%d"] * len(lines)) + turn)
+          % (m, args.lambda_n, period, s, max_d, *lines))
     for k, frac in enumerate(frac for frac in fractions if frac.b in covers):
         ns = [n for _, n in vertex_on_bundle(m, period, frac, s)]
-        write((_ENTRY_SEP if k else "") + _bundle_template(len(ns)) % (frac.a, frac.b, *ns))
+        write((sep if k else "") + _bundle_template(len(ns)) % (frac.a, frac.b, *ns))
     if skipped:
-        tail %= _entries(skip, len(skipped), chain.from_iterable(skipped))
-    write(tail + "\n")
+        skip_sep, closing = skip_parts
+        tail += skip_sep.join([skip] * len(skipped)) + closing
+    write(tail % tuple(chain.from_iterable(skipped)) + "\n")
     return 0
 
 

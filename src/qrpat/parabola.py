@@ -127,10 +127,15 @@ def check_denominator(m: int, b: int) -> int:
     return m
 
 
-def check_oracle_window(points: int) -> None:
-    """Refuse an oracle window of more than MAX_ORACLE_POINTS points."""
+def check_oracle_window(m: int, x0: int, window: int) -> tuple[int, int]:
+    """(lo, hi), the first and last x of the oracle window: the x in [0, m) within window
+    of x0, so one of m or more holds every x once.  More than MAX_ORACLE_POINTS points
+    are refused, counted as hi - lo + 1 (a range's len overflows past sys.maxsize)."""
+    lo, hi = max(0, x0 - window), min(m - 1, x0 + window)
+    points = hi - lo + 1
     if points > MAX_ORACLE_POINTS:
         raise ValueError(f"oracle window of {points} points exceeds the cap of {MAX_ORACLE_POINTS}")
+    return lo, hi
 
 
 def stride(b: int) -> tuple[int, int]:
@@ -230,17 +235,14 @@ def residues_near(m: int, frac: ReducedFraction, window: int) -> list[tuple[int,
     """Brute-force residue points with |x - x0| <= window, by direct squaring.
 
     This is the oracle the predicted families are checked against; it
-    never touches the lattice formulas.  The window is clipped to [0, m),
-    so one of m or more lists every x once.  A clipped window of more than
-    MAX_ORACLE_POINTS points is refused before the list is built.
+    never touches the lattice formulas.  The window is clipped to [0, m) by
+    ``check_oracle_window``, which refuses one of more than MAX_ORACLE_POINTS
+    points before the list is built.
     """
     check_modulus(m)
     if window < 1:
         raise ValueError(f"window must be a positive integer, got {window}")
-    x0 = anchor(m, frac.a, frac.b)
-    lo = max(0, x0 - window)
-    hi = min(m - 1, x0 + window)
-    check_oracle_window(hi - lo + 1)
+    lo, hi = check_oracle_window(m, anchor(m, frac.a, frac.b), window)
     return [(x, x * x % m) for x in range(lo, hi + 1)]
 
 

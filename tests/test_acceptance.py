@@ -25,7 +25,7 @@ from qrpat import (
 )
 from qrpat.cli import main
 from test_render import read_pgm
-from test_residues import farey
+from test_farey import farey
 
 # Locked at the first verified build (same constants as tests/test_render.py).
 GOLDEN_PLOT_20171 = "04c9a8845a373c41a3c23508bb5bc3ed17d136bdfe5d47aa69273a2d254cd1dd"

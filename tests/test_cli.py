@@ -26,7 +26,7 @@ from qrpat import (
 )
 from qrpat.cli import main
 from test_render import GOLDEN_SVG_20179, by_denominator, read_pgm
-from test_residues import farey
+from test_farey import farey
 
 try:
     from hypothesis import example, given, settings
@@ -1097,11 +1097,15 @@ def count_calls(monkeypatch, module, name):
 
 
 def test_bundle_fills_cached_templates_without_json_dumps(capsys, monkeypatch):
-    # The head and "skipped" went through json.dumps(indent=2) on every request.
-    argv = bundle_argv(20179, 3, 9)  # 22 skipped fractions
-    warm = run(capsys, *argv)
+    # The head and "skipped" went through json.dumps(indent=2) on every request.  A warm
+    # predict takes every part from the cache too: F_D and one fraction of two windows
+    # (b_prime 257), indented and compact.
+    argvs = [bundle_argv(20179, 3, 9)]  # 22 skipped fractions
+    for selector in (9, ReducedFraction(1, 257)):
+        argvs += [predict_argv(M40, selector, compact) for compact in (False, True)]
+    warm = [run(capsys, *argv) for argv in argvs]
     calls = count_calls(monkeypatch, cli.json, "dumps")
-    assert run(capsys, *argv) == warm
+    assert [run(capsys, *argv) for argv in argvs] == warm
     assert calls[0] == 0
 
 

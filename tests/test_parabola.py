@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from qrpat import (
     stride,
     verify_identity,
 )
-from test_residues import farey
+from test_farey import farey
 
 
 def random_fraction(rng, max_b):
@@ -449,3 +450,35 @@ def test_exhaustive_small_modulus_coverage():
                     continue
                 hits = covering_members(fam, x, x * x % m)
                 assert len(hits) == 1
+
+
+def test_reduced_fraction_validation():
+    with pytest.raises(ValueError):
+        ReducedFraction(2, 6)
+    with pytest.raises(ValueError):
+        ReducedFraction(3, 2)
+    with pytest.raises(ValueError):
+        ReducedFraction(1, 0)
+    with pytest.raises(ValueError):
+        ReducedFraction(-1, 2)
+
+
+def test_reduced_fraction_parse():
+    assert ReducedFraction.parse("1/3") == ReducedFraction(1, 3)
+    assert ReducedFraction.parse("1") == ReducedFraction(1, 1)
+    with pytest.raises(ValueError):
+        ReducedFraction.parse("2/6")
+    with pytest.raises(ValueError, match=r"^cannot parse fraction 'x/y'$"):
+        ReducedFraction.parse("x/y")
+
+
+def test_reduced_fraction_parse_names_the_digit_limit_without_the_digits():
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if not limit:
+        pytest.skip("int-from-str conversion is unlimited here")
+    # the whole text used to be echoed back: 5,202 bytes of stderr for 5,000 nines
+    with pytest.raises(ValueError) as exc:
+        ReducedFraction.parse("1/" + "9" * (limit + 700))
+    message = str(exc.value)
+    assert message.startswith("cannot parse fraction: ") and f"({limit} digits)" in message
+    assert "9" * 64 not in message and len(message) < 300

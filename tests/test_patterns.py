@@ -21,7 +21,7 @@ from qrpat import (
     vertex_on_bundle,
 )
 from qrpat import parabola, patterns
-from test_residues import farey
+from test_farey import farey
 
 PERIOD_9 = 5040  # layout_period(9)
 
@@ -324,3 +324,22 @@ def test_layout_period_consistency_with_denominator_set():
     for n in range(2, 20):
         period = layout_period(n)
         assert all(covered(b, period) for b in range(1, n + 1))
+
+
+def test_layout_period_values():
+    assert layout_period(2) == 4
+    assert layout_period(4) == 24
+    assert layout_period(9) == 5040
+
+
+def test_layout_period_rejects_small():
+    with pytest.raises(ValueError):
+        layout_period(1)
+
+
+def test_layout_period_divisible_by_covered_denominators():
+    for n in range(2, 31):
+        period = layout_period(n)
+        for b in range(1, n + 1):
+            c = 1 if b % 2 else 2
+            assert period % (c * b) == 0

@@ -44,7 +44,7 @@ from test_patterns import (  # noqa: E402
     first_covered_mismatch,
     signature_by_squaring,
 )
-from test_residues import farey  # noqa: E402
+from test_farey import farey  # noqa: E402
 
 
 def moduli_above(b):

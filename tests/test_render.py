@@ -28,7 +28,7 @@ from qrpat import (
     write_svg,
 )
 from qrpat.cli import main
-from test_residues import farey
+from test_farey import farey
 
 # Locked at the first verified build; any byte change in the renderers
 # must be deliberate and re-locked.
