@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import cache, lru_cache, partial
 from itertools import chain, starmap
@@ -65,10 +66,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
     return value
-
-
-def _emit(payload) -> None:
-    print(json.dumps(payload, indent=2))
 
 
 def _cmd_plot(args) -> int:
@@ -275,39 +272,35 @@ def _cmd_verify(args) -> int:
             if not passed:
                 failed[name].append(f"{frac}:{name}")
     failures = [failure for names in failed.values() for failure in names]
-    _emit(
-        {
-            "modulus": m,
-            "max_denominator": max_d,
-            "window": args.window,
-            "fractions_checked": len(fractions),
-            "checks": {
-                name: {"passed": len(fractions) - len(names), "failed": len(names)}
-                for name, names in failed.items()
-            },
-            "failures": failures,
-            "ok": not failures,
-        }
-    )
+    print(json.dumps({
+        "modulus": m,
+        "max_denominator": max_d,
+        "window": args.window,
+        "fractions_checked": len(fractions),
+        "checks": {
+            name: {"passed": len(fractions) - len(names), "failed": len(names)}
+            for name, names in failed.items()
+        },
+        "failures": failures,
+        "ok": not failures,
+    }, indent=2))
     return 1 if failures else 0
 
 
 def _cmd_equiv(args) -> int:
     period = layout_period(args.lambda_n)
     result = layouts_equivalent(args.m1, args.m2, period, args.max_denominator)
-    _emit(
-        {
-            "m1": args.m1,
-            "m2": args.m2,
-            "lambda_n": args.lambda_n,
-            "lambda": period,
-            "max_denominator": args.max_denominator,
-            "equivalent": result.equivalent,
-            "witness": None
-            if result.witness is None
-            else {"a": result.witness.a, "b": result.witness.b},
-        }
-    )
+    print(json.dumps({
+        "m1": args.m1,
+        "m2": args.m2,
+        "lambda_n": args.lambda_n,
+        "lambda": period,
+        "max_denominator": args.max_denominator,
+        "equivalent": result.equivalent,
+        "witness": None
+        if result.witness is None
+        else {"a": result.witness.a, "b": result.witness.b},
+    }, indent=2))
     return 0
 
 
@@ -430,10 +423,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a file or pipe fails here, not in the interpreter's exit flush
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        try:
+            sys.stdout.flush()
+        except OSError:  # what stdout still holds goes nowhere, so the exit flush cannot fail
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 3

@@ -27,7 +27,7 @@ __all__ = [
     "write_svg",
 ]
 
-# Polyline resolution for the wrapped bundle curves (points per unit X).
+# Polyline resolution for the wrapped bundle curves (points per unit X), read per call.
 CURVE_SAMPLES = 1024
 MAX_PIXELS = 10**8  # largest canvas, PGM (one byte per pixel) or SVG; larger is refused
 MAX_SCENE_POINTS = 10**6  # largest SVG scatter (one point per residue); larger is refused
@@ -75,12 +75,12 @@ class BundleCurve(namedtuple("BundleCurve", "n segments")):
 
 
 class Scene(namedtuple("Scene", "width height modulus s lines fractions",
-                       defaults=(0, 0, range(0), ()))):
+                       defaults=(0, range(0), ()))):
     """The scatter of x*x mod m, bundle curves and family vertices on a canvas,
     each given by what draws it, not by its points.
 
-    The scatter is the m points (x/m, (x*x mod m)/m) of the modulus (0: no
-    scatter); the curves are ``sample_bundle_curve(s, n)`` for n in lines;
+    The scatter is the m points (x/m, (x*x mod m)/m) of the modulus (required,
+    >= 2); the curves are ``sample_bundle_curve(s, n)`` for n in lines;
     the vertices are those of each a/b in fractions, at (a/b, h/b^2) for h in
     ``vertex_heights(modulus, a/b)``.  write_svg computes each as it writes it.
     ``bundle --out`` builds its own before it matches a vertex: s is ``bundle_parameter``,
@@ -105,7 +105,7 @@ def render_scatter(m: int, width: int, height: int, half_range: bool = True) -> 
     share a row, and col(m - x) = width - 1 - col(x) unless m divides
     x*width.  Those g = gcd(m, width) edge points x = k*m/g each open
     their column and mirror one column further right, so the column loop
-    skips them and draws each in its own column afterwards.
+    skips those points, then draws each in its own column.
 
     Either mode squares about (m + 1) // 2 of the x; more than
     MAX_SCATTER_SQUARES is refused before the canvas is allocated.
@@ -174,8 +174,8 @@ def render_sum_squares(m: int, size: int) -> Canvas:
     return canvas
 
 
-def sample_bundle_curve(s: int, n: int, samples: int = CURVE_SAMPLES) -> BundleCurve:
-    """Sample Y = (2nX - sX^2) mod 1 at X = t/S for t in [0, S], S = samples.
+def sample_bundle_curve(s: int, n: int) -> BundleCurve:
+    """Sample Y = (2nX - sX^2) mod 1 at X = t/S for t in [0, S], S = CURVE_SAMPLES.
 
     The unwrapped value is the integer (2nS - st)t over S^2, so its wrap
     level is exact; a new polyline starts wherever the level changes, so no
@@ -184,6 +184,7 @@ def sample_bundle_curve(s: int, n: int, samples: int = CURVE_SAMPLES) -> BundleC
     segments: list[tuple[tuple[float, float], ...]] = []
     current: list[tuple[float, float]] = []
     prev_level = 0  # the level at t = 0
+    samples = CURVE_SAMPLES
     denom = samples * samples
     for t in range(samples + 1):
         level, rem = divmod((2 * n * samples - s * t) * t, denom)
@@ -269,18 +270,17 @@ def write_svg(scene: Scene, path) -> None:
     bundle curves in the order of scene.lines, then vertex circles fraction by
     fraction in the order of scene.fractions, each in vertex order.  Every
     coordinate carries six decimals, so equal scenes give identical bytes.
-    Every check (modulus 0, for no scatter, or >= 2; the scene and canvas caps;
-    m > b*b per vertex) comes before the file is opened.  Then each scatter part
+    Every check (modulus >= 2; the scene and canvas caps; m > b*b per vertex)
+    comes before the file is opened.  Then each scatter part
     (_FILL squares of a _CHUNK-square <path>), curve (sampled as it is reached) and
     fraction's circles (from ``vertex_heights``) is filled by one % over a repeated
     template and written at once; the scatter's ordinate block ys and one part are
     all that stay held.
     """
     width, height, m = scene.width, scene.height, scene.modulus
-    check_scene(m and check_modulus(m))  # m = 0 draws no scatter
+    check_scene(check_modulus(m))
     check_canvas(width, height)
-    if scene.fractions:
-        check_denominator(m, max(frac.b for frac in scene.fractions))
+    check_denominator(m, max((frac.b for frac in scene.fractions), default=1))
     header = (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -293,8 +293,7 @@ def write_svg(scene: Scene, path) -> None:
     with open(path, "wb", buffering=1 << 16) as stream:
         write = stream.write
         write(header.encode())
-        if m:
-            stream.writelines(_scatter(m, width, height))
+        stream.writelines(_scatter(m, width, height))
         write(b'</g>\n<g fill="none" stroke="#1f77b4" stroke-width="0.75">\n')
         for n in scene.lines:
             write(_polylines(sample_bundle_curve(scene.s, n), width, height))

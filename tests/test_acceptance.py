@@ -7,7 +7,6 @@ only numeric bounds are the stated wall-clock budgets.
 """
 
 import hashlib
-import math
 import random
 import time
 from fractions import Fraction
@@ -25,7 +24,7 @@ from qrpat import (
 )
 from qrpat.cli import main
 from test_render import read_pgm
-from test_farey import farey
+from test_farey import farey, random_fraction
 
 # Locked at the first verified build (same constants as tests/test_render.py).
 GOLDEN_PLOT_20171 = "04c9a8845a373c41a3c23508bb5bc3ed17d136bdfe5d47aa69273a2d254cd1dd"
@@ -37,14 +36,6 @@ def _passed(name, started=None):
     print(f"{name}: PASS{stamp}")
 
 
-def _random_fraction(rng, max_b):
-    while True:
-        b = rng.randrange(1, max_b + 1)
-        a = rng.randrange(0, b + 1)
-        if math.gcd(a, b) == 1:
-            return ReducedFraction(a, b)
-
-
 def test_01_anchor_identity_exact_and_randomized():
     started = time.perf_counter()
     params = fraction_params(20171, ReducedFraction(1, 3))
@@ -53,7 +44,7 @@ def test_01_anchor_identity_exact_and_randomized():
 
     rng = random.Random(52171)
     for _ in range(10_000):
-        frac = _random_fraction(rng, 30)
+        frac = random_fraction(rng, 30)
         m = rng.randrange(frac.b * frac.b + 1, 10**9)
         p = fraction_params(m, frac)
         assert frac.b**2 * p.r0 == p.beta * m + p.alpha**2
@@ -67,7 +58,7 @@ def test_02_lattice_evaluations_match_direct_squaring():
     rng = random.Random(8976)
     checked = 0
     while checked < 10_000:
-        frac = _random_fraction(rng, 30)
+        frac = random_fraction(rng, 30)
         m = rng.randrange(max(frac.b * frac.b + 1, 1000), 10**9)
         family = parabola_family(fraction_params(m, frac))
         for _ in range(10):
@@ -92,7 +83,7 @@ def test_03_vertex_structure_of_every_tested_family():
                 cases.append((m, frac))
     rng = random.Random(415)
     for _ in range(300):
-        frac = _random_fraction(rng, 30)
+        frac = random_fraction(rng, 30)
         cases.append((rng.randrange(frac.b**2 + 1, 10**8), frac))
 
     for m, frac in cases:

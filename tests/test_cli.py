@@ -9,7 +9,6 @@ import os
 import subprocess
 import sys
 import time
-import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from importlib.metadata import PackageNotFoundError, distribution, distributions
 from io import StringIO
@@ -25,7 +24,7 @@ from qrpat import (
     render,
 )
 from qrpat.cli import main
-from test_render import GOLDEN_SVG_20179, by_denominator, read_pgm
+from test_render import GOLDEN_SVG_20179, by_denominator, read_pgm, traced_peak
 from test_farey import farey
 
 try:
@@ -1053,13 +1052,12 @@ def test_bundle_holds_a_small_fraction_of_what_it_writes():
     sink = ByteCounter()
     cli._build_parser()
     cli._bundle_template.cache_clear()
-    tracemalloc.start()
-    try:
+
+    def request():
         with redirect_stdout(sink):
             assert main(bundle_argv(M40, 400, 90)) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    _, peak = traced_peak(request)
     assert sink.count > 7 * 10**6
     assert peak < 0.12 * sink.count
 
@@ -1071,14 +1069,13 @@ def test_one_fraction_predict_holds_a_small_fraction_of_what_it_writes():
     sink = ByteCounter()
     cli._build_parser()
     cli._predict_template.cache_clear()
-    tracemalloc.start()
-    try:
+
+    def request():
         with redirect_stdout(sink):
             assert main(["predict", "--modulus", str(M40), "--fraction", "1/20001",
                          "--json"]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    _, peak = traced_peak(request)
     assert sink.count > 5 * 10**6
     assert peak < 0.1 * sink.count
 
@@ -1355,6 +1352,33 @@ def test_python_dash_m_from_source_checkout():
     bad = launch("verify", "--modulus", "81", "--max-denominator", "9")
     assert bad.returncode == 2
     assert "exceed" in bad.stderr
+
+
+@pytest.mark.parametrize("sink", ["/dev/full", "closed pipe"])
+@pytest.mark.parametrize("argv", [
+    ("equiv", "--m1", "20179", "--m2", "25219"),  # under stdout's buffer: written at exit
+    ("predict", "--modulus", "20171", "--max-denominator", "60", "--json"),  # over it
+], ids=["equiv", "predict-F60"])
+def test_block_buffered_stdout_failure_exits_3(argv, sink):
+    # Unless PYTHONUNBUFFERED is set, a file or pipe stdout is block-buffered, so a short
+    # answer first reached it in the interpreter's exit flush, outside main: that exited
+    # 120 with an "Exception ignored" report, after main's own line for a long answer.
+    if sink == "/dev/full" and not os.path.exists(sink):
+        pytest.skip("no /dev/full")
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    if sink == "/dev/full":
+        stdout = os.open(sink, os.O_WRONLY)
+    else:
+        unread, stdout = os.pipe()
+        os.close(unread)
+    try:
+        child = subprocess.run([sys.executable, "-m", "qrpat", *argv], env=env, stdout=stdout,
+                               stderr=subprocess.PIPE, text=True, timeout=60, check=False)
+    finally:
+        os.close(stdout)
+    assert child.returncode == 3, child.stderr
+    assert child.stderr.count("\n") == 1 and child.stderr.startswith("i/o error: ")
 
 
 def _build_metadata_scripts(egg_base):

@@ -1,6 +1,7 @@
 """Tests for F_D as the CLI's plan returns it and puts it in order, and the F_D
 that the other test modules compare against."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,15 @@ def farey(max_denominator):
     """F_D in increasing order: qrbench's brute-force enumeration, sorted with Fraction."""
     return sorted(map(ReducedFraction._make, workloads.farey(max_denominator)),
                   key=lambda f: Fraction(*f))
+
+
+def random_fraction(rng, max_b):
+    """a/b drawn as b in [1, max_b] and a in [0, b], both drawn again until gcd(a, b) == 1."""
+    while True:
+        b = rng.randrange(1, max_b + 1)
+        a = rng.randrange(0, b + 1)
+        if math.gcd(a, b) == 1:
+            return ReducedFraction(a, b)
 
 
 def planned_farey(max_denominator):

@@ -21,15 +21,7 @@ from qrpat import (
     stride,
     verify_identity,
 )
-from test_farey import farey
-
-
-def random_fraction(rng, max_b):
-    while True:
-        b = rng.randrange(1, max_b + 1)
-        a = rng.randrange(0, b + 1)
-        if math.gcd(a, b) == 1:
-            return ReducedFraction(a, b)
+from test_farey import farey, random_fraction
 
 
 def member_at(family, i):

@@ -21,7 +21,7 @@ from qrpat import (
     vertex_on_bundle,
 )
 from qrpat import parabola, patterns
-from test_farey import farey
+from test_farey import farey, random_fraction
 
 PERIOD_9 = 5040  # layout_period(9)
 
@@ -55,14 +55,6 @@ def first_covered_mismatch(sig1, sig2, covered):
         if frac.b in covered and sig1[frac] != sig2[frac]:
             return frac
     return None
-
-
-def random_fraction(rng, max_b):
-    while True:
-        b = rng.randrange(1, max_b + 1)
-        a = rng.randrange(0, b + 1)
-        if math.gcd(a, b) == 1:
-            return ReducedFraction(a, b)
 
 
 # A period's denominator set: the b that patterns.covered accepts, written out by hand.

@@ -123,8 +123,10 @@ def test_family_replace_swaps_members():
 
 def test_scene_defaults_draw_nothing():
     # A Scene names what draws its scatter, curves and vertices, and holds none of
-    # them, so it is as immutable as the other records.
-    scene = Scene(64, 64)
-    assert scene == (64, 64, 0, 0, range(0), ())
-    assert not (scene.modulus or scene.lines or scene.fractions)
-    assert Scene(16, 32, 415)._replace(modulus=0) == Scene(16, 32)
+    # them, so it is as immutable as the other records.  Its modulus has no default:
+    # every scene draws its scatter, and by default no curve and no vertex.
+    scene = Scene(64, 64, 415)
+    assert scene == (64, 64, 415, 0, range(0), ())
+    assert not (scene.lines or scene.fractions)
+    with pytest.raises(TypeError):
+        Scene(64, 64)

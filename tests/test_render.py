@@ -54,6 +54,15 @@ def by_denominator(max_d):
 SCENE_20179 = Scene(800, 800, 20179, 19, range(-4, 5), by_denominator(9))
 
 
+def traced_peak(fn):
+    """(fn(), tracemalloc's peak while it ran)."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def read_pgm(path):
     """The Canvas in a PGM that write_pgm wrote; the header must be its P5 and
     maxval 255, and Canvas refuses a payload of the wrong length."""
@@ -229,12 +238,7 @@ def test_write_pgm_exact_bytes(tmp_path):
 
 def test_write_pgm_makes_no_copy_of_the_pixels(tmp_path):
     canvas = Canvas.blank(800, 800)
-    tracemalloc.start()
-    try:
-        write_pgm(canvas, tmp_path / "big.pgm")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: write_pgm(canvas, tmp_path / "big.pgm"))
     assert peak < len(canvas.pixels) // 4
     assert (tmp_path / "big.pgm").read_bytes().endswith(canvas.pixels)
 
@@ -274,15 +278,17 @@ def reference_curve_segments(s, n, samples):
 
 
 @pytest.mark.parametrize("samples", [1, 2, 7, 512, 1024])
-def test_sample_curve_matches_fraction_reference(samples):
+def test_sample_curve_matches_fraction_reference(samples, monkeypatch):
+    monkeypatch.setattr(render, "CURVE_SAMPLES", samples)
     for s in (-2519, -1, 0, 1, 7, 2520):
         for n in range(-12, 13):
             expected = reference_curve_segments(s, n, samples)
-            assert sample_bundle_curve(s, n, samples).segments == expected, (s, n)
+            assert sample_bundle_curve(s, n).segments == expected, (s, n)
 
 
-def test_sample_curve_segments_stay_inside_unit_band():
-    curve = sample_bundle_curve(19, -2, samples=512)
+def test_sample_curve_segments_stay_inside_unit_band(monkeypatch):
+    monkeypatch.setattr(render, "CURVE_SAMPLES", 512)
+    curve = sample_bundle_curve(19, -2)
     assert sum(len(seg) for seg in curve.segments) == 513
     for segment in curve.segments:
         for x, y in segment:
@@ -290,9 +296,10 @@ def test_sample_curve_segments_stay_inside_unit_band():
             assert 0.0 <= y < 1.0
 
 
-def test_sample_curve_degenerate_line():
+def test_sample_curve_degenerate_line(monkeypatch):
     # s = 0 reduces the curve to straight wrapped lines Y = 2nX mod 1
-    curve = sample_bundle_curve(0, 1, samples=512)
+    monkeypatch.setattr(render, "CURVE_SAMPLES", 512)
+    curve = sample_bundle_curve(0, 1)
     points = [pt for segment in curve.segments for pt in segment]
     assert len(points) == 513
     for x, y in points:
@@ -352,15 +359,6 @@ def test_overlay_rejects_small_modulus(tmp_path, capsys):
     assert main(["bundle", "--modulus", "80", "--max-denominator", "9", "--out", str(path)]) == 2
     assert capsys.readouterr().err == "error: modulus 80 must exceed 9^2\n"
     assert not path.exists()
-
-
-def test_svg_empty_scene_is_valid(tmp_path):
-    path = tmp_path / "empty.svg"
-    write_svg(Scene(64, 64), path)
-    text = path.read_text()
-    assert text.startswith('<?xml version="1.0"')
-    assert "<svg" in text and text.rstrip().endswith("</svg>")
-    assert path.read_bytes() == reference_svg(Scene(64, 64))
 
 
 def test_svg_deterministic_bytes(tmp_path):
@@ -517,14 +515,13 @@ def formatted_polylines(curve, width, height):
     return render._polylines(curve, width, height).decode().splitlines()
 
 
-def test_svg_overlay_and_one_point_segments_match_reference(tmp_path):
+def test_svg_overlay_and_one_point_segments_match_reference(tmp_path, monkeypatch):
     scene = SCENE_20179
     assert svg_bytes(scene, tmp_path) == reference_svg(scene)
-    assert svg_bytes(scene._replace(modulus=0, fractions=()), tmp_path) == reference_svg(
-        scene._replace(modulus=0, fractions=()))
     # Two samples of a steep curve wrap at every step: one-point segments
     # only, so no polyline is drawn, and a lone point between longer ones.
-    steep = sample_bundle_curve(7, 40, samples=2)
+    monkeypatch.setattr(render, "CURVE_SAMPLES", 2)
+    steep = sample_bundle_curve(7, 40)
     assert steep.segments and all(len(seg) == 1 for seg in steep.segments)
     assert formatted_polylines(steep, 800, 800) == reference_polylines(steep, 800, 800) == []
     mixed = BundleCurve(-1, (((0.0, 0.25),), ((0.5, 0.0), (0.75, 0.5)), ((1.0, 0.125),)))
@@ -548,14 +545,13 @@ def test_svg_writer_matches_reference_on_generated_scenes(tmp_path):
 
     @st.composite
     def scenes(draw):
-        m = draw(st.just(0) | st.integers(2, 5000))
+        m = draw(st.integers(2, 5000))
         # vertices need m > b*b; F_9 holds every fraction drawn
-        fractions = farey(min(9, math.isqrt(m - 1))) if m > 1 else []
+        fractions = farey(min(9, math.isqrt(m - 1)))
         lo = draw(st.integers(-6, 6))
         return Scene(draw(sides), draw(sides), m, draw(st.integers(-50, 50)),
                      range(lo, lo + draw(st.integers(0, 3))),
-                     tuple(draw(st.lists(st.sampled_from(fractions), max_size=6)))
-                     if fractions else ())
+                     tuple(draw(st.lists(st.sampled_from(fractions), max_size=6))))
 
     @settings(max_examples=60, deadline=None)
     @given(scenes())
@@ -563,9 +559,11 @@ def test_svg_writer_matches_reference_on_generated_scenes(tmp_path):
         assert svg_bytes(scene, tmp_path) == reference_svg(scene)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.builds(sample_bundle_curve, st.integers(-50, 50), st.integers(-6, 6),
-                     st.integers(1, 40)), sides, sides)
-    def check_curve(curve, width, height):
+    @given(st.integers(-50, 50), st.integers(-6, 6), st.integers(1, 40), sides, sides)
+    def check_curve(s, n, samples, width, height):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(render, "CURVE_SAMPLES", samples)
+            curve = sample_bundle_curve(s, n)
         assert formatted_polylines(curve, width, height) == reference_polylines(
             curve, width, height)
 
@@ -575,12 +573,7 @@ def test_svg_writer_matches_reference_on_generated_scenes(tmp_path):
 
 def svg_peak(scene_of, path):
     """tracemalloc's peak while scene_of() builds a scene and write_svg writes it."""
-    tracemalloc.start()
-    try:
-        write_svg(scene_of(), path)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return traced_peak(lambda: write_svg(scene_of(), path))[1]
 
 
 def test_svg_writer_memory_stays_near_the_file_size(tmp_path):
@@ -610,12 +603,8 @@ def test_svg_scatter_memory_stays_under_the_file_size(tmp_path):
 
 def scatter_peak(m):
     """(squares, tracemalloc's peak) while a bare 800x800 scatter at m is formatted."""
-    tracemalloc.start()
-    try:
-        squares = sum(part.count(b"h1v1h-1z") for part in render._scatter(m, 800, 800))
-        return squares, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return traced_peak(lambda: sum(part.count(b"h1v1h-1z")
+                                   for part in render._scatter(m, 800, 800)))
 
 
 def ordinate_block(m):
@@ -673,10 +662,9 @@ def test_svg_writer_refuses_a_canvas_over_the_pixel_cap_before_opening(tmp_path,
     path = tmp_path / "big.svg"
     for width, height in ((10**400, 800), (800, 10**400), (10**30, 800)):
         message = rf"^canvas of {width}x{height} pixels exceeds the cap of 100000000$"
-        for scene in (Scene(width, height, 20179), Scene(width, height)):
-            with pytest.raises(ValueError, match=message):
-                write_svg(scene, path)
-            assert not path.exists()
+        with pytest.raises(ValueError, match=message):
+            write_svg(Scene(width, height, 20179), path)
+        assert not path.exists()
     # the cap and its message are Canvas.blank's
     monkeypatch.setattr(render, "MAX_PIXELS", 16 * 20)
     write_svg(Scene(16, 20, 101), path)
@@ -687,10 +675,10 @@ def test_svg_writer_refuses_a_canvas_over_the_pixel_cap_before_opening(tmp_path,
     assert not path.exists()
 
 
-@pytest.mark.parametrize("m", [-5, 1])
+@pytest.mark.parametrize("m", [-5, 0, 1])
 def test_svg_writer_refuses_a_modulus_below_2_before_opening(m, tmp_path):
     # Scene(64, 64, -5) wrote zero squares and Scene(64, 64, 1) one, while
-    # render_scatter refused both; 0 alone means no scatter.
+    # render_scatter refused both; 0 drew no scatter, and every scene now has one.
     path = tmp_path / "bad.svg"
     with pytest.raises(ValueError, match=rf"^modulus must be an integer >= 2, got {m}$"):
         write_svg(Scene(64, 64, m), path)
@@ -715,6 +703,6 @@ def test_refused_svg_formats_no_curve_or_marker(tmp_path, monkeypatch):
 
 
 def test_svg_io_error_reports_path():
-    scene = Scene(64, 64)
+    scene = Scene(64, 64, 415)
     with pytest.raises(OSError):
         write_svg(scene, "/nonexistent-dir/out.svg")
