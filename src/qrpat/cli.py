@@ -237,8 +237,6 @@ def _in_farey_order(fractions: list[ReducedFraction], b_max: int) -> list[Reduce
 def _cmd_predict(args) -> int:
     """Write each of the plan's fractions, in Farey order, window by window of its
     entry (see _write_predict_entry); of F_D only the fractions and one window are held."""
-    if (args.fraction is None) == (args.max_denominator is None):
-        raise ValueError("provide exactly one of --fraction or --max-denominator")
     m, fraction, indented = args.modulus, args.fraction, not args.json
     b_max = args.max_denominator or fraction.b
     fractions = _in_farey_order(_plan("predict", m, b_max, fraction), b_max)
@@ -332,7 +330,7 @@ def _cmd_bundle(args) -> int:
     write((head + line_sep.join(["%d"] * len(lines)) + turn)
           % (m, args.lambda_n, period, s, max_d, *lines))
     for k, frac in enumerate(frac for frac in fractions if frac.b in covers):
-        ns = [n for _, n in vertex_on_bundle(m, period, frac, s)]
+        ns = vertex_on_bundle(m, period, frac, s)
         write((sep if k else "") + _bundle_template(len(ns)) % (frac.a, frac.b, *ns))
     if skipped:
         skip_sep, closing = skip_parts
@@ -375,8 +373,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "predict", help="exact family parameters and vertices as JSON"
     )
     predict.add_argument("--modulus", type=_positive_int, required=True)
-    predict.add_argument("--fraction", type=_fraction_arg, help="anchor fraction a/b")
-    predict.add_argument(
+    anchors = predict.add_mutually_exclusive_group(required=True)
+    anchors.add_argument("--fraction", type=_fraction_arg, help="anchor fraction a/b")
+    anchors.add_argument(
         "--max-denominator", type=_positive_int, help="predict every anchor up to this b"
     )
     predict.add_argument(
@@ -402,7 +401,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     equiv.add_argument("--m1", type=_positive_int, required=True)
     equiv.add_argument("--m2", type=_positive_int, required=True)
-    equiv.add_argument("--lambda-n", type=_positive_int, default=9, dest="lambda_n")
+    equiv.add_argument("--lambda-n", type=_positive_int, default=9)
     equiv.add_argument("--max-denominator", type=_positive_int, default=9)
     equiv.set_defaults(handler=_cmd_equiv)
 
@@ -410,7 +409,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "bundle", help="match family vertices to the wrapped line bundle"
     )
     bundle.add_argument("--modulus", type=_positive_int, required=True)
-    bundle.add_argument("--lambda-n", type=_positive_int, default=9, dest="lambda_n")
+    bundle.add_argument("--lambda-n", type=_positive_int, default=9)
     bundle.add_argument("--max-denominator", type=_positive_int, default=9)
     bundle.add_argument("--out", default=None, help="optional SVG overlay path")
     bundle.add_argument("--width", type=_positive_int, default=800)
@@ -421,11 +420,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        code = args.handler(args)
-        sys.stdout.flush()  # a file or pipe fails here, not in the interpreter's exit flush
-        return code
+        try:
+            args = _build_parser().parse_args(argv)
+            return args.handler(args)
+        finally:  # a file or pipe fails here, --help's text too, not in the exit flush
+            sys.stdout.flush()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -113,26 +113,24 @@ def bundle_parameter(m: int, period: int) -> int:
     return r - period if 2 * r > period else r
 
 
-def vertex_on_bundle(
-    m: int, period: int, frac: ReducedFraction, s: int | None = None
-) -> list[tuple[int, int]]:
-    """Match every vertex of the family at a/b to a bundle line.
+def vertex_on_bundle(m: int, period: int, frac: ReducedFraction, s: int) -> list[int]:
+    """The bundle line index n_k of every vertex k of the family at a/b, as [n_0, ...].
 
     For each vertex index k in [0, b_prime) the vertex sits at
-    (X, Y) = (a/b, h_k / b^2) with h_k from ``vertex_heights``, and the
-    returned n is the smallest-|n| line index with Y + s*X^2 - 2*n*X an
+    (X, Y) = (a/b, h_k / b^2) with h_k from ``vertex_heights``, and n_k
+    is the smallest-|n| line index with Y + s*X^2 - 2*n*X an
     integer (ties to the positive n), i.e. with
     h_k + s*a^2 - 2*n*a*b divisible by b^2.  That integer membership is
-    verified before the pair is returned.
+    verified before n_k is returned.
 
     h_k + s*a^2 rises by c*b per vertex and gcd(2a, b) == c, so n_k solves
     (2a/c)*n == L0/c + k (mod b_prime) with L0 = (h_0 + s*a^2) / b: one
     inverse per fraction, and the n_k are ``canonical_offsets(b_prime)``
     in some order.
 
-    The fraction's denominator must be covered by the period; s defaults
-    to the balanced representative of m but any other representative of
-    the same class may be passed in.
+    The fraction's denominator must be covered by the period, and s may be
+    any representative of m modulo the period (``bundle_parameter`` gives
+    the balanced one).
     """
     check_period(period)
     if not covered(frac.b, period):
@@ -140,9 +138,7 @@ def vertex_on_bundle(
             f"denominator {frac.b} is not covered by period {period}"
         )
     heights = vertex_heights(m, frac)
-    if s is None:
-        s = bundle_parameter(m, period)
-    elif (m - s) % period:
+    if (m - s) % period:
         raise ValueError(f"s = {s} does not represent {m} modulo {period}")
     a, b = frac.a, frac.b
     (b_prime, c), bb = stride(b), b * b
@@ -151,7 +147,7 @@ def vertex_on_bundle(
     sa2 = s * a * a % bb
     start = (heights[0] + sa2) // b // c
     inverse = pow(2 * a // c, -1, b_prime)
-    pairs = []
+    ns = []
     for k, h in enumerate(heights):
         n = (start + k) * inverse % b_prime
         if 2 * n > b_prime:
@@ -160,5 +156,5 @@ def vertex_on_bundle(
             raise ArithmeticError(
                 f"line index {n} fails exact membership for vertex k={k} of {frac}"
             )
-        pairs.append((k, n))
-    return pairs
+        ns.append(n)
+    return ns

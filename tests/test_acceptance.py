@@ -132,9 +132,9 @@ def test_05_every_vertex_lies_on_a_bundle_line():
             params = fraction_params(m, frac)
             beta_prime = params.beta % (params.c * frac.b)
             for shift in (0, period):
-                pairs = vertex_on_bundle(m, period, frac, s=s + shift)
-                assert len(pairs) == params.b_prime
-                for k, n in pairs:
+                ns = vertex_on_bundle(m, period, frac, s=s + shift)
+                assert len(ns) == params.b_prime
+                for k, n in enumerate(ns):
                     x = Fraction(frac.a, frac.b)
                     y = (Fraction(beta_prime, frac.b**2) + Fraction(k, params.b_prime)) % 1
                     assert (y + (s + shift) * x * x - 2 * n * x) % 1 == 0

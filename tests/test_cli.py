@@ -191,9 +191,9 @@ def bundle_reference(m, lambda_n, max_d):
                     f"by period {period}\n")
             skipped.append({"a": frac.a, "b": frac.b})
             continue
-        pairs = patterns.vertex_on_bundle(m, period, frac)
+        ns = patterns.vertex_on_bundle(m, period, frac, patterns.bundle_parameter(m, period))
         fractions.append(
-            {"a": frac.a, "b": frac.b, "vertices": [{"k": k, "n": n} for k, n in pairs]}
+            {"a": frac.a, "b": frac.b, "vertices": [{"k": k, "n": n} for k, n in enumerate(ns)]}
         )
     payload = {
         "modulus": m,
@@ -378,12 +378,24 @@ def test_predict_rejects_small_modulus(capsys):
     )
 
 
-def test_predict_needs_exactly_one_selector(capsys):
-    code, _, _ = run(capsys, "predict", "--modulus", "997")
-    assert code == 2
-    code, _, _ = run(capsys, "predict", "--modulus", "997",
-                     "--fraction", "1/3", "--max-denominator", "5")
-    assert code == 2
+def test_predict_needs_exactly_one_selector(capsys, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("work done before the parser refused")
+
+    monkeypatch.setattr(cli, "fraction_params", forbidden)
+    for selector, last in [
+        ([], "one of the arguments --fraction --max-denominator is required"),
+        (["--fraction", "1/3", "--max-denominator", "5"],
+         "argument --max-denominator: not allowed with argument --fraction"),
+        (["--max-denominator", "5", "--fraction", "1/3"],
+         "argument --fraction: not allowed with argument --max-denominator"),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main(["predict", "--modulus", "997", *selector])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert err.startswith("usage: qrpat predict ")
+        assert err.splitlines()[-1] == f"qrpat predict: error: {last}"
 
 
 @pytest.mark.parametrize("argv", list(GOLDEN_PREDICT))
@@ -766,8 +778,10 @@ REFUSALS = [
      "bundle exceeds the cap of 1000000 family members"),
     (["predict", "--modulus", str(10**58 + 7), "--max-denominator", "10"],
      "predict output can exceed Python's limit of 60 digits per integer"),
+    # one --fraction at its real member cap: b_prime = 2000001 members
+    (["predict", "--modulus", str(M40), "--fraction", "1/2000001"],
+     "predict exceeds the cap of 1000000 family members"),
     # argument checks outside the plan come first
-    (["predict", "--modulus", "1"], "provide exactly one of --fraction or --max-denominator"),
     (["bundle", "--modulus", "1", "--lambda-n", "1"], "layout period needs lambda-n >= 2, got 1"),
     # verify's widest oracle window, which the walk checks first at each b
     # (listed here so that the rows above keep their test ids)
@@ -1211,21 +1225,53 @@ def test_bundle_real_member_cap_refuses_at_once(capsys, monkeypatch, lambda_n, m
     assert time.perf_counter() - started < 1.0
 
 
-@pytest.mark.parametrize("flag", ["--modulus", "--max-denominator"])
-def test_integer_past_pythons_digit_limit_names_flag_and_limit(capsys, flag):
+# The arguments each subcommand needs, and every integer flag it declares.
+REQUIRED = {
+    "plot": {"--modulus": "20179", "--out": "x.pgm"},
+    "grid": {"--modulus": "20179", "--size": "8", "--out": "x.pgm"},
+    "predict": {"--modulus": "20179", "--max-denominator": "9"},
+    "verify": {"--modulus": "20179", "--max-denominator": "9"},
+    "equiv": {"--m1": "20179", "--m2": "20183"},
+    "bundle": {"--modulus": "20179"},
+}
+INTEGER_FLAGS = [
+    ("plot", "--modulus"), ("plot", "--width"), ("plot", "--height"),
+    ("grid", "--modulus"), ("grid", "--size"),
+    ("predict", "--modulus"), ("predict", "--max-denominator"),
+    ("verify", "--modulus"), ("verify", "--max-denominator"), ("verify", "--window"),
+    ("equiv", "--m1"), ("equiv", "--m2"), ("equiv", "--lambda-n"), ("equiv", "--max-denominator"),
+    ("bundle", "--modulus"), ("bundle", "--lambda-n"), ("bundle", "--max-denominator"),
+    ("bundle", "--width"), ("bundle", "--height"),
+]
+
+
+@pytest.mark.parametrize("command, flag", INTEGER_FLAGS,
+                         ids=[" ".join(pair) for pair in INTEGER_FLAGS])
+def test_integer_past_pythons_digit_limit_names_flag_and_limit(tmp_path, capsys, monkeypatch,
+                                                               command, flag):
     limit = sys.get_int_max_str_digits()
     if not limit:
         pytest.skip("int-from-str conversion is unlimited here")
-    argv = {"--modulus": "20179", "--max-denominator": "9", flag: "9" * (limit + 1)}
-    with pytest.raises(SystemExit) as exc:
-        main(["predict", *(part for pair in argv.items() for part in pair)])
-    err = capsys.readouterr().err
-    assert exc.value.code == 2
+    monkeypatch.chdir(tmp_path)
+
+    def refusal(value):
+        argv = {**REQUIRED[command], flag: value}
+        with pytest.raises(SystemExit) as exc:
+            main([command, *(part for pair in argv.items() for part in pair)])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        return err
+
+    err = refusal("9" * (limit + 1))
     last = err.splitlines()[-1]
-    assert last.startswith(f"qrpat predict: error: argument {flag}: ")
+    assert last.startswith(f"qrpat {command}: error: argument {flag}: ")
     assert f"({limit} digits)" in last
     # argparse used to echo all of the digits back
     assert "9" * 64 not in err and len(err) < 500
+    assert refusal("0").splitlines()[-1] == (
+        f"qrpat {command}: error: argument {flag}: expected a positive integer, got 0"
+    )
+    assert not list(tmp_path.iterdir())
 
 
 def test_overlong_fraction_names_the_limit_without_its_digits(capsys):
@@ -1262,8 +1308,10 @@ SMALL_CAPS = {
 
 
 def cli_argv(out):
-    """argv that argparse accepts, over all six subcommands: m = 2, m = D^2 + 1 and
-    40-digit m, lambda-n up to 10^6, --window up to 10^9 and sides up to 10^400."""
+    """argv over all six subcommands that argparse accepts, but for predict's
+    selector, drawn as --fraction, --max-denominator, both or neither: m = 2,
+    m = D^2 + 1 and 40-digit m, lambda-n up to 10^6, --window up to 10^9 and
+    sides up to 10^400."""
     sides = st.one_of(st.sampled_from([1, 15, 16, 64, 65, 256, 257, 10**30, 10**400]),
                       st.integers(1, 300))
 
@@ -1328,8 +1376,16 @@ def test_every_argv_the_parser_accepts_exits_0_1_or_2_in_time(tmp_path):
         with pytest.MonkeyPatch.context() as patch, redirect_stdout(out), redirect_stderr(err):
             for (module, name), value in SMALL_CAPS.items():
                 patch.setattr(module, name, value)
-            code = main(argv)
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc
         out, err = out.getvalue(), err.getvalue()
+        # predict's selectors are exactly one of --fraction or --max-denominator
+        if argv[0] == "predict" and ("--fraction" in argv) == ("--max-denominator" in argv):
+            assert isinstance(code, SystemExit) and code.code == 2 and out == ""
+            assert err.splitlines()[-1].startswith("qrpat predict: error: ")
+            return
         assert code in (0, 1, 2) and "Traceback" not in err
         if code == 2:
             assert out == "" and err.count("\n") == 1 and err.startswith("error: ")
@@ -1358,7 +1414,9 @@ def test_python_dash_m_from_source_checkout():
 @pytest.mark.parametrize("argv", [
     ("equiv", "--m1", "20179", "--m2", "25219"),  # under stdout's buffer: written at exit
     ("predict", "--modulus", "20171", "--max-denominator", "60", "--json"),  # over it
-], ids=["equiv", "predict-F60"])
+    ("--help",),  # printed by argparse, which exits before any handler runs
+    ("predict", "--help"),
+], ids=["equiv", "predict-F60", "help", "predict-help"])
 def test_block_buffered_stdout_failure_exits_3(argv, sink):
     # Unless PYTHONUNBUFFERED is set, a file or pipe stdout is block-buffered, so a short
     # answer first reached it in the interpreter's exit flush, outside main: that exited

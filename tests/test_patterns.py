@@ -194,14 +194,15 @@ def test_layouts_equivalent_random_congruent_pairs():
 def test_covered_fractions_match_in_k_order_onto_their_own_offsets():
     # 11 is the only b <= 11 that 5040 leaves uncovered
     assert [b for b in range(1, 12) if not covered(b, PERIOD_9)] == [11]
+    s = bundle_parameter(20179, PERIOD_9)
     for frac in farey(10):
-        pairs = vertex_on_bundle(20179, PERIOD_9, frac)
+        ns = vertex_on_bundle(20179, PERIOD_9, frac, s)
         # k is the position, so bundle's entries carry the line indices alone, and
         # the n are canonical_offsets(b_prime), so bundle knows its lines up front
-        assert [k for k, _ in pairs] == list(range(len(pairs)))
-        assert sorted(n for _, n in pairs) == list(canonical_offsets(stride(frac.b)[0]))
+        assert type(ns) is list and all(type(n) is int for n in ns)
+        assert sorted(ns) == list(canonical_offsets(stride(frac.b)[0]))
     with pytest.raises(ValueError, match="must exceed 10"):
-        vertex_on_bundle(100, PERIOD_9, ReducedFraction(1, 10))
+        vertex_on_bundle(100, PERIOD_9, ReducedFraction(1, 10), bundle_parameter(100, PERIOD_9))
 
 
 def test_bundle_parameter_reference_values():
@@ -223,17 +224,16 @@ def test_bundle_parameter_balanced_range():
 
 
 def test_vertex_on_bundle_zero_fraction():
-    assert vertex_on_bundle(20179, PERIOD_9, ReducedFraction(0, 1)) == [(0, 0)]
+    assert vertex_on_bundle(20179, PERIOD_9, ReducedFraction(0, 1), 19) == [0]
 
 
 def test_vertex_on_bundle_known_indices():
     # beta' = 1 for (20171, 1/3) and s = 11, so vertex k=0 solves
-    # 2n == 1 (mod 3) with minimal |n| = -1.
-    assert vertex_on_bundle(20171, PERIOD_9, ReducedFraction(1, 3)) == [
-        (0, -1),
-        (1, 1),
-        (2, 0),
-    ]
+    # 2n == 1 (mod 3) with minimal |n| = -1.  s has no default.
+    assert bundle_parameter(20171, PERIOD_9) == 11
+    assert vertex_on_bundle(20171, PERIOD_9, ReducedFraction(1, 3), 11) == [-1, 1, 0]
+    with pytest.raises(TypeError):
+        vertex_on_bundle(20171, PERIOD_9, ReducedFraction(1, 3))
 
 
 def test_vertex_on_bundle_membership_is_exact():
@@ -242,9 +242,9 @@ def test_vertex_on_bundle_membership_is_exact():
     for frac in farey(9):
         params = fraction_params(m, frac)
         beta_prime = params.beta % (params.c * frac.b)
-        pairs = vertex_on_bundle(m, PERIOD_9, frac)
-        assert [k for k, _ in pairs] == list(range(params.b_prime))
-        for k, n in pairs:
+        ns = vertex_on_bundle(m, PERIOD_9, frac, s)
+        assert len(ns) == params.b_prime
+        for k, n in enumerate(ns):
             x = Fraction(frac.a, frac.b)
             y = (Fraction(beta_prime, frac.b**2) + Fraction(k, params.b_prime)) % 1
             assert (y + s * x * x - 2 * n * x) % 1 == 0
@@ -264,12 +264,12 @@ def test_vertex_on_bundle_rejects_an_off_bundle_vertex(monkeypatch, frac, shift)
 
     monkeypatch.setattr(patterns, "vertex_heights", shifted)
     with pytest.raises(ArithmeticError):
-        vertex_on_bundle(20179, PERIOD_9, frac)
+        vertex_on_bundle(20179, PERIOD_9, frac, 19)
 
 
 def test_vertex_on_bundle_rejects_uncovered_denominator():
     with pytest.raises(ValueError):
-        vertex_on_bundle(20179, PERIOD_9, ReducedFraction(1, 11))
+        vertex_on_bundle(20179, PERIOD_9, ReducedFraction(1, 11), 19)
 
 
 def test_vertex_on_bundle_representative_shift():
@@ -277,8 +277,10 @@ def test_vertex_on_bundle_representative_shift():
     s = bundle_parameter(m, PERIOD_9)
     for frac in farey(7):
         for shift in (0, PERIOD_9, -2 * PERIOD_9):
-            pairs = vertex_on_bundle(m, PERIOD_9, frac, s=s + shift)
-            assert len(pairs) == fraction_params(m, frac).b_prime
+            ns = vertex_on_bundle(m, PERIOD_9, frac, s=s + shift)
+            assert len(ns) == fraction_params(m, frac).b_prime
+        with pytest.raises(ValueError, match="does not represent"):
+            vertex_on_bundle(m, PERIOD_9, frac, s + 1)
 
 
 def test_normalized_vertex_sets_match_between_congruent_moduli():

@@ -336,9 +336,9 @@ def test_vertex_heights_match_family_and_lie_on_bundle(case):
         beta_prime = params.beta % (params.c * b)
         x = Fraction(a, b)
         for rep in (s, s + period):
-            pairs = vertex_on_bundle(m, period, frac, s=rep)
-            assert [k for k, _ in pairs] == list(range(params.b_prime))
-            for k, n in pairs:
+            ns = vertex_on_bundle(m, period, frac, s=rep)
+            assert len(ns) == params.b_prime
+            for k, n in enumerate(ns):
                 y = (Fraction(beta_prime, b**2) + Fraction(k, params.b_prime)) % 1
                 assert (y + rep * x * x - 2 * n * x) % 1 == 0
                 # n is the smallest-|n| solution, ties to the positive one; checked in
@@ -348,7 +348,7 @@ def test_vertex_heights_match_family_and_lie_on_bundle(case):
                             if (lifted - 2 * n2 * a * b) % (b * b) == 0
                             and (abs(n2), -n2) < (abs(n), -n)]
             # so the line indices are the b_prime balanced residues, each once
-            assert sorted(n for _, n in pairs) == list(canonical_offsets(params.b_prime))
+            assert sorted(ns) == list(canonical_offsets(params.b_prime))
 
 
 @st.composite

@@ -318,7 +318,7 @@ def test_overlay_markers_and_curves(tmp_path):
     assert scene.s == bundle_parameter(m, period)
     # every line a vertex was matched to has its curve drawn, and no other
     assert set(scene.lines) == {n for frac in scene.fractions if covered(frac.b, period)
-                                for _, n in vertex_on_bundle(m, period, frac)}
+                                for n in vertex_on_bundle(m, period, frac, scene.s)}
     # one circle per vertex, in (b, a, k) order, at (beta'/b^2 + k/b_prime) mod 1
     expected = []
     for frac in scene.fractions:
