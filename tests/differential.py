@@ -2,10 +2,10 @@
 
 ``python3 tests/differential.py --against REV [--seed S] [--count N] [--allow FILE]``
 extracts ``src/`` at REV with ``git archive`` (local history only) and answers
-N seeded requests with both trees: REV's and this checkout's ``src/`` (or
-``--src DIR``).  The requests span all six subcommands, ``--help``, parse
-errors, refusals and the extremes: m = D^2 and D^2 + 1, m up to 10^40 and up
-to Python's int-to-str digit limit, a in {0, 1, b - 1, b}, b in the hundreds
+N seeded requests with both trees: REV's and this checkout's ``src/``.  The
+requests span all six subcommands, ``--help``, parse errors, refusals and the
+extremes: m = D^2 and D^2 + 1, m up to 10^40 and up to Python's int-to-str
+digit limit, a in {0, 1, b - 1, b}, b in the hundreds
 through ``--fraction``, integers past the digit limit, and canvases, windows,
 members, lambda-n and scatters at each cap and one past it.
 
@@ -23,7 +23,11 @@ An ``--allow`` file is a JSON list of entries {"reason", "argv", "old", "new",
 "same"}: a difference is declared when ``argv`` (a regex) is found in the
 request joined by spaces, each regex in ``old`` and ``new`` is found in that
 side's field ("code", "stdout", "stderr", "error" - stderr's last line - or
-"files"), and each field named in ``same`` is equal on both sides.
+"files"), and each field named in ``same`` is equal on both sides.  The file
+``tests/differential_allow.json`` holds the differences that one change means
+to make against its parent: each change replaces its contents with its own,
+or with ``[]`` if it means to make none, since an entry left in place would
+declare its difference on every later run.
 """
 
 import argparse
@@ -293,12 +297,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--count", type=int, default=2000)
     parser.add_argument("--allow", type=Path, help="JSON list of declared differences")
-    parser.add_argument("--src", type=Path, default=REPO / "src", help="this side's src/")
     args = parser.parse_args(argv)
     allow = json.loads(args.allow.read_text()) if args.allow else []
     with tempfile.TemporaryDirectory() as tmp:
         sha = extract(args.against, Path(tmp))
-        summary = compare(Path(tmp, "src"), args.src, requests(args.seed, args.count), allow)
+        summary = compare(Path(tmp, "src"), REPO / "src", requests(args.seed, args.count), allow)
     print(json.dumps({"against": sha, "seed": args.seed, **summary}, indent=2))
     return 1 if summary["undeclared"] else 0
 

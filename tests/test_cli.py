@@ -24,6 +24,7 @@ from qrpat import (
     render,
 )
 from qrpat.cli import main
+import differential
 from test_render import GOLDEN_SVG_20179, by_denominator, read_pgm, traced_peak
 from test_farey import farey
 
@@ -1295,16 +1296,10 @@ def test_overlong_fraction_names_the_limit_without_its_digits(capsys):
     )
 
 
-# Small stand-ins for every cap, so that no request the grammar draws runs long.
-SMALL_CAPS = {
-    (cli, "MAX_MEMBERS"): 2000,
-    (cli, "MAX_VERIFY_POINTS"): 25000,
-    (parabola, "MAX_ORACLE_POINTS"): 5000,
-    (render, "MAX_PIXELS"): 64 * 64,
-    (render, "MAX_SCATTER_SQUARES"): 5000,
-    (render, "MAX_SCENE_POINTS"): 3000,
-    (patterns, "MAX_LAMBDA_N"): 400,
-}
+# Small stand-ins for every cap, so that no request the grammar draws runs long:
+# the differential's, set in each module that defines the cap.
+SMALL_CAPS = {(module, name): value for name, value in differential.CAPS.items()
+              for module in (cli, parabola, patterns, render) if name in vars(module)}
 
 
 def cli_argv(out):

@@ -1,10 +1,7 @@
 """Tests for the differential runner (tests/differential.py) on small request sets."""
 
-import json
 import shutil
 import subprocess
-from contextlib import redirect_stdout
-from io import StringIO
 
 import pytest
 
@@ -79,11 +76,8 @@ def test_head_against_itself_shows_no_difference(tmp_path):
                       capture_output=True, check=False).returncode:
         pytest.skip("no git history here")
     differential.extract("HEAD", tmp_path)
-    out = StringIO()
-    with redirect_stdout(out):
-        code = differential.main(["--against", "HEAD", "--seed", "3", "--count", "300",
-                                  "--src", str(tmp_path / "src")])
-    summary = json.loads(out.getvalue())
-    assert (code, summary["different"], summary["first_undeclared"]) == (0, 0, None)
+    head = tmp_path / "src"
+    summary = differential.compare(head, head, differential.requests(3, 300), [])
+    assert (summary["different"], summary["first_undeclared"]) == (0, None)
     assert sum(n for counts in summary["outcomes"].values() for n in counts.values()) == 300
     assert {"0", "2"} <= set(summary["outcomes"]["predict"])
