@@ -15,25 +15,10 @@ from functools import cache, lru_cache, partial
 from itertools import chain, starmap
 from math import gcd
 
-from .parabola import (
-    ReducedFraction,
-    anchor,
-    canonical_offsets,
-    check_denominator,
-    check_modulus,
-    check_oracle_window,
-    covering_members,
-    family_rows,
-    family_structure,
-    fraction_params,
-    parabola_family,
-    residues_near,
-    stride,
-    verify_identity,
-)
-from .patterns import bundle_parameter, covered, layout_period, layouts_equivalent, vertex_on_bundle
-from .render import (Scene, check_canvas, check_scene, render_scatter, render_sum_squares,
-                     write_pgm, write_svg)
+from .parabola import (ReducedFraction, anchor, canonical_offsets, check_denominator,
+                       check_modulus, check_oracle_window, covering_members, family_rows,
+                       family_structure, fraction_params, parabola_family, residues_near,
+                       stride, verify_identity)
 
 # Most family members (b_prime per a/b) one predict, bundle or verify request builds.
 # predict streams F_D and a single --fraction alike, a window at a time; the pins in
@@ -69,12 +54,14 @@ def _positive_int(text: str) -> int:
 
 
 def _cmd_plot(args) -> int:
+    from .render import render_scatter, write_pgm
     canvas = render_scatter(args.modulus, args.width, args.height, args.half)
     write_pgm(canvas, args.out)
     return 0
 
 
 def _cmd_grid(args) -> int:
+    from .render import render_sum_squares, write_pgm
     canvas = render_sum_squares(args.modulus, args.size)
     write_pgm(canvas, args.out)
     return 0
@@ -286,6 +273,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
+    from .patterns import layout_period, layouts_equivalent
     period = layout_period(args.lambda_n)
     result = layouts_equivalent(args.m1, args.m2, period, args.max_denominator)
     print(json.dumps({
@@ -309,10 +297,12 @@ def _cmd_bundle(args) -> int:
     indices are those of the widest covered b_prime and the Scene's curves run -n..n, n
     the largest.  Each part is filled by one % over a template, and of the matches only
     the fraction being written is held.  Every refusal comes before any work or output."""
+    from .patterns import bundle_parameter, covered, layout_period, vertex_on_bundle
     period = layout_period(args.lambda_n)
     m, max_d = args.modulus, args.max_denominator
     fractions = _plan("bundle", m, max_d)
     if args.out:
+        from .render import Scene, check_canvas, check_scene, write_svg
         check_scene(m)
         check_canvas(args.width, args.height)
     s = bundle_parameter(m, period)
@@ -339,11 +329,19 @@ def _cmd_bundle(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def _print_message(self, message, file=None):
+        if file is not sys.stdout:  # argparse drops a failed write; --help's reaches main
+            return super()._print_message(message, file)
+        file.write(message)
+
+
 @cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process; the handlers look up what they call
-    when they run, so a patched module name still takes effect."""
-    parser = argparse.ArgumentParser(
+    """The parser, built once per process (its subparsers share its class); the
+    handlers look up what they call when they run, so a patched name still takes
+    effect: this module's for a parabola function, its own module's for the rest."""
+    parser = _Parser(
         prog="qrpat",
         description="Predict, verify, and render the parabola patterns of "
         "quadratic-residue plots.",

@@ -32,10 +32,12 @@ declare its difference on every later run.
 
 import argparse
 import hashlib
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 import random
 import re
 import select
@@ -145,8 +147,11 @@ def serve() -> None:
     original stdout, whose descriptor a request cannot reach."""
     answers = os.fdopen(os.dup(1), "w")
     os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
-    from qrpat.cli import main  # and with it every module of the tree, each cap's too
+    import qrpat
+    from qrpat.cli import main
 
+    for info in pkgutil.iter_modules(qrpat.__path__):  # each cap's module, loaded or not yet
+        importlib.import_module(f"qrpat.{info.name}")
     for module in [module for name, module in sys.modules.items() if name.startswith("qrpat")]:
         for name, value in CAPS.items():
             if hasattr(module, name):

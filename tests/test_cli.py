@@ -819,6 +819,12 @@ REFUSALS = [
 ]
 
 
+# What each command calls first once its request passes every check, patched where the
+# handler reads it when it runs: cli binds parabola's names, and imports the others.
+FIRST_WORK = ((cli, "fraction_params"), (patterns, "covered"), (patterns, "vertex_on_bundle"),
+              (render, "write_svg"))
+
+
 @pytest.mark.parametrize("argv, message", REFUSALS)
 def test_every_refusal_comes_in_one_order_before_any_work(tmp_path, capsys, monkeypatch,
                                                            argv, message):
@@ -826,8 +832,8 @@ def test_every_refusal_comes_in_one_order_before_any_work(tmp_path, capsys, monk
         raise AssertionError("work done before the plan refused")
 
     monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 60)
-    for name in ("fraction_params", "covered", "vertex_on_bundle", "write_svg"):
-        monkeypatch.setattr(cli, name, forbidden)
+    for module, name in FIRST_WORK:
+        monkeypatch.setattr(module, name, forbidden)
     monkeypatch.chdir(tmp_path)
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
     assert not list(tmp_path.iterdir())
@@ -1123,7 +1129,7 @@ def test_bundle_fills_cached_templates_without_json_dumps(capsys, monkeypatch):
 
 def test_bundle_out_matches_each_vertex_once(tmp_path, capsys, monkeypatch):
     # The overlay matched every covered fraction a second time: 58 calls against 29.
-    calls = count_calls(monkeypatch, cli, "vertex_on_bundle")
+    calls = count_calls(monkeypatch, patterns, "vertex_on_bundle")
     out = tmp_path / "fig.svg"
     code, stdout, err = run(capsys, "bundle", "--modulus", "20179", "--out", str(out))
     assert (code, err, calls[0]) == (0, "", 29)
@@ -1186,8 +1192,8 @@ def test_bundle_out_over_the_scene_cap_refuses_before_matching(tmp_path, capsys,
     def forbidden(*args):
         raise AssertionError("vertices matched before the scene cap")
 
-    for name in ("fraction_params", "covered", "vertex_on_bundle", "write_svg"):
-        monkeypatch.setattr(cli, name, forbidden)
+    for module, name in FIRST_WORK:
+        monkeypatch.setattr(module, name, forbidden)
     out = tmp_path / "x.svg"
     started = time.perf_counter()
     code, stdout, err = run(capsys, *bundle_argv(M40, 400, 180), "--out", str(out))
@@ -1204,7 +1210,7 @@ def test_bundle_over_the_member_cap_exits_2(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, *argv)
     assert (code, err.count("warning")) == (0, 22)
     monkeypatch.setattr(cli, "MAX_MEMBERS", 150)
-    calls = count_calls(monkeypatch, cli, "vertex_on_bundle")
+    calls = count_calls(monkeypatch, patterns, "vertex_on_bundle")
     (tmp_path / "o.svg").unlink()
     assert run(capsys, *argv) == (2, "", "error: bundle exceeds the cap of 150 family members\n")
     assert calls[0] == 0 and not (tmp_path / "o.svg").exists()
@@ -1217,7 +1223,7 @@ def test_bundle_real_member_cap_refuses_at_once(capsys, monkeypatch, lambda_n, m
     def forbidden(*args):
         raise AssertionError("vertex matched")
 
-    monkeypatch.setattr(cli, "vertex_on_bundle", forbidden)
+    monkeypatch.setattr(patterns, "vertex_on_bundle", forbidden)
     started = time.perf_counter()
     assert run(capsys, "bundle", "--modulus", str(M40), "--lambda-n", lambda_n,
                "--max-denominator", max_d) == (
@@ -1405,20 +1411,26 @@ def test_python_dash_m_from_source_checkout():
     assert "exceed" in bad.stderr
 
 
-@pytest.mark.parametrize("sink", ["/dev/full", "closed pipe"])
+@pytest.mark.parametrize("sink, unbuffered", [(sink, unbuffered) for unbuffered in (False, True)
+                                               for sink in ("/dev/full", "closed pipe")],
+                         ids=["/dev/full", "closed pipe", "/dev/full-unbuffered",
+                              "closed pipe-unbuffered"])
 @pytest.mark.parametrize("argv", [
     ("equiv", "--m1", "20179", "--m2", "25219"),  # under stdout's buffer: written at exit
     ("predict", "--modulus", "20171", "--max-denominator", "60", "--json"),  # over it
     ("--help",),  # printed by argparse, which exits before any handler runs
     ("predict", "--help"),
 ], ids=["equiv", "predict-F60", "help", "predict-help"])
-def test_block_buffered_stdout_failure_exits_3(argv, sink):
+def test_block_buffered_stdout_failure_exits_3(argv, sink, unbuffered):
     # Unless PYTHONUNBUFFERED is set, a file or pipe stdout is block-buffered, so a short
     # answer first reached it in the interpreter's exit flush, outside main: that exited
     # 120 with an "Exception ignored" report, after main's own line for a long answer.
+    # With it set, argparse wrote --help straight to stdout and dropped the error: exit 0.
     if sink == "/dev/full" and not os.path.exists(sink):
         pytest.skip("no /dev/full")
     env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
     if sink == "/dev/full":
         stdout = os.open(sink, os.O_WRONLY)

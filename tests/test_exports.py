@@ -1,7 +1,7 @@
 """The package namespace re-exports exactly the public names of its modules,
 the README's library example runs as written and its caps table matches the code,
 no module imports fractions, and the CLI starts without dataclasses, typing or
-inspect."""
+inspect, or the library modules its request does not call."""
 
 import ast
 import doctest
@@ -102,11 +102,30 @@ def test_no_module_imports_dataclasses_or_typing():
         assert not imported & SLOW_IMPORTS, path.name
 
 
+# What a fresh CLI run, the import alone or one request, leaves unloaded of qrpat: the
+# handlers import patterns and render when they run.  The predict is the set-up request
+# the benchmark times from launch to answer.
+COLD_STARTS = [
+    ([], {"qrpat.patterns", "qrpat.render"}),
+    (["predict", "--modulus", "20171", "--fraction", "1/3", "--json"],
+     {"qrpat.patterns", "qrpat.render"}),
+    (["verify", "--modulus", "10007", "--max-denominator", "5"], {"qrpat.patterns", "qrpat.render"}),
+    (["equiv", "--m1", "20179", "--m2", "25219"], {"qrpat.render"}),
+    (["bundle", "--modulus", "20179"], {"qrpat.render"}),
+]
+
+
 def test_cli_starts_without_dataclasses_typing_or_inspect():
     src = Path(qrpat.__file__).resolve().parent.parent
-    code = "import sys, qrpat.cli; print(' '.join(sorted(sys.modules)))"
-    child = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
-                           env=dict(os.environ, PYTHONPATH=str(src)), timeout=60, check=True)
-    loaded = set(child.stdout.split())
-    assert "qrpat.cli" in loaded
-    assert not loaded & SLOW_IMPORTS
+    code = ("import sys, qrpat.cli\n"
+            "code = qrpat.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+            "print(' '.join(sorted(sys.modules)))\n"
+            "sys.exit(code)")
+    for argv, unloaded in COLD_STARTS:
+        child = subprocess.run([sys.executable, "-S", "-c", code, *argv], capture_output=True,
+                               text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=60,
+                               check=True)
+        loaded = set(child.stdout.splitlines()[-1].split())
+        assert "qrpat.cli" in loaded, argv
+        assert not loaded & SLOW_IMPORTS, argv
+        assert not loaded & unloaded, argv
