@@ -26,7 +26,8 @@ from .parabola import (ReducedFraction, anchor, canonical_offsets, check_denomin
 # near-cap-bundle, large-bundle-svg, near-cap-verify with --window 1) and bound its memory
 # above the interpreter's floor.  verify with its default windows takes ~11 s there.
 MAX_MEMBERS = 10**6
-# Most oracle points one verify checks: ~1.2 µs each at 7 digits, ~1.5 µs at 40 (see README).
+# Most oracle points one verify checks, each counted 1 + bits^2 // 664^2 times, as its
+# squaring grows with m: ~1.3 µs at 7 digits, ~470 µs at 4,300 (weight 463; see README).
 MAX_VERIFY_POINTS = 10**7
 # Vertex and coefficient items one % fills in a predict entry: an entry of up to
 # _WINDOW // 2 members is one window, and a larger one is held a window at a time.
@@ -185,13 +186,14 @@ def _plan(command: str, m: int, b_max: int, fraction: ReducedFraction | None = N
     the a/b at each b being those with gcd(a, b) == 1 (0/1 and 1/1 at b = 1),
     or over the one fraction.  At each b it checks each of verify's windows, clipped
     by check_oracle_window, against MAX_ORACLE_POINTS (which bounds the sum it prints
-    next), then their oracle points against MAX_VERIFY_POINTS, then the members,
-    b_prime per a/b, against MAX_MEMBERS.  Last, for predict, the digit bound
+    next), then their oracle points, each at m's weight, against MAX_VERIFY_POINTS,
+    then the members, b_prime per a/b, against MAX_MEMBERS.  Last, for predict, the digit bound
     b*b*m (y_num is at most h*m with h < b*b, and x_num at most a*m with a <= b).
     """
     check_modulus(m)
     check_denominator(m, b_max)
     members, points, walked = 0, 0, []
+    weight = 1 + m.bit_length() ** 2 // 664 ** 2  # 1 below 2^664
     walk = ((b, [a for a in range(b + 1) if gcd(a, b) == 1]) for b in range(1, b_max + 1))
     for b, numerators in walk if fraction is None else [(fraction.b, [fraction.a])]:
         walked.append((b, numerators))
@@ -201,8 +203,9 @@ def _plan(command: str, m: int, b_max: int, fraction: ReducedFraction | None = N
             for a in numerators:
                 lo, hi = check_oracle_window(m, anchor(m, a, b), w)
                 points += hi - lo + 1
-            if points > MAX_VERIFY_POINTS:
-                raise ValueError(f"verify windows reach {points} oracle points, "
+            if points * weight > MAX_VERIFY_POINTS:
+                each = f" at {weight} each" if weight > 1 else ""
+                raise ValueError(f"verify windows reach {points} oracle points{each}, "
                                  f"over the cap of {MAX_VERIFY_POINTS}")
         if members > MAX_MEMBERS:
             raise ValueError(f"{command} exceeds the cap of {MAX_MEMBERS} family members")

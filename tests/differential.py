@@ -2,22 +2,22 @@
 
 ``python3 tests/differential.py --against REV [--seed S] [--count N] [--allow FILE]``
 extracts ``src/`` at REV with ``git archive`` (local history only) and answers
-N seeded requests with both trees: REV's and this checkout's ``src/``.  The
-requests span all six subcommands, ``--help``, parse errors, refusals and the
-extremes: m = D^2 and D^2 + 1, m up to 10^40 and up to Python's int-to-str
-digit limit, a in {0, 1, b - 1, b}, b in the hundreds
-through ``--fraction``, integers past the digit limit, and canvases, windows,
-members, lambda-n and scatters at each cap and one past it.
+N seeded requests (``requests``, the suite's one generator of them) with REV's
+and this checkout's ``src/``.  They span all six subcommands, ``--help``, parse
+errors, refusals and the extremes: m = 1, D^2 and D^2 + 1, m up to 10^40 and to
+Python's int-to-str digit limit, D up to 10^19, a in {0, 1, b - 1, b}, b up to
+10^6 through ``--fraction``, integers past the digit limit, lambda-n up to 10^6,
+sides up to 10^400, and every cap and one past it.
 
-Each tree answers every request in one long-lived child that calls
-``qrpat.cli.main(argv)`` and catches ``SystemExit``, with its caps set to the
-small values of CAPS, so that a request at a cap takes milliseconds.  The two
-answers are compared by exit code, stdout, stderr and the bytes of every file
-the request left in the child's directory.  One JSON summary is printed: the
-count per command and outcome (this tree's exit code, "crash" or "timeout"),
-the differences, the declared ones matched by each entry of the ``--allow``
-file, and the first undeclared difference with both answers.  The exit code is
-1 if any difference is undeclared, else 0.
+Each tree answers in one long-lived child, with the small caps of CAPS, so that
+a request at a cap takes milliseconds.  The two answers (``answer``) are compared
+whole, and this tree's is held to the exit contract (``contract``): a break, or a
+timeout, is an undeclared difference even when both trees answer alike, and no
+allow entry declares it.  One JSON summary is printed: the count per command and
+outcome (this tree's exit code, ``SystemExit(code)``, "crash" or "timeout"), the
+differences and breaks, the declared ones matched by each ``--allow`` entry, and
+the first undeclared difference with both answers.  The exit code is 1 if any
+difference is undeclared, else 0.
 
 An ``--allow`` file is a JSON list of entries {"reason", "argv", "old", "new",
 "same"}: a difference is declared when ``argv`` (a regex) is found in the
@@ -45,6 +45,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
@@ -56,27 +57,33 @@ CAPS = {"MAX_MEMBERS": 2000, "MAX_VERIFY_POINTS": 25000, "MAX_ORACLE_POINTS": 50
 LIMIT = getattr(sys, "get_int_max_str_digits", int)() or 4300
 SHOWN = 4096  # characters of stdout an answer carries for the allow file and the report
 TIMEOUT = 30  # seconds a child may take to answer one request
+# verify requests whose members went unchecked once; every run answers them first
+HOLES = [["verify", "--modulus", str(10**40 + 1), "--max-denominator", d, "--window", "1"]
+         for d in ("3000", "150")]
+USAGE_ERROR = re.compile(rf"qrpat( ({'|'.join(COMMANDS)}))?: error: ")  # argparse's last line
 
 
 def requests(seed: int, count: int) -> list[list[str]]:
-    """count argv lists drawn from one random.Random(seed)."""
+    """count argv lists: HOLES, then argv drawn from one random.Random(seed)."""
     rng = random.Random(seed)
     pick = rng.choice
 
     def modulus(d=1):
         if rng.random() < 0.5:
             return str(d * d + pick([0, 1, rng.randrange(1, 10**4)]))
-        return str(pick([2, 3, 5, rng.randrange(2, 10**4), rng.randrange(10**39, 10**40),
+        return str(pick([1, 2, 3, 5, rng.randrange(2, 10**4), rng.randrange(10**39, 10**40),
                          10**40 + 1, 9999, 10000, 10001, 2999, 3000, 3001,
                          10**(LIMIT - 1) + 7]))
 
     def side():
         if rng.random() < 0.6:
             return str(rng.randrange(16, 65))
-        return str(pick([1, 16, 64, 65, 4096, 4097, rng.randrange(1, 100), 10**30, 10**400]))
+        return str(pick([1, 15, 16, 64, 65, 257, 4096, 4097, rng.randrange(1, 100), 10**30,
+                         10**400]))
 
     def denominator():
-        return pick([1, 2, 3, 9, 10, 18, rng.randrange(1, 13), rng.randrange(1, 60)])
+        return pick([1, 2, 3, 9, 10, 18, rng.randrange(1, 13), rng.randrange(1, 60),
+                     pick([150, 400, 3000, 10**6, 10**19])])
 
     def plot():
         d = denominator()
@@ -86,12 +93,12 @@ def requests(seed: int, count: int) -> list[list[str]]:
                 *half, "--out", out]
 
     def grid():
-        return ["grid", "--modulus", modulus(denominator()), "--size",
-                str(pick([1, 16, 64, 65, *[rng.randrange(2, 64)] * 4])), "--out", "out.pgm"]
+        size = str(pick([1, 15, 16, 64, 65, 257, *[rng.randrange(2, 64)] * 4]))
+        return ["grid", "--modulus", modulus(denominator()), "--size", size, "--out", "out.pgm"]
 
     def predict():
         b = pick([rng.randrange(1, 60), rng.randrange(100, 1000), 1999, 2000, 2001, 4000,
-                  4001, 4002, 4003, 4004])
+                  4001, 4002, 4003, 4004, rng.randrange(1, 10**6), 10**6])
         a = pick([0, 1, b - 1, b, rng.randrange(b + 1)])
         if rng.random() < 0.8:  # else a/b may not be in lowest terms
             a, b = a // math.gcd(a, b), b // math.gcd(a, b)
@@ -107,10 +114,10 @@ def requests(seed: int, count: int) -> list[list[str]]:
         return ["verify", "--modulus", modulus(d), "--max-denominator", str(d), *window]
 
     def lambda_n():
-        return pick([[], ["--lambda-n", str(pick([1, 2, 9, 12, 399, 400, 401]))]])
+        return pick([[], ["--lambda-n", str(pick([1, 2, 9, 12, 399, 400, 401, 10**6]))]])
 
     def max_denominator():  # as equiv and bundle take it: 9 if left out
-        d = pick([9, denominator(), 10**19])
+        d = pick([9, denominator(), denominator()])
         return d, [] if d == 9 and rng.random() < 0.5 else ["--max-denominator", str(d)]
 
     def equiv():
@@ -126,8 +133,8 @@ def requests(seed: int, count: int) -> list[list[str]]:
         return ["bundle", "--modulus", modulus(d), *lambda_n(), *option, *svg]
 
     draw = dict(zip(COMMANDS, (plot, grid, predict, verify, equiv, bundle)))
-    argvs = []
-    for _ in range(count):
+    argvs = [list(argv) for argv in HOLES[:count]]
+    for _ in range(count - len(argvs)):
         argv = draw[pick(COMMANDS)]()
         kind = rng.random()
         if kind < 0.05:  # help, of the program or of a command
@@ -142,13 +149,54 @@ def requests(seed: int, count: int) -> list[list[str]]:
     return argvs
 
 
+def answer(argv: list[str]) -> dict:
+    """{"code", "raised", "stdout", "stderr", "files"} of qrpat.cli.main(argv), run in this
+    process in a new directory: "raised" if argparse raised SystemExit(code), the code
+    "crash" if an exception escaped main, and the SHA-256 of each file the request left."""
+    from qrpat.cli import main
+
+    out, err, raised, home = io.StringIO(), io.StringIO(), False, os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(out), redirect_stderr(err):
+        os.chdir(tmp)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code, raised = exc.code, True
+        except Exception as exc:  # a crash is an answer too
+            code = "crash"
+            err.write(f"{type(exc).__name__}: {exc}\n")
+        finally:
+            os.chdir(home)
+        files = {str(path.relative_to(tmp)): hashlib.sha256(path.read_bytes()).hexdigest()
+                 for path in Path(tmp).rglob("*") if path.is_file()}
+    return {"code": code, "raised": raised, "stdout": out.getvalue(),
+            "stderr": err.getvalue(), "files": files}
+
+
+def contract(argv: list[str], answer: dict) -> bool:
+    """Whether an answer keeps the exit contract: argparse exits 0 only for -h or --help,
+    with stdout and no stderr, or 2 with no stdout and its error last on stderr; main
+    returns 0 with only "warning: skipping" lines on stderr, 1 only for a verify whose JSON
+    says "ok": false, 2 with no stdout and one "error: " line, or 3 with one "i/o error: "."""
+    code, out, err = answer["code"], answer["stdout"], answer["stderr"]
+    lines = err.splitlines()
+    if answer["raised"]:
+        return (code == 0 and bool({"-h", "--help"} & set(argv)) and out != "" and err == ""
+                or code == 2 and out == "" and bool(USAGE_ERROR.match((lines or [""])[-1])))
+    one_line = err.endswith("\n") and err.count("\n") == 1
+    return (code == 0 and all(line.startswith("warning: skipping ") for line in lines)
+            or code == 1 and argv[:1] == ["verify"] and out.endswith('\n  "ok": false\n}\n')
+            or code == 2 and out == "" and one_line and err.startswith("error: ")
+            or code == 3 and one_line and err.startswith("i/o error: "))
+
+
 def serve() -> None:
     """The child: one JSON argv per stdin line, one JSON answer per line on the
-    original stdout, whose descriptor a request cannot reach."""
+    original stdout, whose descriptor a request cannot reach: SHOWN characters of
+    stdout, its SHA-256, and whether it kept the contract."""
     answers = os.fdopen(os.dup(1), "w")
     os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
     import qrpat
-    from qrpat.cli import main
 
     for info in pkgutil.iter_modules(qrpat.__path__):  # each cap's module, loaded or not yet
         importlib.import_module(f"qrpat.{info.name}")
@@ -159,42 +207,25 @@ def serve() -> None:
     answers.write(json.dumps({"qrpat": sys.modules["qrpat"].__file__}) + "\n")
     answers.flush()
     for line in sys.stdin:
-        out, err = io.StringIO(), io.StringIO()
-        sys.stdout, sys.stderr = out, err
-        try:
-            code = main(json.loads(line))
-        except SystemExit as exc:
-            code = exc.code
-        except Exception as exc:  # a crash is an answer too
-            code = "crash"
-            err.write(f"{type(exc).__name__}: {exc}\n")
-        finally:
-            sys.stdout, sys.stderr = sys.__stdout__, sys.__stderr__
-        files = {}
-        for path in sorted(Path().rglob("*"), reverse=True):  # files before their directories
-            if path.is_dir():
-                path.rmdir()
-            else:
-                files[str(path)] = hashlib.sha256(path.read_bytes()).hexdigest()
-                path.unlink()
-        stdout, stderr = out.getvalue(), err.getvalue()
-        answers.write(json.dumps({
-            "code": code, "stdout_sha256": hashlib.sha256(stdout.encode()).hexdigest(),
-            "stdout": stdout[:SHOWN], "stderr": stderr, "files": files}) + "\n")
+        argv = json.loads(line)
+        reply = answer(argv)
+        kept, stdout = contract(argv, reply), reply["stdout"]
+        reply.update(kept=kept, stdout=stdout[:SHOWN],
+                     stdout_sha256=hashlib.sha256(stdout.encode()).hexdigest())
+        answers.write(json.dumps(reply) + "\n")
         answers.flush()
 
 
 class Child:
-    """One tree's long-lived child, in a directory of its own."""
+    """One tree's long-lived child; each request runs in a directory of its own."""
 
-    def __init__(self, src: Path, workdir: Path):
+    def __init__(self, src: Path):
         env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": "0",
                "PYTHONDONTWRITEBYTECODE": "1", "COLUMNS": "80"}
-        workdir.mkdir()
         self.pending = b""
         self.proc = subprocess.Popen([sys.executable, str(Path(__file__).resolve()), "--serve"],
-                                     cwd=workdir, env=env, stdin=subprocess.PIPE,
-                                     stdout=subprocess.PIPE, bufsize=0)
+                                     env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                     bufsize=0)
         try:
             loaded = Path(self.receive()["qrpat"]).resolve()
             if not loaded.is_relative_to(src.resolve()):
@@ -211,8 +242,8 @@ class Child:
         while b"\n" not in self.pending:
             left = deadline - time.monotonic()
             if left <= 0 or not select.select([self.proc.stdout], [], [], left)[0]:
-                return {"code": "timeout", "stdout_sha256": "", "stdout": "", "stderr": "",
-                        "files": {}}
+                return {"code": "timeout", "raised": False, "stdout": "", "stderr": "",
+                        "files": {}, "kept": False, "stdout_sha256": ""}
             chunk = os.read(self.proc.stdout.fileno(), 1 << 16)
             if not chunk:
                 raise RuntimeError(f"a child exited with {self.proc.wait()}")
@@ -256,41 +287,43 @@ def declared(entry: dict, argv: list[str], old: dict, new: dict) -> bool:
 
 def compare(old_src: Path, new_src: Path, argvs: list[list[str]], allow: list[dict]) -> dict:
     """Answer argvs with both trees, one child each, and summarize the differences.
-    A timeout is an undeclared difference, and the last request answered."""
-    outcomes, allowed, first, different, answered = {}, [0] * len(allow), None, 0, 0
+    A contract break by the new tree is an undeclared difference; a timeout is one
+    too, and the last request answered."""
+    outcomes, allowed, first, different, broken, answered = {}, [0] * len(allow), None, 0, 0, 0
     started = time.perf_counter()
-    with tempfile.TemporaryDirectory() as tmp:
-        children = []
-        try:
-            for side, src in (("old", old_src), ("new", new_src)):
-                children.append(Child(src, Path(tmp, side)))
-            for argv in argvs:
-                for child in children:
-                    child.send(argv)
-                old, new = (child.receive() for child in children)
-                answered += 1
-                counts = outcomes.setdefault(argv[0] if argv and argv[0] in COMMANDS
-                                             else "qrpat", {})
-                counts[str(new["code"])] = counts.get(str(new["code"]), 0) + 1
-                timeout = "timeout" in (old["code"], new["code"])
-                if old == new and not timeout:
-                    continue
-                different += 1
-                match = None if timeout else next(
-                    (k for k, entry in enumerate(allow) if declared(entry, argv, old, new)), None)
-                if match is None:
-                    first = first or {"argv": argv, "old": old, "new": new}
-                else:
-                    allowed[match] += 1
-                if timeout:
-                    break  # a child still busy would answer the next request late
-        finally:
+    children = []
+    try:
+        for src in (old_src, new_src):
+            children.append(Child(src))
+        for argv in argvs:
             for child in children:
-                child.close()
+                child.send(argv)
+            old, new = (child.receive() for child in children)
+            answered += 1
+            counts = outcomes.setdefault(argv[0] if argv and argv[0] in COMMANDS
+                                         else "qrpat", {})
+            outcome = f"SystemExit({new['code']})" if new["raised"] else str(new["code"])
+            counts[outcome] = counts.get(outcome, 0) + 1
+            timeout = "timeout" in (old["code"], new["code"])
+            if old == new and new["kept"]:
+                continue
+            different += 1
+            broken += not new["kept"]
+            match = None if timeout or not new["kept"] else next(
+                (k for k, entry in enumerate(allow) if declared(entry, argv, old, new)), None)
+            if match is None:
+                first = first or {"argv": argv, "old": old, "new": new}
+            else:
+                allowed[match] += 1
+            if timeout:
+                break  # a child still busy would answer the next request late
+    finally:
+        for child in children:
+            child.close()
     return {"requests": answered, "seconds": round(time.perf_counter() - started, 2),
             "outcomes": {command: dict(sorted(counts.items()))
                          for command, counts in sorted(outcomes.items())},
-            "different": different, "undeclared": different - sum(allowed),
+            "different": different, "broken": broken, "undeclared": different - sum(allowed),
             "allowed": [{"reason": entry["reason"], "matched": n}
                         for entry, n in zip(allow, allowed)],
             "first_undeclared": first}

@@ -23,12 +23,8 @@ from qrpat import (
     vertex_on_bundle,
 )
 from qrpat.cli import main
-from test_render import read_pgm
+from test_render import GOLDEN_GRID_415, GOLDEN_PLOT_20171, read_pgm
 from test_farey import farey, random_fraction
-
-# Locked at the first verified build (same constants as tests/test_render.py).
-GOLDEN_PLOT_20171 = "04c9a8845a373c41a3c23508bb5bc3ed17d136bdfe5d47aa69273a2d254cd1dd"
-GOLDEN_GRID_415 = "63377b669e2929b855a64d58a4a56fa758b12187a55a19d0c8c10c0fcd683413"
 
 
 def _passed(name, started=None):

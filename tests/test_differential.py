@@ -29,14 +29,26 @@ def test_requests_are_seeded_and_reach_every_command_help_and_the_extremes():
     for part in ("-h", str(10**40 + 1), "9" * (differential.LIMIT + 1), "4096", "4097",
                  "2499", "2500", "400", "401", "missing/out.pgm", "out.svg"):
         assert part in flat
-    # b in the hundreds and a in {0, 1, b - 1, b}
-    fractions = [argv[argv.index("--fraction") + 1] for argv in argvs if "--fraction" in argv]
-    assert any(100 <= int(f.split("/")[1]) < 1000 for f in fractions if "/" in f)
-    assert {"0/1", "1/1"} <= set(fractions)
+    seen = {}  # each flag's values, per command
+    for argv in argvs:
+        for flag, value in zip(argv[1:], argv[2:]):
+            seen.setdefault((argv[0], flag), set()).add(value)
+    for command in ("predict", "verify", "bundle", "equiv"):
+        assert {"150", "400", "3000", str(10**6), str(10**19)} <= seen[command, "--max-denominator"]
+    assert str(10**6) in seen["equiv", "--lambda-n"] & seen["bundle", "--lambda-n"]
+    assert {"15", "257"} <= seen["plot", "--width"] & seen["grid", "--size"]
+    assert "1" in seen["plot", "--modulus"] & seen["verify", "--modulus"]
+    # b in the hundreds and up to 10^6, and a in {0, 1, b - 1, b}
+    bs = {f.split("/")[1] for f in seen["predict", "--fraction"] if "/" in f}
+    assert any(len(b) == 3 for b in bs) and str(10**6) in bs
+    assert {"0/1", "1/1"} <= seen["predict", "--fraction"]
+    # the two verify requests that once passed the points cap with their members unchecked
+    assert argvs[:2] == [["verify", "--modulus", str(10**40 + 1), "--max-denominator", d,
+                          "--window", "1"] for d in ("3000", "150")]
 
 
 @pytest.mark.parametrize("module, old, new, field", [
-    ("cli.py", 'print(f"error: {exc}"', 'print(f"Error: {exc}"', "stderr"),
+    ("cli.py", 'print(f"error: {exc}"', 'print(f"error:  {exc}"', "stderr"),
     ("render.py", 'header = b"P5\\n', 'header = b"P5 \\n', "files"),
 ], ids=["stderr", "file"])
 def test_a_planted_byte_is_caught(tmp_path, module, old, new, field):
@@ -60,15 +72,28 @@ def test_a_request_that_outlasts_the_timeout_ends_the_run(tmp_path, monkeypatch)
 
 
 def test_an_allow_entry_declares_only_what_it_matches(tmp_path):
-    copy = planted(tmp_path, "cli.py", 'print(f"error: {exc}"', 'print(f"Error: {exc}"')
-    entry = {"reason": "capital E", "argv": "^(plot|grid|verify|equiv|bundle) ",
-             "old": {"stderr": "^error: "}, "new": {"stderr": "^Error: "},
+    copy = planted(tmp_path, "cli.py", 'print(f"error: {exc}"', 'print(f"error:  {exc}"')
+    entry = {"reason": "a second space", "argv": "^(plot|grid|verify|equiv|bundle) ",
+             "old": {"stderr": "^error: \\S"}, "new": {"stderr": "^error:  "},
              "same": ["code", "stdout", "files"]}
     summary = differential.compare(SRC, copy, differential.requests(1, 300), [entry])
     declared = summary["allowed"][0]["matched"]
     assert declared > 0 and summary["different"] == declared + summary["undeclared"]
     # predict's refusals, which the entry leaves out, are the rest
     assert summary["undeclared"] > 0 and summary["first_undeclared"]["argv"][0] == "predict"
+
+
+@pytest.mark.parametrize("old, new", [
+    ("def _cmd_equiv(args) -> int:\n", "def _cmd_equiv(args) -> int:\n    raise RuntimeError\n"),
+    ('print(f"error: {exc}"', 'print(f"error: {exc}\\nsee --help"'),
+], ids=["crash", "second-refusal-line"])
+def test_a_contract_break_both_trees_share_is_undeclared(tmp_path, old, new):
+    copy = planted(tmp_path, "cli.py", old, new)
+    anything = {"reason": "an entry that declares any difference", "argv": ""}
+    summary = differential.compare(copy, copy, differential.requests(1, 300), [anything])
+    assert summary["different"] == summary["broken"] == summary["undeclared"] > 0
+    assert summary["allowed"] == [{"reason": anything["reason"], "matched": 0}]
+    assert not summary["first_undeclared"]["new"]["kept"]
 
 
 def test_head_against_itself_shows_no_difference(tmp_path):
