@@ -11,8 +11,8 @@ import argparse
 import json
 import os
 import sys
-from functools import cache, lru_cache, partial
-from itertools import chain, starmap
+from functools import cache, lru_cache
+from itertools import chain, repeat
 from math import gcd
 
 from .parabola import (ReducedFraction, anchor, canonical_offsets, check_denominator,
@@ -27,7 +27,7 @@ from .parabola import (ReducedFraction, anchor, canonical_offsets, check_denomin
 # above the interpreter's floor.  verify with its default windows takes ~11 s there.
 MAX_MEMBERS = 10**6
 # Most oracle points one verify checks, each counted 1 + bits^2 // 664^2 times, as its
-# squaring grows with m: ~1.3 µs at 7 digits, ~470 µs at 4,300 (weight 463; see README).
+# squaring grows with m: ~0.6 µs at 7 digits, ~400 µs at 4,300 (weight 463; see README).
 MAX_VERIFY_POINTS = 10**7
 # Vertex and coefficient items one % fills in a predict entry: an entry of up to
 # _WINDOW // 2 members is one window, and a larger one is held a window at a time.
@@ -241,12 +241,13 @@ def _cmd_predict(args) -> int:
 
 
 def _fraction_checks(m: int, frac: ReducedFraction, window: int | None) -> tuple[bool, ...]:
-    """(identity, family_structure, coverage) at a/b; its oracle list dies on return."""
+    """(identity, family_structure, coverage) at a/b.  The oracle window is read once,
+    each point squared as covering_members takes it, so no list of points is held."""
     params = fraction_params(m, frac)
     family = parabola_family(params)
     points = residues_near(m, frac, _window(frac.b, window))
     # covering_members returns one (member, j) pair or [], so truth is "hit once".
-    coverage = all(starmap(partial(covering_members, family), points))
+    coverage = all(map(covering_members, repeat(family), points.xs, points.residues()))
     return verify_identity(params), family_structure(family), coverage
 
 

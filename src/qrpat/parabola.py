@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from itertools import repeat
 
 __all__ = [
     "FractionParams",
+    "OracleWindow",
     "ParabolaFamily",
     "ReducedFraction",
     "anchor",
@@ -38,7 +40,7 @@ __all__ = [
     "vertex_heights",
 ]
 
-# Most points one residues_near call lists (~150 bytes each); more is refused.
+# Most points in one residues_near window, a bound on its time (no point is kept); more is refused.
 MAX_ORACLE_POINTS = 10**6
 
 
@@ -231,19 +233,39 @@ def family_structure(family: ParabolaFamily) -> bool:
     )
 
 
-def residues_near(m: int, frac: ReducedFraction, window: int) -> list[tuple[int, int]]:
+class OracleWindow:
+    """The points (x, x*x mod m) of one clipped oracle window, x in xs = range(lo, hi + 1):
+    a sized view like ``range`` that squares each x only as it is read.  It iterates
+    as the (x, r) pairs, and ``residues()`` gives the r alone."""
+
+    __slots__ = ("m", "xs")
+
+    def __init__(self, m: int, xs: range) -> None:
+        self.m, self.xs = m, xs
+
+    def __len__(self) -> int:
+        return len(self.xs)
+
+    def __iter__(self):
+        return zip(self.xs, self.residues())
+
+    def residues(self):
+        return map(pow, self.xs, repeat(2), repeat(self.m))
+
+
+def residues_near(m: int, frac: ReducedFraction, window: int) -> OracleWindow:
     """Brute-force residue points with |x - x0| <= window, by direct squaring.
 
     This is the oracle the predicted families are checked against; it
     never touches the lattice formulas.  The window is clipped to [0, m) by
     ``check_oracle_window``, which refuses one of more than MAX_ORACLE_POINTS
-    points before the list is built.
+    points before the view is built; the view squares each point as it is read.
     """
     check_modulus(m)
     if window < 1:
         raise ValueError(f"window must be a positive integer, got {window}")
     lo, hi = check_oracle_window(m, anchor(m, frac.a, frac.b), window)
-    return [(x, x * x % m) for x in range(lo, hi + 1)]
+    return OracleWindow(m, range(lo, hi + 1))
 
 
 def covering_members(family: ParabolaFamily, x: int, r: int) -> list[tuple[tuple, int]]:

@@ -63,8 +63,8 @@ class Canvas(namedtuple("Canvas", "width height pixels")):
     _make = classmethod(lambda cls, values: cls(*values))
 
     @classmethod
-    def blank(cls, width: int, height: int) -> "Canvas":
-        check_canvas(width, height)
+    def blank(cls, width: int, height: int, weight: int = 1) -> "Canvas":
+        check_canvas(width, height, weight)
         return cls(width, height, bytearray([255]) * (width * height))
 
 
@@ -162,7 +162,7 @@ def render_sum_squares(m: int, size: int) -> Canvas:
     check_modulus(m)
     if size < 2:
         raise ValueError(f"grid size must be >= 2, got {size}")
-    canvas = Canvas.blank(size, size)
+    canvas = Canvas.blank(size, size, _cell_weight(m))
     squares = [(u * m // size) ** 2 % m for u in range(size)]
     pixels = canvas.pixels
     for row in range(size):
@@ -205,10 +205,18 @@ def write_pgm(canvas: Canvas, path) -> None:
         stream.write(canvas.pixels)
 
 
-def check_canvas(width: int, height: int) -> None:
-    """Refuse a PGM or SVG canvas of more than MAX_PIXELS pixels."""
-    if width * height > MAX_PIXELS:
-        raise ValueError(f"canvas of {width}x{height} pixels exceeds the cap of {MAX_PIXELS}")
+def _cell_weight(m: int) -> int:
+    """Pixels one grid cell counts as, 1 + bits // 256: its cost grows about linearly with
+    m's length, 0.06 µs at 7 digits and 4.4 µs at 4,300 (weight 56; see README)."""
+    return 1 + m.bit_length() // 256
+
+
+def check_canvas(width: int, height: int, weight: int = 1) -> None:
+    """Refuse a PGM or SVG canvas of more than MAX_PIXELS pixels, each counted weight
+    times (a grid's ``_cell_weight``)."""
+    if width * height * weight > MAX_PIXELS:
+        each = f" at {weight} each" if weight > 1 else ""
+        raise ValueError(f"canvas of {width}x{height} pixels{each} exceeds the cap of {MAX_PIXELS}")
 
 
 def check_scene(points: int) -> None:

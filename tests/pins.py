@@ -38,6 +38,11 @@ PINS = (
     Pin("near-cap-verify",
         ("verify", "--modulus", M40, "--max-denominator", "180", "--window", "1"),
         "d085fd24faa382263296ef3202a2a910d322c4ead88b514bc98185ac2d4602bb", mb=10),
+    # Two clipped windows of 500,000 points each, squared as covering_members reads them;
+    # listing each window first peaked 77 MB over the floor (95 MB in all, 2-CPU VM).
+    Pin("wide-window-verify",
+        ("verify", "--modulus", M40, "--max-denominator", "1", "--window", "499999"),
+        "822708375222bd75cb66b36fed08217a6387155b2df5aada5624a14ca6382c7a", mb=10),
     # A streamed 76,877,838-byte SVG; formatted whole, it took ~7.9 s and ~516 MB (2-CPU VM).
     # Its scatter holds 6 MB of ordinates.
     Pin("large-bundle-svg",

@@ -812,6 +812,10 @@ REFUSALS = [
     # each point counted at a 4,300-digit modulus's weight: at weight 1 this ran 62 s
     (["verify", "--modulus", str(10**4299 + 7), "--max-denominator", "1", "--window", "100000"],
      "verify windows reach 200001 oracle points at 463 each, over the cap of 10000000"),
+    # each grid cell counted at a 4,300-digit modulus's weight, the first size past the
+    # cap (1336 runs 7 s); at weight 1, --size 10000 was drawn, in 4.5 minutes
+    (["grid", "--modulus", str(10**4299 + 7), "--size", "1337", "--out", "x.pgm"],
+     "canvas of 1337x1337 pixels at 56 each exceeds the cap of 100000000"),
 ]
 
 
@@ -1064,6 +1068,22 @@ def test_bundle_holds_a_small_fraction_of_what_it_writes():
     _, peak = traced_peak(request)
     assert sink.count > 7 * 10**6
     assert peak < 0.12 * sink.count
+
+
+def test_verify_peak_does_not_grow_with_the_window():
+    # 0/1 and 1/1 at m = 10^40 + 1: two clipped windows of w + 1 and w points.  Listed
+    # whole, each window peaked at about 150 bytes a point (3.1 MB at w = 20,000); read
+    # as a view, each point is squared as it is checked.  Traced, a point costs about
+    # 13 µs (w = 200,000 took 5 s), so the windows stay this small.
+    def peak(window):
+        argv = ["verify", "--modulus", str(M40), "--max-denominator", "1", "--window", window]
+        with redirect_stdout(ByteCounter()):
+            return traced_peak(lambda: main(argv))
+
+    peak("1")  # the parser and its caches, built once per process
+    (narrow_code, narrow), (wide_code, wide) = peak("2000"), peak("20000")
+    assert narrow_code == wide_code == 0
+    assert wide < narrow + 16 * 1024 and narrow < 64 * 1024
 
 
 def test_one_fraction_predict_holds_a_small_fraction_of_what_it_writes():

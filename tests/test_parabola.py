@@ -271,7 +271,7 @@ def test_lattice_matches_direct_squaring():
 
 
 def test_residues_near_known_window():
-    pts = residues_near(20171, ReducedFraction(1, 3), 3)
+    pts = list(residues_near(20171, ReducedFraction(1, 3), 3))
     assert len(pts) == 7
     assert pts[0][0] == 6721 and pts[-1][0] == 6727
     assert (6724, 8965) in pts
@@ -281,7 +281,7 @@ def test_residues_near_known_window():
 
 
 def test_residues_near_zero_fraction():
-    assert residues_near(977, ReducedFraction(0, 1), 2) == [(0, 0), (1, 1), (2, 4)]
+    assert list(residues_near(977, ReducedFraction(0, 1), 2)) == [(0, 0), (1, 1), (2, 4)]
 
 
 def test_residues_near_clamps_at_top():
@@ -294,9 +294,9 @@ def test_residues_near_clips_a_wide_window():
     # A window of m or more lists each x in [0, m) exactly once, from any anchor.
     plot = [(x, x * x % 977) for x in range(977)]
     for frac in farey(5):
-        assert residues_near(977, frac, 977) == plot
-        assert residues_near(977, frac, 10**9) == plot
-    assert residues_near(2, ReducedFraction(1, 1), 3) == [(0, 0), (1, 1)]
+        assert list(residues_near(977, frac, 977)) == plot
+        assert list(residues_near(977, frac, 10**9)) == plot
+    assert list(residues_near(2, ReducedFraction(1, 1), 3)) == [(0, 0), (1, 1)]
     # past half the modulus the window is clipped at one end only
     assert [x for x, _ in residues_near(977, ReducedFraction(1, 3), 489)] == list(range(816))
     assert [x for x, _ in residues_near(977, ReducedFraction(2, 3), 489)] == list(range(162, 977))
