@@ -1,22 +1,12 @@
-"""qrpat: exact predictors and deterministic renderers for the parabola
-patterns of quadratic-residue plots.  Only ``parabola`` loads with the package:
-the first use of another name imports ``patterns`` and ``render`` (PEP 562)."""
+"""qrpat: exact predictors and deterministic renderers for the parabola patterns of
+quadratic-residue plots.  Loads the library modules ``parabola``, ``patterns`` and
+``render`` and re-exports their public names; ``qrpat.cli`` is the command line."""
 
-from . import parabola
+from . import parabola, patterns, render
 from .parabola import *  # noqa: F403
+from .patterns import *  # noqa: F403
+from .render import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-
-def __getattr__(name: str):
-    names = globals()
-    if "__all__" not in names:
-        modules = [parabola]
-        for module in ("patterns", "render"):
-            __import__(f"{__name__}.{module}")  # by full name: "from . import" would recurse
-            modules.append(names[module])
-        names.update((key, getattr(mod, key)) for mod in modules[1:] for key in mod.__all__)
-        names["__all__"] = sorted({key for mod in modules for key in mod.__all__})
-    if name in names:
-        return names[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = sorted({*parabola.__all__, *patterns.__all__, *render.__all__})

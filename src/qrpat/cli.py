@@ -15,6 +15,7 @@ from functools import cache, lru_cache
 from itertools import chain, repeat
 from math import gcd
 
+from . import patterns, render
 from .parabola import (ReducedFraction, anchor, canonical_offsets, check_denominator,
                        check_modulus, check_oracle_window, covering_members, family_rows,
                        family_structure, fraction_params, parabola_family, residues_near,
@@ -55,16 +56,13 @@ def _positive_int(text: str) -> int:
 
 
 def _cmd_plot(args) -> int:
-    from .render import render_scatter, write_pgm
-    canvas = render_scatter(args.modulus, args.width, args.height, args.half)
-    write_pgm(canvas, args.out)
+    canvas = render.render_scatter(args.modulus, args.width, args.height, args.half)
+    render.write_pgm(canvas, args.out)
     return 0
 
 
 def _cmd_grid(args) -> int:
-    from .render import render_sum_squares, write_pgm
-    canvas = render_sum_squares(args.modulus, args.size)
-    write_pgm(canvas, args.out)
+    render.write_pgm(render.render_sum_squares(args.modulus, args.size), args.out)
     return 0
 
 
@@ -277,9 +275,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
-    from .patterns import layout_period, layouts_equivalent
-    period = layout_period(args.lambda_n)
-    result = layouts_equivalent(args.m1, args.m2, period, args.max_denominator)
+    period = patterns.layout_period(args.lambda_n)
+    result = patterns.layouts_equivalent(args.m1, args.m2, period, args.max_denominator)
     print(json.dumps({
         "m1": args.m1,
         "m2": args.m2,
@@ -301,21 +298,20 @@ def _cmd_bundle(args) -> int:
     indices are those of the widest covered b_prime and the Scene's curves run -n..n, n
     the largest.  Each part is filled by one % over a template, and of the matches only
     the fraction being written is held.  Every refusal comes before any work or output."""
-    from .patterns import bundle_parameter, covered, layout_period, vertex_on_bundle
-    period = layout_period(args.lambda_n)
+    period = patterns.layout_period(args.lambda_n)
     m, max_d = args.modulus, args.max_denominator
     fractions = _plan("bundle", m, max_d)
     if args.out:
-        from .render import Scene, check_canvas, check_scene, write_svg
-        check_scene(m)
-        check_canvas(args.width, args.height)
-    s = bundle_parameter(m, period)
-    covers = {b for b in range(1, max_d + 1) if covered(b, period)}
+        render.check_scene(m)
+        render.check_canvas(args.width, args.height)
+    s = patterns.bundle_parameter(m, period)
+    covers = {b for b in range(1, max_d + 1) if patterns.covered(b, period)}
     # b = 1 is always covered, so neither "line_indices" nor "fractions" is ever "[]".
     lines = canonical_offsets(max(stride(b)[0] for b in covers))
     if args.out:
-        write_svg(Scene(args.width, args.height, m, s, range(-lines[-1], lines[-1] + 1),
-                        tuple(fractions)), args.out)
+        curves = range(-lines[-1], lines[-1] + 1)
+        render.write_svg(render.Scene(args.width, args.height, m, s, curves, tuple(fractions)),
+                         args.out)
     skipped = [(frac.a, frac.b) for frac in fractions if frac.b not in covers]
     sys.stderr.write("".join(f"warning: skipping {a}/{b}: denominator {b} is not covered "
                              f"by period {period}\n" for a, b in skipped))
@@ -324,7 +320,7 @@ def _cmd_bundle(args) -> int:
     write((head + line_sep.join(["%d"] * len(lines)) + turn)
           % (m, args.lambda_n, period, s, max_d, *lines))
     for k, frac in enumerate(frac for frac in fractions if frac.b in covers):
-        ns = vertex_on_bundle(m, period, frac, s)
+        ns = patterns.vertex_on_bundle(m, period, frac, s)
         write((sep if k else "") + _bundle_template(len(ns)) % (frac.a, frac.b, *ns))
     if skipped:
         skip_sep, closing = skip_parts
@@ -333,7 +329,20 @@ def _cmd_bundle(args) -> int:
     return 0
 
 
+class _Formatter(argparse.HelpFormatter):
+    """argparse's formatter, sized from the terminal only as it formats: argparse makes
+    one in every add_argument, and sizing imports shutil (with bz2, lzma and fnmatch)."""
+
+    def format_help(self):
+        sized = argparse.HelpFormatter(self._prog)
+        self._width, self._max_help_position = sized._width, sized._max_help_position
+        return super().format_help()
+
+
 class _Parser(argparse.ArgumentParser):
+    def _get_formatter(self):
+        return _Formatter(self.prog, width=80)  # a stand-in: format_help sizes it
+
     def _print_message(self, message, file=None):
         if file is not sys.stdout:  # argparse drops a failed write; --help's reaches main
             return super()._print_message(message, file)
@@ -342,15 +351,15 @@ class _Parser(argparse.ArgumentParser):
 
 @cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process (its subparsers share its class); the
-    handlers look up what they call when they run, so a patched name still takes
-    effect: this module's for a parabola function, its own module's for the rest."""
+    """The parser, built once per process (its subparsers share its class) without
+    formatting text, as the subcommands' prog is given.  The handlers look up what they
+    call as they run, so a patched name takes effect: here for parabola's, else its own."""
     parser = _Parser(
         prog="qrpat",
         description="Predict, verify, and render the parabola patterns of "
         "quadratic-residue plots.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, prog="qrpat")
 
     plot = sub.add_parser("plot", help="scatter plot of x*x mod m as a PGM image")
     plot.add_argument("--modulus", type=_positive_int, required=True)

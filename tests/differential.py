@@ -1,6 +1,6 @@
 """Differential of the qrpat command line against another revision's.
 
-``python3 tests/differential.py --against REV [--seed S] [--count N] [--allow FILE]``
+``python3 tests/differential.py --against REV [--seed S] [--count N] [--allow FILE] [--tamper]``
 extracts ``src/`` at REV with ``git archive`` (local history only) and answers
 N seeded requests (``requests``, the suite's one generator of them) with REV's
 and this checkout's ``src/``.  They span all six subcommands, ``--help``, parse
@@ -18,6 +18,11 @@ outcome (this tree's exit code, ``SystemExit(code)``, "crash" or "timeout"), the
 differences and breaks, the declared ones matched by each ``--allow`` entry, and
 the first undeclared difference with both answers.  The exit code is 1 if any
 difference is undeclared, else 0.
+
+With ``--tamper`` both children wrap ``qrpat.cli.fraction_params`` alike (``tamper``):
+for a subset of (m, a/b) drawn from the seed, one of TAMPERED_FIELDS moves by 1 up or
+down.  So most ``verify`` requests exit 1, and both trees must name the same failed
+checks in the same order; ``predict`` writes the tampered parameters.
 
 An ``--allow`` file is a JSON list of entries {"reason", "argv", "old", "new",
 "same"}: a difference is declared when ``argv`` (a regex) is found in the
@@ -61,6 +66,7 @@ TIMEOUT = 30  # seconds a child may take to answer one request
 HOLES = [["verify", "--modulus", str(10**40 + 1), "--max-denominator", d, "--window", "1"]
          for d in ("3000", "150")]
 USAGE_ERROR = re.compile(rf"qrpat( ({'|'.join(COMMANDS)}))?: error: ")  # argparse's last line
+TAMPERED_FIELDS = ("x0", "r0", "alpha", "beta")
 
 
 def requests(seed: int, count: int) -> list[list[str]]:
@@ -190,10 +196,30 @@ def contract(argv: list[str], answer: dict) -> bool:
             or code == 3 and one_line and err.startswith("i/o error: "))
 
 
-def serve() -> None:
+def tamper(seed: int) -> None:
+    """Wrap qrpat.cli.fraction_params so that, at half of the (m, a/b) drawn from seed,
+    one of TAMPERED_FIELDS moves by 1 up or down: the same field and step in every tree
+    and process, whatever order the fractions come in (an int tuple's hash is fixed)."""
+    import qrpat.cli
+
+    honest = qrpat.cli.fraction_params
+
+    def tampered(m, frac):
+        params = honest(m, frac)
+        rng = random.Random(hash((seed, m, frac.a, frac.b)))
+        if rng.random() < 0.5:
+            field = rng.choice(TAMPERED_FIELDS)
+            params = params._replace(**{field: getattr(params, field) + rng.choice((-1, 1))})
+        return params
+
+    qrpat.cli.fraction_params = tampered
+
+
+def serve(tamper_seed: int | None) -> None:
     """The child: one JSON argv per stdin line, one JSON answer per line on the
     original stdout, whose descriptor a request cannot reach: SHOWN characters of
-    stdout, its SHA-256, and whether it kept the contract."""
+    stdout, its SHA-256, and whether it kept the contract.  Given a tamper_seed, it
+    tampers with the parameters (``tamper``) after it sets the caps."""
     answers = os.fdopen(os.dup(1), "w")
     os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
     import qrpat
@@ -204,6 +230,8 @@ def serve() -> None:
         for name, value in CAPS.items():
             if hasattr(module, name):
                 setattr(module, name, value)
+    if tamper_seed is not None:
+        tamper(tamper_seed)
     answers.write(json.dumps({"qrpat": sys.modules["qrpat"].__file__}) + "\n")
     answers.flush()
     for line in sys.stdin:
@@ -219,11 +247,13 @@ def serve() -> None:
 class Child:
     """One tree's long-lived child; each request runs in a directory of its own."""
 
-    def __init__(self, src: Path):
+    def __init__(self, src: Path, tamper_seed: int | None = None):
         env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": "0",
                "PYTHONDONTWRITEBYTECODE": "1", "COLUMNS": "80"}
         self.pending = b""
-        self.proc = subprocess.Popen([sys.executable, str(Path(__file__).resolve()), "--serve"],
+        seed = [] if tamper_seed is None else [str(tamper_seed)]
+        self.proc = subprocess.Popen([sys.executable, str(Path(__file__).resolve()), "--serve",
+                                      *seed],
                                      env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
                                      bufsize=0)
         try:
@@ -285,16 +315,18 @@ def declared(entry: dict, argv: list[str], old: dict, new: dict) -> bool:
             and all(_field(old, name) == _field(new, name) for name in entry.get("same", [])))
 
 
-def compare(old_src: Path, new_src: Path, argvs: list[list[str]], allow: list[dict]) -> dict:
-    """Answer argvs with both trees, one child each, and summarize the differences.
-    A contract break by the new tree is an undeclared difference; a timeout is one
-    too, and the last request answered."""
+def compare(old_src: Path, new_src: Path, argvs: list[list[str]], allow: list[dict],
+            tamper_seed: int | None = None) -> dict:
+    """Answer argvs with both trees, one child each, tampered with from tamper_seed
+    if one is given, and summarize the differences.  A contract break by
+    the new tree is an undeclared difference; a timeout is one too, and the last
+    request answered."""
     outcomes, allowed, first, different, broken, answered = {}, [0] * len(allow), None, 0, 0, 0
     started = time.perf_counter()
     children = []
     try:
         for src in (old_src, new_src):
-            children.append(Child(src))
+            children.append(Child(src, tamper_seed))
         for argv in argvs:
             for child in children:
                 child.send(argv)
@@ -335,17 +367,21 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--count", type=int, default=2000)
     parser.add_argument("--allow", type=Path, help="JSON list of declared differences")
+    parser.add_argument("--tamper", action="store_true",
+                        help="tamper with fraction_params alike in both trees, from the seed")
     args = parser.parse_args(argv)
     allow = json.loads(args.allow.read_text()) if args.allow else []
     with tempfile.TemporaryDirectory() as tmp:
         sha = extract(args.against, Path(tmp))
-        summary = compare(Path(tmp, "src"), REPO / "src", requests(args.seed, args.count), allow)
-    print(json.dumps({"against": sha, "seed": args.seed, **summary}, indent=2))
+        summary = compare(Path(tmp, "src"), REPO / "src", requests(args.seed, args.count), allow,
+                          args.seed if args.tamper else None)
+    print(json.dumps({"against": sha, "seed": args.seed, "tamper": args.tamper, **summary},
+                     indent=2))
     return 1 if summary["undeclared"] else 0
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] == ["--serve"]:
-        serve()
+    if sys.argv[1:2] == ["--serve"]:
+        serve(int(sys.argv[2]) if sys.argv[2:] else None)
     else:
         sys.exit(main())

@@ -819,24 +819,55 @@ REFUSALS = [
 ]
 
 
-# What each command calls first once its request passes every check, patched where the
-# handler reads it when it runs: cli binds parabola's names, and imports the others.
-FIRST_WORK = ((cli, "fraction_params"), (patterns, "covered"), (patterns, "vertex_on_bundle"),
-              (render, "write_svg"))
+def forbidden_work(*args):
+    raise AssertionError("work done before every check passed")
+
+
+def checked_blank(width, height, weight=1):
+    render.check_canvas(width, height, weight)
+    forbidden_work()
+
+
+# What each command calls first once its request passes every check, with its stand-in,
+# patched where the handler reads it when it runs: cli binds parabola's names, and reads
+# the others from patterns and render.  plot and grid allocate their canvas first, and
+# Canvas.blank holds its check, so the stand-in makes the check and then stops.
+FIRST_WORK = ((cli, "fraction_params", forbidden_work), (patterns, "covered", forbidden_work),
+              (patterns, "vertex_on_bundle", forbidden_work), (render, "write_svg", forbidden_work),
+              (render.Canvas, "blank", staticmethod(checked_blank)))
+
+
+def forbid_first_work(monkeypatch):
+    for owner, name, stand_in in FIRST_WORK:
+        monkeypatch.setattr(owner, name, stand_in)
 
 
 @pytest.mark.parametrize("argv, message", REFUSALS)
 def test_every_refusal_comes_in_one_order_before_any_work(tmp_path, capsys, monkeypatch,
                                                            argv, message):
-    def forbidden(*args):
-        raise AssertionError("work done before the plan refused")
-
     monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 60)
-    for module, name in FIRST_WORK:
-        monkeypatch.setattr(module, name, forbidden)
+    forbid_first_work(monkeypatch)
     monkeypatch.chdir(tmp_path)
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["plot", "--modulus", "20179", "--out", "x.pgm"],
+    ["grid", "--modulus", "20179", "--size", "10000", "--out", "x.pgm"],  # at MAX_PIXELS
+    ["predict", "--modulus", "20179", "--fraction", "1/3"],
+    ["verify", "--modulus", "20179", "--max-denominator", "9"],
+    ["bundle", "--modulus", "20179", "--out", "x.svg"],
+], ids=lambda argv: argv[0])
+def test_first_work_stops_a_request_that_no_check_refuses_at_once(tmp_path, monkeypatch, argv):
+    # So a REFUSALS row that the code stops refusing fails fast: before Canvas.blank was
+    # in FIRST_WORK, a grid row at --size 10000 drew its grid for 4.5 minutes first.
+    forbid_first_work(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    started = time.perf_counter()
+    with pytest.raises(AssertionError, match="work done before every check passed"):
+        main(argv)
+    assert time.perf_counter() - started < 1.0
 
 
 def test_verify_exits_1_on_check_failure(capsys, monkeypatch):
@@ -1192,11 +1223,7 @@ def test_refused_bundle_out_prints_one_line_and_no_warning(tmp_path, capsys, mon
 def test_bundle_out_over_the_scene_cap_refuses_before_matching(tmp_path, capsys, monkeypatch):
     # The scene cap sat in write_svg alone: this request matched 987,919 vertices
     # (3.9 s and 215 MB) before it was refused.
-    def forbidden(*args):
-        raise AssertionError("vertices matched before the scene cap")
-
-    for module, name in FIRST_WORK:
-        monkeypatch.setattr(module, name, forbidden)
+    forbid_first_work(monkeypatch)
     out = tmp_path / "x.svg"
     started = time.perf_counter()
     code, stdout, err = run(capsys, *bundle_argv(M40, 400, 180), "--out", str(out))

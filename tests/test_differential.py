@@ -106,3 +106,19 @@ def test_head_against_itself_shows_no_difference(tmp_path):
     assert (summary["different"], summary["first_undeclared"]) == (0, None)
     assert sum(n for counts in summary["outcomes"].values() for n in counts.values()) == 300
     assert {"0", "2"} <= set(summary["outcomes"]["predict"])
+
+
+def test_tampered_verifies_fail_alike_and_a_reordering_of_their_failures_is_caught(tmp_path):
+    argvs = differential.requests(1, 300)
+    same = differential.compare(SRC, SRC, argvs, [], tamper_seed=1)
+    assert (same["different"], same["broken"]) == (0, 0)
+    verify = same["outcomes"]["verify"]
+    assert verify["1"] > 5 * verify["0"] > 0  # most fail, and some still pass
+    copy = planted(tmp_path, "cli.py", "for names in failed.values()",
+                   "for names in reversed(failed.values())")
+    # only a verify that fails more than one check shows the order of its failures
+    assert differential.compare(SRC, copy, argvs, [])["different"] == 0
+    caught = differential.compare(SRC, copy, argvs, [], tamper_seed=1)
+    assert caught["different"] == caught["undeclared"] > 0
+    first = caught["first_undeclared"]
+    assert first["argv"][0] == "verify" and first["old"]["code"] == first["new"]["code"] == 1

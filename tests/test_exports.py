@@ -1,8 +1,9 @@
 """The package namespace re-exports exactly the public names of its modules,
 the README's library example runs as written and its caps table matches the code,
-no module imports fractions, and the CLI starts without dataclasses, typing or
-inspect, or the library modules its request does not call."""
+no module imports fractions, the CLI starts without dataclasses, typing, inspect
+or shutil, and its help and usage text is argparse's own, byte for byte."""
 
+import argparse
 import ast
 import doctest
 import importlib
@@ -12,8 +13,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import qrpat
-from qrpat import parabola, patterns, render
+from qrpat import cli, parabola, patterns, render
 from test_cli import REFUSALS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -102,17 +105,18 @@ def test_no_module_imports_dataclasses_or_typing():
         assert not imported & SLOW_IMPORTS, path.name
 
 
-# What a fresh CLI run, the import alone or one request, leaves unloaded of qrpat: the
-# handlers import patterns and render when they run.  The predict is the set-up request
-# the benchmark times from launch to answer.
+# A fresh CLI run: the import alone, or one request after it.  The predict is the set-up
+# request the benchmark times from launch to answer.
 COLD_STARTS = [
-    ([], {"qrpat.patterns", "qrpat.render"}),
-    (["predict", "--modulus", "20171", "--fraction", "1/3", "--json"],
-     {"qrpat.patterns", "qrpat.render"}),
-    (["verify", "--modulus", "10007", "--max-denominator", "5"], {"qrpat.patterns", "qrpat.render"}),
-    (["equiv", "--m1", "20179", "--m2", "25219"], {"qrpat.render"}),
-    (["bundle", "--modulus", "20179"], {"qrpat.render"}),
+    [],
+    ["predict", "--modulus", "20171", "--fraction", "1/3", "--json"],
+    ["verify", "--modulus", "10007", "--max-denominator", "5"],
+    ["equiv", "--m1", "20179", "--m2", "25219"],
+    ["bundle", "--modulus", "20179"],
 ]
+# shutil (with bz2, lzma and fnmatch) sizes argparse's help text to the terminal; a
+# request that prints no help should not load it.
+NOT_AT_START = SLOW_IMPORTS | {"shutil"}
 
 
 def test_cli_starts_without_dataclasses_typing_or_inspect():
@@ -121,11 +125,38 @@ def test_cli_starts_without_dataclasses_typing_or_inspect():
             "code = qrpat.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
             "print(' '.join(sorted(sys.modules)))\n"
             "sys.exit(code)")
-    for argv, unloaded in COLD_STARTS:
+    for argv in COLD_STARTS:
         child = subprocess.run([sys.executable, "-S", "-c", code, *argv], capture_output=True,
                                text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=60,
                                check=True)
         loaded = set(child.stdout.splitlines()[-1].split())
         assert "qrpat.cli" in loaded, argv
-        assert not loaded & SLOW_IMPORTS, argv
-        assert not loaded & unloaded, argv
+        assert not loaded & NOT_AT_START, argv
+
+
+# --help of the program and of each command, and one usage error.
+HELP_ARGVS = [["--help"], *([command, "--help"] for command in
+                            ("plot", "grid", "predict", "verify", "equiv", "bundle")),
+              ["predict", "--modulus", "x"]]
+
+
+def test_help_and_usage_are_argparse_text_byte_for_byte(capsys, monkeypatch):
+    # cli's formatter sizes itself as it formats, argparse's as it is made.
+    def texts():
+        cli._build_parser.cache_clear()
+        for argv in HELP_ARGVS:
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            yield exc.value.code, *capsys.readouterr()
+
+    by_width = []
+    for columns in ("30", "40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        ours = list(texts())
+        with monkeypatch.context() as stock:
+            stock.setattr(cli._Parser, "_get_formatter", argparse.ArgumentParser._get_formatter)
+            assert list(texts()) == ours, columns
+        by_width.append(ours)
+    cli._build_parser.cache_clear()
+    assert [code for code, _, _ in by_width[0]] == [0] * 7 + [2]
+    assert by_width[0] != by_width[1] != by_width[2]
