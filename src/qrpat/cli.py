@@ -26,8 +26,10 @@ from .parabola import (ReducedFraction, anchor, canonical_offsets, check_denomin
 # tests/pins.py time each command near the cap (near-cap-predict, one-fraction-predict,
 # near-cap-bundle, large-bundle-svg, near-cap-verify with --window 1) and bound its memory
 # above the interpreter's floor.  verify with its default windows takes ~11 s there.
+# A predict member counts _weight(m, 1200) times, as its squaring and formatting grow
+# with m: ~1.6 µs at 40 digits, ~710 µs at 4,000 (weight 123, pin long-modulus-predict).
 MAX_MEMBERS = 10**6
-# Most oracle points one verify checks, each counted 1 + bits^2 // 664^2 times, as its
+# Most oracle points one verify checks, each counted _weight(m, 664) times, as its
 # squaring grows with m: ~0.6 µs at 7 digits, ~400 µs at 4,300 (weight 463; see README).
 MAX_VERIFY_POINTS = 10**7
 # Vertex and coefficient items one % fills in a predict entry: an entry of up to
@@ -78,9 +80,9 @@ def _write_predict_entry(write, m: int, frac: ReducedFraction, indented: bool,
     params = fraction_params(m, frac)
     a, b = frac
     gx, g = gcd(m, b), gcd(m, b * b)
-    x_num, x_den = a * m // gx, b // gx
+    x_num, x_den = str(a * m // gx), b // gx  # formatted once, as A is: a %s each
     b_prime = params.b_prime
-    m_g, bb_g, A = m // g, b * b // g, b_prime ** 2
+    m_g, bb_g, A = m // g, b * b // g, str(b_prime ** 2)
     offsets, items = canonical_offsets(b_prime), 2 * b_prime
     for lo in range(0, items, _WINDOW):
         hi = min(lo + _WINDOW, items)
@@ -106,25 +108,25 @@ def _write_predict_entry(write, m: int, frac: ReducedFraction, indented: bool,
 
 def _cut(shape, indented: bool, depth: int = 0) -> list[str]:
     """json.dumps of shape, compact or indented as an entry of a list depth lists deep,
-    with each "%d" left bare so that one % fills in ints as json writes them, cut at
-    each "*" item: a list that holds _ITEMS gives its opening text (the end of one
-    part), its item separator (a part) and its closing text (the start of the next)."""
+    each "%d" and "%s" left bare so that one % fills in ints as json writes them (a %s
+    takes one formatted already), cut at each "*" item: a list that holds _ITEMS gives its
+    opening text (the end of one part), its separator (a part) and its closing text."""
     text = (json.dumps(shape, indent=2).replace("\n", "\n" + "  " * depth) if indented
             else json.dumps(shape, separators=(",", ":")))
-    return text.replace('"%d"', "%d").split('"*"')
+    return text.replace('"%d"', "%d").replace('"%s"', "%s").split('"*"')
 
 
 @cache
 def _predict_parts(indented: bool, listed: bool) -> list[str]:
     """[head, separator, turn, separator, tail, vertex, coefficient, opening, separator,
-    closing]: one predict entry's JSON around and between its items, a %d per integer,
-    then one vertex item and one coefficient item, then what F_D's list writes before,
-    between and after its entries ("" for an entry that is not listed).  The head runs
-    up to the first vertex, the turn from the last vertex to the first coefficient, the
-    tail from the last coefficient."""
+    closing]: one predict entry's JSON around and between its items, a %d per integer
+    (a %s for x_num and A), then one vertex item and one coefficient item, then what
+    F_D's list writes before, between and after its entries ("" for an entry that is not
+    listed).  The head runs up to the first vertex, the turn from the last vertex to the
+    first coefficient, the tail from the last coefficient."""
     d = "%d"
-    vertex = dict.fromkeys(("i", "a_prime", "x_num", "x_den", "y_num", "y_den"), d)
-    coefficient = dict.fromkeys(("i", "A", "B", "C"), d)
+    vertex = {"i": d, "a_prime": d, "x_num": "%s", "x_den": d, "y_num": d, "y_den": d}
+    coefficient = {"i": d, "A": "%s", "B": d, "C": d}
     shape = {
         "modulus": d,
         "fraction": {"a": d, "b": d},
@@ -174,61 +176,79 @@ def _window(b: int, window: int | None) -> int:
     return window or 3 * stride(b)[0]
 
 
+def _weight(m: int, scale: int) -> int:
+    """Units one element counts as at modulus m, 1 + bits^2 // scale^2, as squaring and
+    formatting m's integers cost about bits^2 on CPython 3.11 (see README's caps)."""
+    return 1 + m.bit_length() ** 2 // scale ** 2
+
+
 def _plan(command: str, m: int, b_max: int, fraction: ReducedFraction | None = None,
-          window: int | None = None) -> list[ReducedFraction]:
+          window: int | None = None) -> int | list[ReducedFraction]:
     """Refuse a predict, verify or bundle request before any work or output; else
-    return its fractions, built once every check has passed: the one fraction or
-    F_D in (b, a) order.
+    return, once every check has passed, how many fractions it planned (predict and
+    verify, which walk ``_farey`` or the one fraction) or bundle's F_D in (b, a) order.
 
     In one order: the modulus; m > b_max^2; then one walk over b = 1..b_max,
     the a/b at each b being those with gcd(a, b) == 1 (0/1 and 1/1 at b = 1),
     or over the one fraction.  At each b it checks each of verify's windows, clipped
     by check_oracle_window, against MAX_ORACLE_POINTS (which bounds the sum it prints
     next), then their oracle points, each at m's weight, against MAX_VERIFY_POINTS,
-    then the members, b_prime per a/b, against MAX_MEMBERS.  Last, for predict, the digit bound
-    b*b*m (y_num is at most h*m with h < b*b, and x_num at most a*m with a <= b).
+    then the members, b_prime per a/b (each at m's weight for predict), against
+    MAX_MEMBERS.  Last, for predict, the digit bound b*b*m (y_num is at most h*m with
+    h < b*b, and x_num at most a*m with a <= b).  Only bundle's numerators are kept.
     """
     check_modulus(m)
     check_denominator(m, b_max)
-    members, points, walked = 0, 0, []
-    weight = 1 + m.bit_length() ** 2 // 664 ** 2  # 1 below 2^664
+    planned, members, points, walked = 0, 0, 0, []
+    point_weight = _weight(m, 664)  # 1 below 2^663, a member's below 2^1199
+    member_weight = _weight(m, 1200) if command == "predict" else 1
     walk = ((b, [a for a in range(b + 1) if gcd(a, b) == 1]) for b in range(1, b_max + 1))
     for b, numerators in walk if fraction is None else [(fraction.b, [fraction.a])]:
-        walked.append((b, numerators))
+        planned += len(numerators)
         members += len(numerators) * stride(b)[0]
         if command == "verify":
             w = _window(b, window)
             for a in numerators:
                 lo, hi = check_oracle_window(m, anchor(m, a, b), w)
                 points += hi - lo + 1
-            if points * weight > MAX_VERIFY_POINTS:
-                each = f" at {weight} each" if weight > 1 else ""
+            if points * point_weight > MAX_VERIFY_POINTS:
+                each = f" at {point_weight} each" if point_weight > 1 else ""
                 raise ValueError(f"verify windows reach {points} oracle points{each}, "
                                  f"over the cap of {MAX_VERIFY_POINTS}")
-        if members > MAX_MEMBERS:
-            raise ValueError(f"{command} exceeds the cap of {MAX_MEMBERS} family members")
+        if members * member_weight > MAX_MEMBERS:
+            each = f" at {member_weight} each" if member_weight > 1 else ""
+            raise ValueError(f"{command} exceeds the cap of {MAX_MEMBERS} family members{each}")
+        if command == "bundle":
+            walked.append((b, numerators))
     # Python before 3.10.7 has no limit (0 means none); 2**(3*limit) < 10**limit.
     limit = getattr(sys, "get_int_max_str_digits", int)() if command == "predict" else 0
     largest = b_max * b_max * m
     if limit and largest.bit_length() > 3 * limit and largest >= 10**limit:
         raise ValueError(f"predict output can exceed Python's limit of {limit} digits per integer")
+    if command != "bundle":
+        return planned
     return [ReducedFraction(a, b) for b, numerators in walked for a in numerators]
 
 
-def _in_farey_order(fractions: list[ReducedFraction], b_max: int) -> list[ReducedFraction]:
-    """The plan's fractions in increasing order.  The key a*b_max^2 // b is exact:
-    two members of F_D differ by at least 1/b_max^2, so their keys differ by at least 1."""
-    scale = b_max * b_max
-    return sorted(fractions, key=lambda frac: frac.a * scale // frac.b)
+def _farey(b_max: int):
+    """F_D, D = b_max, in increasing order, by the next-term rule (Hardy & Wright,
+    ch. III): after neighbours a/b < c/d comes (k*c - a)/(k*d - b), k = (D + b) // d,
+    from 0/1 and 1/D through 1/1, so that only two fractions are held."""
+    a, b, c, d = 0, 1, 1, b_max
+    while a <= b:
+        yield ReducedFraction(a, b)
+        k = (b_max + b) // d
+        a, b, c, d = c, d, k * c - a, k * d - b
 
 
 def _cmd_predict(args) -> int:
-    """Write each of the plan's fractions, in Farey order, window by window of its
-    entry (see _write_predict_entry); of F_D only the fractions and one window are held."""
+    """Write the one fraction, or each of F_D in increasing order, window by window of
+    its entry (see _write_predict_entry); of F_D only two fractions and one window are held."""
     m, fraction, indented = args.modulus, args.fraction, not args.json
     b_max = args.max_denominator or fraction.b
-    fractions = _in_farey_order(_plan("predict", m, b_max, fraction), b_max)
+    _plan("predict", m, b_max, fraction)
     listed = fraction is None
+    fractions = _farey(b_max) if listed else [fraction]
     opening, sep, closing = _predict_parts(indented, listed)[7:]
     write = sys.stdout.write
     for k, frac in enumerate(fractions):
@@ -250,11 +270,11 @@ def _fraction_checks(m: int, frac: ReducedFraction, window: int | None) -> tuple
 
 
 def _cmd_verify(args) -> int:
-    """Check each a/b of the plan's F_D once, in Farey order, tallying failures as it goes."""
+    """Check each a/b of F_D once, in increasing order, tallying failures as it goes."""
     m, max_d = args.modulus, args.max_denominator
-    fractions = _in_farey_order(_plan("verify", m, max_d, window=args.window), max_d)
+    checked = _plan("verify", m, max_d, window=args.window)
     failed = {"identity": [], "family_structure": [], "coverage": []}
-    for frac in fractions:
+    for frac in _farey(max_d):
         for name, passed in zip(failed, _fraction_checks(m, frac, args.window)):
             if not passed:
                 failed[name].append(f"{frac}:{name}")
@@ -263,9 +283,9 @@ def _cmd_verify(args) -> int:
         "modulus": m,
         "max_denominator": max_d,
         "window": args.window,
-        "fractions_checked": len(fractions),
+        "fractions_checked": checked,
         "checks": {
-            name: {"passed": len(fractions) - len(names), "failed": len(names)}
+            name: {"passed": checked - len(names), "failed": len(names)}
             for name, names in failed.items()
         },
         "failures": failures,
@@ -354,23 +374,16 @@ def _build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process (its subparsers share its class) without
     formatting text, as the subcommands' prog is given.  The handlers look up what they
     call as they run, so a patched name takes effect: here for parabola's, else its own."""
-    parser = _Parser(
-        prog="qrpat",
-        description="Predict, verify, and render the parabola patterns of "
-        "quadratic-residue plots.",
-    )
+    parser = _Parser(prog="qrpat", description="Predict, verify, and render the parabola "
+                     "patterns of quadratic-residue plots.")
     sub = parser.add_subparsers(dest="command", required=True, prog="qrpat")
 
     plot = sub.add_parser("plot", help="scatter plot of x*x mod m as a PGM image")
     plot.add_argument("--modulus", type=_positive_int, required=True)
     plot.add_argument("--width", type=_positive_int, default=800)
     plot.add_argument("--height", type=_positive_int, default=800)
-    plot.add_argument(
-        "--half",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="plot only 0 <= x < m/2 (the rest mirrors it); default on",
-    )
+    plot.add_argument("--half", action=argparse.BooleanOptionalAction, default=True,
+                      help="plot only 0 <= x < m/2 (the rest mirrors it); default on")
     plot.add_argument("--out", required=True, help="output PGM path")
     plot.set_defaults(handler=_cmd_plot)
 
@@ -380,45 +393,33 @@ def _build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--out", required=True, help="output PGM path")
     grid.set_defaults(handler=_cmd_grid)
 
-    predict = sub.add_parser(
-        "predict", help="exact family parameters and vertices as JSON"
-    )
+    predict = sub.add_parser("predict", help="exact family parameters and vertices as JSON")
     predict.add_argument("--modulus", type=_positive_int, required=True)
     anchors = predict.add_mutually_exclusive_group(required=True)
     anchors.add_argument("--fraction", type=_fraction_arg, help="anchor fraction a/b")
-    anchors.add_argument(
-        "--max-denominator", type=_positive_int, help="predict every anchor up to this b"
-    )
-    predict.add_argument(
-        "--json", action="store_true", help="compact single-line JSON (default is indented)"
-    )
+    anchors.add_argument("--max-denominator", type=_positive_int,
+                         help="predict every anchor up to this b")
+    predict.add_argument("--json", action="store_true",
+                         help="compact single-line JSON (default is indented)")
     predict.set_defaults(handler=_cmd_predict)
 
-    verify = sub.add_parser(
-        "verify", help="run the brute-force oracles against every predicted family"
-    )
+    verify = sub.add_parser("verify",
+                            help="run the brute-force oracles against every predicted family")
     verify.add_argument("--modulus", type=_positive_int, required=True)
     verify.add_argument("--max-denominator", type=_positive_int, required=True)
-    verify.add_argument(
-        "--window",
-        type=_positive_int,
-        help="half-width of the oracle window around each anchor "
-        "(default: 3 * b_prime per fraction), clipped to the plot",
-    )
+    verify.add_argument("--window", type=_positive_int,
+                        help="half-width of the oracle window around each anchor "
+                        "(default: 3 * b_prime per fraction), clipped to the plot")
     verify.set_defaults(handler=_cmd_verify)
 
-    equiv = sub.add_parser(
-        "equiv", help="compare the family layouts of two moduli"
-    )
+    equiv = sub.add_parser("equiv", help="compare the family layouts of two moduli")
     equiv.add_argument("--m1", type=_positive_int, required=True)
     equiv.add_argument("--m2", type=_positive_int, required=True)
     equiv.add_argument("--lambda-n", type=_positive_int, default=9)
     equiv.add_argument("--max-denominator", type=_positive_int, default=9)
     equiv.set_defaults(handler=_cmd_equiv)
 
-    bundle = sub.add_parser(
-        "bundle", help="match family vertices to the wrapped line bundle"
-    )
+    bundle = sub.add_parser("bundle", help="match family vertices to the wrapped line bundle")
     bundle.add_argument("--modulus", type=_positive_int, required=True)
     bundle.add_argument("--lambda-n", type=_positive_int, default=9)
     bundle.add_argument("--max-denominator", type=_positive_int, default=9)

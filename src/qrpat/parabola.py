@@ -205,11 +205,15 @@ def family_rows(params: FractionParams, offsets: range | None = None
     a, b = params.frac.a, params.frac.b
     b_prime, c = params.b_prime, params.c
     two_over_c, cb, bb = 2 // c, c * b, b * b
-    rows = []
-    for i in canonical_offsets(b_prime) if offsets is None else offsets:
+    offsets = canonical_offsets(b_prime) if offsets is None else offsets
+    x, step = x0 + offsets.start, offsets.step
+    C, odd, bump, rows = x * x % m, (2 * x + step) * step, 2 * step * step, []
+    for i in offsets:  # C steps as (x + s)^2 = x^2 + (2x + s)*s: one squaring per call
         a_prime = two_over_c * i * a % b_prime
-        rows.append((i, a_prime, 2 * b_prime * i - two_over_c * alpha, (x0 + i) ** 2 % m,
+        rows.append((i, a_prime, 2 * b_prime * i - two_over_c * alpha, C,
                      (beta + a_prime * cb) % bb))
+        C = (C + odd) % m
+        odd += bump
     return rows
 
 

@@ -22,6 +22,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 EMPTY = hashlib.sha256(b"").hexdigest()
 M40 = str(10**40 + 1)
+M4000 = str(10**4000 + 7)
 
 Pin = namedtuple("Pin", "name argv stdout stderr out seconds mb", defaults=(EMPTY, None, 10, None))
 
@@ -64,6 +65,12 @@ PINS = (
     Pin("one-fraction-predict",
         ("predict", "--modulus", M40, "--fraction", "1/999999", "--json"),
         "594679267f782e5214c3f0be10c0d81164a24fe67c94f2d75c7fc43015de27d4", mb=10),
+    # 99,317,285 bytes: F_36's 7,815 members, each at m's weight of 123, so 961,245 of the
+    # member cap's 10^6; 12.4 s with x_num formatted and C squared per member (2-CPU VM).
+    # At weight 1, --max-denominator 180 would run ~20 minutes.
+    Pin("long-modulus-predict",
+        ("predict", "--modulus", M4000, "--max-denominator", "36", "--json"),
+        "310962230d6a92791984b251baf4d1d41b92cf668aa3fe875eea48a2c1ddbc86", seconds=15, mb=10),
 )
 
 

@@ -24,6 +24,7 @@ from qrpat import (
 )
 from qrpat.cli import main
 import differential
+import pins
 from test_render import GOLDEN_SVG_20179, by_denominator, read_pgm, traced_peak
 from test_farey import farey
 
@@ -816,7 +817,23 @@ REFUSALS = [
     # cap (1336 runs 7 s); at weight 1, --size 10000 was drawn, in 4.5 minutes
     (["grid", "--modulus", str(10**4299 + 7), "--size", "1337", "--out", "x.pgm"],
      "canvas of 1337x1337 pixels at 56 each exceeds the cap of 100000000"),
+    # each predict member counted at a 4,001-digit modulus's weight, refused at b = 37
+    # (D = 36 is the pin long-modulus-predict); at weight 1, F_180's 987,919 members
+    # were inside the cap, a run of about 20 minutes and 12 GB
+    (["predict", "--modulus", str(10**4000 + 7), "--max-denominator", "180"],
+     "predict exceeds the cap of 1000000 family members at 123 each"),
 ]
+
+
+def test_weights_are_1_below_their_scale():
+    # so no golden, pin or qrbench request is weighed but long-modulus-predict
+    assert cli._weight(10**58 + 7, 1200) == cli._weight(2**1199 - 1, 1200) == 1
+    assert cli._weight(2**1199, 1200) == cli._weight(2**663, 664) == 2
+    pin = next(pin for pin in pins.PINS if pin.name == "long-modulus-predict")
+    m, max_d = int(pin.argv[2]), int(pin.argv[4])
+    assert cli._plan("predict", m, max_d) == len(farey(max_d))
+    with pytest.raises(ValueError, match=" at 123 each$"):
+        cli._plan("predict", m, max_d + 1)
 
 
 def forbidden_work(*args):
@@ -1115,6 +1132,28 @@ def test_verify_peak_does_not_grow_with_the_window():
     (narrow_code, narrow), (wide_code, wide) = peak("2000"), peak("20000")
     assert narrow_code == wide_code == 0
     assert wide < narrow + 16 * 1024 and narrow < 64 * 1024
+
+
+def test_predict_and_verify_peaks_do_not_grow_with_f_d(monkeypatch):
+    # F_D walked by the next-term rule holds two fractions at a time.  Built whole in the
+    # plan and sorted into a copy, F_D grew each peak by about 530 KB from D = 30 to 120.
+    # Each fraction's work is stubbed, as one fraction's peak is another probe's: traced
+    # whole, the two requests at D = 120 took 18 s and grew 18 and 53 KB.
+    monkeypatch.setattr(cli, "_fraction_checks", lambda m, frac, window: (True, True, True))
+    monkeypatch.setattr(cli, "_write_predict_entry",
+                        lambda write, m, frac, indented, listed: write(str(frac)))
+
+    def peak(argv):
+        with redirect_stdout(ByteCounter()):
+            main(argv)  # the parser and its caches, built untraced
+            return traced_peak(lambda: main(argv))
+
+    for command, option in (("verify", "--window=1"), ("predict", "--json")):
+        (small_code, small), (large_code, large) = (
+            peak([command, "--modulus", str(M40), "--max-denominator", d, option])
+            for d in ("30", "120"))
+        assert small_code == large_code == 0
+        assert large < small + 100 * 1024, command
 
 
 def test_one_fraction_predict_holds_a_small_fraction_of_what_it_writes():

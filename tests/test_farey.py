@@ -1,5 +1,5 @@
-"""Tests for F_D as the CLI's plan returns it and puts it in order, and the F_D
-that the other test modules compare against."""
+"""Tests for F_D as the CLI walks it in increasing order (``cli._farey``) and as
+its plan walks it for bundle, and the F_D that the other test modules compare against."""
 
 import math
 from fractions import Fraction
@@ -26,18 +26,12 @@ def random_fraction(rng, max_b):
             return ReducedFraction(a, b)
 
 
-def planned_farey(max_denominator):
-    """F_D as predict and verify list it: the plan's fractions in Farey order."""
-    m = max_denominator * max_denominator + 1
-    return cli._in_farey_order(cli._plan("predict", m, max_denominator), max_denominator)
-
-
 def test_farey_smallest():
-    assert planned_farey(1) == [ReducedFraction(0, 1), ReducedFraction(1, 1)]
+    assert list(cli._farey(1)) == [ReducedFraction(0, 1), ReducedFraction(1, 1)]
 
 
 def test_farey_order_three():
-    assert planned_farey(3) == [
+    assert list(cli._farey(3)) == [
         ReducedFraction(0, 1),
         ReducedFraction(1, 3),
         ReducedFraction(1, 2),
@@ -47,12 +41,12 @@ def test_farey_order_three():
 
 
 def test_farey_order_five_count():
-    assert len(planned_farey(5)) == 11
+    assert len(list(cli._farey(5))) == 11
 
 
 def test_farey_matches_brute_enumeration():
-    for n in range(1, 13):
-        got = planned_farey(n)
+    for n in range(1, 61):
+        got = list(cli._farey(n))
         assert got == farey(n)
         assert all(type(f) is ReducedFraction for f in got)
         assert len(got) == len(set(got))
@@ -70,17 +64,20 @@ def test_farey_rejects_nonpositive(capsys):
 
 
 def test_the_plan_walks_f_d_by_denominator_then_numerator():
-    # the order bundle writes; qrbench enumerates F_D the same way
+    # the order bundle writes; qrbench enumerates F_D the same way.  predict and verify
+    # walk _farey instead, and their plans return how many fractions they planned.
     for n in range(1, 30):
-        for command, window in (("predict", None), ("verify", 1), ("bundle", None)):
-            planned = cli._plan(command, n * n + 1, n, window=window)
-            assert planned == [ReducedFraction(a, b) for a, b in workloads.farey(n)]
-            assert planned == sorted(planned, key=lambda f: (f.b, f.a))
+        planned = cli._plan("bundle", n * n + 1, n)
+        assert planned == [ReducedFraction(a, b) for a, b in workloads.farey(n)]
+        assert planned == sorted(planned, key=lambda f: (f.b, f.a))
+        for command, window in (("predict", None), ("verify", 1)):
+            assert cli._plan(command, n * n + 1, n, window=window) == len(planned)
+            assert cli._plan(command, n * n + 1, n, planned[-1], window) == 1
 
 
 def test_farey_neighbours_satisfy_bc_minus_ad_equals_one():
     # a/b < c/d adjacent in F_D exactly when b*c - a*d = 1
     for n in range(1, 61):
-        got = planned_farey(n)
+        got = list(cli._farey(n))
         assert got[0] == (0, 1) and got[-1] == (1, 1)
         assert all(b * c - a * d == 1 for (a, b), (c, d) in zip(got, got[1:]))

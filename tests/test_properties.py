@@ -91,6 +91,17 @@ def test_a_member_is_its_row(case):
     assert family.members == tuple(family_rows(params))
 
 
+@settings(deadline=None, database=None)
+@given(anchor_cases(), st.integers(0, 5), st.integers(-3, 3).filter(bool))
+def test_the_rows_of_a_slice_square_each_x(case, start, step):
+    # family_rows squares the first x of its offsets and steps C to each next one
+    params = fraction_params(*case)
+    offsets = canonical_offsets(params.b_prime)[start::step]
+    rows = family_rows(params, offsets)
+    assert [row[0] for row in rows] == list(offsets)
+    assert [row[3] for row in rows] == [(params.x0 + i) ** 2 % params.m for i in offsets]
+
+
 @st.composite
 def family_cases(draw):
     """A family for m from just above b^2 up to 10^40, b <= 60, any a coprime to b."""
