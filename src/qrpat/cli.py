@@ -26,11 +26,11 @@ from .parabola import (ReducedFraction, anchor, canonical_offsets, check_denomin
 # tests/pins.py time each command near the cap (near-cap-predict, one-fraction-predict,
 # near-cap-bundle, large-bundle-svg, near-cap-verify with --window 1) and bound its memory
 # above the interpreter's floor.  verify with its default windows takes ~11 s there.
-# A predict member counts _weight(m, 1200) times, as its squaring and formatting grow
-# with m: ~1.6 µs at 40 digits, ~710 µs at 4,000 (weight 123, pin long-modulus-predict).
+# A predict member counts _weight(m, 1200) times and a verify member _weight(m, 1024), as
+# their squaring grows with m: ~1.6 and ~0.7 µs at 40 digits, ~710 and ~120 µs at 4,000.
 MAX_MEMBERS = 10**6
-# Most oracle points one verify checks, each counted _weight(m, 664) times, as its
-# squaring grows with m: ~0.6 µs at 7 digits, ~400 µs at 4,300 (weight 463; see README).
+# Most oracle points one verify checks, each counted _weight(m, 550) times, as its
+# squaring grows with m: ~0.6 µs at 7 digits, ~390 µs at 4,300 (weight 675; see README).
 MAX_VERIFY_POINTS = 10**7
 # Vertex and coefficient items one % fills in a predict entry: an entry of up to
 # _WINDOW // 2 members is one window, and a larger one is held a window at a time.
@@ -193,15 +193,15 @@ def _plan(command: str, m: int, b_max: int, fraction: ReducedFraction | None = N
     or over the one fraction.  At each b it checks each of verify's windows, clipped
     by check_oracle_window, against MAX_ORACLE_POINTS (which bounds the sum it prints
     next), then their oracle points, each at m's weight, against MAX_VERIFY_POINTS,
-    then the members, b_prime per a/b (each at m's weight for predict), against
+    then the members, b_prime per a/b (at m's weight for predict and verify), against
     MAX_MEMBERS.  Last, for predict, the digit bound b*b*m (y_num is at most h*m with
     h < b*b, and x_num at most a*m with a <= b).  Only bundle's numerators are kept.
     """
     check_modulus(m)
     check_denominator(m, b_max)
     planned, members, points, walked = 0, 0, 0, []
-    point_weight = _weight(m, 664)  # 1 below 2^663, a member's below 2^1199
-    member_weight = _weight(m, 1200) if command == "predict" else 1
+    point_weight = _weight(m, 550)  # 1 below 2^549, a member's below 2^1023 or 2^1199
+    member_weight = 1 if command == "bundle" else _weight(m, 1200 if command == "predict" else 1024)
     walk = ((b, [a for a in range(b + 1) if gcd(a, b) == 1]) for b in range(1, b_max + 1))
     for b, numerators in walk if fraction is None else [(fraction.b, [fraction.a])]:
         planned += len(numerators)

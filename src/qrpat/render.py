@@ -9,6 +9,7 @@ checks happen before anything is converted to floating point.
 
 from __future__ import annotations
 
+from binascii import hexlify, unhexlify
 from collections import namedtuple
 from math import gcd
 
@@ -37,8 +38,9 @@ MAX_SCATTER_SQUARES = 5 * 10**7
 # Scatter squares per <path>, about 120 KB of SVG; it sets the file's bytes.
 _CHUNK = 4096
 # Scatter squares one % fills, about 15 KB of SVG, a divisor of _CHUNK; a part and the
-# held ordinate block of x <= m // 2 (w bytes each) are all the scatter keeps.
+# held ordinate block of x <= m // 2 (6 bytes each at height 800) are all the scatter keeps.
 _FILL = 512
+_PACK, _UNPACK = bytes.maketrans(b" -.", b"cde"), bytes.maketrans(b"cde", b" -.")
 _SQUARE = b"M%.6f %sh1v1h-1z"  # one scatter square at x and a formatted y
 _CIRCLE = b'<circle cx="%.6f" cy="%%.6f" r="3"/>\n'
 
@@ -231,19 +233,20 @@ def _scatter(m: int, width: int, height: int):
 
     Square x is at (x/m*width, (1 - (x*x mod m)/m)*height - 1); the nonzero
     fill unions overlapping squares.  x and m - x share a y, so the ordinates
-    of x <= m // 2 are formatted once, _FILL per %, into ys: one buffer of half
-    w-wide fields, w two more than "%.6f" % height, so each starts with a space.
-    A part's y strings split from bytes copies of a forward and a mirrored slice of
-    ys (no list of them outlives values), and one % over a template fills it.  How
-    many squares a <path> holds sets the bytes; how many one % fills sets only the
-    memory, so a part is smaller than a <path>.
+    of x <= m // 2 are formatted once, _FILL per %, into w-wide fields, w two or
+    three more than "%.6f" % height and even, so each starts with a space.  ys holds
+    them packed two characters a byte, w // 2 bytes a field: " -." read as the hex
+    digits "cde".  A part's y strings split from the unpacked copies of a forward and
+    a mirrored slice of ys (no list of them outlives values), and one % over a
+    template fills it.  How many squares a <path> holds sets the bytes; how many one
+    % fills sets only the memory, so a part is smaller than a <path>.
     """
-    half, w = m // 2 + 1, len(b"%.6f" % height) + 2
-    ys, field = bytearray(half * w), b"%%%d.6f" % w
+    half, k = m // 2 + 1, (len(b"%.6f" % height) + 3) // 2  # k bytes a field
+    ys, field = bytearray(half * k), b"%%%d.6f" % (2 * k)
     for lo in range(0, half, _FILL):
         xs = range(lo, min(lo + _FILL, half))
-        ys[lo * w:xs.stop * w] = (
-            field * len(xs) % tuple([(1 - x * x % m / m) * height - 1 for x in xs]))
+        ys[lo * k:xs.stop * k] = unhexlify((field * len(xs) % tuple(
+            [(1 - x * x % m / m) * height - 1 for x in xs])).translate(_PACK))
     ys, full = memoryview(ys), _SQUARE * _FILL
     for start in range(0, m, _CHUNK):
         yield b'<path d="'
@@ -252,8 +255,9 @@ def _scatter(m: int, width: int, height: int):
             values = [None] * (2 * (hi - lo))
             values[0::2] = [x / m * width for x in range(lo, hi)]
             values[1::2] = (
-                ys[lo * w:hi * w].tobytes().split()
-                + ys[(m - hi + 1) * w:(m - max(lo, half) + 1) * w].tobytes().split()[::-1])
+                hexlify(ys[lo * k:hi * k]).translate(_UNPACK).split()
+                + hexlify(ys[(m - hi + 1) * k:(m - max(lo, half) + 1) * k])
+                .translate(_UNPACK).split()[::-1])
             yield (full if hi - lo == _FILL else _SQUARE * (hi - lo)) % tuple(values)
         yield b'"/>\n'
 

@@ -45,12 +45,12 @@ PINS = (
         ("verify", "--modulus", M40, "--max-denominator", "1", "--window", "499999"),
         "822708375222bd75cb66b36fed08217a6387155b2df5aada5624a14ca6382c7a", mb=10),
     # A streamed 76,877,838-byte SVG; formatted whole, it took ~7.9 s and ~516 MB (2-CPU VM).
-    # Its scatter holds 6 MB of ordinates.
+    # Its scatter holds 3 MB of ordinates, packed two characters a byte (6 MB unpacked).
     Pin("large-bundle-svg",
         ("bundle", "--modulus", "999983", "--lambda-n", "400", "--max-denominator", "180",
          "--out", "{out}"),
         "e4167f3803bb3730a7070ea0deb2d40756d13fa7b5d40fbd3ae4ee71b2260015",
-        out="7430b7fe895dd8e2b037083f6af6e20f0ce967ae50d5f8bc324c1527b4e1f030", mb=15),
+        out="7430b7fe895dd8e2b037083f6af6e20f0ce967ae50d5f8bc324c1527b4e1f030", mb=10),
     # 225,428,136 bytes: all 987,919 vertices and coefficients, streamed from member rows.
     Pin("near-cap-predict",
         ("predict", "--modulus", M40, "--max-denominator", "180", "--json"),
@@ -71,6 +71,12 @@ PINS = (
     Pin("long-modulus-predict",
         ("predict", "--modulus", M4000, "--max-denominator", "36", "--json"),
         "310962230d6a92791984b251baf4d1d41b92cf668aa3fe875eea48a2c1ddbc86", seconds=15, mb=10),
+    # 4,340 bytes: F_24's 181 default windows, 14,568 points at m's weight of 584, so
+    # 8,507,712 of the point cap's 10^7; 6.8 s (2-CPU VM).  At the weights before, 401 a
+    # point and 1 a member, --max-denominator 28 passed, and 164 with --window 1 (18.8 s).
+    Pin("long-modulus-verify",
+        ("verify", "--modulus", M4000, "--max-denominator", "24"),
+        "2f0e911b3529101c55171f467de11ebc7dcaad4f405dd50ca4b4b92a75c7f8f6", seconds=15, mb=10),
 )
 
 

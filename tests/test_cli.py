@@ -812,7 +812,7 @@ REFUSALS = [
      "layout period needs lambda-n <= 9000, got 9001"),
     # each point counted at a 4,300-digit modulus's weight: at weight 1 this ran 62 s
     (["verify", "--modulus", str(10**4299 + 7), "--max-denominator", "1", "--window", "100000"],
-     "verify windows reach 200001 oracle points at 463 each, over the cap of 10000000"),
+     "verify windows reach 200001 oracle points at 675 each, over the cap of 10000000"),
     # each grid cell counted at a 4,300-digit modulus's weight, the first size past the
     # cap (1336 runs 7 s); at weight 1, --size 10000 was drawn, in 4.5 minutes
     (["grid", "--modulus", str(10**4299 + 7), "--size", "1337", "--out", "x.pgm"],
@@ -822,18 +822,35 @@ REFUSALS = [
     # were inside the cap, a run of about 20 minutes and 12 GB
     (["predict", "--modulus", str(10**4000 + 7), "--max-denominator", "180"],
      "predict exceeds the cap of 1000000 family members at 123 each"),
+    # each verify member counted at a 4,001-digit modulus's weight, refused at b = 33; with
+    # members at weight 1, F_164's 751,449 members and 24,702 points at 401 each were
+    # inside the caps, a run of 18.8 s
+    (["verify", "--modulus", str(10**4000 + 7), "--max-denominator", "164", "--window", "1"],
+     "verify exceeds the cap of 1000000 family members at 169 each"),
 ]
 
 
-def test_weights_are_1_below_their_scale():
-    # so no golden, pin or qrbench request is weighed but long-modulus-predict
-    assert cli._weight(10**58 + 7, 1200) == cli._weight(2**1199 - 1, 1200) == 1
-    assert cli._weight(2**1199, 1200) == cli._weight(2**663, 664) == 2
-    pin = next(pin for pin in pins.PINS if pin.name == "long-modulus-predict")
-    m, max_d = int(pin.argv[2]), int(pin.argv[4])
-    assert cli._plan("predict", m, max_d) == len(farey(max_d))
-    with pytest.raises(ValueError, match=" at 123 each$"):
-        cli._plan("predict", m, max_d + 1)
+def test_weights_are_1_below_their_scale(monkeypatch):
+    # so no golden, pin or qrbench request is weighed but the long-modulus pins
+    for scale in (550, 1024, 1200):  # verify's points, verify's and predict's members
+        assert cli._weight(10**58 + 7, scale) == cli._weight(2**(scale - 1) - 1, scale) == 1
+        assert cli._weight(2**(scale - 1), scale) == 2
+    monkeypatch.setattr(cli, "MAX_MEMBERS", 1)
+    for command in ("predict", "verify", "bundle"):
+        with pytest.raises(ValueError, match=" 1 family members$"):
+            cli._plan(command, 10**58 + 7, 1, window=1)
+    monkeypatch.setattr(cli, "MAX_VERIFY_POINTS", 1)
+    with pytest.raises(ValueError, match=r"^verify windows reach 3 oracle points, over"):
+        cli._plan("verify", 10**58 + 7, 1, window=1)
+    monkeypatch.undo()
+    # each long-modulus pin sits at its largest accepted D: F_36 in 961,245 weighted
+    # members of predict's 10^6, F_24 in 8,507,712 weighted points of verify's 10^7
+    for name, each in (("long-modulus-predict", 123), ("long-modulus-verify", 584)):
+        pin = next(pin for pin in pins.PINS if pin.name == name)
+        command, m, max_d = pin.argv[0], int(pin.argv[2]), int(pin.argv[4])
+        assert cli._plan(command, m, max_d) == len(farey(max_d))
+        with pytest.raises(ValueError, match=f" at {each} each"):
+            cli._plan(command, m, max_d + 1)
 
 
 def forbidden_work(*args):

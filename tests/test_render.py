@@ -595,7 +595,7 @@ def test_svg_writer_memory_with_many_vertices_stays_under_the_file_size(tmp_path
 def test_svg_scatter_memory_stays_under_the_file_size(tmp_path):
     # One % over all 320,000 squares peaked at 3.4 times the file; the <path> form with
     # the held ordinates as a list of 160,001 bytes objects at 0.92 times.  As one block
-    # of fixed-width fields they take 12 bytes each.
+    # of fixed-width fields they take 12 bytes each (0.22 times), packed 6 (0.12 times).
     path = tmp_path / "scatter.svg"
     peak = svg_peak(lambda: Scene(800, 800, 320000), path)
     assert peak < 0.5 * path.stat().st_size
@@ -631,6 +631,15 @@ def test_scatter_work_past_its_ordinate_block_is_one_fill_part():
     squares, peak = scatter_peak(m)
     assert squares == m
     assert peak - ordinate_block(m) < 150_000
+
+
+def test_scatter_holds_its_ordinate_block_packed_two_characters_a_byte():
+    # 50,002 fields at m = 100,003.  Held as their 12 characters each, the block peaked
+    # at 696 KB; packed into 6 bytes each by unhexlify, at 396 KB.
+    m = 100003
+    squares, peak = scatter_peak(m)
+    assert squares == m
+    assert peak < ordinate_block(m) // 2 + 150_000
 
 
 def test_svg_writer_refuses_a_scene_over_the_cap_before_opening(tmp_path, monkeypatch):
