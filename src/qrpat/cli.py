@@ -18,19 +18,17 @@ from math import gcd
 from . import patterns, render
 from .parabola import (ReducedFraction, anchor, canonical_offsets, check_denominator,
                        check_modulus, check_oracle_window, covering_members, family_rows,
-                       family_structure, fraction_params, parabola_family, residues_near,
-                       stride, verify_identity)
+                       family_structure, fraction_params, length_weight, parabola_family,
+                       residues_near, stride, verify_identity)
 
 # Most family members (b_prime per a/b) one predict, bundle or verify request builds.
 # predict streams F_D and a single --fraction alike, a window at a time; the pins in
 # tests/pins.py time each command near the cap (near-cap-predict, one-fraction-predict,
 # near-cap-bundle, large-bundle-svg, near-cap-verify with --window 1) and bound its memory
 # above the interpreter's floor.  verify with its default windows takes ~11 s there.
-# A predict member counts _weight(m, 1200) times and a verify member _weight(m, 1024), as
-# their squaring grows with m: ~1.6 and ~0.7 µs at 40 digits, ~710 and ~120 µs at 4,000.
+# _plan weighs each predict or verify member by m's length (parabola.length_weight).
 MAX_MEMBERS = 10**6
-# Most oracle points one verify checks, each counted _weight(m, 550) times, as its
-# squaring grows with m: ~0.6 µs at 7 digits, ~390 µs at 4,300 (weight 675; see README).
+# Most oracle points one verify checks, each also weighed by m's length.
 MAX_VERIFY_POINTS = 10**7
 # Vertex and coefficient items one % fills in a predict entry: an entry of up to
 # _WINDOW // 2 members is one window, and a larger one is held a window at a time.
@@ -176,12 +174,6 @@ def _window(b: int, window: int | None) -> int:
     return window or 3 * stride(b)[0]
 
 
-def _weight(m: int, scale: int) -> int:
-    """Units one element counts as at modulus m, 1 + bits^2 // scale^2, as squaring and
-    formatting m's integers cost about bits^2 on CPython 3.11 (see README's caps)."""
-    return 1 + m.bit_length() ** 2 // scale ** 2
-
-
 def _plan(command: str, m: int, b_max: int, fraction: ReducedFraction | None = None,
           window: int | None = None) -> int | list[ReducedFraction]:
     """Refuse a predict, verify or bundle request before any work or output; else
@@ -200,8 +192,9 @@ def _plan(command: str, m: int, b_max: int, fraction: ReducedFraction | None = N
     check_modulus(m)
     check_denominator(m, b_max)
     planned, members, points, walked = 0, 0, 0, []
-    point_weight = _weight(m, 550)  # 1 below 2^549, a member's below 2^1023 or 2^1199
-    member_weight = 1 if command == "bundle" else _weight(m, 1200 if command == "predict" else 1024)
+    point_weight = max(length_weight(m, 300, 1), length_weight(m, 550))  # 1 below 2^299
+    member_weight = 1 if command == "bundle" else length_weight(
+        m, 1200 if command == "predict" else 1024)  # 1 below 2^1199 or 2^1023
     walk = ((b, [a for a in range(b + 1) if gcd(a, b) == 1]) for b in range(1, b_max + 1))
     for b, numerators in walk if fraction is None else [(fraction.b, [fraction.a])]:
         planned += len(numerators)

@@ -33,6 +33,7 @@ __all__ = [
     "family_rows",
     "family_structure",
     "fraction_params",
+    "length_weight",
     "parabola_family",
     "residues_near",
     "stride",
@@ -138,6 +139,15 @@ def check_oracle_window(m: int, x0: int, window: int) -> tuple[int, int]:
     if points > MAX_ORACLE_POINTS:
         raise ValueError(f"oracle window of {points} points exceeds the cap of {MAX_ORACLE_POINTS}")
     return lo, hi
+
+
+def length_weight(m: int, scale: int, power: int = 2) -> int:
+    """Units one element of a request counts as at modulus m, 1 + bits^power // scale^power,
+    as its cost grows with m's length (CPython 3.11; see README's caps).  verify's oracle
+    point, the larger of (300, 1) and (550, 2): 0.6 µs at 7 digits to 339 at 4,001, and 1.8
+    to 3.5 µs from 40 to 200 digits on a slower VM; verify's member (1024, 2): 0.64 to 128 µs;
+    predict's member (1200, 2): 1.3 to 710 µs; grid's cell (256, 1): 0.06 to 4.4 µs at 4,300."""
+    return 1 + m.bit_length() ** power // scale ** power
 
 
 def stride(b: int) -> tuple[int, int]:

@@ -4,10 +4,11 @@
 extracts ``src/`` at REV with ``git archive`` (local history only) and answers
 N seeded requests (``requests``, the suite's one generator of them) with REV's
 and this checkout's ``src/``.  They span all six subcommands, ``--help``, parse
-errors, refusals and the extremes: m = 1, D^2 and D^2 + 1, m up to 10^40 and to
-Python's int-to-str digit limit, D up to 10^19, a in {0, 1, b - 1, b}, b up to
-10^6 through ``--fraction``, integers past the digit limit, lambda-n up to 10^6,
-sides up to 10^400, and every cap and one past it.
+errors, refusals and the extremes: m = 1, D^2 and D^2 + 1, m up to 10^40, at
+10^164 + 7 (where verify's point weight is 2) and up to Python's int-to-str digit
+limit, D up to 10^19, a in {0, 1, b - 1, b}, b up to 10^6 through ``--fraction``,
+integers past the digit limit, lambda-n up to 10^6, sides up to 10^400, and every
+cap and one past it.
 
 Each tree answers in one long-lived child, with the small caps of CAPS, so that
 a request at a cap takes milliseconds.  The two answers (``answer``) are compared
@@ -78,7 +79,7 @@ def requests(seed: int, count: int) -> list[list[str]]:
         if rng.random() < 0.5:
             return str(d * d + pick([0, 1, rng.randrange(1, 10**4)]))
         return str(pick([1, 2, 3, 5, rng.randrange(2, 10**4), rng.randrange(10**39, 10**40),
-                         10**40 + 1, 9999, 10000, 10001, 2999, 3000, 3001,
+                         10**40 + 1, 9999, 10000, 10001, 2999, 3000, 3001, 10**164 + 7,
                          10**(LIMIT - 1) + 7]))
 
     def side():

@@ -827,14 +827,20 @@ REFUSALS = [
     # inside the caps, a run of 18.8 s
     (["verify", "--modulus", str(10**4000 + 7), "--max-denominator", "164", "--window", "1"],
      "verify exceeds the cap of 1000000 family members at 169 each"),
+    # each point counted at a 165-digit modulus's weight, the linear term's 2 (the square
+    # term's is 1 below 2^549), refused at b = 4; at weight 1, F_5's 8,999,990 points ran 23-28 s
+    (["verify", "--modulus", str(10**164 + 7), "--max-denominator", "5", "--window", "449999"],
+     "verify windows reach 5399994 oracle points at 2 each, over the cap of 10000000"),
 ]
 
 
 def test_weights_are_1_below_their_scale(monkeypatch):
-    # so no golden, pin or qrbench request is weighed but the long-modulus pins
-    for scale in (550, 1024, 1200):  # verify's points, verify's and predict's members
-        assert cli._weight(10**58 + 7, scale) == cli._weight(2**(scale - 1) - 1, scale) == 1
-        assert cli._weight(2**(scale - 1), scale) == 2
+    # so no golden, pin or qrbench request is weighed but the long-modulus pins; the
+    # (scale, power) of verify's points (two terms), verify's and predict's members, grid's cells
+    weight = parabola.length_weight
+    for scale, power in ((300, 1), (550, 2), (1024, 2), (1200, 2), (256, 1)):
+        assert weight(10**58 + 7, scale, power) == weight(2**(scale - 1) - 1, scale, power) == 1
+        assert weight(2**(scale - 1), scale, power) == 2
     monkeypatch.setattr(cli, "MAX_MEMBERS", 1)
     for command in ("predict", "verify", "bundle"):
         with pytest.raises(ValueError, match=" 1 family members$"):
