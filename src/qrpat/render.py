@@ -9,6 +9,9 @@ checks happen before anything is converted to floating point.
 
 from __future__ import annotations
 
+import mmap
+import os
+import sys
 from binascii import hexlify, unhexlify
 from collections import namedtuple
 from math import gcd
@@ -32,9 +35,10 @@ __all__ = [
 CURVE_SAMPLES = 1024
 MAX_PIXELS = 10**8  # largest canvas, PGM (one byte per pixel) or SVG; larger is refused
 MAX_SCENE_POINTS = 10**6  # largest SVG scatter (one point per residue); larger is refused
-# Most squares one render_scatter computes, (m + 1) // 2 in either mode (about 0.2 µs
-# each, so ~10 s); larger is refused.
+# Most squares one render_scatter computes, (m + 1) // 2 in either mode; larger is refused.
+# At the cap an 800x800 plot took 7.1-7.9 s in one process and 3.6-4.1 s split (2-CPU VM).
 MAX_SCATTER_SQUARES = 5 * 10**7
+_SPLIT_SQUARES = 100_000  # fewest squares a scatter splits between two processes
 # Scatter squares per <path>, about 120 KB of SVG; it sets the file's bytes.
 _CHUNK = 4096
 # Scatter squares one % fills, about 15 KB of SVG, a divisor of _CHUNK; a part and the
@@ -110,7 +114,9 @@ def render_scatter(m: int, width: int, height: int, half_range: bool = True) -> 
     skips those points, then draws each in its own column.
 
     Either mode squares about (m + 1) // 2 of the x; more than
-    MAX_SCATTER_SQUARES is refused before the canvas is allocated.
+    MAX_SCATTER_SQUARES is refused before the canvas is allocated.  From
+    _SPLIT_SQUARES on, a forked child may draw half the column pairs: their
+    pixel sets are disjoint and the edge points come after, so the bytes match.
     """
     check_modulus(m)
     if width < 16 or height < 16:
@@ -119,17 +125,53 @@ def render_scatter(m: int, width: int, height: int, half_range: bool = True) -> 
     if squares > MAX_SCATTER_SQUARES:
         raise ValueError(f"scatter of {squares} squares exceeds the cap of {MAX_SCATTER_SQUARES}")
     canvas = Canvas.blank(width, height)
-    mirror = not half_range
+    mirror, pixels = not half_range, canvas.pixels
+    columns = (width + 1) // 2 if mirror else width
+    threading = sys.modules.get("threading")  # a forked child would lack every other thread
+    if (squares < _SPLIT_SQUARES or not hasattr(os, "fork")
+            or not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2
+            or threading and threading.active_count() > 1):
+        _columns(pixels, m, width, height, mirror, range(columns))
+    else:  # a child draws columns [mid, columns) into a shared map, this process the rest
+        with mmap.mmap(-1, width * height) as shared:
+            shared[:], mid = pixels, columns // 2
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: this one draws every column
+                pid = None
+            if pid == 0:  # the child leaves by _exit whatever happens: no flush, no atexit
+                try:
+                    _columns(shared, m, width, height, mirror, range(mid, columns))
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            try:
+                _columns(shared, m, width, height, mirror, range(mid))
+            finally:
+                try:
+                    status = os.waitpid(pid, 0)[1] if pid else 1
+                except ChildProcessError:  # SIGCHLD ignored: the child is reaped, its status lost
+                    status = 1
+            if status:  # drawn again, a child column gives the same pixels
+                _columns(shared, m, width, height, mirror, range(mid, columns))
+            pixels[:] = shared
     if mirror:
-        count, x_scale, columns = m, width, (width + 1) // 2
-        edge = m // gcd(m, width)
+        bottom = (height - 1) * width
+        for x in range(0, m, m // gcd(m, width)):
+            pixels[bottom + x * width // m - x * x % m * height // m * width] = 0
+    return canvas
+
+
+def _columns(pixels, m: int, width: int, height: int, mirror: bool, cols: range) -> None:
+    """Draw scatter columns cols into pixels, a mirrored plot's edge points aside."""
+    if mirror:
+        count, x_scale, edge = m, width, m // gcd(m, width)
     else:
-        count, x_scale, columns = (m + 1) // 2, 2 * width, width
-    pixels = canvas.pixels
+        count, x_scale = (m + 1) // 2, 2 * width
     bottom = (height - 1) * width
     white = bytes([255]) * height
-    lo = 0
-    for col in range(columns):
+    lo = -(-cols.start * m // x_scale)
+    for col in cols:
         hi = min(count, -(-(col + 1) * m // x_scale))
         xs = range(lo + 1 if mirror and lo % edge == 0 else lo, hi)
         if hi - lo > height >> 5:
@@ -148,10 +190,6 @@ def render_scatter(m: int, width: int, height: int, half_range: bool = True) -> 
             for x in xs:
                 pixels[bottom + col - x * x % m * height // m * width] = 0
         lo = hi
-    if mirror:
-        for x in range(0, m, edge):
-            pixels[bottom + x * width // m - x * x % m * height // m * width] = 0
-    return canvas
 
 
 def render_sum_squares(m: int, size: int) -> Canvas:

@@ -77,6 +77,10 @@ PINS = (
     Pin("long-modulus-verify",
         ("verify", "--modulus", M4000, "--max-denominator", "24"),
         "2f0e911b3529101c55171f467de11ebc7dcaad4f405dd50ca4b4b92a75c7f8f6", seconds=15, mb=10),
+    # A 640,015-byte PGM of 49,999,995 squares, just under the scatter cap; a forked child
+    # draws half its columns, and os.wait4's peak RSS covers that grandchild too.
+    Pin("near-cap-plot", ("plot", "--modulus", "99999989", "--out", "{out}"), EMPTY,
+        out="22b2a0002c9f5810a5e37b01866802f863c96469fd41dd2cc32175d103a743da", mb=10),
 )
 
 

@@ -106,17 +106,19 @@ def test_no_module_imports_dataclasses_or_typing():
 
 
 # A fresh CLI run: the import alone, or one request after it.  The predict is the set-up
-# request the benchmark times from launch to answer.
+# request the benchmark times from launch to answer; the plot is large enough to split.
 COLD_STARTS = [
     [],
     ["predict", "--modulus", "20171", "--fraction", "1/3", "--json"],
+    ["plot", "--modulus", "320000", "--out", os.devnull],
     ["verify", "--modulus", "10007", "--max-denominator", "5"],
     ["equiv", "--m1", "20179", "--m2", "25219"],
     ["bundle", "--modulus", "20179"],
 ]
 # shutil (with bz2, lzma and fnmatch) sizes argparse's help text to the terminal; a
-# request that prints no help should not load it.
-NOT_AT_START = SLOW_IMPORTS | {"shutil"}
+# request that prints no help should not load it.  A large scatter splits by a bare
+# fork, so nothing loads the process and thread machinery.
+NOT_AT_START = SLOW_IMPORTS | {"shutil", "multiprocessing", "threading", "subprocess"}
 
 
 def test_cli_starts_without_dataclasses_typing_or_inspect():

@@ -88,6 +88,6 @@ def test_each_row_reports_its_own_peak_rss():
 
 
 def test_every_pin_has_its_own_name_and_pins_the_file_it_writes():
-    assert len({pin.name for pin in (FLOOR, *PINS)}) == len(PINS) + 1 == 10
+    assert len({pin.name for pin in (FLOOR, *PINS)}) == len(PINS) + 1 == 11
     for pin in (FLOOR, *PINS):
         assert ("{out}" in pin.argv) == (pin.out is not None), pin.name

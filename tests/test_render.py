@@ -2,7 +2,10 @@
 
 import hashlib
 import math
+import os
 import re
+import signal
+import threading
 import time
 import tracemalloc
 import xml.etree.ElementTree as ET
@@ -169,14 +172,108 @@ def reference_sum_squares(m, size):
 # 320000 is dense and opens every column of the 640- and 800-wide canvases
 # with an edge point (m divides x*width).  801x33 has a dense middle column,
 # which is its own mirror twin.
-@pytest.mark.parametrize("m", [2, 3, 4, 17, 1600, 3200, 20171, 100003, 320000])
-@pytest.mark.parametrize(
-    "width, height", [(16, 16), (17, 1000), (640, 480), (800, 800), (801, 33)]
-)
+SCATTER_MODULI = [2, 3, 4, 17, 1600, 3200, 20171, 100003, 320000]
+SCATTER_SIZES = [(16, 16), (17, 1000), (640, 480), (800, 800), (801, 33)]
+
+
+@pytest.mark.parametrize("m", SCATTER_MODULI)
+@pytest.mark.parametrize("width, height", SCATTER_SIZES)
 @pytest.mark.parametrize("half_range", [True, False])
 def test_scatter_matches_per_point_reference(m, width, height, half_range):
     canvas = render_scatter(m, width, height, half_range)
     assert canvas.pixels == reference_scatter(m, width, height, half_range)
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """render_scatter made to split every scatter, as on two CPUs; each call checks that
+    it forked once and that no child of this process is left."""
+    if not hasattr(os, "fork"):
+        pytest.skip("no os.fork")
+    fork, forks = os.fork, []
+    monkeypatch.setattr(render, "_SPLIT_SQUARES", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(pid) or fork())
+    pid = os.getpid()
+
+    def draw(m, width, height, half_range=True):
+        before = len(forks)
+        canvas = render_scatter(m, width, height, half_range)
+        assert len(forks) == before + 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        return canvas
+    return draw
+
+
+@pytest.mark.parametrize("m", SCATTER_MODULI)
+@pytest.mark.parametrize("width, height", SCATTER_SIZES)
+@pytest.mark.parametrize("half_range", [True, False])
+def test_split_scatter_matches_per_point_reference(m, width, height, half_range, split):
+    canvas = split(m, width, height, half_range)
+    assert canvas.pixels == reference_scatter(m, width, height, half_range)
+
+
+def test_split_scatter_gives_the_golden_plot(split, tmp_path):
+    path = tmp_path / "plot.pgm"
+    write_pgm(split(20171, 800, 800), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_PLOT_20171
+
+
+# A child that raises exits 1; with SIGCHLD ignored its status is lost.  Either way this
+# process draws the child's columns again, over what the child drew.
+@pytest.mark.parametrize("failure", ["raise", "ignore SIGCHLD"])
+@pytest.mark.parametrize("m, width, height", [(320000, 800, 800), (100003, 801, 33),
+                                              (20171, 17, 1000)])
+@pytest.mark.parametrize("half_range", [True, False])
+def test_split_scatter_survives_a_failed_child(failure, m, width, height, half_range, split,
+                                               monkeypatch, request):
+    columns, pid, drawn = render._columns, os.getpid(), []
+
+    def draw(*args):
+        if os.getpid() == pid:
+            drawn.append(args[-1])
+        elif failure == "raise":
+            raise RuntimeError("the child fails")
+        columns(*args)
+    monkeypatch.setattr(render, "_columns", draw)
+    if failure == "ignore SIGCHLD":
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        request.addfinalizer(lambda: signal.signal(signal.SIGCHLD, previous))
+    canvas = split(m, width, height, half_range)
+    assert canvas.pixels == reference_scatter(m, width, height, half_range)
+    columns = (width + 1) // 2 if not half_range else width
+    assert drawn == [range(columns // 2), range(columns // 2, columns)]
+
+
+def test_split_scatter_draws_every_column_when_fork_fails(split, monkeypatch):
+    def fork():
+        raise BlockingIOError("no process to spare")
+    monkeypatch.setattr(os, "fork", fork)
+    for half_range in (True, False):
+        canvas = render_scatter(320000, 801, 33, half_range)
+        assert canvas.pixels == reference_scatter(320000, 801, 33, half_range)
+
+
+def test_scatter_never_forks_on_one_cpu_or_beside_a_thread(monkeypatch):
+    def fork():
+        raise AssertionError("forked")
+    monkeypatch.setattr(render, "_SPLIT_SQUARES", 1)
+    monkeypatch.setattr(os, "fork", fork, raising=False)
+    reference = reference_scatter(20171, 800, 800, False)
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert render_scatter(20171, 800, 800, False).pixels == reference
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    release = threading.Event()
+    second = threading.Thread(target=release.wait)
+    second.start()
+    try:
+        assert render_scatter(20171, 800, 800, False).pixels == reference
+    finally:
+        release.set()
+        second.join(timeout=10)
+    assert not second.is_alive()
 
 
 @pytest.mark.parametrize("m", [2, 7, 415, 1000, 999331])
