@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import mmap
 import os
 import sys
 from functools import cache, lru_cache
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from math import gcd
 
 from . import patterns, render
@@ -30,6 +31,7 @@ from .parabola import (ReducedFraction, anchor, canonical_offsets, check_denomin
 MAX_MEMBERS = 10**6
 # Most oracle points one verify checks, each also weighed by m's length.
 MAX_VERIFY_POINTS = 10**7
+_SPLIT_POINTS = 16_384  # fewest weighed oracle points a verify splits between two processes
 # Vertex and coefficient items one % fills in a predict entry: an entry of up to
 # _WINDOW // 2 members is one window, and a larger one is held a window at a time.
 _WINDOW = 512
@@ -175,10 +177,10 @@ def _window(b: int, window: int | None) -> int:
 
 
 def _plan(command: str, m: int, b_max: int, fraction: ReducedFraction | None = None,
-          window: int | None = None) -> int | list[ReducedFraction]:
+          window: int | None = None) -> int | tuple[int, int] | list[ReducedFraction]:
     """Refuse a predict, verify or bundle request before any work or output; else
-    return, once every check has passed, how many fractions it planned (predict and
-    verify, which walk ``_farey`` or the one fraction) or bundle's F_D in (b, a) order.
+    return, once every check has passed, how many fractions it planned (predict), that
+    and its oracle points at m's weight (verify), or bundle's F_D in (b, a) order.
 
     In one order: the modulus; m > b_max^2; then one walk over b = 1..b_max,
     the a/b at each b being those with gcd(a, b) == 1 (0/1 and 1/1 at b = 1),
@@ -219,7 +221,7 @@ def _plan(command: str, m: int, b_max: int, fraction: ReducedFraction | None = N
     if limit and largest.bit_length() > 3 * limit and largest >= 10**limit:
         raise ValueError(f"predict output can exceed Python's limit of {limit} digits per integer")
     if command != "bundle":
-        return planned
+        return (planned, points * point_weight) if command == "verify" else planned
     return [ReducedFraction(a, b) for b, numerators in walked for a in numerators]
 
 
@@ -262,15 +264,30 @@ def _fraction_checks(m: int, frac: ReducedFraction, window: int | None) -> tuple
     return verify_identity(params), family_structure(family), coverage
 
 
+def _failures(m: int, max_d: int, window: int | None, checked: int, points: int) -> dict:
+    """Each check's failures over F_D in increasing order, from each a/b's pass bits, its byte
+    of a map.  From _SPLIT_POINTS oracle points on (as _plan weighs them) a forked child may
+    check F_D's upper half: as a/b -> (b - a)/b maps F_D onto itself, its windows match."""
+    with mmap.mmap(-1, checked) as flags:
+        def check(part: range) -> None:
+            for k, frac in zip(part, islice(_farey(max_d), part.start, None)):
+                identity, structure, coverage = _fraction_checks(m, frac, window)
+                flags[k] = identity | structure << 1 | coverage << 2
+        mid = checked // 2 if points >= _SPLIT_POINTS else checked  # else no upper half
+        render._two_processes(check, range(mid), range(mid, checked))
+        failed = {"identity": [], "family_structure": [], "coverage": []}
+        for k, frac in enumerate(_farey(max_d)):
+            for bit, (name, names) in enumerate(failed.items()):
+                if not flags[k] >> bit & 1:
+                    names.append(f"{frac}:{name}")
+    return failed
+
+
 def _cmd_verify(args) -> int:
-    """Check each a/b of F_D once, in increasing order, tallying failures as it goes."""
+    """Check F_D by _failures, whose map is freed before json.dumps, then write the report."""
     m, max_d = args.modulus, args.max_denominator
-    checked = _plan("verify", m, max_d, window=args.window)
-    failed = {"identity": [], "family_structure": [], "coverage": []}
-    for frac in _farey(max_d):
-        for name, passed in zip(failed, _fraction_checks(m, frac, args.window)):
-            if not passed:
-                failed[name].append(f"{frac}:{name}")
+    checked, points = _plan("verify", m, max_d, window=args.window)
+    failed = _failures(m, max_d, args.window, checked, points)
     failures = [failure for names in failed.values() for failure in names]
     print(json.dumps({
         "modulus": m,

@@ -14,6 +14,7 @@ import os
 import sys
 from binascii import hexlify, unhexlify
 from collections import namedtuple
+from functools import partial
 from math import gcd
 
 from .parabola import check_denominator, check_modulus, length_weight, vertex_heights
@@ -115,8 +116,8 @@ def render_scatter(m: int, width: int, height: int, half_range: bool = True) -> 
 
     Either mode squares about (m + 1) // 2 of the x; more than
     MAX_SCATTER_SQUARES is refused before the canvas is allocated.  From
-    _SPLIT_SQUARES on, a forked child may draw half the column pairs: their
-    pixel sets are disjoint and the edge points come after, so the bytes match.
+    _SPLIT_SQUARES on, a forked child may draw half the column pairs (_two_processes):
+    their pixel sets are disjoint and the edge points come after, so the bytes match.
     """
     check_modulus(m)
     if width < 16 or height < 16:
@@ -127,39 +128,49 @@ def render_scatter(m: int, width: int, height: int, half_range: bool = True) -> 
     canvas = Canvas.blank(width, height)
     mirror, pixels = not half_range, canvas.pixels
     columns = (width + 1) // 2 if mirror else width
-    threading = sys.modules.get("threading")  # a forked child would lack every other thread
-    if (squares < _SPLIT_SQUARES or not hasattr(os, "fork")
-            or not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2
-            or threading and threading.active_count() > 1):
+    if squares < _SPLIT_SQUARES:
         _columns(pixels, m, width, height, mirror, range(columns))
-    else:  # a child draws columns [mid, columns) into a shared map, this process the rest
+    else:  # columns [mid, columns) may be drawn by a child, into a shared map
         with mmap.mmap(-1, width * height) as shared:
             shared[:], mid = pixels, columns // 2
-            try:
-                pid = os.fork()
-            except OSError:  # no process to spare: this one draws every column
-                pid = None
-            if pid == 0:  # the child leaves by _exit whatever happens: no flush, no atexit
-                try:
-                    _columns(shared, m, width, height, mirror, range(mid, columns))
-                    os._exit(0)
-                finally:
-                    os._exit(1)
-            try:
-                _columns(shared, m, width, height, mirror, range(mid))
-            finally:
-                try:
-                    status = os.waitpid(pid, 0)[1] if pid else 1
-                except ChildProcessError:  # SIGCHLD ignored: the child is reaped, its status lost
-                    status = 1
-            if status:  # drawn again, a child column gives the same pixels
-                _columns(shared, m, width, height, mirror, range(mid, columns))
+            _two_processes(partial(_columns, shared, m, width, height, mirror), range(mid),
+                           range(mid, columns))
             pixels[:] = shared
     if mirror:
         bottom = (height - 1) * width
         for x in range(0, m, m // gcd(m, width)):
             pixels[bottom + x * width // m - x * x % m * height // m * width] = 0
     return canvas
+
+
+def _two_processes(work, lower, upper) -> None:
+    """Call work(lower) here and work(upper) in a forked child, which leaves by os._exit
+    (no flush, no atexit) and so must write to shared memory.  Where no child runs (upper
+    empty, no fork, one CPU listed or a second thread alive), or it fails or its status is
+    lost, work(upper) runs here too, so it must give the same result run twice."""
+    threading, pid = sys.modules.get("threading"), None  # a child would lack every thread
+    if (upper and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) > 1
+            and not (threading and threading.active_count() > 1)):
+        try:
+            pid = os.fork()
+        except OSError:  # no process to spare
+            pass
+    if pid == 0:
+        try:
+            work(upper)
+            os._exit(0)
+        finally:
+            os._exit(1)
+    try:
+        work(lower)
+    finally:
+        try:
+            status = os.waitpid(pid, 0)[1] if pid else 1
+        except ChildProcessError:  # SIGCHLD ignored: the child is reaped, its status lost
+            status = 1
+    if status:
+        work(upper)
 
 
 def _columns(pixels, m: int, width: int, height: int, mirror: bool, cols: range) -> None:

@@ -16,9 +16,10 @@ whole, and this tree's is held to the exit contract (``contract``): a break, or 
 timeout, is an undeclared difference even when both trees answer alike, and no
 allow entry declares it.  One JSON summary is printed: the count per command and
 outcome (this tree's exit code, ``SystemExit(code)``, "crash" or "timeout"), the
-differences and breaks, the declared ones matched by each ``--allow`` entry, and
-the first undeclared difference with both answers.  The exit code is 1 if any
-difference is undeclared, else 0.
+count per command of the requests this tree split between two processes (``os.fork``
+called), the differences and breaks, the declared ones matched by each ``--allow``
+entry, and the first undeclared difference with both answers.  The exit code is 1 if
+any difference is undeclared, else 0.
 
 With ``--tamper`` both children wrap ``qrpat.cli.fraction_params`` alike (``tamper``):
 for a subset of (m, a/b) drawn from the seed, one of TAMPERED_FIELDS moves by 1 up or
@@ -56,10 +57,11 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 COMMANDS = ("plot", "grid", "predict", "verify", "equiv", "bundle")
-# Every cap, wherever a tree defines it, set in both children.
+# Every cap, wherever a tree defines it, set in both children; the split thresholds are
+# set low, so that most plots and verifies split between two processes where they can.
 CAPS = {"MAX_MEMBERS": 2000, "MAX_VERIFY_POINTS": 25000, "MAX_ORACLE_POINTS": 5000,
         "MAX_PIXELS": 64 * 64, "MAX_SCATTER_SQUARES": 5000, "MAX_SCENE_POINTS": 3000,
-        "MAX_LAMBDA_N": 400}
+        "MAX_LAMBDA_N": 400, "_SPLIT_SQUARES": 64, "_SPLIT_POINTS": 64}
 LIMIT = getattr(sys, "get_int_max_str_digits", int)() or 4300
 SHOWN = 4096  # characters of stdout an answer carries for the allow file and the report
 TIMEOUT = 30  # seconds a child may take to answer one request
@@ -219,8 +221,11 @@ def tamper(seed: int) -> None:
 def serve(tamper_seed: int | None) -> None:
     """The child: one JSON argv per stdin line, one JSON answer per line on the
     original stdout, whose descriptor a request cannot reach: SHOWN characters of
-    stdout, its SHA-256, and whether it kept the contract.  Given a tamper_seed, it
-    tampers with the parameters (``tamper``) after it sets the caps."""
+    stdout, its SHA-256, whether it kept the contract and how many times it called
+    ``os.fork``.  Given a tamper_seed, it tampers with the parameters (``tamper``)
+    after it sets the caps."""
+    fork, forks = os.fork, []
+    os.fork = lambda: forks.append(1) or fork()
     answers = os.fdopen(os.dup(1), "w")
     os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
     import qrpat
@@ -237,9 +242,10 @@ def serve(tamper_seed: int | None) -> None:
     answers.flush()
     for line in sys.stdin:
         argv = json.loads(line)
+        forks.clear()
         reply = answer(argv)
         kept, stdout = contract(argv, reply), reply["stdout"]
-        reply.update(kept=kept, stdout=stdout[:SHOWN],
+        reply.update(kept=kept, stdout=stdout[:SHOWN], forks=len(forks),
                      stdout_sha256=hashlib.sha256(stdout.encode()).hexdigest())
         answers.write(json.dumps(reply) + "\n")
         answers.flush()
@@ -323,6 +329,7 @@ def compare(old_src: Path, new_src: Path, argvs: list[list[str]], allow: list[di
     the new tree is an undeclared difference; a timeout is one too, and the last
     request answered."""
     outcomes, allowed, first, different, broken, answered = {}, [0] * len(allow), None, 0, 0, 0
+    split = {}
     started = time.perf_counter()
     children = []
     try:
@@ -333,8 +340,11 @@ def compare(old_src: Path, new_src: Path, argvs: list[list[str]], allow: list[di
                 child.send(argv)
             old, new = (child.receive() for child in children)
             answered += 1
-            counts = outcomes.setdefault(argv[0] if argv and argv[0] in COMMANDS
-                                         else "qrpat", {})
+            command = argv[0] if argv and argv[0] in COMMANDS else "qrpat"
+            counts = outcomes.setdefault(command, {})
+            old.pop("forks", None)  # whether a tree splits is not its answer
+            if new.pop("forks", 0):
+                split[command] = split.get(command, 0) + 1
             outcome = f"SystemExit({new['code']})" if new["raised"] else str(new["code"])
             counts[outcome] = counts.get(outcome, 0) + 1
             timeout = "timeout" in (old["code"], new["code"])
@@ -356,6 +366,7 @@ def compare(old_src: Path, new_src: Path, argvs: list[list[str]], allow: list[di
     return {"requests": answered, "seconds": round(time.perf_counter() - started, 2),
             "outcomes": {command: dict(sorted(counts.items()))
                          for command, counts in sorted(outcomes.items())},
+            "split": dict(sorted(split.items())),
             "different": different, "broken": broken, "undeclared": different - sum(allowed),
             "allowed": [{"reason": entry["reason"], "matched": n}
                         for entry, n in zip(allow, allowed)],

@@ -7,6 +7,13 @@ the interpreter and qrpat take before any work, which differs more between
 machines than what a row adds to it.  ``python3 tests/pins.py --all`` (or
 ``NAME...``) runs FLOOR, then the rows, prints one JSON line each, runs every row
 even after a failure, and exits 1 if any failed.
+
+A row's peak RSS is its request's own: the child runs ``qrpat`` under REPORT, which
+writes two figures to a passed descriptor as it exits, its own ``VmHWM`` and the
+largest ``ru_maxrss`` of the children it reaped (a split plot's or verify's forked
+child), and the larger of the two is gated.  Where ``/proc`` is absent the child
+reports nothing and ``os.wait4``'s peak stands in, which Linux would floor at this
+runner's own peak, as it counts the exec'ing process's peak in a child's.
 """
 
 import hashlib
@@ -23,6 +30,20 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 EMPTY = hashlib.sha256(b"").hexdigest()
 M40 = str(10**40 + 1)
 M4000 = str(10**4000 + 7)
+# ``python -c REPORT FD ARGV...``: ``python -m qrpat ARGV...`` that, whatever way it
+# exits, writes "<VmHWM> <RUSAGE_CHILDREN ru_maxrss>" in KiB to descriptor FD.
+REPORT = """import os, runpy, sys
+fd = int(sys.argv.pop(1))
+try:
+    runpy.run_module("qrpat", run_name="__main__", alter_sys=True)
+finally:
+    if os.path.exists("/proc/self/status"):
+        import resource
+        with open("/proc/self/status") as status:
+            hwm = [line.split()[1] for line in status if line.startswith("VmHWM:")]
+        children = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+        os.write(fd, " ".join([*hwm, str(children)]).encode())
+"""
 
 Pin = namedtuple("Pin", "name argv stdout stderr out seconds mb", defaults=(EMPTY, None, 10, None))
 
@@ -35,12 +56,14 @@ PINS = (
     Pin("near-cap-bundle",
         ("bundle", "--modulus", M40, "--lambda-n", "400", "--max-denominator", "180"),
         "c601d791fe061cb7f14271bcb73d219bac599584951b888d0758499de1d8d181", mb=10),
-    # 382 bytes: "ok" and the 9,881 fractions, each checked against its family_rows rows.
+    # 382 bytes: "ok" and the 9,881 fractions, each checked against its family_rows rows;
+    # a forked child checks the upper half of F_D: 0.46-0.48 s, 0.71-0.77 s in one process.
     Pin("near-cap-verify",
         ("verify", "--modulus", M40, "--max-denominator", "180", "--window", "1"),
         "d085fd24faa382263296ef3202a2a910d322c4ead88b514bc98185ac2d4602bb", mb=10),
     # Two clipped windows of 500,000 points each, squared as covering_members reads them;
     # listing each window first peaked 77 MB over the floor (95 MB in all, 2-CPU VM).
+    # 1/1's is checked by a forked child: 0.54-0.58 s, 0.84 s in one process.
     Pin("wide-window-verify",
         ("verify", "--modulus", M40, "--max-denominator", "1", "--window", "499999"),
         "822708375222bd75cb66b36fed08217a6387155b2df5aada5624a14ca6382c7a", mb=10),
@@ -72,13 +95,14 @@ PINS = (
         ("predict", "--modulus", M4000, "--max-denominator", "36", "--json"),
         "310962230d6a92791984b251baf4d1d41b92cf668aa3fe875eea48a2c1ddbc86", seconds=15, mb=10),
     # 4,340 bytes: F_24's 181 default windows, 14,568 points at m's weight of 584, so
-    # 8,507,712 of the point cap's 10^7; 6.8 s (2-CPU VM).  At the weights before, 401 a
+    # 8,507,712 of the point cap's 10^7; 2.9-3.1 s with F_24's upper half checked by a
+    # forked child, 5.6-5.8 s in one process (2-CPU VM).  At the weights before, 401 a
     # point and 1 a member, --max-denominator 28 passed, and 164 with --window 1 (18.8 s).
     Pin("long-modulus-verify",
         ("verify", "--modulus", M4000, "--max-denominator", "24"),
         "2f0e911b3529101c55171f467de11ebc7dcaad4f405dd50ca4b4b92a75c7f8f6", seconds=15, mb=10),
     # A 640,015-byte PGM of 49,999,995 squares, just under the scatter cap; a forked child
-    # draws half its columns, and os.wait4's peak RSS covers that grandchild too.
+    # draws half its columns, and its peak RSS is gated too (see REPORT).
     Pin("near-cap-plot", ("plot", "--modulus", "99999989", "--out", "{out}"), EMPTY,
         out="22b2a0002c9f5810a5e37b01866802f863c96469fd41dd2cc32175d103a743da", mb=10),
 )
@@ -93,30 +117,37 @@ def _digest(path) -> str:
 
 
 def run(pin: Pin, floor_mb: float | None) -> dict:
-    """Run one pin as ``python -m qrpat`` and judge it, its MB bound against its peak
-    above floor_mb, FLOOR's peak (None when the pin is FLOOR, which has no MB bound).
-    stderr goes to a file: piped and unread, it blocks the child past 64 KB.  Peak
-    RSS is the child's, from ``os.wait4`` (``RUSAGE_CHILDREN`` keeps the largest child
-    so far); at exec Linux counts this process's own peak in it, so this one holds little."""
+    """Run one pin as ``python -m qrpat`` under REPORT and judge it, its MB bound against
+    its peak above floor_mb, FLOOR's peak (None when the pin is FLOOR, which has no MB
+    bound).  stderr goes to a file: piped and unread, it blocks the child past 64 KB.
+    Peak RSS is the larger of the two figures the child reports, else the child's from
+    ``os.wait4`` (``RUSAGE_CHILDREN`` here keeps the largest child so far)."""
     with tempfile.TemporaryDirectory() as tmp:
         out, err = os.path.join(tmp, "out"), os.path.join(tmp, "stderr")
-        argv = [sys.executable, "-m", "qrpat", *(arg.format(out=out) for arg in pin.argv)]
+        report, reported = os.pipe()
+        argv = [sys.executable, "-c", REPORT, str(reported),
+                *(arg.format(out=out) for arg in pin.argv)]
         started = time.perf_counter()
-        with open(err, "wb") as stderr, subprocess.Popen(
-                argv, env={**os.environ, "PYTHONPATH": str(SRC)},
-                stdout=subprocess.PIPE, stderr=stderr) as child:
-            stdout, size = hashlib.sha256(), 0
-            for chunk in iter(lambda: child.stdout.read(1 << 16), b""):
-                stdout.update(chunk)
-                size += len(chunk)
-            _, status, usage = os.wait4(child.pid, 0)
-            child.returncode = os.waitstatus_to_exitcode(status)
-        seconds = time.perf_counter() - started
+        with open(report, "rb") as reports:
+            try:
+                with open(err, "wb") as stderr, subprocess.Popen(
+                        argv, env={**os.environ, "PYTHONPATH": str(SRC)}, pass_fds=(reported,),
+                        stdout=subprocess.PIPE, stderr=stderr) as child:
+                    stdout, size = hashlib.sha256(), 0
+                    for chunk in iter(lambda: child.stdout.read(1 << 16), b""):
+                        stdout.update(chunk)
+                        size += len(chunk)
+                    _, status, usage = os.wait4(child.pid, 0)
+                    child.returncode = os.waitstatus_to_exitcode(status)
+            finally:  # this end closed, the read ends where the child's writing ended
+                os.close(reported)
+            seconds = time.perf_counter() - started
+            figures = reports.read().split()
         digests = {"stdout": (stdout.hexdigest(), pin.stdout),
                    "stderr": (_digest(err), pin.stderr)}
         if pin.out is not None:
             digests["out"] = (_digest(out) if os.path.exists(out) else "missing", pin.out)
-    mb = usage.ru_maxrss / 1024  # KiB on Linux
+    mb = max(map(int, figures or [usage.ru_maxrss])) / 1024  # KiB on Linux
     over = None if floor_mb is None else mb - floor_mb
     reasons = [f"exit {child.returncode}"] if child.returncode else []
     reasons += [f"{what} digest {got}, pinned {want}" for what, (got, want) in digests.items()

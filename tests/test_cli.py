@@ -6,8 +6,10 @@ import hashlib
 import inspect
 import json
 import os
+import signal
 import subprocess
 import sys
+import threading
 import time
 from contextlib import redirect_stdout
 from importlib.metadata import PackageNotFoundError, distribution, distributions
@@ -566,6 +568,109 @@ def test_verify_stdout_golden_hash(capsys, monkeypatch, tampered, argv):
     assert (code, err) == (1 if tampered else 0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY[tampered, argv]
 
+@pytest.fixture
+def split_verify(monkeypatch):
+    """verify made to split every request, as on two CPUs: split_verify(capsys, *argv)
+    runs one and checks that it forked once and left no child of this process.  The
+    fractions this process checked, in order, are kept in checked_here."""
+    if not hasattr(os, "fork"):
+        pytest.skip("no os.fork")
+    fork, forks, pid, checked_here = os.fork, [], os.getpid(), []
+    checks = cli._fraction_checks
+    monkeypatch.setattr(cli, "_SPLIT_POINTS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(pid) or fork())
+
+    def recorded(m, frac, window):
+        if os.getpid() == pid:
+            checked_here.append(frac)
+        return checks(m, frac, window)
+    monkeypatch.setattr(cli, "_fraction_checks", recorded)
+
+    def split(capsys, *argv):
+        before = len(forks)
+        answer = run(capsys, "verify", *argv)
+        assert len(forks) == before + 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        return answer
+    split.checked_here, split.forks = checked_here, forks
+    return split
+
+
+@pytest.mark.parametrize("tampered, argv", list(GOLDEN_VERIFY))
+def test_split_verify_gives_every_golden_hash(capsys, monkeypatch, split_verify, tampered,
+                                              argv):
+    for name in tampered:
+        monkeypatch.setattr(cli, name, TAMPERS[name](getattr(cli, name)))
+    code, out, err = split_verify(capsys, *argv)
+    assert (code, err) == (1 if tampered else 0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY[tampered, argv]
+    fractions = farey(int(argv[3]))  # this process checked F_D's lower half only
+    assert split_verify.checked_here == fractions[:len(fractions) // 2]
+
+
+# A child that raises exits 1; a fork that raises leaves no child; with SIGCHLD ignored
+# the child's status is lost.  Each way this process checks the upper half too.
+@pytest.mark.parametrize("failure", ["child raises", "fork raises", "ignore SIGCHLD"])
+def test_split_verify_survives_a_failed_child(capsys, monkeypatch, split_verify, request,
+                                              failure):
+    for name in ALL_TAMPERS:
+        monkeypatch.setattr(cli, name, TAMPERS[name](getattr(cli, name)))
+    argv = ("--modulus", "20171", "--max-denominator", "9", "--window", "50")
+    if failure == "child raises":
+        pid, checks = os.getpid(), cli._fraction_checks
+
+        def raising(m, frac, window):
+            if os.getpid() != pid:
+                raise RuntimeError("the child fails")
+            return checks(m, frac, window)
+        monkeypatch.setattr(cli, "_fraction_checks", raising)
+    elif failure == "fork raises":
+        def fork():
+            raise BlockingIOError("no process to spare")
+        monkeypatch.setattr(os, "fork", fork)
+    else:
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        request.addfinalizer(lambda: signal.signal(signal.SIGCHLD, previous))
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, err) == (1, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY[ALL_TAMPERS, argv]
+    assert split_verify.checked_here == farey(9)  # the lower half, then the upper
+    assert len(split_verify.forks) == (failure != "fork raises")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_verify_never_forks_below_its_threshold_on_one_cpu_or_beside_a_thread(capsys,
+                                                                               monkeypatch):
+    def fork():
+        raise AssertionError("forked")
+    monkeypatch.setattr(os, "fork", fork, raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    # qrbench's traced request, whose covering_members calls its tracer counts, stays whole
+    argv = ("--modulus", "10007", "--max-denominator", "5", "--window", "30")
+    assert cli._plan("verify", 10007, 5, window=30) == (11, 610)
+    assert 610 < cli._SPLIT_POINTS
+    assert run(capsys, "verify", *argv)[0] == 0
+    monkeypatch.setattr(cli, "_SPLIT_POINTS", 1)
+    golden = ("--modulus", "20171", "--max-denominator", "9", "--window", "50")
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        out = run(capsys, "verify", *golden)[1]
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY[(), golden]
+    release = threading.Event()
+    second = threading.Thread(target=release.wait)
+    second.start()
+    try:
+        out = run(capsys, "verify", *golden)[1]
+    finally:
+        release.set()
+        second.join(timeout=10)
+    assert not second.is_alive()
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY[(), golden]
+
+
 def test_verify_small_modulus_default_window(capsys):
     code, payload, _ = run_json(capsys, "verify", "--modulus", "101",
                                 "--max-denominator", "9")
@@ -851,10 +956,11 @@ def test_weights_are_1_below_their_scale(monkeypatch):
     monkeypatch.undo()
     # each long-modulus pin sits at its largest accepted D: F_36 in 961,245 weighted
     # members of predict's 10^6, F_24 in 8,507,712 weighted points of verify's 10^7
-    for name, each in (("long-modulus-predict", 123), ("long-modulus-verify", 584)):
+    for name, each, plan in (("long-modulus-predict", 123, len(farey(36))),
+                             ("long-modulus-verify", 584, (len(farey(24)), 8507712))):
         pin = next(pin for pin in pins.PINS if pin.name == name)
         command, m, max_d = pin.argv[0], int(pin.argv[2]), int(pin.argv[4])
-        assert cli._plan(command, m, max_d) == len(farey(max_d))
+        assert cli._plan(command, m, max_d) == plan
         with pytest.raises(ValueError, match=f" at {each} each"):
             cli._plan(command, m, max_d + 1)
 

@@ -55,6 +55,8 @@ def test_a_planted_byte_is_caught(tmp_path, module, old, new, field):
     copy = planted(tmp_path, module, old, new)
     summary = differential.compare(SRC, copy, differential.requests(1, 300), [])
     assert summary["requests"] == 300 and summary["different"] == summary["undeclared"] > 0
+    # CAPS set the split thresholds low, so that plots and verifies split in both trees
+    assert summary["split"]["plot"] > 0 and summary["split"]["verify"] > 0
     first = summary["first_undeclared"]
     assert first["old"][field] != first["new"][field]
     assert first["old"]["code"] == first["new"]["code"]

@@ -106,22 +106,27 @@ def test_no_module_imports_dataclasses_or_typing():
 
 
 # A fresh CLI run: the import alone, or one request after it.  The predict is the set-up
-# request the benchmark times from launch to answer; the plot is large enough to split.
+# request the benchmark times from launch to answer; the plot and the second verify are
+# large enough to split.
+SPLIT_VERIFY = ["verify", "--modulus", "1000003", "--max-denominator", "2", "--window", "8192"]
 COLD_STARTS = [
     [],
     ["predict", "--modulus", "20171", "--fraction", "1/3", "--json"],
     ["plot", "--modulus", "320000", "--out", os.devnull],
     ["verify", "--modulus", "10007", "--max-denominator", "5"],
+    SPLIT_VERIFY,
     ["equiv", "--m1", "20179", "--m2", "25219"],
     ["bundle", "--modulus", "20179"],
 ]
 # shutil (with bz2, lzma and fnmatch) sizes argparse's help text to the terminal; a
-# request that prints no help should not load it.  A large scatter splits by a bare
-# fork, so nothing loads the process and thread machinery.
+# request that prints no help should not load it.  A large scatter or verify splits by a
+# bare fork, so nothing loads the process and thread machinery.
 NOT_AT_START = SLOW_IMPORTS | {"shutil", "multiprocessing", "threading", "subprocess"}
 
 
 def test_cli_starts_without_dataclasses_typing_or_inspect():
+    assert cli._plan("verify", 1000003, 2, window=8192)[1] >= cli._SPLIT_POINTS
+    assert (320000 + 1) // 2 >= render._SPLIT_SQUARES
     src = Path(qrpat.__file__).resolve().parent.parent
     code = ("import sys, qrpat.cli\n"
             "code = qrpat.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"

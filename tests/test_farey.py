@@ -65,14 +65,20 @@ def test_farey_rejects_nonpositive(capsys):
 
 def test_the_plan_walks_f_d_by_denominator_then_numerator():
     # the order bundle writes; qrbench enumerates F_D the same way.  predict and verify
-    # walk _farey instead, and their plans return how many fractions they planned.
+    # walk _farey instead, and their plans return how many fractions they planned, verify's
+    # with its oracle points (at weight 1 here): qrbench counts them alike at --window 1.
     for n in range(1, 30):
-        planned = cli._plan("bundle", n * n + 1, n)
+        m = n * n + 1
+        planned = cli._plan("bundle", m, n)
         assert planned == [ReducedFraction(a, b) for a, b in workloads.farey(n)]
         assert planned == sorted(planned, key=lambda f: (f.b, f.a))
-        for command, window in (("predict", None), ("verify", 1)):
-            assert cli._plan(command, n * n + 1, n, window=window) == len(planned)
-            assert cli._plan(command, n * n + 1, n, planned[-1], window) == 1
+        assert cli._plan("predict", m, n) == len(planned)
+        assert cli._plan("predict", m, n, planned[-1]) == 1
+        assert cli._plan("verify", m, n, window=1) == (len(planned),
+                                                       workloads.oracle_points(m, n, 1))
+        x0 = workloads.nearest_anchor(m, *planned[-1])
+        assert cli._plan("verify", m, n, planned[-1], 1) == (1, min(m - 1, x0 + 1)
+                                                              - max(0, x0 - 1) + 1)
 
 
 def test_farey_neighbours_satisfy_bc_minus_ad_equals_one():

@@ -22,8 +22,7 @@ PLANTED = "0" * 64
 
 
 def run_all(rows):
-    """run_all(rows) of tests/pins.py in a fresh interpreter, as CI runs it: Linux counts the
-    runner's own peak RSS in each child's, and this process's is pytest's.  The floor's
+    """run_all(rows) of tests/pins.py in a fresh interpreter, as CI runs it.  The floor's
     line, printed first, is checked and left out of the results."""
     code = f"import sys; from pins import Pin, run_all; sys.exit(run_all({list(rows)!r}))"
     child = subprocess.run([sys.executable, "-c", code], cwd=Path(__file__).parent,
@@ -74,6 +73,16 @@ def test_mb_bounds_apply_to_the_peak_above_the_floor():
     assert re.fullmatch(r"\d+\.\d MB over the floor's \d+\.\d MB, bound 50 MB",
                         planted["reason"])
     assert 50 <= planted["over_floor_mb"] < 70
+
+
+def test_a_rows_peak_rss_is_its_requests_not_the_runners():
+    # At exec Linux counts the runner's peak in a child's ru_maxrss, which os.wait4 reports:
+    # a runner that has held 64 MB read at least that for every row, FLOOR included.
+    code = ("from pins import FLOOR, run; ballast = b'1' * (64 << 20); del ballast; "
+            "print(run(FLOOR, None)['peak_mb'])")
+    child = subprocess.run([sys.executable, "-c", code], cwd=Path(__file__).parent,
+                           capture_output=True, text=True, timeout=60, check=True)
+    assert float(child.stdout) < 48
 
 
 def test_each_row_reports_its_own_peak_rss():
