@@ -40,6 +40,8 @@ MAX_SCENE_POINTS = 10**6  # largest SVG scatter (one point per residue); larger 
 # At the cap an 800x800 plot took 7.1-7.9 s in one process and 3.6-4.1 s split (2-CPU VM).
 MAX_SCATTER_SQUARES = 5 * 10**7
 _SPLIT_SQUARES = 100_000  # fewest squares a scatter splits between two processes
+_SPLIT_SCENE = 16_384  # fewest scatter squares an SVG splits between two processes
+_CURVE_SQUARES = 3000  # squares that take as long to format as one 1,025-sample curve
 # Scatter squares per <path>, about 120 KB of SVG; it sets the file's bytes.
 _CHUNK = 4096
 # Scatter squares one % fills, about 15 KB of SVG, a divisor of _CHUNK; a part and the
@@ -143,15 +145,22 @@ def render_scatter(m: int, width: int, height: int, half_range: bool = True) -> 
     return canvas
 
 
+def _forkable() -> bool:
+    """Whether a forked child may run: os.fork and os.sched_getaffinity exist, two or more
+    CPUs are listed and no second thread is alive (a child would lack every thread)."""
+    threading = sys.modules.get("threading")
+    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) > 1
+            and not (threading and threading.active_count() > 1))
+
+
 def _two_processes(work, lower, upper) -> None:
     """Call work(lower) here and work(upper) in a forked child, which leaves by os._exit
-    (no flush, no atexit) and so must write to shared memory.  Where no child runs (upper
-    empty, no fork, one CPU listed or a second thread alive), or it fails or its status is
+    (no flush, no atexit) and so must write to shared memory (an anonymous mmap, a memfd).
+    Where no child runs (upper empty or not _forkable()), or it fails or its status is
     lost, work(upper) runs here too, so it must give the same result run twice."""
-    threading, pid = sys.modules.get("threading"), None  # a child would lack every thread
-    if (upper and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) > 1
-            and not (threading and threading.active_count() > 1)):
+    pid = None
+    if upper and _forkable():
         try:
             pid = os.fork()
         except OSError:  # no process to spare
@@ -270,28 +279,30 @@ def check_scene(points: int) -> None:
         raise ValueError(f"scene of {points} scatter points exceeds the cap of {MAX_SCENE_POINTS}")
 
 
-def _scatter(m: int, width: int, height: int):
-    """The m scatter squares, "M x y h1v1h-1z" each, one <path> per _CHUNK x,
-    each <path>'s data filled _FILL squares per %.
-
-    Square x is at (x/m*width, (1 - (x*x mod m)/m)*height - 1); the nonzero
-    fill unions overlapping squares.  x and m - x share a y, so the ordinates
-    of x <= m // 2 are formatted once, _FILL per %, into w-wide fields, w two or
-    three more than "%.6f" % height and even, so each starts with a space.  ys holds
-    them packed two characters a byte, w // 2 bytes a field: " -." read as the hex
-    digits "cde".  A part's y strings split from the unpacked copies of a forward and
-    a mirrored slice of ys (no list of them outlives values), and one % over a
-    template fills it.  How many squares a <path> holds sets the bytes; how many one
-    % fills sets only the memory, so a part is smaller than a <path>.
-    """
+def _ordinates(m: int, height: int) -> memoryview:
+    """The ordinate block ys that _paths reads: x and m - x share a y, so the ordinates
+    of x <= m // 2 are formatted once, _FILL per %, into w-wide fields, w two or three
+    more than "%.6f" % height and even, so each starts with a space, and held packed two
+    characters a byte, w // 2 bytes a field: " -." read as the hex digits "cde"."""
     half, k = m // 2 + 1, (len(b"%.6f" % height) + 3) // 2  # k bytes a field
     ys, field = bytearray(half * k), b"%%%d.6f" % (2 * k)
     for lo in range(0, half, _FILL):
         xs = range(lo, min(lo + _FILL, half))
         ys[lo * k:xs.stop * k] = unhexlify((field * len(xs) % tuple(
             [(1 - x * x % m / m) * height - 1 for x in xs])).translate(_PACK))
-    ys, full = memoryview(ys), _SQUARE * _FILL
-    for start in range(0, m, _CHUNK):
+    return memoryview(ys)
+
+
+def _paths(ys: memoryview, m: int, width: int, starts: range):
+    """The squares "M x y h1v1h-1z" of the <path>s at starts, one per _CHUNK x, each <path>'s
+    data filled _FILL squares per %.  Square x is at (x/m*width, (1 - (x*x mod m)/m)*height
+    - 1); the nonzero fill unions overlapping squares.  A part's y strings split from the
+    unpacked copies of a forward and a mirrored slice of ys (no list of them outlives
+    values).  How many squares a <path> holds sets the bytes; how many one % fills sets
+    only the memory, so a part is smaller than a <path>."""
+    half = m // 2 + 1
+    k, full = len(ys) // half, _SQUARE * _FILL
+    for start in starts:
         yield b'<path d="'
         for lo in range(start, min(start + _CHUNK, m), _FILL):
             hi = min(lo + _FILL, m)
@@ -321,7 +332,7 @@ def _polylines(curve: BundleCurve, width: int, height: int) -> bytes:
 def write_svg(scene: Scene, path) -> None:
     """Write the scene as SVG 1.1, formatting it as it goes.
 
-    Element order is fixed: the scatter (unit squares in <path>s, see _scatter),
+    Element order is fixed: the scatter (unit squares in <path>s, see _paths),
     bundle curves in the order of scene.lines, then vertex circles fraction by
     fraction in the order of scene.fractions, each in vertex order.  Every
     coordinate carries six decimals, so equal scenes give identical bytes.
@@ -330,7 +341,10 @@ def write_svg(scene: Scene, path) -> None:
     (_FILL squares of a _CHUNK-square <path>), curve (sampled as it is reached) and
     fraction's circles (from ``vertex_heights``) is filled by one % over a repeated
     template and written at once; the scatter's ordinate block ys and one part are
-    all that stay held.
+    all that stay held.  From _SPLIT_SCENE squares on, where os.memfd_create exists and
+    _forkable(), a forked child (_two_processes) writes the <path>s from a cut on, then the
+    curves, into a memfd, which this process copies after those before the cut; the cut
+    weighs a curve as _CURVE_SQUARES squares.
     """
     width, height, m = scene.width, scene.height, scene.modulus
     check_scene(check_modulus(m))
@@ -343,15 +357,36 @@ def write_svg(scene: Scene, path) -> None:
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>\n'
         '<g fill="black">\n'
     )
+    starts = range(0, m, _CHUNK)
+
+    def pieces(part: range):  # the <path>s of starts[part], then, if part runs past them, curves
+        yield from _paths(ys, m, width, starts[part.start:part.stop])
+        if part.stop > len(starts):
+            yield b'</g>\n<g fill="none" stroke="#1f77b4" stroke-width="0.75">\n'
+            for n in scene.lines:
+                yield _polylines(sample_bundle_curve(scene.s, n), width, height)
     # A scatter part (~15 KB) passes the default 8 KB buffer, which would make each one
     # its own system call; 64 KB holds four.
     with open(path, "wb", buffering=1 << 16) as stream:
-        write = stream.write
+        write, ys = stream.write, _ordinates(m, height)
         write(header.encode())
-        stream.writelines(_scatter(m, width, height))
-        write(b'</g>\n<g fill="none" stroke="#1f77b4" stroke-width="0.75">\n')
-        for n in scene.lines:
-            write(_polylines(sample_bundle_curve(scene.s, n), width, height))
+        if m < _SPLIT_SCENE or not hasattr(os, "memfd_create") or not _forkable():
+            stream.writelines(pieces(range(len(starts) + 1)))
+        else:
+            curves = len(scene.lines) * _CURVE_SQUARES
+            lower = range(min(len(starts), (m + curves + _CHUNK) // (2 * _CHUNK)))
+            with open(os.memfd_create("svg"), "wb", 0) as spool:  # work buffers its own writes
+                def work(part: range) -> None:  # the part with the curves goes to the memfd
+                    if part is lower:
+                        return stream.writelines(pieces(part))
+                    with open(spool.fileno(), "wb", 1 << 16, closefd=False) as out:
+                        out.truncate(out.seek(0))  # from byte 0, so a rerun writes it over
+                        out.writelines(pieces(part))
+                _two_processes(work, lower, range(lower.stop, len(starts) + 1))
+                stream.flush()
+                size, offset = os.fstat(spool.fileno()).st_size, 0
+                while offset < size:
+                    offset += os.sendfile(stream.fileno(), spool.fileno(), offset, size - offset)
         write(b'</g>\n<g fill="none" stroke="#d62728">\n')
         for frac in scene.fractions:  # one cx per fraction, formatted once
             heights, bb = vertex_heights(m, frac), frac.b**2

@@ -58,10 +58,13 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 COMMANDS = ("plot", "grid", "predict", "verify", "equiv", "bundle")
 # Every cap, wherever a tree defines it, set in both children; the split thresholds are
-# set low, so that most plots and verifies split between two processes where they can.
+# set low, so that most plots, verifies and bundle SVGs split between two processes where
+# they can.  MAX_SCENE_POINTS is under one 4,096-square <path> (render._CHUNK), so a split
+# SVG's child writes its curves and at most that one <path>; splits inside the scatter are
+# left to tests/test_render.py, which sets _CHUNK small.
 CAPS = {"MAX_MEMBERS": 2000, "MAX_VERIFY_POINTS": 25000, "MAX_ORACLE_POINTS": 5000,
         "MAX_PIXELS": 64 * 64, "MAX_SCATTER_SQUARES": 5000, "MAX_SCENE_POINTS": 3000,
-        "MAX_LAMBDA_N": 400, "_SPLIT_SQUARES": 64, "_SPLIT_POINTS": 64}
+        "MAX_LAMBDA_N": 400, "_SPLIT_SQUARES": 64, "_SPLIT_POINTS": 64, "_SPLIT_SCENE": 64}
 LIMIT = getattr(sys, "get_int_max_str_digits", int)() or 4300
 SHOWN = 4096  # characters of stdout an answer carries for the allow file and the report
 TIMEOUT = 30  # seconds a child may take to answer one request

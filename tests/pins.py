@@ -10,10 +10,15 @@ even after a failure, and exits 1 if any failed.
 
 A row's peak RSS is its request's own: the child runs ``qrpat`` under REPORT, which
 writes two figures to a passed descriptor as it exits, its own ``VmHWM`` and the
-largest ``ru_maxrss`` of the children it reaped (a split plot's or verify's forked
-child), and the larger of the two is gated.  Where ``/proc`` is absent the child
-reports nothing and ``os.wait4``'s peak stands in, which Linux would floor at this
-runner's own peak, as it counts the exec'ing process's peak in a child's.
+largest ``ru_maxrss`` of the children it reaped (a split plot's, verify's or SVG's
+forked child).  A forked child starts below its parent, as Linux leaves the pages of
+files it has not written unmapped in it, so each fork also writes the parent's ``VmRSS``
+at the fork and the child's at its start (``os.register_at_fork``), and the children's
+figure is their peak less that start plus the parent's RSS at the fork: what the parent
+would have peaked at doing the child's work.  The larger of the two figures is gated.
+Where ``/proc`` is absent the child reports nothing and ``os.wait4``'s peak stands in,
+which Linux would floor at this runner's own peak, as it counts the exec'ing process's
+peak in a child's.
 """
 
 import hashlib
@@ -30,19 +35,25 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 EMPTY = hashlib.sha256(b"").hexdigest()
 M40 = str(10**40 + 1)
 M4000 = str(10**4000 + 7)
-# ``python -c REPORT FD ARGV...``: ``python -m qrpat ARGV...`` that, whatever way it
-# exits, writes "<VmHWM> <RUSAGE_CHILDREN ru_maxrss>" in KiB to descriptor FD.
+# ``python -c REPORT FD ARGV...``: ``python -m qrpat ARGV...`` that writes to descriptor
+# FD, in KiB, one line "<parent's VmRSS at the fork> <child's VmRSS at its start>" from
+# each forked child as it starts and, whatever way it exits, "<VmHWM> <RUSAGE_CHILDREN
+# ru_maxrss>" last.
 REPORT = """import os, runpy, sys
-fd = int(sys.argv.pop(1))
+fd, at_fork = int(sys.argv.pop(1)), []
+def kib(field):
+    with open("/proc/self/status") as status:
+        return next(line.split()[1] for line in status if line.startswith(field))
+if os.path.exists("/proc/self/status"):
+    os.register_at_fork(before=lambda: at_fork.append(kib("VmRSS:")), after_in_child=lambda:
+                        os.write(fd, f"{at_fork[-1]} {kib('VmRSS:')}\\n".encode()))
 try:
     runpy.run_module("qrpat", run_name="__main__", alter_sys=True)
 finally:
     if os.path.exists("/proc/self/status"):
         import resource
-        with open("/proc/self/status") as status:
-            hwm = [line.split()[1] for line in status if line.startswith("VmHWM:")]
         children = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-        os.write(fd, " ".join([*hwm, str(children)]).encode())
+        os.write(fd, f"{kib('VmHWM:')} {children}".encode())
 """
 
 Pin = namedtuple("Pin", "name argv stdout stderr out seconds mb", defaults=(EMPTY, None, 10, None))
@@ -105,6 +116,13 @@ PINS = (
     # draws half its columns, and its peak RSS is gated too (see REPORT).
     Pin("near-cap-plot", ("plot", "--modulus", "99999989", "--out", "{out}"), EMPTY,
         out="22b2a0002c9f5810a5e37b01866802f863c96469fd41dd2cc32175d103a743da", mb=10),
+    # A 29,744,575-byte SVG of 999,983 squares and 3 curves; a forked child writes the
+    # <path>s from the 124th of 245 on, and the curves, into a memfd that this process
+    # copies: 0.63-0.82 s, 0.85-0.88 s in one process (2-CPU VM).
+    Pin("near-cap-svg",
+        ("bundle", "--modulus", "999983", "--max-denominator", "3", "--out", "{out}"),
+        "a20d29c936a3f19b7a42b07345d037840a77d65e93d1e85783d5bc04b7e84432",
+        out="ed1485fcab2581aaf85c874b84ee66390798799b8fbef70fedb4a0ff2a9c6af0", mb=10),
 )
 
 
@@ -116,12 +134,21 @@ def _digest(path) -> str:
     return digest.hexdigest()
 
 
+def peak_kib(forks, figures: bytes) -> int:
+    """The larger of a request's VmHWM and its children's peak less each child's RSS at its
+    start plus its parent's at the fork, from REPORT's lines (the largest such gap of any
+    fork, as RUSAGE_CHILDREN keeps only the largest child's peak)."""
+    hwm, children = map(int, figures.split())
+    gap = max((int(parent) - int(child) for parent, child in map(bytes.split, forks)), default=0)
+    return max(hwm, children + gap)
+
+
 def run(pin: Pin, floor_mb: float | None) -> dict:
     """Run one pin as ``python -m qrpat`` under REPORT and judge it, its MB bound against
     its peak above floor_mb, FLOOR's peak (None when the pin is FLOOR, which has no MB
     bound).  stderr goes to a file: piped and unread, it blocks the child past 64 KB.
-    Peak RSS is the larger of the two figures the child reports, else the child's from
-    ``os.wait4`` (``RUSAGE_CHILDREN`` here keeps the largest child so far)."""
+    Peak RSS is peak_kib of what the child reports, else the child's from ``os.wait4``
+    (``RUSAGE_CHILDREN`` here keeps the largest child so far)."""
     with tempfile.TemporaryDirectory() as tmp:
         out, err = os.path.join(tmp, "out"), os.path.join(tmp, "stderr")
         report, reported = os.pipe()
@@ -142,12 +169,12 @@ def run(pin: Pin, floor_mb: float | None) -> dict:
             finally:  # this end closed, the read ends where the child's writing ended
                 os.close(reported)
             seconds = time.perf_counter() - started
-            figures = reports.read().split()
+            *forks, figures = reports.read().splitlines() or [b"%d 0" % usage.ru_maxrss]
         digests = {"stdout": (stdout.hexdigest(), pin.stdout),
                    "stderr": (_digest(err), pin.stderr)}
         if pin.out is not None:
             digests["out"] = (_digest(out) if os.path.exists(out) else "missing", pin.out)
-    mb = max(map(int, figures or [usage.ru_maxrss])) / 1024  # KiB on Linux
+    mb = peak_kib(forks, figures) / 1024  # KiB on Linux
     over = None if floor_mb is None else mb - floor_mb
     reasons = [f"exit {child.returncode}"] if child.returncode else []
     reasons += [f"{what} digest {got}, pinned {want}" for what, (got, want) in digests.items()
@@ -157,7 +184,7 @@ def run(pin: Pin, floor_mb: float | None) -> dict:
     if pin.mb is not None and over >= pin.mb:
         reasons.append(f"{over:.1f} MB over the floor's {floor_mb:.1f} MB, bound {pin.mb} MB")
     return {"name": pin.name, "exit": child.returncode, "seconds": round(seconds, 3),
-            "peak_mb": round(mb, 1), "over_floor_mb": None if over is None else round(over, 1),
+            "forks": len(forks), "peak_mb": round(mb, 1), "over_floor_mb": None if over is None else round(over, 1),
             "stdout_bytes": size, "stdout_mb_per_s": round(size / seconds / 1e6, 3),
             "pass": not reasons, "reason": "; ".join(reasons) or None}
 

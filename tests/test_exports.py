@@ -106,8 +106,8 @@ def test_no_module_imports_dataclasses_or_typing():
 
 
 # A fresh CLI run: the import alone, or one request after it.  The predict is the set-up
-# request the benchmark times from launch to answer; the plot and the second verify are
-# large enough to split.
+# request the benchmark times from launch to answer; the plot, the second verify and the
+# SVG are large enough to split.
 SPLIT_VERIFY = ["verify", "--modulus", "1000003", "--max-denominator", "2", "--window", "8192"]
 COLD_STARTS = [
     [],
@@ -117,16 +117,19 @@ COLD_STARTS = [
     SPLIT_VERIFY,
     ["equiv", "--m1", "20179", "--m2", "25219"],
     ["bundle", "--modulus", "20179"],
+    ["bundle", "--modulus", "20179", "--out", os.devnull],
 ]
 # shutil (with bz2, lzma and fnmatch) sizes argparse's help text to the terminal; a
-# request that prints no help should not load it.  A large scatter or verify splits by a
-# bare fork, so nothing loads the process and thread machinery.
-NOT_AT_START = SLOW_IMPORTS | {"shutil", "multiprocessing", "threading", "subprocess"}
+# request that prints no help should not load it.  A large scatter, verify or SVG splits
+# by a bare fork, and an SVG's child writes to a memfd, so nothing loads the process and
+# thread machinery or tempfile.
+NOT_AT_START = SLOW_IMPORTS | {"shutil", "multiprocessing", "threading", "subprocess",
+                               "tempfile"}
 
 
 def test_cli_starts_without_dataclasses_typing_or_inspect():
     assert cli._plan("verify", 1000003, 2, window=8192)[1] >= cli._SPLIT_POINTS
-    assert (320000 + 1) // 2 >= render._SPLIT_SQUARES
+    assert (320000 + 1) // 2 >= render._SPLIT_SQUARES and 20179 >= render._SPLIT_SCENE
     src = Path(qrpat.__file__).resolve().parent.parent
     code = ("import sys, qrpat.cli\n"
             "code = qrpat.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"

@@ -2,12 +2,15 @@
 
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
-from pins import EMPTY, FLOOR, PINS, Pin
+import pytest
+
+from pins import EMPTY, FLOOR, PINS, Pin, peak_kib
 from test_cli import GOLDEN_PREDICT
 from test_render import GOLDEN_PLOT_20171
 
@@ -97,6 +100,25 @@ def test_each_row_reports_its_own_peak_rss():
 
 
 def test_every_pin_has_its_own_name_and_pins_the_file_it_writes():
-    assert len({pin.name for pin in (FLOOR, *PINS)}) == len(PINS) + 1 == 11
+    assert len({pin.name for pin in (FLOOR, *PINS)}) == len(PINS) + 1 == 12
     for pin in (FLOOR, *PINS):
         assert ("{out}" in pin.argv) == (pin.out is not None), pin.name
+
+
+def test_a_forked_childs_growth_counts_from_its_parents_rss_at_the_fork():
+    # A child that started at 11,600 KiB, 3,400 under its parent at the fork, and peaked
+    # at 23,600 grew 12,000 KiB: its parent would have peaked at 27,000 doing its work.
+    assert peak_kib([b"15000 11600"], b"15500 23600") == 27000
+    assert peak_kib([b"15000 11600"], b"30000 23600") == 30000
+    assert peak_kib([], b"15500 23600") == 23600  # no fork reported
+    assert peak_kib([b"15000 11600", b"15100 14100"], b"15500 23600") == 27000
+
+
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                    reason="a request forks only where two CPUs are listed")
+def test_a_split_request_reports_its_fork():
+    # 100,002 squares, past render._SPLIT_SQUARES: one forked child draws half the columns.
+    split = Pin("split", ("plot", "--modulus", "200003", "--out", "{out}"), EMPTY)
+    _, (forked, plain) = run_all([split, PREDICT])
+    assert (forked["forks"], plain["forks"]) == (1, 0)
+    assert forked["pass"] and plain["pass"]

@@ -668,6 +668,129 @@ def test_svg_writer_matches_reference_on_generated_scenes(tmp_path):
     check_curve()
 
 
+def open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.fixture
+def svg_split(monkeypatch, tmp_path):
+    """write_svg made to split every scene, as on two CPUs, with 8-square parts and
+    64-square <path>s; write(scene, forks) checks that it forked that often and left no
+    child and no open descriptor (a leaked memfd) behind, and returns the bytes.  Its
+    one_process(scene) writes the same scene at the same part sizes without forking."""
+    if not (hasattr(os, "fork") and hasattr(os, "memfd_create")
+            and os.path.isdir("/proc/self/fd")):
+        pytest.skip("no os.fork, os.memfd_create or /proc/self/fd")
+    fork, forks = os.fork, []
+    monkeypatch.setattr(render, "_FILL", 8)
+    monkeypatch.setattr(render, "_CHUNK", 64)
+    monkeypatch.setattr(render, "_SPLIT_SCENE", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+
+    def write(scene, forked=1):
+        before, fds = len(forks), open_fds()
+        data = svg_bytes(scene, tmp_path)
+        assert (len(forks) - before, open_fds()) == (forked, fds)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        return data
+
+    def one_process(scene):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(render, "_SPLIT_SCENE", scene.modulus + 1)
+            return write(scene, 0)
+    write.one_process, write.forks = one_process, forks
+    return write
+
+
+# Odd and even m, m at a 64-square <path>'s edge and one past it, and m under one <path>.
+SPLIT_MODULI = [2, 63, 191, 192, 193, 300]
+
+
+@pytest.mark.parametrize("m", SPLIT_MODULI)
+def test_split_svg_matches_one_process_at_every_cut(m, svg_split, monkeypatch):
+    # One curve weighed as w squares puts the cut at (m + w + 64) // 128 <path>s: each w
+    # below moves it to the next, from "the child writes every <path>" (cut 0) to "the
+    # child writes only the curve" (cut ceil(m / 64)).
+    scene = Scene(320, 240, m, 7, range(1, 2), by_denominator(math.isqrt(m - 1) if m > 4 else 1))
+    reference, chunks, cuts = svg_split.one_process(scene), -(-m // 64), []
+    parts = render._two_processes
+    monkeypatch.setattr(render, "_two_processes",
+                        lambda work, lower, upper: cuts.append(lower) or parts(work, lower, upper))
+    for cut in range(chunks + 1):
+        monkeypatch.setattr(render, "_CURVE_SQUARES", 128 * cut - m)
+        assert svg_split(scene) == reference
+        assert cuts.pop() == range(cut)
+
+
+@pytest.mark.parametrize("m", SPLIT_MODULI + [5000])
+def test_split_svg_without_curves_matches_one_process(m, svg_split):
+    scene = Scene(64, 64, m, fractions=by_denominator(1))
+    assert svg_split(scene) == svg_split.one_process(scene)
+
+
+def test_split_svg_gives_the_golden_overlay(svg_split, monkeypatch):
+    monkeypatch.setattr(render, "_FILL", FILL)
+    monkeypatch.setattr(render, "_CHUNK", CHUNK)
+    monkeypatch.setattr(render, "_SPLIT_SCENE", 20179)
+    assert hashlib.sha256(svg_split(SCENE_20179)).hexdigest() == GOLDEN_SVG_20179
+
+
+# A child that writes 300 KB of junk into the memfd, then fails, exits 1; with SIGCHLD
+# ignored, a child that succeeds has its status lost.  Either way this process writes the
+# memfd over.  A fork that fails, one CPU listed, a second thread alive and no
+# os.memfd_create each leave this process to write it all.
+@pytest.mark.parametrize("failure", ["child exits 1", "SIGCHLD ignored", "fork raises",
+                                     "one CPU", "second thread", "no memfd_create"])
+def test_split_svg_failures_give_one_process_bytes(failure, svg_split, monkeypatch, request):
+    scene = Scene(320, 240, 300, 7, range(-2, 3), by_denominator(9))
+    reference, pid, forked = svg_split.one_process(scene), os.getpid(), 1
+    if failure == "child exits 1":
+        polylines, junk = render._polylines, []
+
+        def fail_in_child(*args):
+            if os.getpid() == pid:
+                return polylines(*args)
+            if junk:
+                raise RuntimeError("the child fails")
+            return junk.append(1) or b"x" * 300_000
+        monkeypatch.setattr(render, "_polylines", fail_in_child)
+    elif failure == "SIGCHLD ignored":
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        request.addfinalizer(lambda: signal.signal(signal.SIGCHLD, previous))
+    elif failure == "fork raises":
+        def fork():
+            raise BlockingIOError("no process to spare")
+        monkeypatch.setattr(os, "fork", fork)
+        forked = 0
+    elif failure == "one CPU":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        forked = 0
+    elif failure == "no memfd_create":
+        monkeypatch.delattr(os, "memfd_create")
+        forked = 0
+    else:
+        release = threading.Event()
+        second = threading.Thread(target=release.wait)
+        second.start()
+        request.addfinalizer(lambda: (release.set(), second.join(timeout=10)))
+        forked = 0
+    assert svg_split(scene, forked) == reference
+
+
+def test_split_svg_to_a_full_disk_exits_3_with_one_line(svg_split, capsys):
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    fds, forks = open_fds(), len(svg_split.forks)
+    assert main(["bundle", "--modulus", "20179", "--out", "/dev/full"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("i/o error: ")
+    assert (open_fds(), len(svg_split.forks)) == (fds, forks + 1)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def svg_peak(scene_of, path):
     """tracemalloc's peak while scene_of() builds a scene and write_svg writes it."""
     return traced_peak(lambda: write_svg(scene_of(), path))[1]
@@ -700,8 +823,8 @@ def test_svg_scatter_memory_stays_under_the_file_size(tmp_path):
 
 def scatter_peak(m):
     """(squares, tracemalloc's peak) while a bare 800x800 scatter at m is formatted."""
-    return traced_peak(lambda: sum(part.count(b"h1v1h-1z")
-                                   for part in render._scatter(m, 800, 800)))
+    return traced_peak(lambda: sum(part.count(b"h1v1h-1z") for part in render._paths(
+        render._ordinates(m, 800), m, 800, range(0, m, CHUNK))))
 
 
 def ordinate_block(m):
@@ -798,7 +921,7 @@ def test_refused_svg_formats_no_curve_or_marker(tmp_path, monkeypatch):
         raise AssertionError("a curve or marker was computed before the scene cap")
 
     scene = SCENE_20179
-    for name in ("_scatter", "_polylines", "sample_bundle_curve", "vertex_heights"):
+    for name in ("_ordinates", "_paths", "_polylines", "sample_bundle_curve", "vertex_heights"):
         monkeypatch.setattr(render, name, formatted)
     monkeypatch.setattr(render, "MAX_SCENE_POINTS", 20178)
     path = tmp_path / "x.svg"
