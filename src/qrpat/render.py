@@ -145,22 +145,17 @@ def render_scatter(m: int, width: int, height: int, half_range: bool = True) -> 
     return canvas
 
 
-def _forkable() -> bool:
-    """Whether a forked child may run: os.fork and os.sched_getaffinity exist, two or more
-    CPUs are listed and no second thread is alive (a child would lack every thread)."""
-    threading = sys.modules.get("threading")
-    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) > 1
-            and not (threading and threading.active_count() > 1))
-
-
 def _two_processes(work, lower, upper) -> None:
     """Call work(lower) here and work(upper) in a forked child, which leaves by os._exit
     (no flush, no atexit) and so must write to shared memory (an anonymous mmap, a memfd).
-    Where no child runs (upper empty or not _forkable()), or it fails or its status is
-    lost, work(upper) runs here too, so it must give the same result run twice."""
-    pid = None
-    if upper and _forkable():
+    A child may run where upper is not empty, os.fork and os.sched_getaffinity exist, two or
+    more CPUs are listed and no second thread is alive (a child would lack every thread).
+    Where none may run, or it fails or its status is lost, work(upper) runs here after
+    work(lower), so it must give the same result run twice."""
+    threading, pid = sys.modules.get("threading"), None
+    if (upper and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) > 1
+            and not (threading and threading.active_count() > 1)):
         try:
             pid = os.fork()
         except OSError:  # no process to spare
@@ -341,10 +336,10 @@ def write_svg(scene: Scene, path) -> None:
     (_FILL squares of a _CHUNK-square <path>), curve (sampled as it is reached) and
     fraction's circles (from ``vertex_heights``) is filled by one % over a repeated
     template and written at once; the scatter's ordinate block ys and one part are
-    all that stay held.  From _SPLIT_SCENE squares on, where os.memfd_create exists and
-    _forkable(), a forked child (_two_processes) writes the <path>s from a cut on, then the
-    curves, into a memfd, which this process copies after those before the cut; the cut
-    weighs a curve as _CURVE_SQUARES squares.
+    all that stay held.  From _SPLIT_SCENE squares on, where os.memfd_create exists, the
+    <path>s from a cut on, then the curves, go to a memfd, which this process copies after
+    those before the cut; the cut weighs a curve as _CURVE_SQUARES squares.  A forked child
+    (_two_processes) writes the memfd, or this process where no child may run.
     """
     width, height, m = scene.width, scene.height, scene.modulus
     check_scene(check_modulus(m))
@@ -370,7 +365,7 @@ def write_svg(scene: Scene, path) -> None:
     with open(path, "wb", buffering=1 << 16) as stream:
         write, ys = stream.write, _ordinates(m, height)
         write(header.encode())
-        if m < _SPLIT_SCENE or not hasattr(os, "memfd_create") or not _forkable():
+        if m < _SPLIT_SCENE or not hasattr(os, "memfd_create"):
             stream.writelines(pieces(range(len(starts) + 1)))
         else:
             curves = len(scene.lines) * _CURVE_SQUARES

@@ -9,7 +9,6 @@ import os
 import signal
 import subprocess
 import sys
-import threading
 import time
 from contextlib import redirect_stdout
 from importlib.metadata import PackageNotFoundError, distribution, distributions
@@ -27,7 +26,7 @@ from qrpat import (
 from qrpat.cli import main
 import differential
 import pins
-from test_render import GOLDEN_SVG_20179, by_denominator, read_pgm, traced_peak
+from test_render import GOLDEN_SVG_20179, by_denominator, forks, read_pgm, traced_peak
 from test_farey import farey
 
 # stdout of `qrpat bundle --modulus 20179 --lambda-n 9 --max-denominator 9`.
@@ -569,17 +568,12 @@ def test_verify_stdout_golden_hash(capsys, monkeypatch, tampered, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY[tampered, argv]
 
 @pytest.fixture
-def split_verify(monkeypatch):
+def split_verify(monkeypatch, forks):
     """verify made to split every request, as on two CPUs: split_verify(capsys, *argv)
     runs one and checks that it forked once and left no child of this process.  The
     fractions this process checked, in order, are kept in checked_here."""
-    if not hasattr(os, "fork"):
-        pytest.skip("no os.fork")
-    fork, forks, pid, checked_here = os.fork, [], os.getpid(), []
-    checks = cli._fraction_checks
+    pid, checked_here, checks = os.getpid(), [], cli._fraction_checks
     monkeypatch.setattr(cli, "_SPLIT_POINTS", 1)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(os, "fork", lambda: forks.append(pid) or fork())
 
     def recorded(m, frac, window):
         if os.getpid() == pid:
@@ -588,13 +582,8 @@ def split_verify(monkeypatch):
     monkeypatch.setattr(cli, "_fraction_checks", recorded)
 
     def split(capsys, *argv):
-        before = len(forks)
-        answer = run(capsys, "verify", *argv)
-        assert len(forks) == before + 1
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-        return answer
-    split.checked_here, split.forks = checked_here, forks
+        return forks.run(run, capsys, "verify", *argv)
+    split.checked_here = checked_here
     return split
 
 
@@ -610,9 +599,10 @@ def test_split_verify_gives_every_golden_hash(capsys, monkeypatch, split_verify,
     assert split_verify.checked_here == fractions[:len(fractions) // 2]
 
 
-# A child that raises exits 1; a fork that raises leaves no child; with SIGCHLD ignored
-# the child's status is lost.  Each way this process checks the upper half too.
-@pytest.mark.parametrize("failure", ["child raises", "fork raises", "ignore SIGCHLD"])
+# A child that raises at its last fraction, after writing the others' bytes, exits 1; with
+# SIGCHLD ignored the child's status is lost.  Each way this process checks the upper half
+# too, over the bytes the child wrote.
+@pytest.mark.parametrize("failure", ["child raises", "ignore SIGCHLD"])
 def test_split_verify_survives_a_failed_child(capsys, monkeypatch, split_verify, request,
                                               failure):
     for name in ALL_TAMPERS:
@@ -622,53 +612,25 @@ def test_split_verify_survives_a_failed_child(capsys, monkeypatch, split_verify,
         pid, checks = os.getpid(), cli._fraction_checks
 
         def raising(m, frac, window):
-            if os.getpid() != pid:
+            if os.getpid() != pid and frac == farey(9)[-1]:
                 raise RuntimeError("the child fails")
             return checks(m, frac, window)
         monkeypatch.setattr(cli, "_fraction_checks", raising)
-    elif failure == "fork raises":
-        def fork():
-            raise BlockingIOError("no process to spare")
-        monkeypatch.setattr(os, "fork", fork)
     else:
         previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
         request.addfinalizer(lambda: signal.signal(signal.SIGCHLD, previous))
-    code, out, err = run(capsys, "verify", *argv)
+    code, out, err = split_verify(capsys, *argv)
     assert (code, err) == (1, "")
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY[ALL_TAMPERS, argv]
     assert split_verify.checked_here == farey(9)  # the lower half, then the upper
-    assert len(split_verify.forks) == (failure != "fork raises")
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
-def test_verify_never_forks_below_its_threshold_on_one_cpu_or_beside_a_thread(capsys,
-                                                                               monkeypatch):
-    def fork():
-        raise AssertionError("forked")
-    monkeypatch.setattr(os, "fork", fork, raising=False)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+def test_verify_never_forks_below_its_threshold(capsys, forks):
     # qrbench's traced request, whose covering_members calls its tracer counts, stays whole
     argv = ("--modulus", "10007", "--max-denominator", "5", "--window", "30")
     assert cli._plan("verify", 10007, 5, window=30) == (11, 610)
     assert 610 < cli._SPLIT_POINTS
-    assert run(capsys, "verify", *argv)[0] == 0
-    monkeypatch.setattr(cli, "_SPLIT_POINTS", 1)
-    golden = ("--modulus", "20171", "--max-denominator", "9", "--window", "50")
-    with monkeypatch.context() as patch:
-        patch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        out = run(capsys, "verify", *golden)[1]
-        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY[(), golden]
-    release = threading.Event()
-    second = threading.Thread(target=release.wait)
-    second.start()
-    try:
-        out = run(capsys, "verify", *golden)[1]
-    finally:
-        release.set()
-        second.join(timeout=10)
-    assert not second.is_alive()
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY[(), golden]
+    assert forks.run(run, capsys, "verify", *argv, forked=0)[0] == 0
 
 
 def test_verify_small_modulus_default_window(capsys):

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import mmap
 import os
 import re
 import signal
@@ -10,6 +11,7 @@ import time
 import tracemalloc
 import xml.etree.ElementTree as ET
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -184,26 +186,101 @@ def test_scatter_matches_per_point_reference(m, width, height, half_range):
     assert canvas.pixels == reference_scatter(m, width, height, half_range)
 
 
-@pytest.fixture
-def split(monkeypatch):
-    """render_scatter made to split every scatter, as on two CPUs; each call checks that
-    it forked once and that no child of this process is left."""
-    if not hasattr(os, "fork"):
-        pytest.skip("no os.fork")
-    fork, forks = os.fork, []
-    monkeypatch.setattr(render, "_SPLIT_SQUARES", 1)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(os, "fork", lambda: forks.append(pid) or fork())
-    pid = os.getpid()
+class Forks(list):
+    """The calls of os.fork, as the forks fixture counts them."""
 
-    def draw(m, width, height, half_range=True):
-        before = len(forks)
-        canvas = render_scatter(m, width, height, half_range)
-        assert len(forks) == before + 1
+    def run(self, call, *args, forked=1):
+        """call(*args), checking that it forked `forked` times and left no child."""
+        before = len(self)
+        result = call(*args)
+        assert len(self) - before == forked
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
-        return canvas
-    return draw
+        return result
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Two CPUs listed, so that a split may fork, and os.fork's calls counted in a Forks."""
+    if not hasattr(os, "fork"):
+        pytest.skip("no os.fork")
+    fork, forks = os.fork, Forks()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+LOWER, UPPER = range(4), range(4, 8)
+
+
+def toy_split(forks, forked, spoil=None, upper=UPPER):
+    """_two_processes over an 8-byte anonymous map, whose work(part) writes k + 1 at each k
+    of part; a child then calls spoil(shared, part).  Checks that it forked `forked` times,
+    left no child and filled the map, and returns the parts run here, in order."""
+    pid, here = os.getpid(), []
+    with mmap.mmap(-1, 8) as shared:
+        def work(part):
+            if os.getpid() == pid:
+                here.append(part)
+            for k in part:
+                shared[k] = k + 1
+            if os.getpid() != pid and spoil:
+                spoil(shared, part)
+        forks.run(render._two_processes, work, LOWER, upper, forked=forked)
+        assert shared[:upper.stop] == bytes(range(1, upper.stop + 1))
+    return here
+
+
+def test_two_processes_runs_the_upper_part_only_in_a_child(forks):
+    assert toy_split(forks, 1) == [LOWER]
+
+
+@pytest.mark.parametrize("guard", ["one CPU", "second thread", "no fork", "no sched_getaffinity",
+                                   "upper empty"])
+def test_two_processes_runs_both_parts_here_where_no_child_may_run(guard, forks, monkeypatch,
+                                                                   request):
+    upper = range(4, 4) if guard == "upper empty" else UPPER
+    if guard == "one CPU":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    elif guard == "second thread":
+        release = threading.Event()
+        second = threading.Thread(target=release.wait)
+        second.start()
+        request.addfinalizer(lambda: (release.set(), second.join(timeout=10)))
+    elif guard.startswith("no "):
+        monkeypatch.delattr(os, guard[3:])
+    assert toy_split(forks, 0, upper=upper) == [LOWER, upper]
+
+
+# A child that writes junk over its part and then exits 1 or is killed by a signal, a
+# child whose status is lost to an ignored SIGCHLD, and a fork that raises each leave
+# this process to run the upper part again, after the lower.
+@pytest.mark.parametrize("failure", ["child exits 1", "child killed", "SIGCHLD ignored",
+                                     "fork raises"])
+def test_two_processes_reruns_the_upper_part_here_on_any_failure(failure, forks, monkeypatch,
+                                                                 request):
+    def spoil(shared, part):
+        shared[part.start:part.stop] = b"\xff" * len(part)
+        if failure == "child killed":
+            os.kill(os.getpid(), signal.SIGKILL)
+        raise RuntimeError("the child fails")
+    if failure == "SIGCHLD ignored":
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        request.addfinalizer(lambda: signal.signal(signal.SIGCHLD, previous))
+    elif failure == "fork raises":
+        def fork():
+            raise BlockingIOError("no process to spare")
+        monkeypatch.setattr(os, "fork", fork)
+    forked, spoiled = int(failure != "fork raises"), failure.startswith("child") and spoil
+    assert toy_split(forks, forked, spoiled) == [LOWER, UPPER]
+
+
+@pytest.fixture
+def split(monkeypatch, forks):
+    """render_scatter made to split every scatter, as on two CPUs; each call checks that
+    it forked once and that no child of this process is left."""
+    monkeypatch.setattr(render, "_SPLIT_SQUARES", 1)
+    return partial(forks.run, render_scatter)
 
 
 @pytest.mark.parametrize("m", SCATTER_MODULI)
@@ -220,8 +297,8 @@ def test_split_scatter_gives_the_golden_plot(split, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_PLOT_20171
 
 
-# A child that raises exits 1; with SIGCHLD ignored its status is lost.  Either way this
-# process draws the child's columns again, over what the child drew.
+# A child that draws its columns and then raises exits 1; with SIGCHLD ignored its status
+# is lost.  Either way this process draws the child's columns again, over what it drew.
 @pytest.mark.parametrize("failure", ["raise", "ignore SIGCHLD"])
 @pytest.mark.parametrize("m, width, height", [(320000, 800, 800), (100003, 801, 33),
                                               (20171, 17, 1000)])
@@ -233,9 +310,9 @@ def test_split_scatter_survives_a_failed_child(failure, m, width, height, half_r
     def draw(*args):
         if os.getpid() == pid:
             drawn.append(args[-1])
-        elif failure == "raise":
-            raise RuntimeError("the child fails")
         columns(*args)
+        if os.getpid() != pid and failure == "raise":
+            raise RuntimeError("the child fails")
     monkeypatch.setattr(render, "_columns", draw)
     if failure == "ignore SIGCHLD":
         previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
@@ -244,36 +321,6 @@ def test_split_scatter_survives_a_failed_child(failure, m, width, height, half_r
     assert canvas.pixels == reference_scatter(m, width, height, half_range)
     columns = (width + 1) // 2 if not half_range else width
     assert drawn == [range(columns // 2), range(columns // 2, columns)]
-
-
-def test_split_scatter_draws_every_column_when_fork_fails(split, monkeypatch):
-    def fork():
-        raise BlockingIOError("no process to spare")
-    monkeypatch.setattr(os, "fork", fork)
-    for half_range in (True, False):
-        canvas = render_scatter(320000, 801, 33, half_range)
-        assert canvas.pixels == reference_scatter(320000, 801, 33, half_range)
-
-
-def test_scatter_never_forks_on_one_cpu_or_beside_a_thread(monkeypatch):
-    def fork():
-        raise AssertionError("forked")
-    monkeypatch.setattr(render, "_SPLIT_SQUARES", 1)
-    monkeypatch.setattr(os, "fork", fork, raising=False)
-    reference = reference_scatter(20171, 800, 800, False)
-    with monkeypatch.context() as patch:
-        patch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert render_scatter(20171, 800, 800, False).pixels == reference
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    release = threading.Event()
-    second = threading.Thread(target=release.wait)
-    second.start()
-    try:
-        assert render_scatter(20171, 800, 800, False).pixels == reference
-    finally:
-        release.set()
-        second.join(timeout=10)
-    assert not second.is_alive()
 
 
 @pytest.mark.parametrize("m", [2, 7, 415, 1000, 999331])
@@ -673,34 +720,28 @@ def open_fds():
 
 
 @pytest.fixture
-def svg_split(monkeypatch, tmp_path):
+def svg_split(monkeypatch, tmp_path, forks):
     """write_svg made to split every scene, as on two CPUs, with 8-square parts and
-    64-square <path>s; write(scene, forks) checks that it forked that often and left no
+    64-square <path>s; write(scene, forked) checks that it forked that often and left no
     child and no open descriptor (a leaked memfd) behind, and returns the bytes.  Its
     one_process(scene) writes the same scene at the same part sizes without forking."""
-    if not (hasattr(os, "fork") and hasattr(os, "memfd_create")
-            and os.path.isdir("/proc/self/fd")):
-        pytest.skip("no os.fork, os.memfd_create or /proc/self/fd")
-    fork, forks = os.fork, []
+    if not (hasattr(os, "memfd_create") and os.path.isdir("/proc/self/fd")):
+        pytest.skip("no os.memfd_create or /proc/self/fd")
     monkeypatch.setattr(render, "_FILL", 8)
     monkeypatch.setattr(render, "_CHUNK", 64)
     monkeypatch.setattr(render, "_SPLIT_SCENE", 1)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
 
     def write(scene, forked=1):
-        before, fds = len(forks), open_fds()
-        data = svg_bytes(scene, tmp_path)
-        assert (len(forks) - before, open_fds()) == (forked, fds)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        fds = open_fds()
+        data = forks.run(svg_bytes, scene, tmp_path, forked=forked)
+        assert open_fds() == fds
         return data
 
     def one_process(scene):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(render, "_SPLIT_SCENE", scene.modulus + 1)
             return write(scene, 0)
-    write.one_process, write.forks = one_process, forks
+    write.one_process = one_process
     return write
 
 
@@ -737,15 +778,13 @@ def test_split_svg_gives_the_golden_overlay(svg_split, monkeypatch):
     assert hashlib.sha256(svg_split(SCENE_20179)).hexdigest() == GOLDEN_SVG_20179
 
 
-# A child that writes 300 KB of junk into the memfd, then fails, exits 1; with SIGCHLD
-# ignored, a child that succeeds has its status lost.  Either way this process writes the
-# memfd over.  A fork that fails, one CPU listed, a second thread alive and no
-# os.memfd_create each leave this process to write it all.
-@pytest.mark.parametrize("failure", ["child exits 1", "SIGCHLD ignored", "fork raises",
-                                     "one CPU", "second thread", "no memfd_create"])
-def test_split_svg_failures_give_one_process_bytes(failure, svg_split, monkeypatch, request):
+# A child that writes 300 KB of junk into the memfd, then fails, exits 1, and this process
+# writes the memfd over.  On one CPU no child may run and this process writes the memfd;
+# without os.memfd_create one process writes the file.
+@pytest.mark.parametrize("failure", ["child exits 1", "one CPU", "no memfd_create"])
+def test_split_svg_failures_give_one_process_bytes(failure, svg_split, monkeypatch):
     scene = Scene(320, 240, 300, 7, range(-2, 3), by_denominator(9))
-    reference, pid, forked = svg_split.one_process(scene), os.getpid(), 1
+    reference, pid, spools = svg_split.one_process(scene), os.getpid(), []
     if failure == "child exits 1":
         polylines, junk = render._polylines, []
 
@@ -756,39 +795,24 @@ def test_split_svg_failures_give_one_process_bytes(failure, svg_split, monkeypat
                 raise RuntimeError("the child fails")
             return junk.append(1) or b"x" * 300_000
         monkeypatch.setattr(render, "_polylines", fail_in_child)
-    elif failure == "SIGCHLD ignored":
-        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
-        request.addfinalizer(lambda: signal.signal(signal.SIGCHLD, previous))
-    elif failure == "fork raises":
-        def fork():
-            raise BlockingIOError("no process to spare")
-        monkeypatch.setattr(os, "fork", fork)
-        forked = 0
     elif failure == "one CPU":
+        memfd = os.memfd_create
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        forked = 0
-    elif failure == "no memfd_create":
-        monkeypatch.delattr(os, "memfd_create")
-        forked = 0
+        monkeypatch.setattr(os, "memfd_create", lambda *args: spools.append(1) or memfd(*args))
     else:
-        release = threading.Event()
-        second = threading.Thread(target=release.wait)
-        second.start()
-        request.addfinalizer(lambda: (release.set(), second.join(timeout=10)))
-        forked = 0
-    assert svg_split(scene, forked) == reference
+        monkeypatch.delattr(os, "memfd_create")
+    assert svg_split(scene, failure == "child exits 1") == reference
+    assert spools == [1] * (failure == "one CPU")
 
 
-def test_split_svg_to_a_full_disk_exits_3_with_one_line(svg_split, capsys):
+def test_split_svg_to_a_full_disk_exits_3_with_one_line(svg_split, forks, capsys):
     if not os.path.exists("/dev/full"):
         pytest.skip("no /dev/full")
-    fds, forks = open_fds(), len(svg_split.forks)
-    assert main(["bundle", "--modulus", "20179", "--out", "/dev/full"]) == 3
+    fds = open_fds()
+    assert forks.run(main, ["bundle", "--modulus", "20179", "--out", "/dev/full"]) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("i/o error: ")
-    assert (open_fds(), len(svg_split.forks)) == (fds, forks + 1)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    assert open_fds() == fds
 
 
 def svg_peak(scene_of, path):
