@@ -9,6 +9,7 @@ checks happen before anything is converted to floating point.
 
 from __future__ import annotations
 
+import io
 import mmap
 import os
 import sys
@@ -116,9 +117,9 @@ def render_scatter(m: int, width: int, height: int, half_range: bool = True) -> 
     their column and mirror one column further right, so the column loop
     skips those points, then draws each in its own column.
 
-    Either mode squares about (m + 1) // 2 of the x; more than
-    MAX_SCATTER_SQUARES is refused before the canvas is allocated.  From
-    _SPLIT_SQUARES on, a forked child may draw half the column pairs (_two_processes):
+    Either mode squares about (m + 1) // 2 of the x; more than MAX_SCATTER_SQUARES is
+    refused before the canvas is allocated.  From _SPLIT_SQUARES on, a forked child may draw
+    half the column pairs (_two_processes) into a shared map, so a split holds two canvases:
     their pixel sets are disjoint and the edge points come after, so the bytes match.
     """
     check_modulus(m)
@@ -137,7 +138,7 @@ def render_scatter(m: int, width: int, height: int, half_range: bool = True) -> 
             shared[:], mid = pixels, columns // 2
             _two_processes(partial(_columns, shared, m, width, height, mirror), range(mid),
                            range(mid, columns))
-            pixels[:] = shared
+            memoryview(pixels)[:] = shared  # pixels[:] would copy shared to a bytearray first
     if mirror:
         bottom = (height - 1) * width
         for x in range(0, m, m // gcd(m, width)):
@@ -145,13 +146,14 @@ def render_scatter(m: int, width: int, height: int, half_range: bool = True) -> 
     return canvas
 
 
-def _two_processes(work, lower, upper) -> None:
+def _two_processes(work, lower, upper) -> bool:
     """Call work(lower) here and work(upper) in a forked child, which leaves by os._exit
     (no flush, no atexit) and so must write to shared memory (an anonymous mmap, a memfd).
     A child may run where upper is not empty, os.fork and os.sched_getaffinity exist, two or
     more CPUs are listed and no second thread is alive (a child would lack every thread).
-    Where none may run, or it fails or its status is lost, work(upper) runs here after
-    work(lower), so it must give the same result run twice."""
+    Returns whether a child did work(upper).  If not (none may run, the fork or child failed,
+    or its status was lost), work(upper) has run here after work(lower), over what a failed
+    child left in shared memory."""
     threading, pid = sys.modules.get("threading"), None
     if (upper and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
             and len(os.sched_getaffinity(0)) > 1
@@ -175,6 +177,7 @@ def _two_processes(work, lower, upper) -> None:
             status = 1
     if status:
         work(upper)
+    return not status
 
 
 def _columns(pixels, m: int, width: int, height: int, mirror: bool, cols: range) -> None:
@@ -331,15 +334,14 @@ def write_svg(scene: Scene, path) -> None:
     bundle curves in the order of scene.lines, then vertex circles fraction by
     fraction in the order of scene.fractions, each in vertex order.  Every
     coordinate carries six decimals, so equal scenes give identical bytes.
-    Every check (modulus >= 2; the scene and canvas caps; m > b*b per vertex)
-    comes before the file is opened.  Then each scatter part
-    (_FILL squares of a _CHUNK-square <path>), curve (sampled as it is reached) and
-    fraction's circles (from ``vertex_heights``) is filled by one % over a repeated
-    template and written at once; the scatter's ordinate block ys and one part are
-    all that stay held.  From _SPLIT_SCENE squares on, where os.memfd_create exists, the
-    <path>s from a cut on, then the curves, go to a memfd, which this process copies after
-    those before the cut; the cut weighs a curve as _CURVE_SQUARES squares.  A forked child
-    (_two_processes) writes the memfd, or this process where no child may run.
+    Every check (modulus >= 2; the scene and canvas caps; m > b*b per vertex) comes before
+    the file is opened.  Then each scatter part (_FILL squares of a _CHUNK-square <path>),
+    curve (sampled as it is reached) and fraction's circles (from ``vertex_heights``) is
+    filled by one % over a repeated template and written at once; the scatter's ordinate
+    block ys and one part are all that stay held.  From _SPLIT_SCENE squares on, where
+    os.memfd_create exists, a forked child (_two_processes) writes the <path>s from a cut
+    on, then the curves, to a memfd, which this process copies after those before the cut (a
+    curve weighs _CURVE_SQUARES squares); a part run here goes straight to the file.
     """
     width, height, m = scene.width, scene.height, scene.modulus
     check_scene(check_modulus(m))
@@ -368,20 +370,17 @@ def write_svg(scene: Scene, path) -> None:
         if m < _SPLIT_SCENE or not hasattr(os, "memfd_create"):
             stream.writelines(pieces(range(len(starts) + 1)))
         else:
-            curves = len(scene.lines) * _CURVE_SQUARES
+            curves, pid = len(scene.lines) * _CURVE_SQUARES, os.getpid()
             lower = range(min(len(starts), (m + curves + _CHUNK) // (2 * _CHUNK)))
-            with open(os.memfd_create("svg"), "wb", 0) as spool:  # work buffers its own writes
-                def work(part: range) -> None:  # the part with the curves goes to the memfd
-                    if part is lower:
-                        return stream.writelines(pieces(part))
-                    with open(spool.fileno(), "wb", 1 << 16, closefd=False) as out:
-                        out.truncate(out.seek(0))  # from byte 0, so a rerun writes it over
-                        out.writelines(pieces(part))
-                _two_processes(work, lower, range(lower.stop, len(starts) + 1))
-                stream.flush()
-                size, offset = os.fstat(spool.fileno()).st_size, 0
-                while offset < size:
-                    offset += os.sendfile(stream.fileno(), spool.fileno(), offset, size - offset)
+            with open(os.memfd_create("svg"), "wb", 0) as spool:  # a child buffers its writes
+                def work(part: range) -> None:  # into the file here, into the memfd in a child
+                    out = stream if os.getpid() == pid else io.BufferedWriter(spool, 1 << 16)
+                    out.writelines(pieces(part))
+                    out.flush()  # here before the copy; a child's os._exit flushes nothing
+                if _two_processes(work, lower, range(lower.stop, len(starts) + 1)):
+                    size, offset, fd = os.fstat(spool.fileno()).st_size, 0, spool.fileno()
+                    while offset < size:
+                        offset += os.sendfile(stream.fileno(), fd, offset, size - offset)
         write(b'</g>\n<g fill="none" stroke="#d62728">\n')
         for frac in scene.fractions:  # one cx per fraction, formatted once
             heights, bb = vertex_heights(m, frac), frac.b**2

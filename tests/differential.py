@@ -59,12 +59,13 @@ REPO = Path(__file__).resolve().parents[1]
 COMMANDS = ("plot", "grid", "predict", "verify", "equiv", "bundle")
 # Every cap, wherever a tree defines it, set in both children; the split thresholds are
 # set low, so that most plots, verifies and bundle SVGs split between two processes where
-# they can.  MAX_SCENE_POINTS is under one 4,096-square <path> (render._CHUNK), so a split
-# SVG's child writes its curves and at most that one <path>; splits inside the scatter are
-# left to tests/test_render.py, which sets _CHUNK small.
+# they can.  An SVG's <path>s are cut small, 64 squares filled 8 per % (render._CHUNK,
+# _FILL), and a curve weighs 16 squares (_CURVE_SQUARES), so that a split SVG's cut falls
+# inside its scatter of at most 3,000 squares, not before its curves.
 CAPS = {"MAX_MEMBERS": 2000, "MAX_VERIFY_POINTS": 25000, "MAX_ORACLE_POINTS": 5000,
         "MAX_PIXELS": 64 * 64, "MAX_SCATTER_SQUARES": 5000, "MAX_SCENE_POINTS": 3000,
-        "MAX_LAMBDA_N": 400, "_SPLIT_SQUARES": 64, "_SPLIT_POINTS": 64, "_SPLIT_SCENE": 64}
+        "MAX_LAMBDA_N": 400, "_SPLIT_SQUARES": 64, "_SPLIT_POINTS": 64, "_SPLIT_SCENE": 64,
+        "_CHUNK": 64, "_FILL": 8, "_CURVE_SQUARES": 16}
 LIMIT = getattr(sys, "get_int_max_str_digits", int)() or 4300
 SHOWN = 4096  # characters of stdout an answer carries for the allow file and the report
 TIMEOUT = 30  # seconds a child may take to answer one request
