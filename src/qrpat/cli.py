@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import mmap
 import os
 import sys
 from functools import cache, lru_cache
@@ -26,7 +25,8 @@ from .parabola import (ReducedFraction, anchor, canonical_offsets, check_denomin
 # predict streams F_D and a single --fraction alike, a window at a time; the pins in
 # tests/pins.py time each command near the cap (near-cap-predict, one-fraction-predict,
 # near-cap-bundle, large-bundle-svg, near-cap-verify with --window 1) and bound its memory
-# above the interpreter's floor.  verify with its default windows takes ~11 s there.
+# above the interpreter's floor.  verify with its default windows takes 4.0-6.7 s there
+# split and 6.7-9.3 s on one CPU (2-CPU VM).
 # _plan weighs each predict or verify member by m's length (parabola.length_weight).
 MAX_MEMBERS = 10**6
 # Most oracle points one verify checks, each also weighed by m's length.
@@ -265,26 +265,25 @@ def _fraction_checks(m: int, frac: ReducedFraction, window: int | None) -> tuple
 
 
 def _failures(m: int, max_d: int, window: int | None, checked: int, points: int) -> dict:
-    """Each check's failures over F_D in increasing order, from each a/b's pass bits, its byte
-    of a map.  From _SPLIT_POINTS oracle points on (as _plan weighs them) a forked child may
-    check F_D's upper half: as a/b -> (b - a)/b maps F_D onto itself, its windows match."""
-    with mmap.mmap(-1, checked) as flags:
-        def check(part: range) -> None:
-            for k, frac in zip(part, islice(_farey(max_d), part.start, None)):
-                identity, structure, coverage = _fraction_checks(m, frac, window)
-                flags[k] = identity | structure << 1 | coverage << 2
-        mid = checked // 2 if points >= _SPLIT_POINTS else checked  # else no upper half
-        render._two_processes(check, range(mid), range(mid, checked))
-        failed = {"identity": [], "family_structure": [], "coverage": []}
-        for k, frac in enumerate(_farey(max_d)):
-            for bit, (name, names) in enumerate(failed.items()):
-                if not flags[k] >> bit & 1:
+    """Each check's failures over F_D in increasing order.  From _SPLIT_POINTS oracle points
+    on (as _plan weighs them) a forked child may check F_D's upper half: as a/b -> (b - a)/b
+    maps F_D onto itself, its windows match.  The child exits 1 at its half's first failure,
+    so that this process checks that half again after its own; else the half passed."""
+    failed = {"identity": [], "family_structure": [], "coverage": []}
+    def check(part: range, child: bool) -> None:
+        for frac in islice(_farey(max_d), part.start, part.stop):
+            for (name, names), passed in zip(failed.items(), _fraction_checks(m, frac, window)):
+                if not passed:
+                    if child:
+                        raise SystemExit(1)
                     names.append(f"{frac}:{name}")
+    mid = checked // 2 if points >= _SPLIT_POINTS else checked  # else no upper half
+    render._two_processes(check, range(mid), range(mid, checked))
     return failed
 
 
 def _cmd_verify(args) -> int:
-    """Check F_D by _failures, whose map is freed before json.dumps, then write the report."""
+    """Check F_D by _failures, then write the report."""
     m, max_d = args.modulus, args.max_denominator
     checked, points = _plan("verify", m, max_d, window=args.window)
     failed = _failures(m, max_d, args.window, checked, points)

@@ -15,7 +15,6 @@ import os
 import sys
 from binascii import hexlify, unhexlify
 from collections import namedtuple
-from functools import partial
 from math import gcd
 
 from .parabola import check_denominator, check_modulus, length_weight, vertex_heights
@@ -119,8 +118,9 @@ def render_scatter(m: int, width: int, height: int, half_range: bool = True) -> 
 
     Either mode squares about (m + 1) // 2 of the x; more than MAX_SCATTER_SQUARES is
     refused before the canvas is allocated.  From _SPLIT_SQUARES on, a forked child may draw
-    half the column pairs (_two_processes) into a shared map, so a split holds two canvases:
-    their pixel sets are disjoint and the edge points come after, so the bytes match.
+    half the column pairs (_two_processes), in white on a zeroed shared map, whose band this
+    process copies back inverted: the pixel sets are disjoint and the edge points come after,
+    so the bytes match.
     """
     check_modulus(m)
     if width < 16 or height < 16:
@@ -131,14 +131,15 @@ def render_scatter(m: int, width: int, height: int, half_range: bool = True) -> 
     canvas = Canvas.blank(width, height)
     mirror, pixels = not half_range, canvas.pixels
     columns = (width + 1) // 2 if mirror else width
-    if squares < _SPLIT_SQUARES:
-        _columns(pixels, m, width, height, mirror, range(columns))
-    else:  # columns [mid, columns) may be drawn by a child, into a shared map
-        with mmap.mmap(-1, width * height) as shared:
-            shared[:], mid = pixels, columns // 2
-            _two_processes(partial(_columns, shared, m, width, height, mirror), range(mid),
-                           range(mid, columns))
-            memoryview(pixels)[:] = shared  # pixels[:] would copy shared to a bytearray first
+    mid = columns // 2 if squares >= _SPLIT_SQUARES else columns  # else no upper half
+    end = width - mid if mirror else width  # a child's band of columns is [mid, end)
+    with mmap.mmap(-1, width * height) as shared:  # zeros, on which a child draws in white
+        def draw(cols: range, child: bool) -> None:
+            _columns(shared if child else pixels, 255 * child, m, width, height, mirror, cols)
+        if _two_processes(draw, range(mid), range(mid, columns)):
+            invert = bytes(range(255, -1, -1))
+            for row in range(0, width * height, width):
+                pixels[row + mid:row + end] = shared[row + mid:row + end].translate(invert)
     if mirror:
         bottom = (height - 1) * width
         for x in range(0, m, m // gcd(m, width)):
@@ -147,13 +148,13 @@ def render_scatter(m: int, width: int, height: int, half_range: bool = True) -> 
 
 
 def _two_processes(work, lower, upper) -> bool:
-    """Call work(lower) here and work(upper) in a forked child, which leaves by os._exit
-    (no flush, no atexit) and so must write to shared memory (an anonymous mmap, a memfd).
-    A child may run where upper is not empty, os.fork and os.sched_getaffinity exist, two or
-    more CPUs are listed and no second thread is alive (a child would lack every thread).
-    Returns whether a child did work(upper).  If not (none may run, the fork or child failed,
-    or its status was lost), work(upper) has run here after work(lower), over what a failed
-    child left in shared memory."""
+    """Call work(lower, False) here and work(upper, True) in a forked child, which leaves by
+    os._exit (no flush, no atexit), 0 if work returned and 1 if it raised, so it hands back
+    only through shared memory (an anonymous mmap, a memfd) and that status.  A child may run
+    where upper is not empty, os.fork and os.sched_getaffinity exist, two or more CPUs are
+    listed and no second thread is alive (a child would lack every thread).  Returns whether
+    a child did work(upper): only then may the caller read what it left.  If not (none may
+    run, the fork or child failed, or its status was lost), this ran work(upper, False) next."""
     threading, pid = sys.modules.get("threading"), None
     if (upper and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
             and len(os.sched_getaffinity(0)) > 1
@@ -164,38 +165,38 @@ def _two_processes(work, lower, upper) -> bool:
             pass
     if pid == 0:
         try:
-            work(upper)
+            work(upper, True)
             os._exit(0)
         finally:
             os._exit(1)
     try:
-        work(lower)
+        work(lower, False)
     finally:
         try:
             status = os.waitpid(pid, 0)[1] if pid else 1
         except ChildProcessError:  # SIGCHLD ignored: the child is reaped, its status lost
             status = 1
     if status:
-        work(upper)
+        work(upper, False)
     return not status
 
 
-def _columns(pixels, m: int, width: int, height: int, mirror: bool, cols: range) -> None:
-    """Draw scatter columns cols into pixels, a mirrored plot's edge points aside."""
+def _columns(pixels, ink, m: int, width: int, height: int, mirror: bool, cols: range) -> None:
+    """Draw columns cols into pixels, each point in ink on 255 - ink, mirrored edges aside."""
     if mirror:
         count, x_scale, edge = m, width, m // gcd(m, width)
     else:
         count, x_scale = (m + 1) // 2, 2 * width
     bottom = (height - 1) * width
-    white = bytes([255]) * height
+    paper = bytes([255 - ink]) * height
     lo = -(-cols.start * m // x_scale)
     for col in cols:
         hi = min(count, -(-(col + 1) * m // x_scale))
         xs = range(lo + 1 if mirror and lo % edge == 0 else lo, hi)
         if hi - lo > height >> 5:
-            column = bytearray(white)
+            column = bytearray(paper)
             for x in xs:
-                column[x * x % m * height // m] = 0
+                column[x * x % m * height // m] = ink
             pixels[bottom + col::-width] = column
             if mirror:
                 pixels[bottom + width - 1 - col::-width] = column
@@ -203,10 +204,10 @@ def _columns(pixels, m: int, width: int, height: int, mirror: bool, cols: range)
             twin = width - 1 - col
             for x in xs:
                 row = bottom - x * x % m * height // m * width
-                pixels[row + col] = pixels[row + twin] = 0
+                pixels[row + col] = pixels[row + twin] = ink
         else:
             for x in xs:
-                pixels[bottom + col - x * x % m * height // m * width] = 0
+                pixels[bottom + col - x * x % m * height // m * width] = ink
         lo = hi
 
 
@@ -370,11 +371,11 @@ def write_svg(scene: Scene, path) -> None:
         if m < _SPLIT_SCENE or not hasattr(os, "memfd_create"):
             stream.writelines(pieces(range(len(starts) + 1)))
         else:
-            curves, pid = len(scene.lines) * _CURVE_SQUARES, os.getpid()
+            curves = len(scene.lines) * _CURVE_SQUARES
             lower = range(min(len(starts), (m + curves + _CHUNK) // (2 * _CHUNK)))
             with open(os.memfd_create("svg"), "wb", 0) as spool:  # a child buffers its writes
-                def work(part: range) -> None:  # into the file here, into the memfd in a child
-                    out = stream if os.getpid() == pid else io.BufferedWriter(spool, 1 << 16)
+                def work(part: range, child: bool) -> None:  # into the memfd, else the file
+                    out = io.BufferedWriter(spool, 1 << 16) if child else stream
                     out.writelines(pieces(part))
                     out.flush()  # here before the copy; a child's os._exit flushes nothing
                 if _two_processes(work, lower, range(lower.stop, len(starts) + 1)):

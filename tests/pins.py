@@ -6,7 +6,9 @@ bound on its peak RSS above the floor's: FLOOR, a trivial request, peaks at what
 the interpreter and qrpat take before any work, which differs more between
 machines than what a row adds to it.  ``python3 tests/pins.py --all`` (or
 ``NAME...``) runs FLOOR, then the rows, prints one JSON line each, runs every row
-even after a failure, and exits 1 if any failed.
+even after a failure, and exits 1 if any failed.  A line's ``cpus`` is how many CPUs
+the row's request could run on (this runner's affinity, which it inherits): on one, no
+request forks and the split rows take their one-process time.
 
 A row's peak RSS is its request's own: the child runs ``qrpat`` under REPORT, which
 writes two figures to a passed descriptor as it exits, its own ``VmHWM`` and the
@@ -184,7 +186,8 @@ def run(pin: Pin, floor_mb: float | None) -> dict:
     if pin.mb is not None and over >= pin.mb:
         reasons.append(f"{over:.1f} MB over the floor's {floor_mb:.1f} MB, bound {pin.mb} MB")
     return {"name": pin.name, "exit": child.returncode, "seconds": round(seconds, 3),
-            "forks": len(forks), "peak_mb": round(mb, 1), "over_floor_mb": None if over is None else round(over, 1),
+            "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count(), "forks": len(forks), "peak_mb": round(mb, 1), "over_floor_mb": None if over is None else round(over, 1),
             "stdout_bytes": size, "stdout_mb_per_s": round(size / seconds / 1e6, 3),
             "pass": not reasons, "reason": "; ".join(reasons) or None}
 

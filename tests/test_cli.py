@@ -595,18 +595,30 @@ def test_split_verify_gives_every_golden_hash(capsys, monkeypatch, split_verify,
     code, out, err = split_verify(capsys, *argv)
     assert (code, err) == (1 if tampered else 0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY[tampered, argv]
-    fractions = farey(int(argv[3]))  # this process checked F_D's lower half only
-    assert split_verify.checked_here == fractions[:len(fractions) // 2]
+    # A passing request is checked here in its lower half only.  Each tampered one fails in
+    # F_D's upper half, so its child exits 1 and this process checks that half after its own.
+    fractions = farey(int(argv[3]))
+    assert split_verify.checked_here == (fractions if tampered else
+                                         fractions[:len(fractions) // 2])
 
 
-# A child that raises at its last fraction, after writing the others' bytes, exits 1; with
+def test_split_verify_failing_only_below_the_cut_checks_nothing_twice(capsys, monkeypatch,
+                                                                      split_verify):
+    identity = cli.verify_identity
+    monkeypatch.setattr(cli, "verify_identity",
+                        lambda params: params.frac != (1, 5) and identity(params))
+    code, out, err = split_verify(capsys, "--modulus", "997", "--max-denominator", "5")
+    assert (code, err) == (1, "")
+    assert json.loads(out)["failures"] == ["1/5:identity"]
+    assert split_verify.checked_here == farey(5)[:5]  # the child passed F_5's upper half
+
+
+# A child that raises at its last fraction exits 1, as one that finds a failure does; with
 # SIGCHLD ignored the child's status is lost.  Each way this process checks the upper half
-# too, over the bytes the child wrote.
+# too, after its own, though every fraction passes.
 @pytest.mark.parametrize("failure", ["child raises", "ignore SIGCHLD"])
 def test_split_verify_survives_a_failed_child(capsys, monkeypatch, split_verify, request,
                                               failure):
-    for name in ALL_TAMPERS:
-        monkeypatch.setattr(cli, name, TAMPERS[name](getattr(cli, name)))
     argv = ("--modulus", "20171", "--max-denominator", "9", "--window", "50")
     if failure == "child raises":
         pid, checks = os.getpid(), cli._fraction_checks
@@ -620,8 +632,8 @@ def test_split_verify_survives_a_failed_child(capsys, monkeypatch, split_verify,
         previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
         request.addfinalizer(lambda: signal.signal(signal.SIGCHLD, previous))
     code, out, err = split_verify(capsys, *argv)
-    assert (code, err) == (1, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY[ALL_TAMPERS, argv]
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY[(), argv]
     assert split_verify.checked_here == farey(9)  # the lower half, then the upper
 
 

@@ -21,6 +21,8 @@ PLOT = Pin("plot", ("plot", "--modulus", "20171", "--out", "{out}"), EMPTY,
 # An 8000x8000 canvas: 64 MB of pixels.
 LARGE = PLOT._replace(name="large", argv=PLOT.argv + ("--width", "8000", "--height", "8000"),
                       out="de0ee6195ad75b06d60edd9534e80f01fecc4bd37fb35cee0e768468fd566cfb")
+# 100,002 squares, past render._SPLIT_SQUARES: one forked child draws half the columns.
+SPLIT = Pin("split", ("plot", "--modulus", "200003", "--out", "{out}"), EMPTY)
 PLANTED = "0" * 64
 
 
@@ -33,8 +35,10 @@ def run_all(rows):
     assert child.stderr == ""
     floor, *results = [json.loads(line) for line in child.stdout.splitlines()]
     assert (floor["name"], floor["pass"], floor["over_floor_mb"]) == ("floor", True, None)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     for result in results:  # both figures are rounded to 0.1 MB
         assert abs(result["over_floor_mb"] - (result["peak_mb"] - floor["peak_mb"])) < 0.15
+        assert result["cpus"] == cpus
     return child.returncode, results
 
 
@@ -117,8 +121,18 @@ def test_a_forked_childs_growth_counts_from_its_parents_rss_at_the_fork():
 @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
                     reason="a request forks only where two CPUs are listed")
 def test_a_split_request_reports_its_fork():
-    # 100,002 squares, past render._SPLIT_SQUARES: one forked child draws half the columns.
-    split = Pin("split", ("plot", "--modulus", "200003", "--out", "{out}"), EMPTY)
-    _, (forked, plain) = run_all([split, PREDICT])
+    _, (forked, plain) = run_all([SPLIT, PREDICT])
     assert (forked["forks"], plain["forks"]) == (1, 0)
     assert forked["pass"] and plain["pass"]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no os.sched_setaffinity")
+def test_a_row_on_one_cpu_reports_it_and_forks_no_child():
+    # A runner held to one CPU runs its rows there, so a split-size plot draws in one process.
+    code = ("import json, os; from pins import Pin, run; "
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+            f"print(json.dumps(run({SPLIT!r}, None)))")
+    child = subprocess.run([sys.executable, "-c", code], cwd=Path(__file__).parent,
+                           capture_output=True, text=True, timeout=60, check=True)
+    row = json.loads(child.stdout)
+    assert (row["cpus"], row["forks"], row["pass"]) == (1, 0, True)

@@ -214,23 +214,29 @@ LOWER, UPPER = range(4), range(4, 8)
 
 
 def toy_split(forks, forked, spoil=None, upper=UPPER):
-    """_two_processes over an 8-byte anonymous map, whose work(part) writes k + 1 at each k
-    of part; a child then calls spoil(shared, part).  Checks that it forked `forked` times,
-    left no child, filled the map and returned True exactly when the upper part did not run
-    here, and returns the parts run here, in order."""
+    """_two_processes over a 9-byte anonymous map, whose work(part, child) writes k + 1 at each
+    k of part; a child then calls spoil(shared, part).  Checks that it forked `forked` times,
+    left no child, filled the map, passed child=True exactly in a child (a child told False
+    marks byte 8) and False for every part run here, and returned True exactly when the upper
+    part did not run here; returns the parts run here, in order."""
     pid, here = os.getpid(), []
-    with mmap.mmap(-1, 8) as shared:
-        def work(part):
+    with mmap.mmap(-1, 9) as shared:
+        def work(part, child):
             if os.getpid() == pid:
-                here.append(part)
+                here.append((part, child))
+            elif child is not True:
+                shared[8] = 1
             for k in part:
                 shared[k] = k + 1
             if os.getpid() != pid and spoil:
                 spoil(shared, part)
         done = forks.run(render._two_processes, work, LOWER, upper, forked=forked)
         assert shared[:upper.stop] == bytes(range(1, upper.stop + 1))
-    assert done is (here == [LOWER])
-    return here
+        assert shared[8] == 0
+    assert all(child is False for _, child in here)
+    parts = [part for part, _ in here]
+    assert done is (parts == [LOWER])
+    return parts
 
 
 def test_two_processes_runs_the_upper_part_only_in_a_child(forks):
@@ -330,6 +336,33 @@ def test_split_scatter_holds_its_canvas_and_no_copy_of_the_map(split):
     # pixels[:] = shared first copied it into a new bytearray: a peak of 2.0 canvases.
     canvas, peak = traced_peak(lambda: split(20171, 1000, 1000))
     assert peak < 1.25 * len(canvas.pixels)
+
+
+class CountedMap(mmap.mmap):
+    """An anonymous map that counts the slice reads and writes this process makes of it."""
+
+    accesses = 0
+
+    def __getitem__(self, key):
+        CountedMap.accesses += 1
+        return super().__getitem__(key)
+
+    def __setitem__(self, key, value):
+        CountedMap.accesses += 1
+        super().__setitem__(key, value)
+
+
+# 100,002 squares, a split's size.  On one CPU no child may run: the canvas is drawn in place
+# and the map is never touched, by a copy-back either.  Where a child ran, this process reads
+# the child's band back one slice per row.
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+def test_split_scatter_touches_its_map_only_where_a_child_ran(cpus, forks, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    monkeypatch.setattr(mmap, "mmap", CountedMap)
+    monkeypatch.setattr(CountedMap, "accesses", 0)
+    canvas = forks.run(render_scatter, 200003, 64, 48, False, forked=len(cpus) - 1)
+    assert canvas.pixels == reference_scatter(200003, 64, 48, False)
+    assert CountedMap.accesses == (48 if len(cpus) > 1 else 0)
 
 
 @pytest.mark.parametrize("m", [2, 7, 415, 1000, 999331])
